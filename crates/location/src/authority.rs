@@ -1,16 +1,21 @@
-//! The repair control plane: membership, registry and placement state
-//! plus the repair *planner*, shared between the in-process
-//! [`DirectoryOverlay::repair`] and the message-passing repair protocol
-//! of `ron-sim`.
+//! The directory's control plane: membership, registry and placement
+//! state, the membership rules (`leave`, `join`, fingers, dynamic rings,
+//! zoom chains) and the repair *planner*.
 //!
-//! [`DirectoryOverlay::repair`] used to interleave its decisions with
-//! their application; splitting it into a pure plan
-//! ([`RepairAuthority::plan_repair`], producing a [`RepairPlan`] of
-//! per-node promotions, pointer writes/deletes, adoptions and finger
-//! refreshes) and an application step lets a *distributed* run fan the
-//! same plan out as messages — and makes "simulated repair equals
-//! in-process repair" a statement about one shared planner instead of
-//! two parallel implementations.
+//! The state and its rules are written once, in [`RepairAuthority`].
+//! A [`DirectoryOverlay`] owns one next to its pointer tables (the data
+//! plane) and every overlay mutation goes through it;
+//! [`DirectoryOverlay::repair`] plans on it in place. The
+//! message-passing repair protocol of `ron-sim` carries a copy
+//! ([`DirectoryOverlay::control_plane`]) at its coordinator node and
+//! fans the same [`RepairPlan`] — per-node promotions, pointer
+//! writes/deletes, adoptions and finger refreshes — out as messages, so
+//! "simulated repair equals in-process repair" is a statement about one
+//! planner.
+//!
+//! [`DirectoryOverlay`]: crate::DirectoryOverlay
+//! [`DirectoryOverlay::repair`]: crate::DirectoryOverlay::repair
+//! [`DirectoryOverlay::control_plane`]: crate::DirectoryOverlay::control_plane
 //!
 //! The planner never touches a [`Space`] directly: it asks a
 //! [`RepairOracle`] for distances, nearest-member and ball queries.
@@ -25,9 +30,10 @@
 use std::collections::HashMap;
 
 use ron_metric::{BallOracle, Metric, Node, Space};
+use ron_nets::NestedNets;
 
 use crate::churn::RepairReport;
-use crate::directory::{DirectoryOverlay, ObjectId, Placement};
+use crate::directory::{ObjectId, Placement};
 
 /// The geometric queries repair planning needs, in the ascending
 /// `(distance, node id)` visit order of
@@ -215,52 +221,62 @@ impl RepairPlan {
     }
 }
 
-/// The control-plane state repair planning runs against: the dynamic
-/// net ladder, alive flags, touched sets, the object registry and the
-/// per-object placements — everything **except** the pointer tables,
-/// which stay at the owning nodes (the data plane).
+/// The directory's control plane: the dynamic net ladder, alive flags,
+/// touched sets, the object registry and the per-object placements —
+/// everything **except** the pointer tables, which stay at the owning
+/// nodes (the data plane).
 ///
-/// The in-process path materializes one per `repair` call from the
-/// overlay; the simulator's coordinator node carries one persistently
-/// and evolves it across churn epochs (see `ron-sim`'s directory
-/// driver).
+/// A [`DirectoryOverlay`] owns one and mutates it through `publish`,
+/// `leave`, `join` and `repair`; the simulator's coordinator node
+/// carries a copy ([`DirectoryOverlay::control_plane`]) and evolves it
+/// across churn epochs (see `ron-sim`'s directory driver).
+///
+/// [`DirectoryOverlay`]: crate::DirectoryOverlay
+/// [`DirectoryOverlay::control_plane`]: crate::DirectoryOverlay::control_plane
 #[derive(Clone, Debug)]
 pub struct RepairAuthority {
-    ring_factor: f64,
-    radii: Vec<f64>,
-    member: Vec<Vec<bool>>,
-    level_dirty: Vec<bool>,
-    touched: Vec<Vec<Node>>,
-    alive: Vec<bool>,
-    alive_count: usize,
-    objects: Vec<ObjectId>,
-    homes: HashMap<ObjectId, Node>,
-    placements: HashMap<ObjectId, Placement>,
-}
-
-impl DirectoryOverlay {
-    /// Extracts the repair control plane: a copy of the overlay's
-    /// membership ladder, alive flags, touched sets, object registry and
-    /// placements (the pointer tables stay behind — they are the data
-    /// plane).
-    #[must_use]
-    pub fn control_plane(&self) -> RepairAuthority {
-        RepairAuthority {
-            ring_factor: self.ring_factor,
-            radii: self.radii.clone(),
-            member: self.member.clone(),
-            level_dirty: self.level_dirty.clone(),
-            touched: self.touched.clone(),
-            alive: self.alive.clone(),
-            alive_count: self.alive_count,
-            objects: self.objects.clone(),
-            homes: self.homes.clone(),
-            placements: self.placements.clone(),
-        }
-    }
+    pub(crate) ring_factor: f64,
+    pub(crate) radii: Vec<f64>,
+    /// Dynamic net membership: `member[j][v]` iff `v` is an *alive* member
+    /// of the level-`j` net. Starts as the static ladder.
+    pub(crate) member: Vec<Vec<bool>>,
+    /// Whether level `j` has diverged from the static ladder (any join,
+    /// leave or promotion) — controls the static fast path in `publish`.
+    pub(crate) level_dirty: Vec<bool>,
+    /// Nodes whose level-`j` membership changed since the last repair.
+    pub(crate) touched: Vec<Vec<Node>>,
+    pub(crate) alive: Vec<bool>,
+    pub(crate) alive_count: usize,
+    /// Published objects in publish order (deterministic iteration).
+    pub(crate) objects: Vec<ObjectId>,
+    pub(crate) homes: HashMap<ObjectId, Node>,
+    pub(crate) placements: HashMap<ObjectId, Placement>,
 }
 
 impl RepairAuthority {
+    /// The pristine control plane over a static ladder: everyone alive,
+    /// membership as built, nothing published.
+    pub(crate) fn from_nets(n: usize, nets: &NestedNets, ring_factor: f64) -> Self {
+        let levels = nets.levels();
+        RepairAuthority {
+            ring_factor,
+            radii: (0..levels).map(|j| nets.radius(j)).collect(),
+            member: (0..levels)
+                .map(|j| {
+                    let net = nets.net(j);
+                    (0..n).map(|v| net.contains(Node::new(v))).collect()
+                })
+                .collect(),
+            level_dirty: vec![false; levels],
+            touched: vec![Vec::new(); levels],
+            alive: vec![true; n],
+            alive_count: n,
+            objects: Vec::new(),
+            homes: HashMap::new(),
+            placements: HashMap::new(),
+        }
+    }
+
     /// Number of nodes (alive or not).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -306,8 +322,9 @@ impl RepairAuthority {
     }
 
     /// Records that `v` left: vacates its net memberships and marks the
-    /// touched levels. Mirrors [`DirectoryOverlay::leave`] (the node's
-    /// pointer tables die with it).
+    /// touched levels. (The node's pointer tables die with it; the
+    /// overlay clears its data plane in
+    /// [`leave`](crate::DirectoryOverlay::leave).)
     ///
     /// # Panics
     ///
@@ -327,7 +344,9 @@ impl RepairAuthority {
     }
 
     /// Records that `v` joined: marks it alive and inserts it greedily
-    /// into the ladder, exactly like [`DirectoryOverlay::join`].
+    /// into the ladder (level 0 always; each coarser level while the
+    /// separation `>= r_j` to the nearest member holds, preserving
+    /// nesting).
     ///
     /// # Panics
     ///
@@ -357,14 +376,27 @@ impl RepairAuthority {
         }
     }
 
-    /// The finger of `s` at `level` under the current membership.
-    fn finger(&self, oracle: &dyn RepairOracle, s: Node, level: usize) -> Option<(f64, Node)> {
+    /// The finger of `s` at `level`: the nearest alive member of the
+    /// dynamic level-`level` net (with its distance), or `None` if the
+    /// level has no members left.
+    pub(crate) fn finger(
+        &self,
+        oracle: &dyn RepairOracle,
+        s: Node,
+        level: usize,
+    ) -> Option<(f64, Node)> {
         oracle.nearest_where(s, &mut |v| self.member[level][v.index()])
     }
 
-    /// Alive members of the dynamic net within the publish radius of
-    /// `home`, nearest first.
-    fn dynamic_ring(&self, oracle: &dyn RepairOracle, home: Node, level: usize) -> Vec<Node> {
+    /// The dynamic publish ring of `home` at `level`: alive members of
+    /// the dynamic net within `ring_factor * r_level` of `home`, nearest
+    /// first.
+    pub(crate) fn dynamic_ring(
+        &self,
+        oracle: &dyn RepairOracle,
+        home: Node,
+        level: usize,
+    ) -> Vec<Node> {
         let r = self.ring_factor * self.radii[level];
         let mut ring = Vec::new();
         oracle.ball(home, r, &mut |v| {
@@ -375,26 +407,37 @@ impl RepairAuthority {
         ring
     }
 
-    /// The home's zoom chain under the current membership (a level with
-    /// no members contributes the home itself). Repair only runs on
-    /// diverged ladders, so this is always the dynamic-finger chain of
-    /// `DirectoryOverlay::desired_chain`.
-    fn desired_chain(&self, oracle: &dyn RepairOracle, home: Node) -> Vec<Node> {
-        debug_assert!(
-            self.level_dirty.iter().any(|&d| d),
-            "repair planning on a pristine ladder"
-        );
+    /// Whether any level has diverged from the static ladder.
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.level_dirty.iter().any(|&d| d)
+    }
+
+    /// The home's zoom chain under the current membership: `chain[j]` is
+    /// the finger of `home` at level `j`. A level emptied by churn
+    /// (possible between a `leave` and the next repair) contributes the
+    /// home itself, so entries above it forward straight to the home
+    /// instead of into a void — the descent recognises arrival at the
+    /// home (see [`WalkStep`](crate::WalkStep)) and such a publish still
+    /// serves.
+    pub(crate) fn dynamic_chain(&self, oracle: &dyn RepairOracle, home: Node) -> Vec<Node> {
         (0..self.levels())
             .map(|j| self.finger(oracle, home, j).map_or(home, |(_, f)| f))
             .collect()
     }
 
     /// Plans one repair epoch over the accumulated touched sets:
-    /// covering promotions, re-homings and pointer reconciliation —
-    /// the exact decision sequence of [`DirectoryOverlay::repair`] —
-    /// then clears the touched sets and updates the control plane's
-    /// registry and placements. The caller applies the plan (directly,
-    /// or by fanning it out as messages).
+    /// covering promotions, re-homings and pointer reconciliation; then
+    /// clears the touched sets and updates the control plane's registry
+    /// and placements. The caller applies the plan's pointer operations
+    /// (directly, or by fanning them out as messages).
+    ///
+    /// Reconciliation is incremental. A chain point at level `j` can
+    /// only drift if membership changed strictly nearer to the home than
+    /// the old point, and after the covering pass any such change shows
+    /// up as a touched node inside the publish radius — so an object
+    /// with no touched node inside any publish radius and an unmoved
+    /// home is skipped at the cost of `sum_j |touched[j]|` distance
+    /// probes.
     pub fn plan_repair(&mut self, oracle: &dyn RepairOracle) -> RepairPlan {
         let _stage = ron_obs::stage("repair");
         let levels = self.levels();
@@ -461,8 +504,7 @@ impl RepairAuthority {
         ron_obs::finish("repair.plan.homes", t_homes);
 
         // Pointer pass: reconcile each object whose rings or chain could
-        // have changed (see `DirectoryOverlay::repair_pointers` for the
-        // skip-test argument).
+        // have changed (the skip test argued in the method docs).
         let t_pointers = ron_obs::start();
         for idx in 0..self.objects.len() {
             let obj = self.objects[idx];
@@ -481,7 +523,8 @@ impl RepairAuthority {
             }
             plan.objects_touched += 1;
 
-            let new_chain = self.desired_chain(oracle, home);
+            debug_assert!(self.is_dirty(), "repair planning on a pristine ladder");
+            let new_chain = self.dynamic_chain(oracle, home);
             let mut refresh = vec![false; levels];
             for (j, slot) in refresh.iter_mut().enumerate() {
                 let chain_drift = j > 0 && old.chain.get(j - 1) != Some(&new_chain[j - 1]);
@@ -549,6 +592,31 @@ impl RepairAuthority {
         plan
     }
 
+    /// Replays a plan's control-plane decisions — promotions,
+    /// re-homings, placements, consumed touched sets — onto a control
+    /// plane that did not plan it (the planner's own copy already
+    /// holds them).
+    pub(crate) fn absorb(&mut self, plan: &RepairPlan) {
+        for nr in &plan.node_repairs {
+            for &level in &nr.promote {
+                self.member[level][nr.node.index()] = true;
+                self.level_dirty[level] = true;
+            }
+        }
+        for &(obj, new_home) in &plan.rehomed {
+            self.homes.insert(obj, new_home);
+        }
+        // ron-lint: allow(map-order): `RepairPlan::placements` is a
+        // Vec in deterministic plan order (the control plane's hash
+        // registry shares the field name); keyed inserts commute anyway.
+        for (obj, placement) in &plan.placements {
+            self.placements.insert(*obj, placement.clone());
+        }
+        for touched in &mut self.touched {
+            touched.clear();
+        }
+    }
+
     /// The per-node finger refreshes a plan implies: for every alive
     /// node, its new finger at each touched level (the untouched levels'
     /// fingers are still valid). Separate from [`plan_repair`] because
@@ -597,6 +665,7 @@ impl RepairAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirectoryOverlay;
     use ron_metric::{gen, LineMetric};
 
     #[test]
@@ -649,25 +718,5 @@ mod tests {
         assert_eq!(idle.promotions, 0);
         assert_eq!(idle.objects_touched, 0);
         assert!(idle.node_repairs.is_empty());
-    }
-
-    #[test]
-    fn note_join_mirrors_overlay_join() {
-        let space = Space::new(gen::uniform_cube(24, 2, 3));
-        let mut ov = DirectoryOverlay::build(&space);
-        ov.publish(&space, ObjectId(0), Node::new(1));
-        ov.leave(Node::new(5));
-        let mut authority = ov.control_plane();
-        ov.join(&space, Node::new(5));
-        let dist = |u: Node, v: Node| space.dist(u, v);
-        let scan = ScanOracle::new(space.len(), &dist);
-        authority.note_join(&scan, Node::new(5));
-        for j in 0..ov.levels() {
-            assert_eq!(
-                authority.member_levels_of(Node::new(5)).contains(&j),
-                ov.is_net_member(j, Node::new(5)),
-                "membership at level {j}"
-            );
-        }
     }
 }

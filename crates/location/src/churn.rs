@@ -60,97 +60,62 @@ impl RepairReport {
 
 impl DirectoryOverlay {
     /// Brings a dead node back: marks it alive and inserts it greedily
-    /// into the ladder (level 0 always; each coarser level while the
-    /// separation `>= r_j` to the nearest member holds, preserving
-    /// nesting). Pointer backfill happens at the next [`repair`].
+    /// into the ladder (the control plane's [`note_join`]). Pointer
+    /// backfill happens at the next [`repair`].
     ///
     /// # Panics
     ///
     /// Panics if `v` is already alive.
     ///
+    /// [`note_join`]: crate::RepairAuthority::note_join
     /// [`repair`]: DirectoryOverlay::repair
     pub fn join<M: Metric, I: BallOracle>(&mut self, space: &Space<M, I>, v: Node) {
-        assert!(!self.alive[v.index()], "{v} is already alive");
+        self.control.note_join(space, v);
         self.epoch += 1;
-        self.alive[v.index()] = true;
-        self.alive_count += 1;
-        self.insert_member(0, v);
-        for j in 1..self.levels() {
-            let separated = match self.finger(space, v, j) {
-                Some((d, _)) => d >= self.radii[j],
-                None => true, // empty level: v restores it
-            };
-            if !separated {
-                break;
-            }
-            self.insert_member(j, v);
-        }
     }
 
     /// Removes a node: its pointer tables are lost, its net memberships
-    /// vacated. Directory damage persists until [`repair`].
+    /// vacated (the control plane's [`note_leave`]). Directory damage
+    /// persists until [`repair`].
     ///
     /// # Panics
     ///
     /// Panics if `v` is already dead, or if it is the last alive node.
     ///
+    /// [`note_leave`]: crate::RepairAuthority::note_leave
     /// [`repair`]: DirectoryOverlay::repair
     pub fn leave(&mut self, v: Node) {
-        assert!(self.alive[v.index()], "{v} is already dead");
-        assert!(self.alive_count > 1, "cannot remove the last alive node");
-        self.epoch += 1;
-        self.alive[v.index()] = false;
-        self.alive_count -= 1;
-        for j in 0..self.levels() {
-            if self.member[j][v.index()] {
-                self.member[j][v.index()] = false;
-                self.touched[j].push(v);
-                self.level_dirty[j] = true;
-            }
-        }
+        self.control.note_leave(v);
         self.tables.clear_node(v);
-    }
-
-    fn insert_member(&mut self, level: usize, v: Node) {
-        if !self.member[level][v.index()] {
-            self.member[level][v.index()] = true;
-            self.touched[level].push(v);
-            self.level_dirty[level] = true;
-        }
+        self.epoch += 1;
     }
 
     /// Restores the covering and publish invariants after any sequence of
     /// joins and leaves; afterwards every lookup from an alive origin
     /// succeeds again. Returns the work performed.
     ///
-    /// Since the plan/apply split, this is a thin composition: extract
-    /// the [control plane](DirectoryOverlay::control_plane), let it
-    /// [plan](crate::RepairAuthority::plan_repair) the epoch (covering
-    /// promotions, re-homings, pointer reconciliation — including the
-    /// incremental skip test: a chain point at level `j` can only drift
-    /// if membership changed strictly nearer to the home than the old
-    /// point, and after the covering pass any such change shows up as a
-    /// touched node inside the publish radius, so an object with no
-    /// touched node inside any publish radius and an unmoved home costs
-    /// only `sum_j |touched[j]|` distance probes), then apply the plan.
-    /// The message-passing simulator runs the *same* planner at its
-    /// coordinator node and applies the same plan as a message fan-out.
+    /// The control plane [plans] the epoch in place — covering
+    /// promotions, re-homings, incremental pointer reconciliation — and
+    /// the plan's pointer operations are then applied to the tables. The
+    /// message-passing simulator runs the same planner on its
+    /// coordinator's copy of the control plane and applies the same
+    /// operations as a message fan-out.
+    ///
+    /// [plans]: crate::RepairAuthority::plan_repair
     pub fn repair<M: Metric, I: BallOracle>(&mut self, space: &Space<M, I>) -> RepairReport {
         let _span = ron_obs::span("repair.epoch");
-        let mut authority = self.control_plane();
-        let plan = authority.plan_repair(space);
-        self.apply_plan(&plan)
+        let plan = self.control.plan_repair(space);
+        self.apply_ops(&plan)
     }
 
-    /// Applies a repair plan: net-level promotions, re-homings, placement
-    /// bookkeeping and the per-node pointer operations, counting the
-    /// writes and deletes that actually changed a table (the distributed
-    /// path counts the same thing in per-node acks). Clears the touched
-    /// sets — the plan consumed them.
+    /// Applies a repair plan made on a detached
+    /// [control plane](DirectoryOverlay::control_plane): replays its
+    /// promotions, re-homings and placements onto this overlay's control
+    /// plane (which consumes the touched sets), then executes the
+    /// per-node pointer operations exactly as
+    /// [`repair`](DirectoryOverlay::repair) does.
     ///
-    /// The plan was built off to the side by
-    /// [`RepairAuthority::plan_repair`](crate::RepairAuthority::plan_repair)
-    /// without touching serving state, and applying it bumps the overlay
+    /// Applying a plan bumps the overlay
     /// [epoch](DirectoryOverlay::epoch). Under epoch publication the
     /// mutable overlay *is* the successor under construction — readers
     /// only ever see published [`Snapshot`](crate::engine::Snapshot)s, so
@@ -158,41 +123,23 @@ impl DirectoryOverlay {
     /// repaired state visible atomically (see
     /// [`repair_published`](DirectoryOverlay::repair_published)).
     pub fn apply_plan(&mut self, plan: &RepairPlan) -> RepairReport {
+        self.control.absorb(plan);
+        self.apply_ops(plan)
+    }
+
+    /// The data-plane half of a repair: executes the plan's per-node
+    /// pointer operations, counting the writes and deletes that actually
+    /// changed a table (the distributed path counts the same thing in
+    /// per-node acks).
+    fn apply_ops(&mut self, plan: &RepairPlan) -> RepairReport {
         let _stage = ron_obs::stage("repair");
         let t = ron_obs::start();
         self.epoch += 1;
         let mut report = plan.report_base();
         for nr in &plan.node_repairs {
-            for &level in &nr.promote {
-                self.member[level][nr.node.index()] = true;
-                self.level_dirty[level] = true;
-            }
-            for op in &nr.ops {
-                match op.target {
-                    Some(target) => {
-                        if self.tables.insert(nr.node, op.level, op.obj, target) != Some(target) {
-                            report.pointer_writes += 1;
-                        }
-                    }
-                    None => {
-                        if self.tables.remove(nr.node, op.level, op.obj).is_some() {
-                            report.pointer_deletes += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for &(obj, new_home) in &plan.rehomed {
-            self.homes.insert(obj, new_home);
-        }
-        // ron-lint: allow(map-order): `RepairPlan::placements` is a
-        // Vec in deterministic plan order (the control plane's hash
-        // registry shares the field name); keyed inserts commute anyway.
-        for (obj, placement) in &plan.placements {
-            self.placements.insert(*obj, placement.clone());
-        }
-        for touched in &mut self.touched {
-            touched.clear();
+            let (writes, deletes) = self.tables.node_mut(nr.node).apply(&nr.ops);
+            report.pointer_writes += writes;
+            report.pointer_deletes += deletes;
         }
         ron_obs::finish("repair.apply", t);
         report

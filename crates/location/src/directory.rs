@@ -1,5 +1,5 @@
-//! The directory overlay state: net-ladder membership, per-node pointer
-//! tables, and the object registry.
+//! The directory overlay: the static ladder and rings, the control plane
+//! (membership, registry, placements) and the per-node pointer tables.
 //!
 //! A [`DirectoryOverlay`] turns the static structures of `ron-nets` and
 //! `ron-core` into a serving system. It is built once over a
@@ -9,13 +9,12 @@
 //! (see [`lookup`](crate::lookup)) or through an immutable
 //! [`Snapshot`](crate::engine::Snapshot).
 
-use std::collections::HashMap;
-
 use ron_core::RingFamily;
 use ron_metric::mem::{nested_vec_bytes, vec_capacity_bytes};
 use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
 use ron_nets::NestedNets;
 
+use crate::authority::RepairAuthority;
 use crate::tables::PointerTables;
 
 /// Identifier of a published object.
@@ -82,27 +81,16 @@ pub const DEFAULT_RING_FACTOR: f64 = 2.0;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DirectoryOverlay {
-    pub(crate) ring_factor: f64,
-    pub(crate) radii: Vec<f64>,
     pub(crate) nets: NestedNets,
     pub(crate) rings: RingFamily,
-    /// Dynamic net membership: `member[j][v]` iff `v` is an *alive* member
-    /// of the level-`j` net. Starts as the static ladder.
-    pub(crate) member: Vec<Vec<bool>>,
-    /// Whether level `j` has diverged from the static ladder (any join,
-    /// leave or promotion) — controls the static fast path in `publish`.
-    pub(crate) level_dirty: Vec<bool>,
-    /// Nodes whose level-`j` membership changed since the last `repair`.
-    pub(crate) touched: Vec<Vec<Node>>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) alive_count: usize,
-    /// Per-node directory pointer entries, keyed by `(level, object)` in
-    /// one sorted compact array per node.
+    /// The control plane — dynamic membership, alive flags, touched
+    /// sets, object registry, placements — stored once, here. Every
+    /// membership rule (`leave`, `join`, fingers, dynamic rings, repair
+    /// planning) is a method on it.
+    pub(crate) control: RepairAuthority,
+    /// The data plane: per-node directory pointer entries, keyed by
+    /// `(level, object)` in one sorted compact array per node.
     pub(crate) tables: PointerTables,
-    /// Published objects in publish order (deterministic iteration).
-    pub(crate) objects: Vec<ObjectId>,
-    pub(crate) homes: HashMap<ObjectId, Node>,
-    pub(crate) placements: HashMap<ObjectId, Placement>,
     /// Version counter over this overlay lineage: bumped by every
     /// lookup-affecting mutation (publish, unpublish, join, leave, plan
     /// application). Snapshots are stamped with it, so epoch-tagged cache
@@ -158,30 +146,23 @@ impl DirectoryOverlay {
             "ring factor {ring_factor} loses the delivery guarantee (needs >= 2)"
         );
         assert_eq!(rings.len(), n, "ring family arity must match the space");
-        let levels = nets.levels();
-        let radii: Vec<f64> = (0..levels).map(|j| nets.radius(j)).collect();
-        let member = (0..levels)
-            .map(|j| {
-                let net = nets.net(j);
-                (0..n).map(|v| net.contains(Node::new(v))).collect()
-            })
-            .collect();
         DirectoryOverlay {
-            ring_factor,
-            radii,
+            control: RepairAuthority::from_nets(n, &nets, ring_factor),
             nets,
             rings,
-            member,
-            level_dirty: vec![false; levels],
-            touched: vec![Vec::new(); levels],
-            alive: vec![true; n],
-            alive_count: n,
             tables: PointerTables::new(n),
-            objects: Vec::new(),
-            homes: HashMap::new(),
-            placements: HashMap::new(),
             epoch: 0,
         }
+    }
+
+    /// A copy of the control plane — membership ladder, alive flags,
+    /// touched sets, object registry and placements (the pointer tables
+    /// stay behind; they are the data plane). This is what a detached
+    /// planner, such as the simulator's repair coordinator, evolves on
+    /// its own.
+    #[must_use]
+    pub fn control_plane(&self) -> RepairAuthority {
+        self.control.clone()
     }
 
     /// The overlay's mutation epoch: incremented by every lookup-affecting
@@ -196,25 +177,25 @@ impl DirectoryOverlay {
     /// Number of nodes in the underlying space (alive or not).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.alive.len()
+        self.control.len()
     }
 
     /// Whether the overlay has no nodes (never true: construction panics).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.alive.is_empty()
+        self.control.is_empty()
     }
 
     /// Number of ladder levels.
     #[must_use]
     pub fn levels(&self) -> usize {
-        self.radii.len()
+        self.control.levels()
     }
 
     /// The ring-radius factor `c` of the publish rings `B_h(c r_j) ∩ G_j`.
     #[must_use]
     pub fn ring_factor(&self) -> f64 {
-        self.ring_factor
+        self.control.ring_factor
     }
 
     /// The static net ladder the overlay was built from.
@@ -232,19 +213,19 @@ impl DirectoryOverlay {
     /// Whether `v` is currently alive.
     #[must_use]
     pub fn is_alive(&self, v: Node) -> bool {
-        self.alive[v.index()]
+        self.control.is_alive(v)
     }
 
     /// Number of alive nodes.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.alive_count
+        self.control.alive_count()
     }
 
     /// Whether `v` is an alive member of the level-`j` net.
     #[must_use]
     pub fn is_net_member(&self, level: usize, v: Node) -> bool {
-        self.member[level][v.index()]
+        self.control.member[level][v.index()]
     }
 
     /// The finger of `s` at level `j`: the nearest alive member of the
@@ -257,22 +238,20 @@ impl DirectoryOverlay {
         s: Node,
         level: usize,
     ) -> Option<(f64, Node)> {
-        space
-            .index()
-            .nearest_where(s, &mut |v| self.member[level][v.index()])
+        self.control.finger(space, s, level)
     }
 
     /// Published objects, in publish order.
     #[must_use]
     pub fn objects(&self) -> &[ObjectId] {
-        &self.objects
+        &self.control.objects
     }
 
     /// The current home of `obj`, if published. The home may be dead
     /// between a `leave` and the next `repair` (which re-homes it).
     #[must_use]
     pub fn home_of(&self, obj: ObjectId) -> Option<Node> {
-        self.homes.get(&obj).copied()
+        self.control.home_of(obj)
     }
 
     /// Total directory entries currently installed across all nodes.
@@ -284,7 +263,7 @@ impl DirectoryOverlay {
     /// Directory entries stored at `v` (its share of the serving load).
     #[must_use]
     pub fn entries_at(&self, v: Node) -> usize {
-        self.tables.entries_at(v)
+        self.tables.node(v).len()
     }
 
     /// Nodes whose level-`level` membership changed since the last
@@ -292,7 +271,7 @@ impl DirectoryOverlay {
     /// distributed repair protocol's coordinator) works from.
     #[must_use]
     pub fn touched_since_repair(&self, level: usize) -> &[Node] {
-        &self.touched[level]
+        &self.control.touched[level]
     }
 
     /// The coarsest ladder level `v` is currently a member of, or `None`
@@ -300,37 +279,10 @@ impl DirectoryOverlay {
     /// large balls and hold the most pointers.
     #[must_use]
     pub fn top_level_of(&self, v: Node) -> Option<usize> {
-        if !self.alive[v.index()] {
+        if !self.is_alive(v) {
             return None;
         }
-        (0..self.levels())
-            .rev()
-            .find(|&j| self.member[j][v.index()])
-    }
-
-    /// The dynamic publish ring of `home` at `level`: alive members of the
-    /// dynamic net within `ring_factor * r_level` of `home`, nearest first.
-    #[must_use]
-    pub(crate) fn dynamic_ring<M: Metric, I: BallOracle>(
-        &self,
-        space: &Space<M, I>,
-        home: Node,
-        level: usize,
-    ) -> Vec<Node> {
-        let r = self.ring_factor * self.radii[level];
-        let mut ring = Vec::new();
-        space.index().for_each_in_ball(home, r, &mut |_, v| {
-            if self.member[level][v.index()] {
-                ring.push(v);
-            }
-        });
-        ring
-    }
-
-    /// Looks up the level-`level` entry for `obj` at node `v`.
-    #[must_use]
-    pub(crate) fn entry(&self, v: Node, level: usize, obj: ObjectId) -> Option<Node> {
-        self.tables.get(v, level, obj)
+        (0..self.levels()).rev().find(|&j| self.is_net_member(j, v))
     }
 }
 
@@ -342,12 +294,13 @@ impl HeapBytes for DirectoryOverlay {
     /// observable — it is deliberately left out, so the accounted value is
     /// the bytes-per-*node* quantity the scaling benchmark budgets.
     fn heap_bytes(&self) -> usize {
-        vec_capacity_bytes(&self.radii)
-            + nested_vec_bytes(&self.member)
-            + vec_capacity_bytes(&self.level_dirty)
-            + nested_vec_bytes(&self.touched)
-            + vec_capacity_bytes(&self.alive)
-            + vec_capacity_bytes(&self.objects)
+        let control = &self.control;
+        vec_capacity_bytes(&control.radii)
+            + nested_vec_bytes(&control.member)
+            + vec_capacity_bytes(&control.level_dirty)
+            + nested_vec_bytes(&control.touched)
+            + vec_capacity_bytes(&control.alive)
+            + vec_capacity_bytes(&control.objects)
             + self.nets.heap_bytes()
             + self.rings.heap_bytes()
             + self.tables.heap_bytes()
@@ -403,7 +356,7 @@ mod tests {
         for u in space.nodes() {
             for j in 0..ov.levels() {
                 let stat = ov.rings().ring(u, j).expect("all levels built");
-                let mut dynamic = ov.dynamic_ring(&space, u, j);
+                let mut dynamic = ov.control.dynamic_ring(&space, u, j);
                 dynamic.sort_unstable();
                 assert_eq!(stat.members(), &dynamic[..], "node {u} level {j}");
             }

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use ron_core::publish::EpochCell;
 use ron_metric::mem::vec_capacity_bytes;
-use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
+use ron_metric::{BallOracle, HeapBytes, Metric, MetricIndex, Node, Space};
 use ron_routing::PathStats;
 
 use crate::directory::{DirectoryOverlay, ObjectId};
@@ -86,8 +86,8 @@ impl Snapshot {
             epoch: overlay.epoch(),
             levels,
             fingers,
-            alive: overlay.alive.clone(),
-            homes: overlay.homes.clone(),
+            alive: overlay.control.alive.clone(),
+            homes: overlay.control.homes.clone(),
             tables: overlay.tables.clone(),
         }
     }
@@ -109,7 +109,13 @@ impl Snapshot {
         origin: Node,
         obj: ObjectId,
     ) -> Result<crate::lookup::LookupOutcome, crate::lookup::LocateError> {
-        locate_view(self, space, origin, obj, |s, j| {
+        let view = LookupView {
+            levels: self.levels,
+            alive: &self.alive,
+            homes: &self.homes,
+            tables: &self.tables,
+        };
+        locate_view(&view, space, origin, obj, |s, j| {
             self.fingers[s.index() * self.levels + j]
         })
     }
@@ -123,24 +129,6 @@ impl HeapBytes for Snapshot {
         vec_capacity_bytes(&self.fingers)
             + vec_capacity_bytes(&self.alive)
             + self.tables.heap_bytes()
-    }
-}
-
-impl LookupView for Snapshot {
-    fn levels(&self) -> usize {
-        self.levels
-    }
-
-    fn is_alive(&self, v: Node) -> bool {
-        self.alive[v.index()]
-    }
-
-    fn home_of(&self, obj: ObjectId) -> Option<Node> {
-        self.homes.get(&obj).copied()
-    }
-
-    fn entry(&self, v: Node, level: usize, obj: ObjectId) -> Option<Node> {
-        self.tables.get(v, level, obj)
     }
 }
 
@@ -438,16 +426,20 @@ impl Default for EngineConfig {
 /// let report = engine.serve(&[(Node::new(60), ObjectId(1))], &EngineConfig::default());
 /// assert_eq!(report.successes, 1);
 /// ```
+///
+/// The engine reads nothing from the space but distances, so it serves
+/// over any ball-query backend — the dense default or a
+/// [`Space::new_sparse`] alike.
 #[derive(Debug)]
-pub struct QueryEngine<'a, M> {
-    space: &'a Space<M>,
+pub struct QueryEngine<'a, M, I = MetricIndex> {
+    space: &'a Space<M, I>,
     directory: &'a EpochCell<Snapshot>,
 }
 
-impl<'a, M: Metric + Sync> QueryEngine<'a, M> {
+impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
     /// Creates an engine over a publication cell.
     #[must_use]
-    pub fn new(space: &'a Space<M>, directory: &'a EpochCell<Snapshot>) -> Self {
+    pub fn new(space: &'a Space<M, I>, directory: &'a EpochCell<Snapshot>) -> Self {
         QueryEngine { space, directory }
     }
 
@@ -805,6 +797,24 @@ mod tests {
         assert!(report.throughput() > 0.0);
         // Cached results must agree with uncached lookups: stretch stats
         // stay within the static bound.
+        assert!(report.paths.max_stretch <= 18.0);
+    }
+
+    #[test]
+    fn engine_serves_a_sparse_space_directly() {
+        let space = Space::new_sparse(gen::uniform_cube(96, 2, 23));
+        let mut ov = DirectoryOverlay::build(&space);
+        for i in 0..8u64 {
+            ov.publish(&space, ObjectId(i), Node::new((i as usize * 11) % 96));
+        }
+        let cell = EpochCell::new(Snapshot::capture(&space, &ov));
+        let engine = QueryEngine::new(&space, &cell);
+        let queries: Vec<(Node, ObjectId)> = (0..384)
+            .map(|i| (Node::new((i * 7) % 96), ObjectId((i % 8) as u64)))
+            .collect();
+        let report = engine.serve(&queries, &EngineConfig::default());
+        assert_eq!(report.successes, queries.len());
+        assert_eq!(report.failures, 0);
         assert!(report.paths.max_stretch <= 18.0);
     }
 

@@ -63,7 +63,7 @@ pub use churn::{
 };
 pub use directory::{DirectoryOverlay, ObjectId, DEFAULT_RING_FACTOR};
 pub use engine::{EngineConfig, QueryEngine, Snapshot};
-pub use lookup::{LocateError, LookupOutcome};
+pub use lookup::{LocateError, LookupOutcome, WalkStep};
 pub use partition::DirectoryNodeState;
 pub use ron_core::publish::{EpochCell, Published};
 pub use stats::{BatchReport, LatencySummary};

@@ -9,12 +9,14 @@
 //! length is at most a constant multiple of `d(s, home)` — the geometric
 //! sums of Theorem 2.1's analysis; tests pin a worst-case stretch of 18.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use ron_metric::{BallOracle, Metric, Node, Space};
 
 use crate::directory::{DirectoryOverlay, ObjectId};
+use crate::tables::{PointerTable, PointerTables};
 
 /// The outcome of one successful lookup.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,60 +105,108 @@ impl fmt::Display for LocateError {
 
 impl Error for LocateError {}
 
-/// The read surface a lookup walk needs: liveness, the object registry
-/// and the per-node pointer tables. Implemented by the live
-/// [`DirectoryOverlay`] and by the owned, epoch-stamped
+/// What one node decides for a descending lookup packet it holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalkStep {
+    /// This node stores the object (or the chain bottomed out at level
+    /// 0): the lookup ends here.
+    Arrived,
+    /// Hand the packet to `next`, which continues the descent from the
+    /// level-`level` entry that named it.
+    Forward {
+        /// Ladder level of the entry followed.
+        level: usize,
+        /// The chain node the entry forwards to.
+        next: Node,
+    },
+    /// This node should hold the level-`level` chain entry and does not
+    /// (directory damage awaiting repair).
+    Broken {
+        /// Ladder level of the missing entry.
+        level: usize,
+    },
+}
+
+/// One node's share of a lookup walk: its pointer table and whether it
+/// homes the object. The walk rule is written once, here; the
+/// in-process loop of [`locate_view`] and the simulator's `Climb` /
+/// `Descend` message handlers (through
+/// [`DirectoryNodeState`](crate::DirectoryNodeState)) both ask it what
+/// to do at each node they visit.
+pub(crate) struct NodeView<'a> {
+    pub(crate) node: Node,
+    pub(crate) table: &'a PointerTable,
+    pub(crate) obj: ObjectId,
+    pub(crate) is_home: bool,
+}
+
+impl NodeView<'_> {
+    /// The climb probe: `None` if this node holds no level-`level` entry
+    /// for the object (keep climbing), otherwise the first descent step.
+    pub(crate) fn probe(&self, level: usize) -> Option<WalkStep> {
+        self.table.get(level, self.obj).map(|next| {
+            if next == self.node {
+                self.descend(level)
+            } else {
+                WalkStep::Forward { level, next }
+            }
+        })
+    }
+
+    /// The descent step for a packet that followed a level-`level` entry
+    /// here. A node storing the object recognises arrival — entries may
+    /// legitimately shortcut straight to the home (e.g. when a level
+    /// below was emptied by churn at publish time). Chain entries that
+    /// point back at this node are followed locally, without a hop.
+    pub(crate) fn descend(&self, mut level: usize) -> WalkStep {
+        loop {
+            if self.is_home || level == 0 {
+                return WalkStep::Arrived;
+            }
+            level -= 1;
+            match self.table.get(level, self.obj) {
+                None => return WalkStep::Broken { level },
+                Some(next) if next == self.node => {}
+                Some(next) => return WalkStep::Forward { level, next },
+            }
+        }
+    }
+}
+
+/// The state a lookup walk reads, borrowed from whoever owns it: the
+/// live [`DirectoryOverlay`] or an epoch-stamped
 /// [`Snapshot`](crate::engine::Snapshot) — both answer the same walk, so
 /// a published snapshot serves exactly what the overlay it was captured
 /// from would have served.
-pub(crate) trait LookupView {
-    /// Number of ladder levels.
-    fn levels(&self) -> usize;
-
-    /// Whether `v` is alive in this view.
-    fn is_alive(&self, v: Node) -> bool;
-
-    /// The home of `obj`, if published in this view.
-    fn home_of(&self, obj: ObjectId) -> Option<Node>;
-
-    /// The level-`level` pointer entry for `obj` at node `v`.
-    fn entry(&self, v: Node, level: usize, obj: ObjectId) -> Option<Node>;
+pub(crate) struct LookupView<'a> {
+    pub(crate) levels: usize,
+    pub(crate) alive: &'a [bool],
+    pub(crate) homes: &'a HashMap<ObjectId, Node>,
+    pub(crate) tables: &'a PointerTables,
 }
 
-impl LookupView for DirectoryOverlay {
-    fn levels(&self) -> usize {
-        DirectoryOverlay::levels(self)
-    }
-
-    fn is_alive(&self, v: Node) -> bool {
-        DirectoryOverlay::is_alive(self, v)
-    }
-
-    fn home_of(&self, obj: ObjectId) -> Option<Node> {
-        DirectoryOverlay::home_of(self, obj)
-    }
-
-    fn entry(&self, v: Node, level: usize, obj: ObjectId) -> Option<Node> {
-        DirectoryOverlay::entry(self, v, level, obj)
-    }
-}
-
-/// The shared lookup walk over any [`LookupView`] and finger provider:
-/// climb the origin's fingers until a level holds an entry, then descend
-/// the stored chain to the home.
-pub(crate) fn locate_view<V: LookupView, M: Metric, I>(
-    view: &V,
+/// The lookup walk over a [`LookupView`] and a finger provider: climb
+/// the origin's fingers until a level holds an entry, then descend the
+/// stored chain to the home, one [`NodeView`] decision per visited node.
+pub(crate) fn locate_view<M: Metric, I>(
+    view: &LookupView<'_>,
     space: &Space<M, I>,
     origin: Node,
     obj: ObjectId,
     fingers: impl Fn(Node, usize) -> Option<Node>,
 ) -> Result<LookupOutcome, LocateError> {
-    if !view.is_alive(origin) {
+    if !view.alive[origin.index()] {
         return Err(LocateError::OriginDown { origin });
     }
-    if view.home_of(obj).is_none() {
+    let Some(&home) = view.homes.get(&obj) else {
         return Err(LocateError::UnknownObject { obj });
-    }
+    };
+    let at = |v: Node| NodeView {
+        node: v,
+        table: view.tables.node(v),
+        obj,
+        is_home: v == home,
+    };
     let mut path = vec![origin];
     let mut cur = origin;
     let mut length = 0.0f64;
@@ -168,42 +218,38 @@ pub(crate) fn locate_view<V: LookupView, M: Metric, I>(
             *cur = to;
         }
     };
-    for j in 0..view.levels() {
+    for j in 0..view.levels {
         let Some(f) = fingers(origin, j) else {
             continue; // level emptied by churn; keep climbing
         };
         probes += 1;
         hop(&mut path, &mut cur, f);
-        let Some(first) = view.entry(cur, j, obj) else {
+        let Some(mut step) = at(cur).probe(j) else {
             continue;
         };
         // Hit at level j: descend the home's zoom chain.
-        let mut level = j;
-        let mut next = first;
         loop {
-            if !view.is_alive(next) {
-                return Err(LocateError::BrokenChain {
-                    obj,
-                    at: next,
-                    level,
-                });
+            match step {
+                WalkStep::Arrived => break,
+                WalkStep::Broken { level } => {
+                    return Err(LocateError::BrokenChain {
+                        obj,
+                        at: cur,
+                        level,
+                    })
+                }
+                WalkStep::Forward { level, next } => {
+                    if !view.alive[next.index()] {
+                        return Err(LocateError::BrokenChain {
+                            obj,
+                            at: next,
+                            level,
+                        });
+                    }
+                    hop(&mut path, &mut cur, next);
+                    step = at(cur).descend(level);
+                }
             }
-            hop(&mut path, &mut cur, next);
-            // A node storing the object recognises arrival — entries
-            // may legitimately shortcut straight to the home (e.g.
-            // when a level below was emptied by churn at publish
-            // time).
-            if view.home_of(obj) == Some(cur) || level == 0 {
-                break;
-            }
-            level -= 1;
-            next = view
-                .entry(cur, level, obj)
-                .ok_or(LocateError::BrokenChain {
-                    obj,
-                    at: cur,
-                    level,
-                })?;
         }
         let outcome = LookupOutcome {
             home: cur,
@@ -237,21 +283,17 @@ impl DirectoryOverlay {
         origin: Node,
         obj: ObjectId,
     ) -> Result<LookupOutcome, LocateError> {
-        self.locate_with(space, origin, obj, |s, j| {
+        let view = LookupView {
+            levels: self.levels(),
+            alive: &self.control.alive,
+            homes: &self.control.homes,
+            tables: &self.tables,
+        };
+        // The live overlay scans the metric index for fingers; engine
+        // snapshots use a precomputed table.
+        locate_view(&view, space, origin, obj, |s, j| {
             self.finger(space, s, j).map(|(_, f)| f)
         })
-    }
-
-    /// Shared lookup walk over any finger provider (the dynamic overlay
-    /// scans the metric index; engine snapshots use a precomputed table).
-    pub(crate) fn locate_with<M: Metric, I>(
-        &self,
-        space: &Space<M, I>,
-        origin: Node,
-        obj: ObjectId,
-        fingers: impl Fn(Node, usize) -> Option<Node>,
-    ) -> Result<LookupOutcome, LocateError> {
-        locate_view(self, space, origin, obj, fingers)
     }
 }
 

@@ -6,18 +6,22 @@
 //! deployment: its finger table (nearest net member per ladder level —
 //! the node's own zooming sequence, reversed), its publish rings
 //! (`B_v(c r_j) ∩ G_j`, the members *it* must install pointers on when it
-//! homes an object), its directory pointer tables, and the set of objects
+//! homes an object), its directory pointer table (the same
+//! sorted array the overlay keeps per node), and the set of objects
 //! homed at it. The message-passing simulator (`ron-sim`) runs lookups
 //! and publishes against these slices and nothing else.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ron_metric::{BallOracle, Metric, Node, Space};
 
+use crate::authority::PointerOp;
 use crate::directory::{DirectoryOverlay, ObjectId};
+use crate::lookup::{NodeView, WalkStep};
+use crate::tables::PointerTable;
 
 /// One node's slice of the directory overlay.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DirectoryNodeState {
     node: Node,
     alive: bool,
@@ -29,8 +33,8 @@ pub struct DirectoryNodeState {
     fingers: Vec<Option<Node>>,
     /// `rings[j]`: members of this node's publish ring at level `j`.
     rings: Vec<Vec<Node>>,
-    /// `tables[j]`: the level-`j` directory entries stored at this node.
-    tables: Vec<BTreeMap<ObjectId, Node>>,
+    /// The directory entries stored at this node, all levels.
+    table: PointerTable,
     /// Objects homed at this node.
     homed: BTreeSet<ObjectId>,
 }
@@ -82,7 +86,32 @@ impl DirectoryNodeState {
     /// The level-`level` directory entry for `obj` stored here, if any.
     #[must_use]
     pub fn entry(&self, level: usize, obj: ObjectId) -> Option<Node> {
-        self.tables[level].get(&obj).copied()
+        self.table.get(level, obj)
+    }
+
+    fn view(&self, obj: ObjectId) -> NodeView<'_> {
+        NodeView {
+            node: self.node,
+            table: &self.table,
+            obj,
+            is_home: self.homed.contains(&obj),
+        }
+    }
+
+    /// What this node does with a climb packet probing `level` for
+    /// `obj`: `None` if it holds no entry there (the climb goes on),
+    /// otherwise the first step of the descent.
+    #[must_use]
+    pub fn probe(&self, level: usize, obj: ObjectId) -> Option<WalkStep> {
+        self.view(obj).probe(level)
+    }
+
+    /// What this node does with a descent packet that followed a
+    /// level-`level` entry for `obj` here — the same rule the in-process
+    /// `DirectoryOverlay::lookup` applies at every chain node.
+    #[must_use]
+    pub fn descend(&self, level: usize, obj: ObjectId) -> WalkStep {
+        self.view(obj).descend(level)
     }
 
     /// Whether this node is a member of the level-`level` net (in its
@@ -95,20 +124,15 @@ impl DirectoryNodeState {
     /// Installs a level-`level` entry for `obj` forwarding to `next`
     /// (what a node does on receiving a publish-install message).
     pub fn install(&mut self, level: usize, obj: ObjectId, next: Node) {
-        self.tables[level].insert(obj, next);
+        self.table.insert(level, obj, next);
     }
 
-    /// Installs an entry and reports whether the table actually changed
-    /// — the count a repair ack carries back to the coordinator, matched
-    /// against the in-process `pointer_writes`.
-    pub fn install_counted(&mut self, level: usize, obj: ObjectId, next: Node) -> bool {
-        self.tables[level].insert(obj, next) != Some(next)
-    }
-
-    /// Deletes the level-`level` entry for `obj`, returning the removed
-    /// forward pointer if one was present (repair reconciliation).
-    pub fn remove_entry(&mut self, level: usize, obj: ObjectId) -> Option<Node> {
-        self.tables[level].remove(&obj)
+    /// Executes a repair gram's pointer operations, returning how many
+    /// writes and deletes actually changed the table — the counts a
+    /// repair ack carries back to the coordinator, matched against the
+    /// in-process `pointer_writes` / `pointer_deletes`.
+    pub fn apply_ops(&mut self, ops: &[PointerOp]) -> (usize, usize) {
+        self.table.apply(ops)
     }
 
     /// Marks this node a member of the level-`level` net (a repair
@@ -132,7 +156,7 @@ impl DirectoryNodeState {
     pub fn reset(&mut self) {
         self.alive = true;
         self.member.iter_mut().for_each(|m| *m = false);
-        self.tables.iter_mut().for_each(BTreeMap::clear);
+        self.table = PointerTable::default();
         self.homed.clear();
     }
 
@@ -152,7 +176,7 @@ impl DirectoryNodeState {
     /// structure's memory.
     #[must_use]
     pub fn entries(&self) -> usize {
-        self.tables.iter().map(BTreeMap::len).sum()
+        self.table.len()
     }
 }
 
@@ -173,7 +197,7 @@ impl DirectoryOverlay {
         // ron-lint: allow(map-order): each (obj, home) entry lands in
         // its home node's BTreeSet; visit order is unobservable in the
         // returned per-node slices.
-        for (&obj, &home) in &self.homes {
+        for (&obj, &home) in &self.control.homes {
             homed[home.index()].insert(obj);
         }
         (0..self.len())
@@ -189,13 +213,7 @@ impl DirectoryOverlay {
                     rings: (0..levels)
                         .map(|j| self.ring_members(space, v, j))
                         .collect(),
-                    tables: {
-                        let mut tables = vec![BTreeMap::new(); levels];
-                        for (level, obj, target) in self.tables.node_entries(v) {
-                            tables[level].insert(obj, target);
-                        }
-                        tables
-                    },
+                    table: self.tables.node(v).clone(),
                     homed: std::mem::take(&mut homed[i]),
                 }
             })
@@ -232,7 +250,7 @@ mod tests {
                     "ring of {v} at level {j}"
                 );
                 for obj in [ObjectId(0), ObjectId(1)] {
-                    assert_eq!(slice.entry(j, obj), ov.entry(v, j, obj));
+                    assert_eq!(slice.entry(j, obj), ov.tables.node(v).get(j, obj));
                 }
             }
             for obj in [ObjectId(0), ObjectId(1)] {

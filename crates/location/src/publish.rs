@@ -115,7 +115,10 @@ impl DirectoryOverlay {
     /// planned entries.
     fn install(&mut self, obj: ObjectId, home: Node, plan: (Vec<Node>, Vec<Vec<Node>>)) -> usize {
         assert!(self.is_alive(home), "cannot publish {obj} on dead {home}");
-        assert!(!self.homes.contains_key(&obj), "{obj} is already published");
+        assert!(
+            !self.control.homes.contains_key(&obj),
+            "{obj} is already published"
+        );
         self.epoch += 1;
         let (chain, rings) = plan;
         let mut placement = Placement {
@@ -126,14 +129,14 @@ impl DirectoryOverlay {
         for (j, ring) in rings.into_iter().enumerate() {
             let target = if j == 0 { home } else { chain[j - 1] };
             for w in ring {
-                self.tables.insert(w, j, obj, target);
+                self.tables.node_mut(w).insert(j, obj, target);
                 placement.entries.push((j, w));
                 writes += 1;
             }
         }
-        self.objects.push(obj);
-        self.homes.insert(obj, home);
-        self.placements.insert(obj, placement);
+        self.control.objects.push(obj);
+        self.control.homes.insert(obj, home);
+        self.control.placements.insert(obj, placement);
         // The publish fan-out: how many ring members one object's
         // pointers reach across all levels.
         ron_obs::observe("publish.fanout", writes as u64);
@@ -147,17 +150,18 @@ impl DirectoryOverlay {
     ///
     /// Panics if `obj` is not published.
     pub fn unpublish(&mut self, obj: ObjectId) -> usize {
-        assert!(self.homes.contains_key(&obj), "{obj} is not published");
+        let control = &mut self.control;
+        assert!(control.homes.contains_key(&obj), "{obj} is not published");
         self.epoch += 1;
-        let placement = self.placements.remove(&obj).unwrap_or_default();
+        let placement = control.placements.remove(&obj).unwrap_or_default();
         let mut deletes = 0usize;
         for (level, w) in placement.entries {
-            if self.alive[w.index()] && self.tables.remove(w, level, obj).is_some() {
+            if control.alive[w.index()] && self.tables.node_mut(w).remove(level, obj).is_some() {
                 deletes += 1;
             }
         }
-        self.homes.remove(&obj);
-        self.objects.retain(|&o| o != obj);
+        control.homes.remove(&obj);
+        control.objects.retain(|&o| o != obj);
         deletes
     }
 
@@ -172,20 +176,15 @@ impl DirectoryOverlay {
     /// with `n` at the coarse levels. The scan improves on strict `<`
     /// over the id-sorted members, matching the oracle's
     /// distance-then-id order bit for bit. Once any level diverged the
-    /// chain falls back to dynamic fingers. A level emptied by churn
-    /// (possible between a `leave` and the next repair) contributes the
-    /// home itself, so entries above it forward straight to the home
-    /// instead of into a void — the descent recognises arrival at the
-    /// home (see `locate_with`) and such a publish still serves.
+    /// chain is the control plane's
+    /// [`dynamic_chain`](crate::RepairAuthority::dynamic_chain).
     pub(crate) fn desired_chain<M: Metric, I: BallOracle>(
         &self,
         space: &Space<M, I>,
         home: Node,
     ) -> Vec<Node> {
-        if self.level_dirty.iter().any(|&d| d) {
-            (0..self.levels())
-                .map(|j| self.finger(space, home, j).map_or(home, |(_, f)| f))
-                .collect()
+        if self.control.is_dirty() {
+            self.control.dynamic_chain(space, home)
         } else {
             (0..self.levels())
                 .map(|j| {
@@ -214,8 +213,8 @@ impl DirectoryOverlay {
         home: Node,
         level: usize,
     ) -> Vec<Node> {
-        if self.level_dirty[level] {
-            self.dynamic_ring(space, home, level)
+        if self.control.level_dirty[level] {
+            self.control.dynamic_ring(space, home, level)
         } else {
             self.rings
                 .ring(home, level)
@@ -249,12 +248,15 @@ mod tests {
                 // Every ring member holds the level-j entry (Ring::contains
                 // is the membership test the satellite asks for).
                 assert!(ring.contains(w));
-                assert!(ov.entry(w, j, ObjectId(7)).is_some(), "level {j} at {w}");
+                assert!(
+                    ov.tables.node(w).get(j, ObjectId(7)).is_some(),
+                    "level {j} at {w}"
+                );
             }
         }
         assert_eq!(
             ov.total_entries(),
-            ov.placements[&ObjectId(7)].entries.len()
+            ov.control.placements[&ObjectId(7)].entries.len()
         );
         assert_eq!(ov.home_of(ObjectId(7)), Some(home));
         assert_eq!(ov.objects(), &[ObjectId(7)]);
@@ -264,7 +266,7 @@ mod tests {
     fn chain_descends_toward_home() {
         let (space, ov) = published();
         let home = Node::new(5);
-        let chain = &ov.placements[&ObjectId(7)].chain;
+        let chain = &ov.control.placements[&ObjectId(7)].chain;
         assert_eq!(chain[0], home, "G_0 contains every node");
         for (j, &c) in chain.iter().enumerate() {
             assert!(space.dist(c, home) <= ov.nets().radius(j) + 1e-12);
@@ -275,10 +277,10 @@ mod tests {
     #[test]
     fn level_entries_point_down_the_chain() {
         let (_, ov) = published();
-        let chain = ov.placements[&ObjectId(7)].chain.clone();
+        let chain = ov.control.placements[&ObjectId(7)].chain.clone();
         for j in 1..ov.levels() {
             for &w in ov.rings().ring(Node::new(5), j).unwrap().members() {
-                assert_eq!(ov.entry(w, j, ObjectId(7)), Some(chain[j - 1]));
+                assert_eq!(ov.tables.node(w).get(j, ObjectId(7)), Some(chain[j - 1]));
             }
         }
     }

@@ -3,16 +3,22 @@
 //! The overlay used to hold `tables[v][j]: HashMap<ObjectId, Node>` — an
 //! `n x levels` grid of hash maps. Each `HashMap` costs ~48 bytes of
 //! header *empty*, so at `n = 2^20` nodes and ~20 ladder levels the grid
-//! burned a gigabyte before the first publish. [`PointerTables`] replaces
-//! the grid with one sorted compact array per node: entries keyed by
+//! burned a gigabyte before the first publish. A [`PointerTable`] is one
+//! sorted compact array per node instead: entries keyed by
 //! `(level, object)`, 16 bytes each, found by binary search. Per-node
 //! tables are small (a node holds one entry per object whose publish ring
 //! it sits in, per level), so sorted-insert beats hashing on both memory
-//! and cache behaviour.
+//! and cache behaviour. The overlay and every [`Snapshot`] hold `n` of
+//! them ([`PointerTables`]); a partitioned
+//! [`DirectoryNodeState`] holds its node's one.
+//!
+//! [`Snapshot`]: crate::engine::Snapshot
+//! [`DirectoryNodeState`]: crate::partition::DirectoryNodeState
 
 use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{CompactId, HeapBytes, Node};
 
+use crate::authority::PointerOp;
 use crate::directory::ObjectId;
 
 /// One directory entry resident at a node: the level-`level` pointer for
@@ -30,97 +36,125 @@ impl PointerEntry {
     }
 }
 
-/// All nodes' directory pointer tables: `entries[v]` is node `v`'s table,
-/// sorted by `(level, object)`.
+/// One node's directory pointer table, sorted by `(level, object)`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct PointerTable {
+    entries: Vec<PointerEntry>,
+}
+
+impl PointerTable {
+    fn search(&self, level: usize, obj: ObjectId) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&(level as u32, obj), PointerEntry::key)
+    }
+
+    /// The level-`level` entry for `obj`, if installed.
+    pub(crate) fn get(&self, level: usize, obj: ObjectId) -> Option<Node> {
+        self.search(level, obj)
+            .ok()
+            .map(|i| self.entries[i].target.node())
+    }
+
+    /// Installs (or retargets) the level-`level` entry for `obj`,
+    /// returning the previous target — `HashMap::insert` semantics, so
+    /// repair's did-the-table-change accounting carries over unchanged.
+    pub(crate) fn insert(&mut self, level: usize, obj: ObjectId, target: Node) -> Option<Node> {
+        let entry = PointerEntry {
+            level: level as u32,
+            obj,
+            target: CompactId::from(target),
+        };
+        match self.search(level, obj) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i], entry).target.node()),
+            Err(i) => {
+                self.entries.insert(i, entry);
+                None
+            }
+        }
+    }
+
+    /// Deletes the level-`level` entry for `obj`, returning the removed
+    /// target if one was present.
+    pub(crate) fn remove(&mut self, level: usize, obj: ObjectId) -> Option<Node> {
+        self.search(level, obj)
+            .ok()
+            .map(|i| self.entries.remove(i).target.node())
+    }
+
+    /// Executes a repair plan's operations on this table, returning how
+    /// many writes and deletes actually changed it — the counts a
+    /// [`RepairReport`](crate::RepairReport) carries, in process and in
+    /// the simulator's per-node acks alike.
+    pub(crate) fn apply(&mut self, ops: &[PointerOp]) -> (usize, usize) {
+        let (mut writes, mut deletes) = (0, 0);
+        for op in ops {
+            match op.target {
+                Some(target) => {
+                    if self.insert(op.level, op.obj, target) != Some(target) {
+                        writes += 1;
+                    }
+                }
+                None => {
+                    if self.remove(op.level, op.obj).is_some() {
+                        deletes += 1;
+                    }
+                }
+            }
+        }
+        (writes, deletes)
+    }
+
+    /// Entries resident in this table — the node's share of the serving
+    /// load.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// All nodes' directory pointer tables, indexed by node.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PointerTables {
-    entries: Vec<Vec<PointerEntry>>,
+    nodes: Vec<PointerTable>,
 }
 
 impl PointerTables {
     /// Empty tables for `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
         PointerTables {
-            entries: vec![Vec::new(); n],
+            nodes: vec![PointerTable::default(); n],
         }
     }
 
-    /// The entry for `obj` at `(v, level)`, if installed.
-    pub(crate) fn get(&self, v: Node, level: usize, obj: ObjectId) -> Option<Node> {
-        let table = &self.entries[v.index()];
-        table
-            .binary_search_by_key(&(level as u32, obj), PointerEntry::key)
-            .ok()
-            .map(|i| table[i].target.node())
+    /// Node `v`'s table.
+    pub(crate) fn node(&self, v: Node) -> &PointerTable {
+        &self.nodes[v.index()]
     }
 
-    /// Installs (or retargets) the entry for `obj` at `(v, level)`,
-    /// returning the previous target — `HashMap::insert` semantics, so
-    /// repair's did-the-table-change accounting carries over unchanged.
-    pub(crate) fn insert(
-        &mut self,
-        v: Node,
-        level: usize,
-        obj: ObjectId,
-        target: Node,
-    ) -> Option<Node> {
-        let table = &mut self.entries[v.index()];
-        let entry = PointerEntry {
-            level: level as u32,
-            obj,
-            target: CompactId::from(target),
-        };
-        match table.binary_search_by_key(&entry.key(), PointerEntry::key) {
-            Ok(i) => Some(std::mem::replace(&mut table[i], entry).target.node()),
-            Err(i) => {
-                table.insert(i, entry);
-                None
-            }
-        }
-    }
-
-    /// Deletes the entry for `obj` at `(v, level)`, returning the removed
-    /// target if one was present.
-    pub(crate) fn remove(&mut self, v: Node, level: usize, obj: ObjectId) -> Option<Node> {
-        let table = &mut self.entries[v.index()];
-        table
-            .binary_search_by_key(&(level as u32, obj), PointerEntry::key)
-            .ok()
-            .map(|i| table.remove(i).target.node())
+    /// Node `v`'s table, for installing and deleting entries.
+    pub(crate) fn node_mut(&mut self, v: Node) -> &mut PointerTable {
+        &mut self.nodes[v.index()]
     }
 
     /// Drops every entry stored at `v` (the node left; its state is
     /// lost), releasing the memory.
     pub(crate) fn clear_node(&mut self, v: Node) {
-        self.entries[v.index()] = Vec::new();
-    }
-
-    /// Entries resident at `v` — its share of the serving load.
-    pub(crate) fn entries_at(&self, v: Node) -> usize {
-        self.entries[v.index()].len()
+        self.nodes[v.index()] = PointerTable::default();
     }
 
     /// Total entries across all nodes.
     pub(crate) fn total(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
-    }
-
-    /// Iterates `v`'s entries as `(level, object, target)` in
-    /// `(level, object)` order (partitioning into per-node slices).
-    pub(crate) fn node_entries(
-        &self,
-        v: Node,
-    ) -> impl Iterator<Item = (usize, ObjectId, Node)> + '_ {
-        self.entries[v.index()]
-            .iter()
-            .map(|e| (e.level as usize, e.obj, e.target.node()))
+        self.nodes.iter().map(PointerTable::len).sum()
     }
 }
 
 impl HeapBytes for PointerTables {
     fn heap_bytes(&self) -> usize {
-        vec_capacity_bytes(&self.entries)
-            + self.entries.iter().map(vec_capacity_bytes).sum::<usize>()
+        vec_capacity_bytes(&self.nodes)
+            + self
+                .nodes
+                .iter()
+                .map(|t| vec_capacity_bytes(&t.entries))
+                .sum::<usize>()
     }
 }
 
@@ -130,52 +164,36 @@ mod tests {
 
     #[test]
     fn insert_get_remove_round_trip() {
-        let mut t = PointerTables::new(4);
+        let mut tables = PointerTables::new(4);
         let v = Node::new(2);
-        assert_eq!(t.insert(v, 1, ObjectId(7), Node::new(3)), None);
-        assert_eq!(t.insert(v, 0, ObjectId(7), Node::new(1)), None);
-        assert_eq!(t.get(v, 1, ObjectId(7)), Some(Node::new(3)));
-        assert_eq!(t.get(v, 0, ObjectId(7)), Some(Node::new(1)));
-        assert_eq!(t.get(v, 1, ObjectId(8)), None);
-        assert_eq!(t.get(Node::new(0), 1, ObjectId(7)), None);
+        let t = tables.node_mut(v);
+        // Inserted out of key order: lookups rely on the sorted array.
+        assert_eq!(t.insert(1, ObjectId(7), Node::new(3)), None);
+        assert_eq!(t.insert(0, ObjectId(9), Node::new(1)), None);
+        assert_eq!(t.insert(0, ObjectId(7), Node::new(1)), None);
+        assert_eq!(t.get(1, ObjectId(7)), Some(Node::new(3)));
+        assert_eq!(t.get(0, ObjectId(7)), Some(Node::new(1)));
+        assert_eq!(t.get(0, ObjectId(9)), Some(Node::new(1)));
+        assert_eq!(t.get(1, ObjectId(8)), None);
         // Retarget returns the previous pointer.
-        assert_eq!(
-            t.insert(v, 1, ObjectId(7), Node::new(0)),
-            Some(Node::new(3))
-        );
-        assert_eq!(t.entries_at(v), 2);
-        assert_eq!(t.total(), 2);
-        assert_eq!(t.remove(v, 1, ObjectId(7)), Some(Node::new(0)));
-        assert_eq!(t.remove(v, 1, ObjectId(7)), None);
-        assert_eq!(t.total(), 1);
-    }
-
-    #[test]
-    fn node_entries_iterate_in_key_order() {
-        let mut t = PointerTables::new(2);
-        let v = Node::new(1);
-        t.insert(v, 2, ObjectId(5), Node::new(0));
-        t.insert(v, 0, ObjectId(9), Node::new(1));
-        t.insert(v, 0, ObjectId(2), Node::new(1));
-        let got: Vec<_> = t.node_entries(v).collect();
-        assert_eq!(
-            got,
-            vec![
-                (0, ObjectId(2), Node::new(1)),
-                (0, ObjectId(9), Node::new(1)),
-                (2, ObjectId(5), Node::new(0)),
-            ]
-        );
+        assert_eq!(t.insert(1, ObjectId(7), Node::new(0)), Some(Node::new(3)));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.remove(1, ObjectId(7)), Some(Node::new(0)));
+        assert_eq!(t.remove(1, ObjectId(7)), None);
+        assert_eq!(tables.node(Node::new(0)).get(1, ObjectId(7)), None);
+        assert_eq!(tables.total(), 2);
     }
 
     #[test]
     fn clear_node_releases_the_table() {
         let mut t = PointerTables::new(2);
-        t.insert(Node::new(0), 0, ObjectId(1), Node::new(1));
-        t.insert(Node::new(1), 0, ObjectId(1), Node::new(0));
+        t.node_mut(Node::new(0))
+            .insert(0, ObjectId(1), Node::new(1));
+        t.node_mut(Node::new(1))
+            .insert(0, ObjectId(1), Node::new(0));
         t.clear_node(Node::new(0));
-        assert_eq!(t.entries_at(Node::new(0)), 0);
-        assert_eq!(t.get(Node::new(0), 0, ObjectId(1)), None);
+        assert_eq!(t.node(Node::new(0)).len(), 0);
+        assert_eq!(t.node(Node::new(0)).get(0, ObjectId(1)), None);
         assert_eq!(t.total(), 1);
     }
 
@@ -184,7 +202,8 @@ mod tests {
         let mut t = PointerTables::new(8);
         let empty = t.heap_bytes();
         for i in 0..16u64 {
-            t.insert(Node::new(3), 0, ObjectId(i), Node::new(0));
+            t.node_mut(Node::new(3))
+                .insert(0, ObjectId(i), Node::new(0));
         }
         assert!(t.heap_bytes() >= empty + 16 * std::mem::size_of::<PointerEntry>());
     }

@@ -324,9 +324,9 @@ fn engine_batch_racing_a_publish_never_fails() {
     assert_eq!(directory.epoch(), 1);
 }
 
-/// The three storage representations of the directory state — the
-/// overlay's compact sorted-array pointer tables, the snapshot's cloned
-/// tables, and the per-node `BTreeMap` slices of `partition()` — must
+/// The three holders of the directory's pointer tables — the overlay,
+/// the snapshot's cloned tables, and the per-node slices of
+/// `partition()` (each one node's sorted array) — must
 /// agree entry for entry after publishes, unpublishes, churn and repair.
 fn assert_representations_agree<M: Metric>(space: &Space<M>, objects: usize, victims: usize) {
     let n = space.len();
@@ -495,4 +495,91 @@ fn directory_on_sparse_backend_serves_and_recovers() {
         },
     );
     assert_eq!(report.final_success_rate(), 1.0);
+}
+
+/// The in-place planner against the detached one, epoch after epoch: two
+/// overlays receive the same seeded `leave` / `join` / `publish` /
+/// `unpublish` stream; one repairs in place, the other through an owned
+/// `control_plane()` copy plus `apply_plan` (what the benchmark's traced
+/// epochs and the simulator's coordinator do). After every epoch they
+/// must be indistinguishable: same repair bill, same epoch stamp, same
+/// homes, identical per-node `partition()` slices and identical answers
+/// (or errors) for every `(origin, object)` pair.
+fn assert_in_place_repair_matches_detached_plan<M: Metric>(space: &Space<M>, seed: u64) {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let n = space.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut in_place = DirectoryOverlay::build(space);
+    publish_some(space, &mut in_place, 4, 7);
+    let mut detached = in_place.clone();
+    for epoch in 0..6usize {
+        for _ in 0..rng.random_range(1..5usize) {
+            let v = Node::new(rng.random_range(0..n));
+            if !in_place.is_alive(v) {
+                in_place.join(space, v);
+                detached.join(space, v);
+            } else if in_place.alive_count() > 2 {
+                in_place.leave(v);
+                detached.leave(v);
+            }
+        }
+        // Publish into the damaged ladder, and retire an old object now
+        // and then, so the planner sees registry changes between epochs.
+        let home = (0..n)
+            .map(|i| Node::new((i + epoch * 5) % n))
+            .find(|&v| in_place.is_alive(v))
+            .expect("somebody stays alive");
+        let fresh = ObjectId(1000 + epoch as u64);
+        in_place.publish(space, fresh, home);
+        detached.publish(space, fresh, home);
+        if epoch % 2 == 1 {
+            let retired = in_place.objects()[0];
+            assert_eq!(in_place.unpublish(retired), detached.unpublish(retired));
+        }
+
+        let report = in_place.repair(space);
+        let plan = detached.control_plane().plan_repair(space);
+        assert_eq!(detached.apply_plan(&plan), report, "epoch {epoch}: bill");
+        assert_eq!(detached.epoch(), in_place.epoch(), "epoch {epoch}: stamp");
+        assert_eq!(detached.objects(), in_place.objects());
+        assert_eq!(
+            detached.partition(space),
+            in_place.partition(space),
+            "epoch {epoch}: per-node slices"
+        );
+        for &obj in in_place.objects() {
+            assert_eq!(detached.home_of(obj), in_place.home_of(obj), "{obj}");
+            for s in space.nodes() {
+                assert_eq!(
+                    detached.lookup(space, s, obj),
+                    in_place.lookup(space, s, obj),
+                    "epoch {epoch}: lookup({s}, {obj})"
+                );
+            }
+        }
+        // Both consumed their touched sets: a second repair is free.
+        assert_eq!(detached.clone().repair(space), Default::default());
+        assert_eq!(in_place.clone().repair(space), Default::default());
+    }
+    check_all_pairs(space, &in_place);
+}
+
+#[test]
+fn in_place_repair_matches_detached_plan_on_all_families() {
+    for seed in 0..4u64 {
+        assert_in_place_repair_matches_detached_plan(
+            &Space::new(gen::uniform_cube(40, 2, seed)),
+            seed,
+        );
+        assert_in_place_repair_matches_detached_plan(
+            &Space::new(gen::clustered(40, 2, 4, 0.02, seed)),
+            seed ^ 0x5,
+        );
+        assert_in_place_repair_matches_detached_plan(
+            &Space::new(gen::perturbed_grid(6, 2, 0.3, seed)),
+            seed ^ 0x9,
+        );
+        assert_in_place_repair_matches_detached_plan(&Space::new(gen::exponential_line(14)), seed);
+    }
 }

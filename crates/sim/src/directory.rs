@@ -7,17 +7,19 @@
 //! lookup packet carries the *origin's* climb itinerary in its header —
 //! the origin's own zooming sequence, local knowledge, exactly like the
 //! labels of the routing schemes — and every check happens at the node
-//! holding the entry. The walk replicates the in-process
-//! `DirectoryOverlay::lookup` state machine, including its skipping of
-//! self-hops, so on a failure-free network the simulated answer, hop
-//! count and found level are identical (property-tested on all four
-//! instance families).
+//! holding the entry. What a node does with a packet is decided by the
+//! same walk rule the in-process `DirectoryOverlay::lookup` loop applies
+//! ([`DirectoryNodeState::probe`] / [`DirectoryNodeState::descend`],
+//! returning a [`WalkStep`]); the handlers here only turn the decision
+//! into a send, a completion or a failure, so the simulated answer, hop
+//! count, found level and failure kind match the in-process walk
+//! (property-tested on all four instance families).
 
 use std::collections::BTreeMap;
 
 use ron_location::{
     DirectoryNodeState, DirectoryOverlay, ObjectId, PointerOp, RepairAuthority, RepairReport,
-    ScanOracle,
+    ScanOracle, WalkStep,
 };
 use ron_metric::{BallOracle, Metric, Node, Space};
 
@@ -139,8 +141,8 @@ impl DirectoryNode {
                 ctx.send(f, DirectoryMsg::Climb { obj, k, itinerary });
                 return;
             }
-            if let Some(next) = self.state.entry(level, obj) {
-                self.descend(ctx, obj, level, level as u64, next);
+            if let Some(step) = self.state.probe(level, obj) {
+                self.act(ctx, obj, level as u64, step);
                 return;
             }
             k += 1;
@@ -151,27 +153,26 @@ impl DirectoryNode {
         }
     }
 
-    /// One descent step: hand the packet to `next` (or keep walking
-    /// locally when the chain stays on this node).
-    fn descend(
-        &mut self,
+    /// Turns one descent decision of the shared walk rule into its
+    /// network effect.
+    fn act(
+        &self,
         ctx: &mut Ctx<'_, DirectoryMsg>,
         obj: ObjectId,
-        level: usize,
         found_level: u64,
-        next: Node,
+        step: WalkStep,
     ) {
-        if next == self.state.node() {
-            self.arrive(ctx, obj, level, found_level);
-        } else {
-            ctx.send(
+        match step {
+            WalkStep::Arrived => ctx.complete(self.state.node(), found_level),
+            WalkStep::Broken { .. } => ctx.fail(FailKind::BrokenChain),
+            WalkStep::Forward { level, next } => ctx.send(
                 next,
                 DirectoryMsg::Descend {
                     obj,
                     level,
                     found_level,
                 },
-            );
+            ),
         }
     }
 
@@ -302,23 +303,7 @@ impl DirectoryNode {
         for &obj in adopt {
             self.state.adopt(obj);
         }
-        let mut writes = 0usize;
-        let mut deletes = 0usize;
-        for op in ops {
-            match op.target {
-                Some(next) => {
-                    if self.state.install_counted(op.level, op.obj, next) {
-                        writes += 1;
-                    }
-                }
-                None => {
-                    if self.state.remove_entry(op.level, op.obj).is_some() {
-                        deletes += 1;
-                    }
-                }
-            }
-        }
-        (writes, deletes)
+        self.state.apply_ops(ops)
     }
 
     /// Seals the in-flight epoch: record its report and resolve the
@@ -334,42 +319,6 @@ impl DirectoryNode {
         report.pointer_deletes = co.deletes;
         co.history.push(report);
         ctx.complete(me, (co.history.len() - 1) as u64);
-    }
-
-    /// The packet arrived here during the descent at `level`: recognize
-    /// the home, or follow the next chain entry down.
-    fn arrive(
-        &mut self,
-        ctx: &mut Ctx<'_, DirectoryMsg>,
-        obj: ObjectId,
-        mut level: usize,
-        found_level: u64,
-    ) {
-        loop {
-            if self.state.homes(obj) || level == 0 {
-                ctx.complete(self.state.node(), found_level);
-                return;
-            }
-            level -= 1;
-            match self.state.entry(level, obj) {
-                None => {
-                    ctx.fail(FailKind::BrokenChain);
-                    return;
-                }
-                Some(next) if next == self.state.node() => {}
-                Some(next) => {
-                    ctx.send(
-                        next,
-                        DirectoryMsg::Descend {
-                            obj,
-                            level,
-                            found_level,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
     }
 }
 
@@ -491,7 +440,10 @@ impl SimNode for DirectoryNode {
                 obj,
                 level,
                 found_level,
-            } => self.arrive(ctx, obj, level, found_level),
+            } => {
+                let step = self.state.descend(level, obj);
+                self.act(ctx, obj, found_level, step);
+            }
             DirectoryMsg::Publish { obj } => {
                 // The home's chain against its own fingers: chain[j] is
                 // the nearest level-j member, the home itself when a

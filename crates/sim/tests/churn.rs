@@ -548,3 +548,116 @@ fn success_dips_and_recovers_around_a_repair_epoch() {
         "post-repair lookups must all succeed again"
     );
 }
+
+/// Failure parity of the shared walk rule on a damaged directory: nodes
+/// leave (and some rejoin empty-handed) with **no** repair, the fleet is
+/// partitioned from that state, and every alive `(origin, object)` pair
+/// is looked up both ways. A delivery must match home, hops and found
+/// level; an exhausted climb must fail as `NotFound` on both sides; a
+/// chain node missing its entry must fail as `BrokenChain` on both
+/// sides. (A chain entry naming a *dead* node is `BrokenChain` in
+/// process, where liveness is a table lookup; on the wire the packet is
+/// simply lost, so the simulated query must merely not deliver.)
+/// Returns how many lookups ended (delivered, not found, broken).
+fn cross_validate_damaged_walk<M: Metric>(
+    space: &Space<M>,
+    objects: usize,
+    stride: usize,
+    kills: &[usize],
+    rejoin_every: usize,
+) -> (usize, usize, usize) {
+    use ron_location::LocateError;
+    let n = space.len();
+    let mut damaged = DirectoryOverlay::build(space);
+    for i in 0..objects {
+        damaged.publish(space, ObjectId(i as u64), Node::new((i * stride + 1) % n));
+    }
+    for (i, &k) in kills.iter().enumerate() {
+        let v = Node::new(k % n);
+        if damaged.is_alive(v) && damaged.alive_count() > 2 {
+            damaged.leave(v);
+            if rejoin_every > 0 && i % rejoin_every == 0 {
+                damaged.join(space, v);
+            }
+        }
+    }
+
+    let mut sim = Simulator::new(
+        DirectoryNode::fleet(space, &damaged),
+        |u, v| space.dist(u, v),
+        ConstantLatency(0.0),
+        SimConfig::default(),
+    );
+    for v in space.nodes().filter(|&v| !damaged.is_alive(v)) {
+        sim.crash_at(0.0, v);
+    }
+    let mut expect = Vec::new();
+    for s in space.nodes().filter(|&s| damaged.is_alive(s)) {
+        for &obj in damaged.objects() {
+            sim.inject(1.0, s, DirectoryMsg::Lookup { obj });
+            expect.push(damaged.lookup(space, s, obj));
+        }
+    }
+    let report = sim.run();
+    let (mut delivered, mut not_found, mut broken) = (0, 0, 0);
+    for (record, outcome) in report.records.iter().zip(&expect) {
+        let origin = record.origin;
+        match outcome {
+            Ok(out) => {
+                delivered += 1;
+                assert_eq!(
+                    record.resolution,
+                    Resolution::Delivered {
+                        at: out.home,
+                        detail: out.found_level as u64
+                    },
+                    "answer mismatch from {origin}"
+                );
+                assert_eq!(record.hops as usize, out.hops(), "hops from {origin}");
+            }
+            Err(LocateError::NotFound { .. }) => {
+                not_found += 1;
+                assert_eq!(
+                    record.resolution,
+                    Resolution::Failed(FailKind::NotFound),
+                    "from {origin}"
+                );
+            }
+            Err(LocateError::BrokenChain { at, .. }) if damaged.is_alive(*at) => {
+                broken += 1;
+                assert_eq!(
+                    record.resolution,
+                    Resolution::Failed(FailKind::BrokenChain),
+                    "from {origin}"
+                );
+            }
+            Err(LocateError::BrokenChain { .. }) => assert!(
+                matches!(record.resolution, Resolution::Failed(_)),
+                "a packet sent to a dead node cannot deliver (from {origin})"
+            ),
+            Err(other) => panic!("alive origin, published object: {other}"),
+        }
+    }
+    (delivered, not_found, broken)
+}
+
+#[test]
+fn damaged_walk_fails_the_same_way_in_process_and_simulated() {
+    let mut totals = (0usize, 0usize, 0usize);
+    let mut tally = |(d, n, b): (usize, usize, usize)| {
+        totals = (totals.0 + d, totals.1 + n, totals.2 + b);
+    };
+    for seed in 0..6u64 {
+        let kills = |range| kill_list(seed ^ 0x51, 10, range);
+        let cube = Space::new(gen::uniform_cube(40, 2, seed));
+        tally(cross_validate_damaged_walk(&cube, 5, 13, &kills(40), 3));
+        let clusters = Space::new(gen::clustered(40, 2, 4, 0.01, seed));
+        tally(cross_validate_damaged_walk(&clusters, 5, 11, &kills(40), 2));
+        let grid = Space::new(gen::perturbed_grid(6, 2, 0.2, seed));
+        tally(cross_validate_damaged_walk(&grid, 5, 7, &kills(36), 0));
+        let line = Space::new(gen::exponential_line(16));
+        tally(cross_validate_damaged_walk(&line, 4, 3, &kills(16), 2));
+    }
+    // The damage must actually exercise every outcome of the walk rule.
+    assert!(totals.0 > 0 && totals.1 > 0 && totals.2 > 0, "{totals:?}");
+}
