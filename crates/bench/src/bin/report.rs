@@ -1,82 +1,57 @@
-//! Prints every table and figure of the reproduction in one run, and
-//! writes the same tables (plus per-table build wall time) to
-//! `BENCH_report.json` at the workspace root so the perf trajectory is
-//! tracked across PRs.
+//! Prints the paper's tables as text.
 //!
-//! `cargo run --release -p ron-bench --bin report`
+//! ```text
+//! report                  # all ten tables, in paper order
+//! report table2 labels    # the named tables only
+//! report scale N [N...]   # construction scaling at the given sizes
+//! ```
 //!
-//! EXPERIMENTS.md records a snapshot of the text output next to the
-//! paper's stated bounds. The construction-scaling table runs at
-//! `RON_SCALING_N` nodes when set, else a CI-friendly 4096 here (the
-//! `fig_build_scaling` bench target defaults to the full 65 536); the
-//! message-passing simulation table runs at `RON_SIM_N` nodes, else 1024
-//! (the `fig_sim` bench target defaults to 4096). `RON_THREADS`
-//! overrides the worker count of the parallel build loops.
+//! The default output is seeded counts only, so it is byte-identical
+//! across reruns and across `RON_THREADS`: diff two runs to check a
+//! change. `scale` is the one timed table (sparse construction, one row
+//! per size, with the two-worker bit-identity and bytes-per-node budget
+//! assertions) and runs only when asked for.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
-fn main() {
-    let delta = 0.25;
-    let scaling_n = ron_bench::scaling_n_or(4096);
-    let sim_n = ron_bench::sim_n_or(1024);
-    let mut tables: Vec<(ron_bench::Table, f64)> = Vec::new();
-    let mut run = |build: &mut dyn FnMut() -> ron_bench::Table| {
-        let start = Instant::now();
-        let table = build();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        println!("{}", table.render());
-        tables.push((table, ms));
-    };
+use ron_bench::{scale, TableFn, TABLES};
 
-    run(&mut || ron_bench::table1(&["grid-8x8", "exp-path-24"], delta));
-    run(&mut || ron_bench::table2(delta));
-    run(&mut || ron_bench::table3(delta));
-    run(&mut ron_bench::fig_scaling);
-    run(&mut || ron_bench::fig_triangulation(0.2));
-    run(&mut || ron_bench::fig_labels(0.25));
-    run(&mut ron_bench::fig_smallworld);
-    run(&mut ron_bench::fig_structures);
-    run(&mut ron_bench::table_location);
-    run(&mut || ron_bench::fig_sim(sim_n));
-    run(&mut || ron_bench::fig_churn(sim_n));
-    run(&mut || ron_bench::fig_avail(sim_n));
-    run(&mut || ron_bench::fig_build_scaling(scaling_n));
-    let curve = ron_bench::scaling_curve();
-    if !curve.is_empty() {
-        run(&mut || ron_bench::fig_build_scaling_curve(&curve));
+fn usage() -> ExitCode {
+    let names: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: report [TABLE...]       (tables: {})\n       report scale N [N...]   (node counts >= 2)",
+        names.join(" ")
+    );
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "scale") {
+        let sizes: Option<Vec<usize>> = args[1..]
+            .iter()
+            .map(|raw| raw.parse().ok().filter(|&n| n >= 2))
+            .collect();
+        return match sizes {
+            Some(ns) if !ns.is_empty() => {
+                println!("{}", scale::table(&ns).render());
+                ExitCode::SUCCESS
+            }
+            _ => usage(),
+        };
     }
-
-    // E-LAT just before E-OBS: both toggle the recording flag around
-    // their own passes, and fig_obs resets the registry (and with it
-    // the time series) when it starts — so the flight-recorder run
-    // takes its telemetry points first.
-    let start = Instant::now();
-    let (lat_table, series) = ron_bench::fig_lat_with_series(sim_n);
-    let lat_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!("{}", lat_table.render());
-    tables.push((lat_table, lat_ms));
-    let series_json = ron_obs::timeseries_json(&series);
-    let csv_path = ron_bench::timeseries_csv_path();
-    match std::fs::write(&csv_path, ron_obs::timeseries_csv(&series)) {
-        Ok(()) => println!("wrote {csv_path} ({} telemetry points)", series.len()),
-        Err(e) => eprintln!("could not write {csv_path}: {e}"),
+    let mut chosen: Vec<TableFn> = Vec::new();
+    for arg in &args {
+        match TABLES.iter().find(|(name, _)| name == arg) {
+            Some((_, build)) => chosen.push(*build),
+            None => return usage(),
+        }
     }
-
-    // E-OBS last: its drained registry rides into the JSON as the
-    // "obs" block.
-    let start = Instant::now();
-    let (obs_table, registry) = ron_bench::fig_obs_with_registry(sim_n);
-    let obs_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!("{}", obs_table.render());
-    tables.push((obs_table, obs_ms));
-    let obs_json = registry.to_json();
-
-    let path = ron_bench::report_json_path();
-    match ron_bench::write_report_json_full(&path, &tables, Some(&obs_json), Some(&series_json)) {
-        Ok(()) => println!(
-            "wrote {path} ({} tables + obs and timeseries blocks)",
-            tables.len()
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    if chosen.is_empty() {
+        chosen.extend(TABLES.iter().map(|(_, build)| *build));
     }
+    for build in chosen {
+        println!("{}", build().render());
+    }
+    ExitCode::SUCCESS
 }

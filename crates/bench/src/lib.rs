@@ -1,42 +1,66 @@
-//! Experiment harness regenerating every table and figure of the paper.
+//! The paper's tables, regenerated.
 //!
-//! Each `table_*` / `fig_*` function builds the instances, measures the
-//! quantities the paper's tables bound (bits, degrees, stretch, hops) and
-//! returns formatted rows. The Criterion benches under `benches/` print
-//! these tables and then time one representative operation each; the
-//! `report` binary prints everything at once (EXPERIMENTS.md is generated
-//! from its output).
+//! One module per table or figure: each builds its instances, measures
+//! the quantities the paper's tables bound (bits, degrees, stretch, hops,
+//! message counts) and returns a formatted [`Table`]. [`TABLES`] is the
+//! registry the `report` binary prints from; every table in it is seeded
+//! and counts only, so the rendered text is byte-identical across reruns
+//! and across `RON_THREADS`. Everything timed lives in the `benchmark/`
+//! package (`ron-benchmark`), with one exception: [`scale`], the only path
+//! that runs the stack above `2^14` nodes, printed on request only.
 //!
 //! Asymptotic competitor columns (Talwar \[52], Chan et al. \[14], Abraham
 //! et al. \[7]) are *formulas evaluated with unit constants* — exactly how
 //! the paper's tables cite them — marked with `~` in the output.
 
-use std::time::Instant;
-
-use ron_core::{par, RingFamily};
 use ron_graph::{gen as ggen, Apsp, Graph};
-use ron_labels::{CompactScheme, GlobalIdDls, SharedBeaconTriangulation, Triangulation};
-use ron_location::{
-    ChurnConfig, ChurnSchedule, DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine,
-    Snapshot,
-};
-use ron_metric::{gen, BallOracle, HeapBytes, LineMetric, Metric, NetTreeIndex, Node, Space};
-use ron_nets::NestedNets;
-use ron_routing::{BasicScheme, FullTableBaseline, SimpleScheme, StretchStats, TwoModeScheme};
-use ron_smallworld::{
-    GreedyModel, KleinbergGrid, PrunedModel, QueryStats, SingleLinkModel, Structures,
-};
+use ron_metric::{gen, LineMetric, Metric, Space};
+
+pub mod churn;
+pub mod f1;
+pub mod labels;
+pub mod scale;
+pub mod sim;
+pub mod smallworld;
+pub mod structures;
+pub mod table1;
+pub mod table2;
+pub mod table3;
+pub mod triangulation;
+
+/// Stretch parameter of the routing tables and the label figure.
+pub const DELTA: f64 = 0.25;
+
+/// Triangulation parameter of E-3.2 (the bound needs `delta < 1/2`).
+pub const TRIANGULATION_DELTA: f64 = 0.2;
+
+/// Node count of the two message-passing tables.
+pub const SIM_N: usize = 1024;
+
+/// Builds one paper table.
+pub type TableFn = fn() -> Table;
+
+/// The paper tables by name, in report order.
+pub const TABLES: &[(&str, TableFn)] = &[
+    ("table1", || table1::table(DELTA)),
+    ("table2", || table2::table(DELTA)),
+    ("table3", || table3::table(DELTA)),
+    ("f1", f1::table),
+    ("triangulation", || {
+        triangulation::table(TRIANGULATION_DELTA)
+    }),
+    ("labels", || labels::table(DELTA)),
+    ("smallworld", smallworld::table),
+    ("structures", structures::table),
+    ("sim", || sim::table(SIM_N)),
+    ("churn", || churn::table(SIM_N)),
+];
 
 /// A formatted output table.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     /// Table title (paper artifact id).
     pub title: String,
-    /// Which ball-query backend produced the rows (`"dense"`,
-    /// `"sparse"`, or `"per-row"` when a backend column in the rows
-    /// carries it). Recorded in `BENCH_report.json` so perf trajectories
-    /// compare like with like.
-    pub backend: String,
     /// Column headers.
     pub header: Vec<String>,
     /// Data rows.
@@ -44,6 +68,16 @@ pub struct Table {
 }
 
 impl Table {
+    /// An empty table with the given title and column headers.
+    #[must_use]
+    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+        Table {
+            title: title.into(),
+            header: header.iter().map(ToString::to_string).collect(),
+            rows: Vec::new(),
+        }
+    }
+
     /// Renders the table as aligned text.
     #[must_use]
     pub fn render(&self) -> String {
@@ -76,173 +110,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as one JSON object
-    /// `{title, backend, header, rows}` (cells stay strings, exactly as
-    /// printed; an unset backend is recorded as `"dense"`, the default
-    /// `Space::new` path).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"title\":");
-        out.push_str(&json_string(&self.title));
-        out.push_str(",\"backend\":");
-        out.push_str(&json_string(if self.backend.is_empty() {
-            "dense"
-        } else {
-            &self.backend
-        }));
-        out.push_str(",\"header\":");
-        out.push_str(&json_string_array(&self.header));
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string_array(row));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(item));
-    }
-    out.push(']');
-    out
-}
-
-/// Serializes tables (with the wall-clock milliseconds each took to
-/// build) into the machine-readable `BENCH_report.json` document that the
-/// `report` binary and the `fig_build_scaling` bench emit, so the perf
-/// trajectory of every table — n, build ms, query p50/p99, stretch — is
-/// tracked across PRs by CI artifacts instead of eyeballs.
-#[must_use]
-pub fn report_json(tables: &[(Table, f64)]) -> String {
-    report_json_with_obs(tables, None)
-}
-
-/// [`report_json`] with an optional `"obs"` block: the JSON export of a
-/// drained [`ron_obs::Registry`] (see [`fig_obs_with_registry`]), so
-/// the raw metrics ride in `BENCH_report.json` next to the tables they
-/// summarize.
-#[must_use]
-pub fn report_json_with_obs(tables: &[(Table, f64)], obs: Option<&str>) -> String {
-    report_json_full(tables, obs, None)
-}
-
-/// [`report_json`] with both optional trailing blocks: `"obs"` (a
-/// drained [`ron_obs::Registry`] as JSON) and `"timeseries"` (the
-/// captured [`ron_obs::timeseries_json`] array from
-/// [`fig_lat_with_series`]), so one document carries the tables, the
-/// final metric totals and the telemetry trajectory that led there.
-#[must_use]
-pub fn report_json_full(
-    tables: &[(Table, f64)],
-    obs: Option<&str>,
-    timeseries: Option<&str>,
-) -> String {
-    let mut out = String::from("{\"schema\":\"ron-bench/1\",\"threads\":");
-    out.push_str(&par::num_threads().to_string());
-    out.push_str(",\"tables\":[");
-    for (i, (table, ms)) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let body = table.to_json();
-        out.push_str("{\"build_ms\":");
-        out.push_str(&format!("{ms:.3}"));
-        out.push(',');
-        // Splice the table object's fields into this one.
-        out.push_str(body.strip_prefix('{').unwrap_or(&body));
-    }
-    out.push(']');
-    if let Some(obs) = obs {
-        out.push_str(",\"obs\":");
-        out.push_str(obs);
-    }
-    if let Some(series) = timeseries {
-        out.push_str(",\"timeseries\":");
-        out.push_str(series);
-    }
-    out.push('}');
-    out
-}
-
-/// Writes [`report_json`] to `path` (`BENCH_report.json` by convention).
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_report_json(path: &str, tables: &[(Table, f64)]) -> std::io::Result<()> {
-    std::fs::write(path, report_json(tables) + "\n")
-}
-
-/// [`write_report_json`] with the optional `"obs"` registry block.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_report_json_with_obs(
-    path: &str,
-    tables: &[(Table, f64)],
-    obs: Option<&str>,
-) -> std::io::Result<()> {
-    std::fs::write(path, report_json_with_obs(tables, obs) + "\n")
-}
-
-/// [`write_report_json`] with both optional trailing blocks (`"obs"`
-/// and `"timeseries"`); see [`report_json_full`].
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_report_json_full(
-    path: &str,
-    tables: &[(Table, f64)],
-    obs: Option<&str>,
-    timeseries: Option<&str>,
-) -> std::io::Result<()> {
-    std::fs::write(path, report_json_full(tables, obs, timeseries) + "\n")
-}
-
-/// Workspace-root path for `BENCH_report.json`, independent of the
-/// working directory (`cargo bench` runs benches from the crate dir, the
-/// `report` binary usually runs from the root — CI uploads one path).
-#[must_use]
-pub fn report_json_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json").to_string()
-}
-
-/// Workspace-root path for `BENCH_timeseries.csv`, the spreadsheet-ready
-/// dump of the telemetry time series captured during the report run
-/// (see [`ron_obs::timeseries_csv`] for the schema).
-#[must_use]
-pub fn timeseries_csv_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timeseries.csv").to_string()
 }
 
 fn f(x: f64) -> String {
@@ -318,2373 +185,14 @@ pub fn metric_instance(name: &str) -> Space<Box<dyn Metric>> {
     Space::new(metric)
 }
 
-/// Table 1: (1+delta)-stretch routing schemes on doubling **graphs** —
-/// measured table/header bits and stretch for Theorems 2.1 and 4.1 next to
-/// the competitors' formulas.
-#[must_use]
-pub fn table1(instances: &[&str], delta: f64) -> Table {
-    let mut t = Table {
-        title: format!("Table 1: (1+d)-stretch routing on doubling graphs (delta = {delta})"),
-        header: [
-            "graph",
-            "n",
-            "logDelta",
-            "scheme",
-            "table bits",
-            "header bits",
-            "max stretch",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    for name in instances {
-        let inst = graph_instance(name);
-        let n = inst.graph.len();
-        let log_delta = inst.space.index().aspect_ratio().log2();
-        let log_n = (n as f64).log2();
-        let dout = inst.graph.max_out_degree() as f64;
-
-        let baseline = FullTableBaseline::build(&inst.graph, &inst.apsp);
-        let b_stats = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            baseline.route(&inst.graph, u, v)
-        })
-        .expect("baseline");
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "full table (stretch 1)".into(),
-            baseline.table_bits().total_bits().to_string(),
-            baseline.header_bits().to_string(),
-            f(b_stats.max_stretch),
-        ]);
-
-        let basic = BasicScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let s = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            basic.route(&inst.graph, u, v)
-        })
-        .expect("thm 2.1");
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "Thm 2.1 (measured)".into(),
-            basic.max_table_bits().to_string(),
-            basic.header_bits().to_string(),
-            f(s.max_stretch),
-        ]);
-
-        let simple = SimpleScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let s = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            simple.route(&inst.graph, u, v)
-        })
-        .expect("thm 4.1");
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "Thm 4.1 (measured)".into(),
-            simple.max_table_bits().to_string(),
-            simple.header_bits().to_string(),
-            f(s.max_stretch),
-        ]);
-
-        // Competitor formulas with unit constants (the paper's Table 1
-        // cites asymptotics; '~' marks formula evaluation, not
-        // measurement).
-        let inv = 1.0 / delta;
-        let talwar_table = inv * (log_delta + 2.0).powi(2);
-        let talwar_header = (log_delta + 2.0) * inv.log2().max(1.0);
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "~Talwar'04 formula".into(),
-            format!("~{talwar_table:.0}"),
-            format!("~{talwar_header:.0}"),
-            String::from("1+d"),
-        ]);
-        let chan_table = inv * (log_delta + 2.0) * dout.log2().max(1.0);
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "~Chan+'05 formula".into(),
-            format!("~{chan_table:.0}"),
-            format!("~{talwar_header:.0}"),
-            String::from("1+d"),
-        ]);
-        let abraham_table = inv * (log_delta + 2.0) * log_n;
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "~Abraham+'06 formula".into(),
-            format!("~{abraham_table:.0}"),
-            format!("~{:.0}", log_n.ceil()),
-            String::from("1+d"),
-        ]);
-    }
-    t
-}
-
-/// Table 2: (1+delta)-stretch routing schemes on **metrics** (§4.1) —
-/// overlay out-degree, table bits, header bits.
-#[must_use]
-pub fn table2(delta: f64) -> Table {
-    let mut t = Table {
-        title: format!("Table 2: (1+d)-stretch routing on doubling metrics (delta = {delta})"),
-        header: [
-            "metric",
-            "n",
-            "logDelta",
-            "scheme",
-            "out-degree",
-            "table bits",
-            "header bits",
-            "max stretch",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    for name in ["cube-128", "exp-line-32"] {
-        let space = metric_instance(name);
-        let n = space.len();
-        let log_delta = space.index().aspect_ratio().log2();
-        let basic = BasicScheme::build_overlay(&space, delta);
-        let mut worst = 1.0f64;
-        for u in space.nodes() {
-            for v in space.nodes() {
-                if u == v {
-                    continue;
-                }
-                let trace = basic.route_overlay(u, v).expect("delivery");
-                worst = worst.max(trace.stretch(space.dist(u, v)));
-            }
-        }
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "Thm 2.1 overlay".into(),
-            basic.overlay_out_degree().to_string(),
-            basic.max_table_bits().to_string(),
-            basic.header_bits().to_string(),
-            f(worst),
-        ]);
-
-        let simple = SimpleScheme::build_overlay(&space, delta);
-        let mut worst = 1.0f64;
-        for u in space.nodes() {
-            for v in space.nodes() {
-                if u == v {
-                    continue;
-                }
-                let trace = simple.route_overlay(&space, u, v).expect("delivery");
-                worst = worst.max(trace.stretch(space.dist(u, v)));
-            }
-        }
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            f(log_delta),
-            "Thm 4.1 overlay".into(),
-            simple.overlay_out_degree().to_string(),
-            simple.max_table_bits().to_string(),
-            simple.header_bits().to_string(),
-            f(worst),
-        ]);
-    }
-    t
-}
-
-/// Table 3: the M1/M2 space split of the two-mode scheme (Theorem B.1).
-#[must_use]
-pub fn table3(delta: f64) -> Table {
-    let mut t = Table {
-        title: format!("Table 3: two-mode scheme space requirements (delta = {delta})"),
-        header: [
-            "graph",
-            "n",
-            "logDelta",
-            "component",
-            "bits (max over nodes)",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    for name in ["grid-8x8", "exp-path-24"] {
-        let inst = graph_instance(name);
-        let scheme = TwoModeScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let log_delta = inst.space.index().aspect_ratio().log2();
-        // Aggregate per-component maxima over nodes.
-        let mut maxima: Vec<(String, u64)> = Vec::new();
-        for i in 0..inst.graph.len() {
-            let report = scheme.table_bits(Node::new(i));
-            for (part, bits) in report.parts() {
-                match maxima.iter_mut().find(|(p, _)| p == part) {
-                    Some(entry) => entry.1 = entry.1.max(*bits),
-                    None => maxima.push((part.clone(), *bits)),
-                }
-            }
-        }
-        for (part, bits) in &maxima {
-            t.rows.push(vec![
-                name.to_string(),
-                inst.graph.len().to_string(),
-                f(log_delta),
-                part.clone(),
-                bits.to_string(),
-            ]);
-        }
-        t.rows.push(vec![
-            name.to_string(),
-            inst.graph.len().to_string(),
-            f(log_delta),
-            "header total".into(),
-            scheme.header_bits().to_string(),
-        ]);
-    }
-    t
-}
-
-/// Figure E-3.2: triangulation order and quality vs n, with the
-/// shared-beacon baseline's failing fraction.
-#[must_use]
-pub fn fig_triangulation(delta: f64) -> Table {
-    let mut t = Table {
-        title: format!("E-3.2: (0,delta)-triangulation (delta = {delta})"),
-        header: [
-            "metric",
-            "n",
-            "order",
-            "worst D+/D-",
-            "bound",
-            "baseline eps (8 beacons)",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    let bound = (1.0 + 2.0 * delta) / (1.0 - 2.0 * delta);
-    for name in [
-        "cube-64",
-        "cube-128",
-        "cube-256",
-        "clusters-120",
-        "exp-line-32",
-    ] {
-        let space = metric_instance(name);
-        let tri = Triangulation::build(&space, delta);
-        let baseline = SharedBeaconTriangulation::build(&space, 8.min(space.len()), 7);
-        t.rows.push(vec![
-            name.to_string(),
-            space.len().to_string(),
-            tri.order().to_string(),
-            f(tri.max_ratio()),
-            f(bound),
-            format!("{:.3}", baseline.failing_fraction(3.0 * delta)),
-        ]);
-    }
-    t
-}
-
-/// Figure E-3.4: label sizes, compact (Thm 3.4) vs global-id DLS, vs n and
-/// vs Delta.
-#[must_use]
-pub fn fig_labels(delta: f64) -> Table {
-    let mut t = Table {
-        title: format!("E-3.4: distance-label bits (delta = {delta})"),
-        header: [
-            "metric",
-            "n",
-            "loglogDelta",
-            "global-id bits",
-            "compact bits",
-            "worst est/d",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    for name in ["cube-64", "cube-128", "exp-line-24", "exp-line-48"] {
-        let space = metric_instance(name);
-        let tri = Triangulation::build(&space, delta);
-        let dls = GlobalIdDls::from_triangulation(&space, &tri);
-        let compact = CompactScheme::build(&space, delta);
-        let mut worst = 1.0f64;
-        for u in space.nodes() {
-            for v in space.nodes() {
-                if u >= v {
-                    continue;
-                }
-                worst = worst.max(compact.estimate(u, v) / space.dist(u, v));
-            }
-        }
-        let llog = (space.index().aspect_ratio().log2() + 2.0).log2();
-        t.rows.push(vec![
-            name.to_string(),
-            space.len().to_string(),
-            f(llog),
-            dls.max_label_bits().to_string(),
-            compact.max_label_bits().to_string(),
-            f(worst),
-        ]);
-    }
-    t
-}
-
-/// Figure E-5.2/E-5.5: small-world hop counts and degrees across models.
-#[must_use]
-pub fn fig_smallworld() -> Table {
-    let mut t = Table {
-        title: "E-5.2/E-5.5: small-world models (hops over all pairs)".into(),
-        header: [
-            "model",
-            "instance",
-            "n",
-            "log2 n",
-            "degree max",
-            "hops mean",
-            "hops max",
-            "done %",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut push = |model: &str, instance: &str, n: usize, deg: usize, q: &QueryStats| {
-        rows.push(vec![
-            model.into(),
-            instance.into(),
-            n.to_string(),
-            f((n as f64).log2()),
-            deg.to_string(),
-            f(q.mean_hops),
-            q.max_hops.to_string(),
-            format!("{:.0}", q.completion_rate() * 100.0),
-        ]);
-    };
-    for name in ["cube-128", "exp-line-64"] {
-        let space = metric_instance(name);
-        let n = space.len();
-        let a = GreedyModel::sample(&space, 2.0, 21);
-        let qa = QueryStats::over_all_pairs(n, |u, v| a.query(&space, u, v));
-        push("Thm 5.2(a)", name, n, a.contacts().max_out_degree(), &qa);
-        let b = PrunedModel::sample(&space, 2.0, 22);
-        let qb = QueryStats::over_all_pairs(n, |u, v| b.query(&space, u, v));
-        push("Thm 5.2(b)", name, n, b.contacts().max_out_degree(), &qb);
-    }
-    let grid = KleinbergGrid::sample(11, 1, 23).expect("valid grid");
-    let qg = QueryStats::over_all_pairs(121, |u, v| grid.query(u, v));
-    push(
-        "Kleinberg grid",
-        "grid-11x11",
-        121,
-        grid.contacts().max_out_degree(),
-        &qg,
-    );
-    for name in ["grid-8x8", "exp-path-24"] {
-        let inst = graph_instance(name);
-        let model = SingleLinkModel::sample(&inst.space, &inst.graph, 24);
-        let q = QueryStats::over_all_pairs(inst.graph.len(), |u, v| {
-            model.query(&inst.space, &inst.graph, u, v)
-        });
-        push(
-            "Thm 5.5 single link",
-            name,
-            inst.graph.len(),
-            inst.graph.max_out_degree() + 1,
-            &q,
-        );
-    }
-    t.rows = rows;
-    t
-}
-
-/// Figure E-5.4: STRUCTURES vs Theorem 5.2 models on a UL-constrained
-/// metric (perturbed grid).
-#[must_use]
-pub fn fig_structures() -> Table {
-    let mut t = Table {
-        title: "E-5.4: STRUCTURES on a UL-constrained metric".into(),
-        header: [
-            "model",
-            "n",
-            "degree max",
-            "log2(n)^2",
-            "hops mean",
-            "hops max",
-            "done %",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    let space = metric_instance("pgrid-10");
-    let n = space.len();
-    let log2n = (n as f64).log2();
-    let st = Structures::sample(&space, 1.0, 31);
-    let qs = QueryStats::over_all_pairs(n, |u, v| st.query(&space, u, v));
-    t.rows.push(vec![
-        "STRUCTURES [32]".into(),
-        n.to_string(),
-        st.contacts().max_out_degree().to_string(),
-        f(log2n * log2n),
-        f(qs.mean_hops),
-        qs.max_hops.to_string(),
-        format!("{:.0}", qs.completion_rate() * 100.0),
-    ]);
-    let a = GreedyModel::sample(&space, 1.0, 32);
-    let qa = QueryStats::over_all_pairs(n, |u, v| a.query(&space, u, v));
-    t.rows.push(vec![
-        "Thm 5.2(a)".into(),
-        n.to_string(),
-        a.contacts().max_out_degree().to_string(),
-        f(log2n * log2n),
-        f(qa.mean_hops),
-        qa.max_hops.to_string(),
-        format!("{:.0}", qa.completion_rate() * 100.0),
-    ]);
-    t
-}
-
-/// E-OL: the object-location engine — static serving through the
-/// concurrent query engine, then targeted churn with per-step
-/// degradation and post-repair recovery.
-///
-/// Engine phases report throughput and latency percentiles; churn phases
-/// report the sampled success rate and the repair bill. Instances are
-/// built concretely (not via [`metric_instance`]) because the worker
-/// pool needs `Sync` metrics.
-#[must_use]
-pub fn table_location() -> Table {
-    let mut t = Table {
-        title: "E-OL: object location via rings (publish/lookup, targeted churn)".into(),
-        header: [
-            "metric",
-            "n",
-            "objs",
-            "phase",
-            "success %",
-            "mean stretch",
-            "max stretch",
-            "k-lookups/s",
-            "p50 us",
-            "p99 us",
-            "repair writes",
-            "cache h/m/st",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    location_rows(&mut t, "cube-256", Space::new(gen::uniform_cube(256, 2, 1)));
-    location_rows(
-        &mut t,
-        "exp-line-32",
-        Space::new(LineMetric::exponential(32).expect("valid")),
-    );
-    t
-}
-
-fn location_rows<M: Metric + Sync>(t: &mut Table, name: &str, space: Space<M>) {
-    let n = space.len();
-    let objects = (n / 4).max(8);
-    let mut overlay = DirectoryOverlay::build(&space);
-    for i in 0..objects {
-        overlay.publish(&space, ObjectId(i as u64), Node::new((i * 31 + 1) % n));
-    }
-    // Static serving through the engine: deterministic batch mixing all
-    // origins and a skewed object distribution (squaring favours low ids,
-    // so the LRU cache sees repeats).
-    let queries: Vec<(Node, ObjectId)> = (0..4000usize)
-        .map(|i| {
-            let origin = Node::new((i * 53 + 7) % n);
-            let frac = ((i * 97 + 13) % 1000) as f64 / 1000.0;
-            let obj = ObjectId(((frac * frac * objects as f64) as usize % objects) as u64);
-            (origin, obj)
-        })
-        .collect();
-    let directory = EpochCell::new(Snapshot::capture(&space, &overlay));
-    let engine = QueryEngine::new(&space, &directory);
-    // Same batch under one lock vs the default shard count: the
-    // throughput column is the cache-sharding delta of the satellite.
-    for (phase, config) in [
-        (
-            "static (engine, 1 lock)",
-            EngineConfig {
-                cache_shards: 1,
-                ..EngineConfig::default()
-            },
-        ),
-        ("static (engine, 8 shards)", EngineConfig::default()),
-    ] {
-        let report = engine.serve(&queries, &config);
-        t.rows.push(vec![
-            name.to_string(),
-            n.to_string(),
-            objects.to_string(),
-            phase.into(),
-            format!("{:.1}", report.success_rate() * 100.0),
-            f(report.paths.mean_stretch()),
-            f(report.paths.max_stretch),
-            f(report.throughput() / 1000.0),
-            f(report.latency.p50_us),
-            f(report.latency.p99_us),
-            "-".into(),
-            report.render_cache_shards(),
-        ]);
-    }
-    // Targeted (hub-first) churn, DRFE-R style: degrade, repair, recover.
-    let churn = ron_location::drive_churn(
-        &space,
-        &mut overlay,
-        ChurnSchedule::Targeted { fraction: 0.2 },
-        &ChurnConfig {
-            steps: 2,
-            queries_per_step: 400,
-            seed: 1105,
-        },
-    );
-    for (i, step) in churn.steps.iter().enumerate() {
-        t.rows.push(vec![
-            name.to_string(),
-            step.alive_after.to_string(),
-            objects.to_string(),
-            format!("churn step {} (-{})", i + 1, step.removed),
-            format!("{:.1}", step.before_repair.success_rate() * 100.0),
-            f(step.before_repair.paths.mean_stretch()),
-            f(step.before_repair.paths.max_stretch),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-        t.rows.push(vec![
-            name.to_string(),
-            step.alive_after.to_string(),
-            objects.to_string(),
-            format!("  + repair {}", i + 1),
-            format!("{:.1}", step.after_repair.success_rate() * 100.0),
-            f(step.after_repair.paths.mean_stretch()),
-            f(step.after_repair.paths.max_stretch),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            (step.repair.pointer_writes + step.repair.pointer_deletes).to_string(),
-            "-".into(),
-        ]);
-    }
-}
-
-/// Figure F1: stretch of every routing scheme as delta varies (the
-/// theorem-level claim behind Figure 1's idea flow).
-#[must_use]
-pub fn fig_scaling() -> Table {
-    let mut t = Table {
-        title: "F1: measured stretch vs delta (grid-8x8)".into(),
-        header: ["delta", "Thm 2.1", "Thm 4.1", "Thm B.1", "bound 1+8d"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
-        rows: Vec::new(),
-        backend: "dense".into(),
-    };
-    let inst = graph_instance("grid-8x8");
-    for delta in [0.5, 0.25, 0.125] {
-        let basic = BasicScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let simple = SimpleScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let twomode = TwoModeScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let sb = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            basic.route(&inst.graph, u, v)
-        })
-        .expect("basic");
-        let ss = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            simple.route(&inst.graph, u, v)
-        })
-        .expect("simple");
-        let mut modes = Default::default();
-        let st = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
-            twomode.route(&inst.graph, u, v, &mut modes)
-        })
-        .expect("twomode");
-        t.rows.push(vec![
-            f(delta),
-            f(sb.max_stretch),
-            f(ss.max_stretch),
-            f(st.max_stretch),
-            f(1.0 + 8.0 * delta),
-        ]);
-    }
-    t
-}
-
-/// Largest `n` the dense backend is allowed in the scaling experiment:
-/// past this the `O(n^2)` sorted index is pointless to time (and at the
-/// target `n = 65_536` it would need ~69 GB), so the dense row *refuses*
-/// and says so instead of thrashing.
-pub const DENSE_NODE_CAP: usize = 8192;
-
-/// Largest `n` at which [`fig_build_scaling`] times the one-node-at-a-time
-/// incremental tree growth as its own row: each insert is cheap, but a
-/// from-scratch incremental build is strictly worse than the batch pass
-/// (that is not its job — it exists so churn does not pay for a rebuild),
-/// so past this size the row would only stretch the wall clock.
-pub const INCREMENTAL_TIMING_CAP: usize = 16_384;
-
-/// Heap budget for the built structures — sparse index plus directory
-/// overlay with its nets, rings and pointer tables — in bytes per node.
-/// The compact-id arenas hold the whole ladder within this on the 2-d
-/// uniform cube at every benchmarked size up to `2^20`; the scaling
-/// figures assert it so a layout regression fails loudly instead of
-/// silently doubling the footprint.
-pub const BYTES_PER_NODE_BUDGET: usize = 4096;
-
-/// The instance size for [`fig_build_scaling`]: `RON_SCALING_N` when set,
-/// else the acceptance target of 65 536 nodes.
-#[must_use]
-pub fn scaling_n() -> usize {
-    scaling_n_or(65_536)
-}
-
-/// [`scaling_n`] with a caller-chosen fallback (the `report` binary uses
-/// a CI-friendly default).
-#[must_use]
-pub fn scaling_n_or(default: usize) -> usize {
-    std::env::var("RON_SCALING_N")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(default)
-}
-
-/// The extra instance sizes for [`fig_build_scaling_curve`]:
-/// `RON_SCALING_CURVE` as a comma-separated list of node counts
-/// (`"131072,262144,524288,1048576"`), empty when unset — the curve is
-/// opt-in because its larger sizes take minutes, not seconds.
-#[must_use]
-pub fn scaling_curve() -> Vec<usize> {
-    std::env::var("RON_SCALING_CURVE")
-        .ok()
-        .map(|raw| {
-            raw.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 2)
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// One timed construction pass over a 2-d uniform cube of `n` points:
-/// ball index, net ladder, publish rings, directory assembly, and a
-/// batched publish of `n / 16` objects.
-struct BuildTimings {
-    index_ms: f64,
-    nets_ms: f64,
-    rings_ms: f64,
-    directory_ms: f64,
-    publish_ms: f64,
-    struct_bytes: usize,
-    fingerprint: u64,
-}
-
-impl BuildTimings {
-    fn total_ms(&self) -> f64 {
-        self.index_ms + self.nets_ms + self.rings_ms + self.directory_ms + self.publish_ms
-    }
-}
-
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn fnv(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Order-sensitive digest of the built structures: ring contents, pointer
-/// tables and homes. Two builds with the same digest placed every pointer
-/// identically — the bit-identity check between thread counts.
-fn fingerprint_overlay(rings: &RingFamily, overlay: &DirectoryOverlay) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..rings.len() {
-        let u = Node::new(i);
-        for ring in rings.rings_of(u) {
-            fnv(&mut hash, ring.level as u64);
-            fnv(&mut hash, ring.radius.to_bits());
-            for &m in ring.members() {
-                fnv(&mut hash, m.index() as u64);
-            }
-        }
-        fnv(&mut hash, overlay.entries_at(u) as u64);
-    }
-    fnv(&mut hash, overlay.total_entries() as u64);
-    for &obj in overlay.objects() {
-        fnv(&mut hash, obj.0);
-        fnv(
-            &mut hash,
-            overlay.home_of(obj).map_or(u64::MAX, |h| h.index() as u64),
-        );
-    }
-    hash
-}
-
-fn timed_build<M, I>(space: &Space<M, I>, index_ms: f64) -> BuildTimings
-where
-    M: Metric,
-    I: BallOracle + HeapBytes,
-{
-    let n = space.len();
-    let start = Instant::now();
-    let nets = NestedNets::build(space);
-    let nets_ms = ms(start);
-
-    let start = Instant::now();
-    let rings = RingFamily::from_nets(space, &nets, |_, r| {
-        Some(ron_location::DEFAULT_RING_FACTOR * r)
-    });
-    let rings_ms = ms(start);
-
-    let start = Instant::now();
-    let mut overlay = DirectoryOverlay::from_structures(
-        n,
-        nets,
-        rings.clone(),
-        ron_location::DEFAULT_RING_FACTOR,
-    );
-    let directory_ms = ms(start);
-
-    // Cap the batch: each publish walks one zoom chain whose coarse
-    // levels cost ~|B| probes, so the object count — not n — sets this
-    // stage's wall time.
-    let objects: Vec<(ObjectId, Node)> = (0..(n / 16).clamp(4, 256))
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-    let start = Instant::now();
-    overlay.publish_batch(space, &objects);
-    let publish_ms = ms(start);
-
-    BuildTimings {
-        index_ms,
-        nets_ms,
-        rings_ms,
-        directory_ms,
-        publish_ms,
-        // The overlay owns its net ladder, ring arena and pointer
-        // tables, so index + overlay is the whole resident structure.
-        struct_bytes: space.index().heap_bytes() + overlay.heap_bytes(),
-        fingerprint: fingerprint_overlay(&rings, &overlay),
-    }
-}
-
-/// E-BS: construction scaling under the pluggable ball-query backends.
-///
-/// Builds nets + rings + directory (+ a batched publish) over a 2-d
-/// uniform cube of `n` points, on the sparse [`NetTreeIndex`] backend at
-/// one thread and at every available thread, and on the dense
-/// [`MetricIndex`] backend while `n <= DENSE_NODE_CAP` (above the cap the
-/// dense row refuses — that is the point of the sparse backend). The two
-/// sparse passes must produce bit-identical structures; the row prints
-/// both fingerprints and the function asserts they agree.
-///
-/// [`NetTreeIndex`]: ron_metric::NetTreeIndex
-/// [`MetricIndex`]: ron_metric::MetricIndex
-#[must_use]
-pub fn fig_build_scaling(n: usize) -> Table {
-    let mut t = Table {
-        title: format!("E-BS: construction scaling, nets+rings+directory (n = {n})"),
-        header: [
-            "backend",
-            "n",
-            "threads",
-            "index ms",
-            "nets ms",
-            "rings ms",
-            "directory ms",
-            "publish ms",
-            "total ms",
-            "bytes/node",
-            "fingerprint",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "per-row".into(),
-    };
-    let push = |t: &mut Table, backend: &str, threads: usize, b: &BuildTimings| {
-        t.rows.push(vec![
-            backend.to_string(),
-            n.to_string(),
-            threads.to_string(),
-            f(b.index_ms),
-            f(b.nets_ms),
-            f(b.rings_ms),
-            f(b.directory_ms),
-            f(b.publish_ms),
-            f(b.total_ms()),
-            (b.struct_bytes / n).to_string(),
-            format!("{:016x}", b.fingerprint),
-        ]);
-    };
-
-    let threads = par::num_threads();
-    let serial = par::with_threads(1, || {
-        let start = Instant::now();
-        let space = Space::new_sparse(gen::uniform_cube(n, 2, 42));
-        let index_ms = ms(start);
-        let timings = timed_build(&space, index_ms);
-        push(&mut t, "sparse net-tree", 1, &timings);
-        timings
-    });
-    if threads > 1 {
-        let parallel = par::with_threads(threads, || {
-            let start = Instant::now();
-            let space = Space::new_sparse(gen::uniform_cube(n, 2, 42));
-            let index_ms = ms(start);
-            timed_build(&space, index_ms)
-        });
-        assert_eq!(
-            parallel.fingerprint, serial.fingerprint,
-            "parallel construction must be bit-identical to single-threaded"
-        );
-        push(&mut t, "sparse net-tree", threads, &parallel);
-        t.rows.push(vec![
-            "speedup (1 -> all)".into(),
-            n.to_string(),
-            threads.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("{:.2}x", serial.total_ms() / parallel.total_ms().max(1e-9)),
-            "-".into(),
-            "bit-identical".into(),
-        ]);
-    }
-
-    if n <= INCREMENTAL_TIMING_CAP {
-        // Grow the net tree one insert at a time instead of batch-building
-        // it; the index column is the sum of all n inserts. The grown tree
-        // must answer every oracle query identically, so the pass ends in
-        // the same rings, pointers and homes — the fingerprint proves it.
-        let incremental = par::with_threads(1, || {
-            let metric = gen::uniform_cube(n, 2, 42);
-            let start = Instant::now();
-            let mut tree = NetTreeIndex::incremental(metric.clone());
-            for i in 0..n {
-                tree.insert(Node::new(i));
-            }
-            let index_ms = ms(start);
-            let space = Space::from_parts(metric, tree);
-            timed_build(&space, index_ms)
-        });
-        assert_eq!(
-            incremental.fingerprint, serial.fingerprint,
-            "incrementally grown tree must place every pointer identically"
-        );
-        push(&mut t, "sparse incremental", 1, &incremental);
-    }
-
-    if n <= DENSE_NODE_CAP {
-        let start = Instant::now();
-        let space = Space::new(gen::uniform_cube(n, 2, 42));
-        let index_ms = ms(start);
-        let dense = timed_build(&space, index_ms);
-        push(&mut t, "dense index", threads, &dense);
-    } else {
-        t.rows.push(vec![
-            "dense index".into(),
-            n.to_string(),
-            "-".into(),
-            format!("refused: n > {DENSE_NODE_CAP} needs O(n^2) memory"),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    t
-}
-
-/// E-BSC: the sparse-backend scaling curve — one row per instance size,
-/// up to the million-node target `2^20`.
-///
-/// Each size runs the full construction pipeline single-threaded, then
-/// again under a forced two-worker split (so the check runs even on a
-/// one-core box), asserts the two fingerprints are bit-identical, and
-/// asserts the resident structures fit [`BYTES_PER_NODE_BUDGET`]. The
-/// row reports the serial per-stage times and the measured bytes per
-/// node. Opt in through `RON_SCALING_CURVE` (see [`scaling_curve`]).
-#[must_use]
-pub fn fig_build_scaling_curve(ns: &[usize]) -> Table {
-    let mut t = Table {
-        title: "E-BSC: sparse construction curve, build time and bytes per node".into(),
-        header: [
-            "n",
-            "index ms",
-            "nets ms",
-            "rings ms",
-            "directory ms",
-            "publish ms",
-            "total ms",
-            "bytes/node",
-            "fingerprint",
-            "2-worker check",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-        backend: "sparse net-tree".into(),
-    };
-    for &n in ns {
-        let serial = par::with_threads(1, || {
-            let start = Instant::now();
-            let space = Space::new_sparse(gen::uniform_cube(n, 2, 42));
-            let index_ms = ms(start);
-            timed_build(&space, index_ms)
-        });
-        let dual = par::with_threads(2, || {
-            let start = Instant::now();
-            let space = Space::new_sparse(gen::uniform_cube(n, 2, 42));
-            let index_ms = ms(start);
-            timed_build(&space, index_ms)
-        });
-        assert_eq!(
-            dual.fingerprint, serial.fingerprint,
-            "n = {n}: two-worker construction must be bit-identical to single-threaded"
-        );
-        let bytes_per_node = serial.struct_bytes / n;
-        assert!(
-            bytes_per_node <= BYTES_PER_NODE_BUDGET,
-            "n = {n}: {bytes_per_node} bytes/node exceeds the {BYTES_PER_NODE_BUDGET}-byte budget"
-        );
-        t.rows.push(vec![
-            n.to_string(),
-            f(serial.index_ms),
-            f(serial.nets_ms),
-            f(serial.rings_ms),
-            f(serial.directory_ms),
-            f(serial.publish_ms),
-            f(serial.total_ms()),
-            bytes_per_node.to_string(),
-            format!("{:016x}", serial.fingerprint),
-            "bit-identical".into(),
-        ]);
-    }
-    t
-}
-
-/// The instance size for [`fig_sim`]: `RON_SIM_N` when set, else the
-/// caller's default (the `report` binary uses a CI-friendly 1024, the
-/// `fig_sim` bench 4096).
-#[must_use]
-pub fn sim_n_or(default: usize) -> usize {
-    std::env::var("RON_SIM_N")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 16)
-        .unwrap_or(default)
-}
-
-/// E-SIM: the protocols as message-passing systems (`ron-sim`) over a
-/// clustered Internet-latency metric — message counts, per-query message
-/// chains, simulated latency percentiles and the **per-node
-/// message-load histogram** (the §5 STRUCTURES uniform-load claim,
-/// measured at message level).
-///
-/// Three phases: directory lookups on a failure-free network, greedy
-/// small-world routes (Theorem 5.2 hops as message chains), and the same
-/// directory workload with a mid-run crash burst plus per-query
-/// timeouts, showing the degradation the repair machinery exists for.
-/// Everything is seeded; `n` is clamped to [`DENSE_NODE_CAP`].
-#[must_use]
-pub fn fig_sim(n: usize) -> Table {
-    use ron_sim::directory::{DirectoryMsg, DirectoryNode};
-    use ron_sim::greedy::{GreedyNode, GreedyPacket};
-    use ron_sim::{MetricLatency, SimConfig, SimReport, Simulator};
-
-    let n = n.clamp(16, DENSE_NODE_CAP);
-    let mut t = Table {
-        title: format!("E-SIM: message-passing simulation (clustered metric, n = {n})"),
-        backend: "dense".into(),
-        header: [
-            "driver",
-            "queries",
-            "success %",
-            "msgs sent",
-            "msgs dropped+lost",
-            "hops mean",
-            "hops max",
-            "lat p50",
-            "lat p99",
-            "load p99",
-            "load max",
-            "load histogram (per-node msgs received)",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-    };
-    let push = |t: &mut Table, driver: &str, queries: usize, r: &SimReport| {
-        let load = r.load_percentiles();
-        t.rows.push(vec![
-            driver.to_string(),
-            queries.to_string(),
-            rate_cell(r.success_rate()),
-            r.messages.sent.to_string(),
-            (r.messages.dropped + r.messages.lost_to_crash).to_string(),
-            f(r.hops.mean),
-            f(r.hops.max),
-            f(r.latency.p50),
-            f(r.latency.p99),
-            f(load.p99),
-            f(load.max),
-            r.load_histogram_rendered(),
-        ]);
-    };
-
-    let space = Space::new(gen::clustered(n, 2, (n / 64).max(4), 0.01, 42));
-    let objects = (n / 8).clamp(8, 512);
-    let mut overlay = DirectoryOverlay::build(&space);
-    let items: Vec<(ObjectId, Node)> = (0..objects)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-    overlay.publish_batch(&space, &items);
-    let lookups = (4 * n).min(8192);
-    let latency = MetricLatency {
-        scale: 1.0,
-        floor: 0.01,
-    };
-    let inject_lookups = |sim: &mut Simulator<'_, DirectoryNode>| {
-        for q in 0..lookups {
-            let origin = Node::new((q * 53 + 7) % n);
-            let obj = ObjectId((q * 97 + 13) as u64 % objects as u64);
-            sim.inject(q as f64 * 0.05, origin, DirectoryMsg::Lookup { obj });
-        }
-    };
-
-    // Phase 1: failure-free directory lookups.
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet(&space, &overlay),
-        |u, v| space.dist(u, v),
-        latency,
-        SimConfig::default(),
-    );
-    inject_lookups(&mut sim);
-    let clean = sim.run();
-    assert_eq!(
-        clean.completed, lookups,
-        "failure-free lookups must all complete"
-    );
-    push(&mut t, "directory lookup", lookups, &clean);
-
-    // Phase 2: greedy small-world routes.
-    let model = GreedyModel::sample(&space, 2.0, 21);
-    let budget = model.hop_budget() as u32;
-    let mut sim = Simulator::new(
-        GreedyNode::fleet(model.contacts()),
-        |u, v| space.dist(u, v),
-        latency,
-        SimConfig::default(),
-    );
-    let routes = n.min(2048);
-    for q in 0..routes {
-        let src = Node::new((q * 131 + 7) % n);
-        let tgt = Node::new((q * 197 + 89) % n);
-        sim.inject(
-            q as f64 * 0.05,
-            src,
-            GreedyPacket {
-                target: tgt,
-                hops_left: budget,
-            },
-        );
-    }
-    push(&mut t, "greedy route (Thm 5.2)", routes, &sim.run());
-
-    // Phase 3: the directory workload again, with 2% of the nodes
-    // crashing mid-run and a per-query deadline.
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet(&space, &overlay),
-        |u, v| space.dist(u, v),
-        latency,
-        SimConfig {
-            seed: 7,
-            drop_prob: 0.0,
-            timeout: Some(64.0),
-        },
-    );
-    let burst = (n / 50).max(1);
-    let mid = lookups as f64 * 0.05 / 2.0;
-    for k in 0..burst {
-        sim.crash_at(mid + k as f64 * 0.01, Node::new((k * 101 + 3) % n));
-    }
-    inject_lookups(&mut sim);
-    let churned = sim.run();
-    push(
-        &mut t,
-        &format!("directory lookup (crash burst -{burst})"),
-        lookups,
-        &churned,
-    );
-    t
-}
-
-/// E-CHURN: the full churn→repair→recovery lifecycle as a distributed
-/// protocol (`ron-sim`): lookups flow continuously while a leave wave
-/// (including the top-level hub) damages the directory, a coordinator
-/// runs the repair epoch as message rounds (promotion announcements,
-/// pointer-reconciliation grams, re-homing adoptions), half the leavers
-/// rejoin fresh and a second epoch backfills them. One row per phase
-/// (success rate and per-node message load) plus one row per repair
-/// epoch (the repair bill) and the run's trace fingerprint.
-///
-/// The steady phase must serve 100% and the post-repair phases must
-/// *recover* to 100% — asserted, not just printed (zero-latency
-/// failure-free repair is property-tested byte-equal to the in-process
-/// `DirectoryOverlay::repair` in `ron-sim`'s test suite). Everything is
-/// seeded; `n` is clamped to `[64, DENSE_NODE_CAP]`.
-#[must_use]
-pub fn fig_churn(n: usize) -> Table {
-    use ron_sim::directory::{DirectoryMsg, DirectoryNode};
-    use ron_sim::{ChurnSchedule, MetricLatency, SimConfig, Simulator};
-
-    let n = n.clamp(64, DENSE_NODE_CAP);
-    let mut t = Table {
-        title: format!("E-CHURN: distributed churn & repair (clustered metric, n = {n})"),
-        backend: "dense".into(),
-        header: [
-            "phase",
-            "queries",
-            "success %",
-            "msgs sent",
-            "load p99",
-            "load max",
-            "detail",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-    };
-
-    let space = Space::new(gen::clustered(n, 2, (n / 64).max(4), 0.01, 42));
-    let objects = (n / 8).clamp(8, 512);
-    let mut overlay = DirectoryOverlay::build(&space);
-    let items: Vec<(ObjectId, Node)> = (0..objects)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-    overlay.publish_batch(&space, &items);
-
-    // Victims: the top-level hub (worst case for the climb) plus a
-    // deterministic spread; the coordinator never churns.
-    let top = overlay.levels() - 1;
-    let hub = space
-        .nodes()
-        .find(|&v| overlay.is_net_member(top, v))
-        .expect("a hub exists");
-    let mut victims = vec![hub];
-    for k in 0..(n / 16).max(2) {
-        let v = Node::new((k * 11 + 3) % n);
-        if !victims.contains(&v) {
-            victims.push(v);
-        }
-    }
-    let coordinator = space
-        .nodes()
-        .find(|v| !victims.contains(v))
-        .expect("somebody stays");
-    let rejoiners: Vec<Node> = victims.iter().step_by(2).copied().collect();
-
-    let lookups = (4 * n).min(8192);
-    let span = (lookups as f64 * 0.05).max(400.0);
-    let dt = span / lookups as f64;
-    let t_wave = 0.30 * span;
-    let t_repair = 0.50 * span;
-    let t_join = 0.65 * span;
-    let t_repair2 = 0.70 * span;
-
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet_with_coordinator(&space, &overlay, coordinator),
-        |u, v| space.dist(u, v),
-        MetricLatency {
-            scale: 1.0,
-            floor: 0.01,
-        },
-        SimConfig {
-            seed: 1105,
-            drop_prob: 0.0,
-            timeout: Some(64.0),
-        },
-    );
-    let mut schedule = ChurnSchedule::new();
-    for &v in &victims {
-        schedule.leave_at(t_wave, v);
-    }
-    schedule.repair_at(t_repair);
-    for &v in &rejoiners {
-        schedule.join_at(t_join, v);
-    }
-    schedule.repair_at(t_repair2);
-    schedule.apply(&mut sim, coordinator);
-    // Phase boundaries leave slack for in-flight lookups (a climb plus
-    // a descent under this latency model stays well under 30 time
-    // units) and for the repair rounds to ack.
-    sim.mark_phase(0.0, "steady");
-    sim.mark_phase(t_wave - 30.0, "churned");
-    sim.mark_phase(t_repair + 20.0, "repaired");
-    sim.mark_phase(t_join - 30.0, "join wave");
-    sim.mark_phase(t_repair2 + 20.0, "rejoined");
-    for q in 0..lookups {
-        // Origins avoid the victims so the measured dip is directory
-        // damage, not OriginDown.
-        let mut origin = Node::new((q * 53 + 7) % n);
-        while victims.contains(&origin) {
-            origin = Node::new((origin.index() + 1) % n);
-        }
-        let obj = ObjectId((q * 97 + 13) as u64 % objects as u64);
-        sim.inject(q as f64 * dt, origin, DirectoryMsg::Lookup { obj });
-    }
-    let report = sim.run();
-    let history = sim.node(coordinator).repair_history().to_vec();
-
-    for phase in report.phase_breakdown() {
-        let success = phase.success_rate();
-        match phase.name.as_str() {
-            "steady" => assert_eq!(success, Some(1.0), "steady phase must serve everything"),
-            "repaired" | "rejoined" => assert_eq!(
-                success,
-                Some(1.0),
-                "{} phase must recover to 100%",
-                phase.name
-            ),
-            _ => {}
-        }
-        t.rows.push(vec![
-            phase.name.clone(),
-            phase.queries.to_string(),
-            rate_cell(success),
-            "-".into(),
-            f(phase.load.p99),
-            f(phase.load.max),
-            format!("[{:.0}, {:.0})", phase.start, phase.end),
-        ]);
-    }
-    assert_eq!(history.len(), 2, "both repair epochs must complete");
-    for (i, repair) in history.iter().enumerate() {
-        t.rows.push(vec![
-            format!("repair {}", i + 1),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!(
-                "promotions {}, writes {}, deletes {}, rehomed {} (of {} objects)",
-                repair.promotions,
-                repair.pointer_writes,
-                repair.pointer_deletes,
-                repair.rehomed,
-                repair.objects_touched
-            ),
-        ]);
-    }
-    t.rows.push(vec![
-        "whole run".into(),
-        report.queries.to_string(),
-        rate_cell(report.success_rate()),
-        report.messages.sent.to_string(),
-        f(report.load_percentiles().p99),
-        f(report.load_percentiles().max),
-        format!(
-            "wave -{} (+{} rejoined), trace {:016x}",
-            victims.len(),
-            rejoiners.len(),
-            report.trace_fingerprint
-        ),
-    ]);
-    t
-}
-
-/// Wall-clock width of each scripted serving window in [`fig_avail`]'s
-/// threaded comparison.
-const AVAIL_WINDOW_MS: u64 = 30;
-
-/// Service deadline for the availability column: a lookup that takes
-/// longer than this (because it sat blocked behind a repair) counts as
-/// unavailable even if it eventually answered.
-const AVAIL_DEADLINE_MS: f64 = 5.0;
-
-/// Reader threads hammering lookups in [`fig_avail`].
-const AVAIL_READERS: usize = 2;
-
-/// One wall-clock sample from a [`fig_avail`] reader: offset from run
-/// start (ms), whether the lookup succeeded, its service latency (ms),
-/// and a tag identifying which published state served it (the snapshot
-/// epoch under blocking, the cell epoch under epoch publication) — the
-/// tag, not the wall clock, is what the success assertions key on.
-type AvailSample = (f64, bool, f64, u64);
-
-/// Timestamps and repair accounting from one [`fig_avail`] mode run.
-struct AvailRun {
-    samples: Vec<AvailSample>,
-    /// Window boundaries (ms from start): wave applied, repair began,
-    /// repair visible, run stopped.
-    t_wave: f64,
-    t_repair: f64,
-    t_done: f64,
-    t_stop: f64,
-    /// Wall time the repair + successor capture took (for blocking mode,
-    /// the time the write lock was held).
-    repair_ms: f64,
-    repair: ron_location::RepairReport,
-}
-
-/// Summary of one window of an [`fig_avail`] mode run.
-struct AvailWindow {
-    name: &'static str,
-    lo: f64,
-    hi: f64,
-    lookups: usize,
-    successes: usize,
-    within_deadline: usize,
-    p99_ms: f64,
-}
-
-impl AvailWindow {
-    fn success_rate(&self) -> Option<f64> {
-        (self.lookups > 0).then(|| self.successes as f64 / self.lookups as f64)
-    }
-
-    fn availability(&self) -> Option<f64> {
-        (self.lookups > 0).then(|| self.within_deadline as f64 / self.lookups as f64)
-    }
-}
-
-/// The deterministic query stream the [`fig_avail`] readers draw from
-/// (same shape as [`location_rows`]: striding origins, squared-skew
-/// objects), skipping victim origins so failures measure directory
-/// damage, not dead origins.
-fn avail_query(q: usize, n: usize, objects: usize, victims: &[Node]) -> (Node, ObjectId) {
-    let mut origin = Node::new((q * 53 + 7) % n);
-    while victims.contains(&origin) {
-        origin = Node::new((origin.index() + 1) % n);
-    }
-    let frac = ((q * 97 + 13) % 1000) as f64 / 1000.0;
-    let obj = ObjectId(((frac * frac * objects as f64) as usize % objects) as u64);
-    (origin, obj)
-}
-
-/// Runs one [`fig_avail`] serving mode: reader threads hammer lookups
-/// through `serve` while the writer applies a churn wave and a repair.
-/// `blocking: true` emulates the pre-epoch stop-the-world path (every
-/// read holds a `RwLock` read guard; the wave and the whole
-/// repair-plus-capture hold the write guard); `false` serves through an
-/// [`EpochCell`], building the successor off to the side and swapping it
-/// in.
-fn avail_run<M: Metric + Sync>(
-    space: &Space<M>,
-    mut overlay: DirectoryOverlay,
-    victims: &[Node],
-    objects: usize,
-    blocking: bool,
-) -> AvailRun {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::RwLock;
-
-    let n = space.len();
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let ms_now = || start.elapsed().as_secs_f64() * 1e3;
-    let window = std::time::Duration::from_millis(AVAIL_WINDOW_MS);
-
-    // The sampling loop every reader runs, generic over the serve path.
-    let sample_loop = |serve: &(dyn Fn(Node, ObjectId) -> (bool, u64) + Sync), reader: usize| {
-        let mut out = Vec::new();
-        let mut q = reader;
-        // ordering: Acquire -- pairs with the Release store when the
-        // window closes; samples taken before the flag are complete.
-        while !stop.load(Ordering::Acquire) {
-            let (origin, obj) = avail_query(q, n, objects, victims);
-            let at = ms_now();
-            let t0 = Instant::now();
-            let (ok, tag) = serve(origin, obj);
-            out.push((at, ok, t0.elapsed().as_secs_f64() * 1e3, tag));
-            q += AVAIL_READERS;
-        }
-        out
-    };
-
-    let snapshot = Snapshot::capture(space, &overlay);
-    let lock = RwLock::new(snapshot.clone());
-    let cell = EpochCell::new(snapshot);
-    let serve_blocking = |origin: Node, obj: ObjectId| {
-        let guard = lock.read().expect("snapshot lock");
-        (guard.lookup(space, origin, obj).is_ok(), guard.epoch())
-    };
-    let serve_epoch = |origin: Node, obj: ObjectId| {
-        let published = cell.load();
-        (
-            published.lookup(space, origin, obj).is_ok(),
-            published.epoch(),
-        )
-    };
-    let serve: &(dyn Fn(Node, ObjectId) -> (bool, u64) + Sync) = if blocking {
-        &serve_blocking
-    } else {
-        &serve_epoch
-    };
-
-    std::thread::scope(|scope| {
-        let readers: Vec<_> = (0..AVAIL_READERS)
-            .map(|r| scope.spawn(move || sample_loop(serve, r)))
-            .collect();
-
-        // The writer script: steady, churn wave, churned, repair,
-        // repaired, stop.
-        std::thread::sleep(window);
-        let t_wave = ms_now();
-        if blocking {
-            let mut guard = lock.write().expect("snapshot lock");
-            for &v in victims {
-                overlay.leave(v);
-            }
-            *guard = Snapshot::capture(space, &overlay);
-        } else {
-            for &v in victims {
-                overlay.leave(v);
-            }
-            overlay.publish_snapshot(space, &cell);
-        }
-        std::thread::sleep(window);
-        // The repair-window boundaries are taken while the writer still
-        // owns the story: for the blocking baseline, inside the write
-        // guard (acquisition is microseconds; a `ms_now()` taken after
-        // the drop could trail the release by a scheduler quantum while
-        // the woken readers run, smuggling post-release lookups into the
-        // window); for the epoch path, around the off-lock build + swap.
-        let (repair, t_repair, t_done) = if blocking {
-            let mut guard = lock.write().expect("snapshot lock");
-            let t_repair = ms_now();
-            let repair = overlay.repair(space);
-            *guard = Snapshot::capture(space, &overlay);
-            let t_done = ms_now();
-            drop(guard);
-            (repair, t_repair, t_done)
-        } else {
-            let t_repair = ms_now();
-            let repair = overlay.repair_published(space, &cell);
-            (repair, t_repair, ms_now())
-        };
-        std::thread::sleep(window);
-        // ordering: Release -- closes the sampling window; pairs with
-        // the readers' Acquire loads.
-        stop.store(true, Ordering::Release);
-        let t_stop = ms_now();
-
-        let mut samples = Vec::new();
-        for r in readers {
-            samples.extend(r.join().expect("reader panicked"));
-        }
-        samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-        AvailRun {
-            samples,
-            t_wave,
-            t_repair,
-            t_done,
-            t_stop,
-            repair_ms: t_done - t_repair,
-            repair,
-        }
-    })
-}
-
-impl AvailRun {
-    /// Buckets the samples into the four scripted windows by the
-    /// *midpoint* of each lookup's service interval. Midpoints partition
-    /// the samples like start times would, but a lookup that sat blocked
-    /// behind the repair (started a breath before the write lock, served
-    /// only after it released) is charged to the repair window it
-    /// actually spent its life in, not to the window it was born in.
-    fn windows(&self) -> Vec<AvailWindow> {
-        [
-            ("steady", 0.0, self.t_wave),
-            ("churned", self.t_wave, self.t_repair),
-            ("repair", self.t_repair, self.t_done),
-            ("repaired", self.t_done, self.t_stop),
-        ]
-        .into_iter()
-        .map(|(name, lo, hi)| {
-            let in_window = |s: &&AvailSample| {
-                let mid = s.0 + s.2 / 2.0;
-                mid >= lo && mid < hi
-            };
-            let mut latencies: Vec<f64> = Vec::new();
-            let (mut lookups, mut successes, mut within) = (0usize, 0usize, 0usize);
-            for s in self.samples.iter().filter(in_window) {
-                lookups += 1;
-                successes += usize::from(s.1);
-                within += usize::from(s.2 <= AVAIL_DEADLINE_MS);
-                latencies.push(s.2);
-            }
-            latencies.sort_by(f64::total_cmp);
-            let p99_ms = if latencies.is_empty() {
-                0.0
-            } else {
-                ron_core::stats::nearest_rank(&latencies, 0.99)
-            };
-            AvailWindow {
-                name,
-                lo,
-                hi,
-                lookups,
-                successes,
-                within_deadline: within,
-                p99_ms,
-            }
-        })
-        .collect()
-    }
-}
-
-/// E-AVAIL: serving availability through a churn wave — the epoch
-/// publication path against the stop-the-world blocking baseline it
-/// replaced, plus the simulator's per-time-bucket availability timeline.
-///
-/// The threaded half scripts the same wave against both serving modes:
-/// reader threads hammer lookups while a writer applies a leave wave and
-/// then a full repair. Under `blocking` every repair holds the snapshot
-/// write lock through plan + apply + capture, so in-flight lookups stall
-/// past the service deadline; under `epoch` the successor is built off
-/// to the side and swapped in, so the repair window serves at full rate.
-/// The simulator half replays a churn wave as message rounds and reports
-/// [`ron_sim::SimReport::availability_timeline`] — lookup success and
-/// p99 per time bucket, with lookups injected *through* the repair
-/// epochs.
-///
-/// # Panics
-///
-/// Panics if a lookup served by the pre-wave or post-repair published
-/// state of either mode fails, or (when the repair is long enough that
-/// a blocked lookup must blow the deadline) if the epoch path's
-/// repair-window availability falls below the blocking baseline's.
-#[must_use]
-pub fn fig_avail(n: usize) -> Table {
-    use ron_sim::directory::{DirectoryMsg, DirectoryNode};
-    use ron_sim::{ChurnSchedule, MetricLatency, SimConfig, Simulator};
-
-    let n = n.clamp(64, DENSE_NODE_CAP);
-    let mut t = Table {
-        title: format!(
-            "E-AVAIL: lookup availability through a churn wave (blocking vs epoch, n = {n})"
-        ),
-        backend: "dense".into(),
-        header: [
-            "mode",
-            "window",
-            "lookups",
-            "success %",
-            "avail %",
-            "k-lookups/s",
-            "p99 ms",
-            "detail",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect(),
-        rows: Vec::new(),
-    };
-
-    let space = Space::new(gen::clustered(n, 2, (n / 64).max(4), 0.01, 42));
-    let objects = (n / 8).clamp(8, 512);
-    let mut overlay = DirectoryOverlay::build(&space);
-    let items: Vec<(ObjectId, Node)> = (0..objects)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-    overlay.publish_batch(&space, &items);
-    let top = overlay.levels() - 1;
-    let hub = space
-        .nodes()
-        .find(|&v| overlay.is_net_member(top, v))
-        .expect("a hub exists");
-    let mut victims = vec![hub];
-    for k in 0..(n / 16).max(2) {
-        let v = Node::new((k * 11 + 3) % n);
-        if !victims.contains(&v) {
-            victims.push(v);
-        }
-    }
-
-    // Threaded half: the same scripted wave under both serving modes.
-    let mut repair_window = Vec::new();
-    for (mode, blocking) in [("blocking", true), ("epoch", false)] {
-        let run = avail_run(&space, overlay.clone(), &victims, objects, blocking);
-        // Correctness keys on the published state that served each
-        // lookup, not on wall-clock windows (a sample can straddle a
-        // boundary by a scheduler quantum): the pre-wave and post-repair
-        // states must serve every lookup they answered.
-        let mut tags: Vec<u64> = run.samples.iter().map(|s| s.3).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(
-            tags.len(),
-            3,
-            "{mode}: the readers must observe all three published states"
-        );
-        for s in &run.samples {
-            if s.3 != tags[1] {
-                assert!(
-                    s.1,
-                    "{mode}: a lookup served by the {} state failed",
-                    if s.3 == tags[0] {
-                        "pre-wave"
-                    } else {
-                        "post-repair"
-                    }
-                );
-            }
-        }
-        for w in run.windows() {
-            let detail = if w.name == "repair" {
-                if blocking {
-                    format!("write lock held {:.1} ms", run.repair_ms)
-                } else {
-                    format!(
-                        "successor built off-lock in {:.1} ms, swap atomic; {} writes",
-                        run.repair_ms, run.repair.pointer_writes
-                    )
-                }
-            } else {
-                format!("[{:.0}, {:.0}) ms", w.lo, w.hi)
-            };
-            if w.name == "repair" {
-                repair_window.push((w.availability(), run.repair_ms));
-            }
-            t.rows.push(vec![
-                mode.into(),
-                w.name.into(),
-                w.lookups.to_string(),
-                rate_cell(w.success_rate()),
-                rate_cell(w.availability()),
-                f(w.lookups as f64 / (w.hi - w.lo).max(1e-9)),
-                f(w.p99_ms),
-                detail,
-            ]);
-        }
-    }
-    // The acceptance check: when the repair is long enough that a
-    // blocked lookup must blow the deadline, the epoch path's
-    // repair-window availability cannot be worse than the blocking
-    // baseline's (at smoke sizes the repair finishes inside the deadline
-    // and the dip is not measurable — skip rather than flake).
-    if let [(Some(block_avail), block_ms), (Some(epoch_avail), _)] = repair_window[..] {
-        if block_ms > 2.0 * AVAIL_DEADLINE_MS {
-            assert!(
-                epoch_avail + 0.05 >= block_avail,
-                "epoch repair-window availability {epoch_avail:.3} fell below \
-                 the blocking baseline {block_avail:.3}"
-            );
-        }
-    }
-
-    // Simulator half: the wave as message rounds, lookups injected
-    // through the coordinator's repair epochs, reported per time bucket.
-    let coordinator = space
-        .nodes()
-        .find(|v| !victims.contains(v))
-        .expect("somebody stays");
-    let lookups = (2 * n).min(4096);
-    let span = (lookups as f64 * 0.05).max(400.0);
-    let t_wave = 0.35 * span;
-    let t_repair = 0.55 * span;
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet_with_coordinator(&space, &overlay, coordinator),
-        |u, v| space.dist(u, v),
-        MetricLatency {
-            scale: 1.0,
-            floor: 0.01,
-        },
-        SimConfig {
-            seed: 1105,
-            drop_prob: 0.0,
-            timeout: Some(64.0),
-        },
-    );
-    let mut schedule = ChurnSchedule::new();
-    for &v in &victims {
-        schedule.leave_at(t_wave, v);
-    }
-    schedule.repair_at(t_repair);
-    schedule.apply(&mut sim, coordinator);
-    // Marks make the timeline self-describing: the rendered buckets say
-    // which window held the wave and which held the repair epoch.
-    sim.mark_phase(t_wave, "wave");
-    sim.mark_phase(t_repair, "repair");
-    for q in 0..lookups {
-        let (origin, obj) = avail_query(q, n, objects, &victims);
-        sim.inject(
-            q as f64 * span / lookups as f64,
-            origin,
-            DirectoryMsg::Lookup { obj },
-        );
-    }
-    let report = sim.run();
-    // Trimmed: the repair epoch's trailing acks stretch end_time past
-    // the last injection, and those all-zero windows are noise.
-    let timeline = report.availability_timeline_trimmed(10);
-    assert_eq!(
-        timeline.iter().map(|b| b.injected).sum::<usize>(),
-        report.queries,
-        "every query lands in exactly one timeline bucket"
-    );
-    assert_eq!(
-        timeline.iter().map(|b| b.completed).sum::<usize>(),
-        report.completed
-    );
-    let width = timeline[0].end - timeline[0].start;
-    for (k, b) in timeline.iter().enumerate() {
-        let marks: Vec<&str> = report
-            .phases
-            .iter()
-            .filter(|m| {
-                let at = ((m.start / width) as usize).min(timeline.len() - 1);
-                at == k
-            })
-            .map(|m| m.name.as_str())
-            .collect();
-        t.rows.push(vec![
-            "sim".into(),
-            format!("[{:.0}, {:.0})", b.start, b.end),
-            b.injected.to_string(),
-            rate_cell(b.success_rate()),
-            "-".into(),
-            "-".into(),
-            f(b.p99_latency),
-            if marks.is_empty() {
-                "-".into()
-            } else {
-                format!("<- {}", marks.join(", "))
-            },
-        ]);
-    }
-    t.rows.push(vec![
-        "sim".into(),
-        "whole run".into(),
-        report.queries.to_string(),
-        rate_cell(report.success_rate()),
-        "-".into(),
-        "-".into(),
-        f(report.latency.p99),
-        format!(
-            "wave -{} at {:.0}, repair at {:.0}, trace {:016x}",
-            victims.len(),
-            t_wave,
-            t_repair,
-            report.trace_fingerprint
-        ),
-    ]);
-    t
-}
-
-/// [`fig_obs`] returning the drained registry too, so the `report`
-/// binary can fold the raw metrics into `BENCH_report.json` as an
-/// `"obs"` block next to the rendered table.
-///
-/// The function runs the whole pipeline once with recording off (the
-/// throughput baseline) and once with recording on: dense and sparse
-/// index construction, nets/rings/directory assembly, a batched
-/// publish, engine serving over the sharded cache, a leave wave plus
-/// repair, and a small message-passing sim slice with phase marks. The
-/// drained registry then carries oracle calls per construction stage,
-/// lookup hop/probe histograms, per-shard cache hit ratios, repair
-/// phase timings and sim gram counts — the table is a readable
-/// projection of it.
-///
-/// # Panics
-///
-/// Panics if a layer failed to record (missing oracle, lookup, repair
-/// or sim keys) or if the obs-on serve throughput collapses to less
-/// than half the obs-off baseline — the instrumentation is supposed to
-/// cost ~nothing, and the report row shows the measured ratio.
-#[must_use]
-pub fn fig_obs_with_registry(n: usize) -> (Table, ron_obs::Registry) {
-    use ron_sim::directory::{DirectoryMsg, DirectoryNode};
-    use ron_sim::{MetricLatency, SimConfig, Simulator};
-
-    let n = n.clamp(64, DENSE_NODE_CAP);
-    let mut t = Table {
-        title: format!("E-OBS: observability across construction, serving, repair, sim (n = {n})"),
-        backend: "per-row".into(),
-        header: ["metric", "kind", "count", "mean/value", "p99~", "detail"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
-        rows: Vec::new(),
-    };
-
-    let objects = (n / 4).max(8);
-    let queries: Vec<(Node, ObjectId)> = (0..4000usize)
-        .map(|i| {
-            let origin = Node::new((i * 53 + 7) % n);
-            let frac = ((i * 97 + 13) % 1000) as f64 / 1000.0;
-            let obj = ObjectId(((frac * frac * objects as f64) as usize % objects) as u64);
-            (origin, obj)
-        })
-        .collect();
-    let config = EngineConfig::default();
-    let publish_items: Vec<(ObjectId, Node)> = (0..objects)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-
-    // Baseline: the E-OL serving pass with recording off. One warm-up
-    // serve fills the cache so both measured passes run warm.
-    let was_enabled = ron_obs::enabled();
-    ron_obs::set_enabled(false);
-    let base_space = Space::new(gen::uniform_cube(n, 2, 1));
-    let mut base_overlay = DirectoryOverlay::build(&base_space);
-    base_overlay.publish_batch(&base_space, &publish_items);
-    let base_cell = EpochCell::new(Snapshot::capture(&base_space, &base_overlay));
-    let base_engine = QueryEngine::new(&base_space, &base_cell);
-    let _warm = base_engine.serve(&queries, &config);
-    let off = base_engine.serve(&queries, &config);
-
-    // Observed pass: the same pipeline, every layer recording.
-    ron_obs::set_enabled(true);
-    ron_obs::reset();
-
-    // Construction — dense backend end to end, sparse backend through
-    // the net ladder, so the oracle rows compare the two per stage.
-    let space = Space::new(gen::uniform_cube(n, 2, 1));
-    let sparse = Space::new_sparse(gen::uniform_cube(n, 2, 1));
-    let _sparse_nets = NestedNets::build(&sparse);
-    let mut overlay = DirectoryOverlay::build(&space);
-    overlay.publish_batch(&space, &publish_items);
-
-    // Serving through the engine (worker latency, cache shards, lookup
-    // hop/probe histograms).
-    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
-    let engine = QueryEngine::new(&space, &cell);
-    let _warm = engine.serve(&queries, &config);
-    let on = engine.serve(&queries, &config);
-
-    // A leave wave and the repair epoch (plan-phase timings).
-    for k in 0..(n / 16).max(2) {
-        overlay.leave(Node::new((k * 11 + 3) % n));
-    }
-    let _repair = overlay.repair(&space);
-
-    // A small sim slice: gram-type counts, per-phase deliveries, the
-    // event-queue depth high-water mark.
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet(&space, &overlay),
-        |u, v| space.dist(u, v),
-        MetricLatency {
-            scale: 1.0,
-            floor: 0.01,
-        },
-        SimConfig::default(),
-    );
-    sim.mark_phase(0.0, "steady");
-    let sim_lookups = n.min(512);
-    for q in 0..sim_lookups {
-        let origin = Node::new((q * 53 + 7) % n);
-        let obj = ObjectId((q * 97 + 13) as u64 % objects as u64);
-        sim.inject(q as f64 * 0.05, origin, DirectoryMsg::Lookup { obj });
-    }
-    let _sim_report = sim.run();
-
-    let registry = ron_obs::drain();
-    ron_obs::set_enabled(was_enabled);
-
-    // Every layer must actually have landed in the registry.
-    assert!(
-        registry
-            .histograms
-            .keys()
-            .any(|k| k.starts_with("oracle.") && k.contains(".dense")),
-        "dense oracle calls must record"
-    );
-    assert!(
-        registry
-            .histograms
-            .keys()
-            .any(|k| k.starts_with("oracle.") && k.contains(".sparse")),
-        "sparse oracle calls must record"
-    );
-    assert!(
-        registry.histogram("lookup.hops").is_some(),
-        "engine lookups must record hop histograms"
-    );
-    assert!(
-        registry.histogram("repair.plan.covering/repair").is_some()
-            || registry.histogram("repair.plan.covering").is_some(),
-        "repair plan phases must record"
-    );
-    assert!(
-        registry.counter_prefix_sum("sim.gram") > 0,
-        "sim gram counts must record"
-    );
-    assert!(
-        on.throughput() >= off.throughput() * 0.5,
-        "obs-on throughput {:.0}/s collapsed against obs-off {:.0}/s",
-        on.throughput(),
-        off.throughput()
-    );
-
-    // The throughput overhead row first: the claim the tentpole makes
-    // ("cheap when on, free when off"), measured.
-    let ratio = on.throughput() / off.throughput().max(1e-9);
-    t.rows.push(vec![
-        "engine.serve.throughput".into(),
-        "k-lookups/s off -> on".into(),
-        queries.len().to_string(),
-        f(off.throughput() / 1000.0),
-        f(on.throughput() / 1000.0),
-        format!("obs-on/off ratio {ratio:.3}"),
-    ]);
-
-    // Histogram rows, one per composed key, restricted to the metric
-    // families the acceptance list names (construction oracles and
-    // stage spans, lookups, engine, repair).
-    let shown = [
-        "construct.",
-        "directory.",
-        "engine.",
-        "lookup.",
-        "oracle.",
-        "publish.",
-        "repair.",
-    ];
-    for (key, h) in &registry.histograms {
-        if !shown.iter().any(|p| key.starts_with(p)) {
-            continue;
-        }
-        t.rows.push(vec![
-            key.clone(),
-            "hist".into(),
-            h.count().to_string(),
-            f(h.mean()),
-            h.quantile_lower_bound(0.99).unwrap_or(0).to_string(),
-            h.render_compact(),
-        ]);
-    }
-
-    // Per-shard cache hit ratios, derived from the counter triples the
-    // engine publishes.
-    let hit_keys: Vec<String> = registry
-        .counters
-        .keys()
-        .filter(|k| k.starts_with("engine.cache.hit/"))
-        .cloned()
-        .collect();
-    for key in hit_keys {
-        let shard = key.trim_start_matches("engine.cache.hit/").to_string();
-        let hits = registry.counter(&key);
-        let misses = registry.counter(&format!("engine.cache.miss/{shard}"));
-        let stale = registry.counter(&format!("engine.cache.stale/{shard}"));
-        let probes = hits + misses + stale;
-        t.rows.push(vec![
-            format!("engine.cache.ratio/{shard}"),
-            "ratio".into(),
-            probes.to_string(),
-            format!("{:.1}%", hits as f64 / probes.max(1) as f64 * 100.0),
-            "-".into(),
-            format!("{hits} hit / {misses} miss / {stale} stale-epoch"),
-        ]);
-    }
-
-    // Counter and gauge rows: lookups that missed, sim gram types,
-    // per-phase deliveries, queue depth.
-    for (key, v) in &registry.counters {
-        if key.starts_with("lookup.") || key.starts_with("sim.") {
-            t.rows.push(vec![
-                key.clone(),
-                "counter".into(),
-                v.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-        }
-    }
-    for (key, v) in &registry.gauges {
-        t.rows.push(vec![
-            key.clone(),
-            "gauge (max)".into(),
-            v.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    (t, registry)
-}
-
-/// E-OBS: the observability layer exercised across all four
-/// instrumented layers, rendered as a table (see
-/// [`fig_obs_with_registry`]).
-#[must_use]
-pub fn fig_obs(n: usize) -> Table {
-    fig_obs_with_registry(n).0
-}
-
-/// E-LAT: per-query latency attribution from sampled flight records,
-/// plus the captured telemetry time series. Returns the table and the
-/// [`ron_obs::TimePoint`]s so the report binary can dump them as the
-/// `"timeseries"` block and `BENCH_timeseries.csv`.
-///
-/// The run is self-asserting on the tentpole's determinism claims:
-///
-/// - the same batch served with 1 worker and 4 workers drains
-///   *structurally* bit-identical flight records (ids, epochs, shards,
-///   cache outcomes, levels, probes, hops — everything but wall time),
-///   because sampling is by batch index and shard choice is a pure
-///   key hash;
-/// - a doubled batch on one worker turns its entire second half into
-///   deterministic cache hits, so exactly half the traced records
-///   probe warm;
-/// - every traced lookup serves the same publication epoch (the one
-///   snapshot the engine pinned).
-///
-/// # Panics
-///
-/// Panics if any of those invariants fails, or if no telemetry points
-/// were captured.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn fig_lat_with_series(n: usize) -> (Table, Vec<ron_obs::TimePoint>) {
-    use ron_sim::directory::{DirectoryMsg, DirectoryNode};
-    use ron_sim::{MetricLatency, SimConfig, Simulator};
-
-    let n = n.clamp(64, DENSE_NODE_CAP);
-    let mut t = Table {
-        title: format!(
-            "E-LAT: per-query latency attribution from sampled flight records (n = {n})"
-        ),
-        backend: "dense".into(),
-        header: ["metric", "kind", "count", "mean/value", "p99~", "detail"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
-        rows: Vec::new(),
-    };
-
-    let objects = (n / 4).max(8);
-    // Every (origin, object) pair distinct, so every cache probe in a
-    // single pass is a miss no matter how workers interleave inserts —
-    // the cold passes are deterministic by construction.
-    let q_count = 1024usize;
-    assert!(n * objects >= q_count, "unique query pool too small");
-    let queries: Vec<(Node, ObjectId)> = (0..q_count)
-        .map(|i| (Node::new(i % n), ObjectId((i / n) as u64)))
-        .collect();
-    let publish_items: Vec<(ObjectId, Node)> = (0..objects)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
-        .collect();
-
-    let was_enabled = ron_obs::enabled();
-    let was_rate = ron_obs::qtrace_rate();
-    ron_obs::set_enabled(true);
-    ron_obs::reset();
-    ron_obs::set_qtrace(2);
-
-    // Construction ticks the time series on every stage exit; the
-    // publish batch leaves one flight record per sampled item.
-    let space = Space::new(gen::uniform_cube(n, 2, 1));
-    let mut overlay = DirectoryOverlay::build(&space);
-    overlay.publish_batch(&space, &publish_items);
-    let publish_traces = ron_obs::drain_query_traces();
-    assert!(
-        publish_traces.iter().all(|tr| tr.kind == "publish") && !publish_traces.is_empty(),
-        "sampled publishes must leave flight records"
-    );
-
-    let snapshot = Snapshot::capture(&space, &overlay);
-    ron_obs::gauge_max("mem.snapshot.bytes", snapshot.heap_bytes() as u64);
-    let snapshot_bytes = snapshot.heap_bytes();
-    let cell = EpochCell::new(snapshot);
-    let engine = QueryEngine::new(&space, &cell);
-    // Per-shard capacity covers the whole batch, so the doubled pass
-    // below cannot evict and its second half hits deterministically.
-    let config = |workers: usize| EngineConfig {
-        workers,
-        cache_capacity: 8 * q_count,
-        cache_shards: 8,
-    };
-
-    // The determinism proof: one worker vs four, same batch, fresh
-    // cache each serve. Wall-clock differs; structure may not.
-    let _serial = engine.serve(&queries, &config(1));
-    let serial_traces = ron_obs::drain_query_traces();
-    let _split = engine.serve(&queries, &config(4));
-    let split_traces = ron_obs::drain_query_traces();
-    let serial_structural: Vec<ron_obs::QueryTrace> = serial_traces
-        .iter()
-        .map(ron_obs::QueryTrace::structural)
-        .collect();
-    let split_structural: Vec<ron_obs::QueryTrace> = split_traces
-        .iter()
-        .map(ron_obs::QueryTrace::structural)
-        .collect();
-    assert_eq!(
-        serial_structural, split_structural,
-        "flight records must be structurally identical across worker splits"
-    );
-    assert_eq!(
-        serial_traces.len(),
-        q_count / 2,
-        "rate-2 sampling traces half the batch"
-    );
-    assert!(
-        serial_traces
-            .iter()
-            .all(|tr| tr.cache == ron_obs::CacheOutcome::Miss),
-        "unique cold queries all miss"
-    );
-    let epoch = serial_traces[0].epoch;
-    assert!(serial_traces.iter().all(|tr| tr.epoch == epoch));
-
-    // The cache-hit pass: the same batch twice on one worker. The
-    // second half's probes are warm, so traced ids >= q_count all hit.
-    let doubled: Vec<(Node, ObjectId)> = queries.iter().chain(queries.iter()).copied().collect();
-    let _warmed = engine.serve(&doubled, &config(1));
-    let doubled_traces = ron_obs::drain_query_traces();
-    let hits = doubled_traces
-        .iter()
-        .filter(|tr| tr.cache == ron_obs::CacheOutcome::Hit)
-        .count();
-    let misses = doubled_traces
-        .iter()
-        .filter(|tr| tr.cache == ron_obs::CacheOutcome::Miss)
-        .count();
-    assert_eq!(
-        (misses, hits),
-        (q_count / 2, q_count / 2),
-        "the doubled batch's second half must hit the warm cache"
-    );
-    assert!(
-        doubled_traces
-            .iter()
-            .filter(|tr| tr.cache == ron_obs::CacheOutcome::Hit)
-            .all(|tr| tr.found_level.is_none() && tr.probes == 0),
-        "cache hits skip the walk"
-    );
-
-    // A sim slice marks its phase in the time series too.
-    let mut sim = Simulator::new(
-        DirectoryNode::fleet(&space, &overlay),
-        |u, v| space.dist(u, v),
-        MetricLatency {
-            scale: 1.0,
-            floor: 0.01,
-        },
-        SimConfig::default(),
-    );
-    sim.mark_phase(0.0, "steady");
-    for q in 0..n.min(256) {
-        let origin = Node::new((q * 53 + 7) % n);
-        let obj = ObjectId((q * 97 + 13) as u64 % objects as u64);
-        sim.inject(q as f64 * 0.05, origin, DirectoryMsg::Lookup { obj });
-    }
-    let _sim_report = sim.run();
-
-    let series = ron_obs::take_timeseries();
-    ron_obs::set_qtrace(was_rate);
-    ron_obs::reset();
-    ron_obs::set_enabled(was_enabled);
-
-    assert!(!series.is_empty(), "telemetry ticks must capture points");
-    assert!(
-        series.iter().any(|p| p.label.starts_with("stage:")),
-        "construction stage exits must tick the series"
-    );
-    assert!(
-        series.iter().any(|p| p.label == "engine:batch"),
-        "served batches must tick the series"
-    );
-    assert!(
-        series.iter().any(|p| p.label.starts_with("sim:phase:")),
-        "sim phases must tick the series"
-    );
-
-    // The attribution aggregate over every flight record the run left.
-    let mut traces = publish_traces;
-    traces.extend(serial_traces);
-    traces.extend(split_traces);
-    traces.extend(doubled_traces);
-    let lat = ron_obs::LatencyAttribution::from_traces(&traces);
-    assert!(lat.owner("lookup", 0.5).is_some() && lat.owner("publish", 0.99).is_some());
-
-    t.rows.push(vec![
-        "elat.determinism".into(),
-        "workers 1 vs 4".into(),
-        (q_count / 2).to_string(),
-        "-".into(),
-        "-".into(),
-        "structural flight records bit-identical across worker splits".into(),
-    ]);
-    t.rows.push(vec![
-        "elat.sampling".into(),
-        "rate".into(),
-        traces.len().to_string(),
-        "2".into(),
-        "-".into(),
-        "every 2nd query by batch index (RON_QTRACE), no RNG".into(),
-    ]);
-    for kind in lat.kinds().collect::<Vec<_>>() {
-        let total = lat.total(kind).expect("kind has a total histogram");
-        t.rows.push(vec![
-            format!("elat.{kind}.total_ns"),
-            "hist".into(),
-            total.count().to_string(),
-            f(total.mean()),
-            total.quantile_lower_bound(0.99).unwrap_or(0).to_string(),
-            total.render_compact(),
-        ]);
-        t.rows.push(vec![
-            format!("elat.{kind}.owner"),
-            "attribution".into(),
-            total.count().to_string(),
-            lat.owner(kind, 0.5).unwrap_or("-").into(),
-            lat.owner(kind, 0.99).unwrap_or("-").into(),
-            "stage owning p50 / p99~".into(),
-        ]);
-    }
-    for (kind, stage, h) in lat.stages() {
-        t.rows.push(vec![
-            format!("elat.{kind}.{stage}_ns"),
-            "stage".into(),
-            h.count().to_string(),
-            f(h.mean()),
-            h.quantile_lower_bound(0.99).unwrap_or(0).to_string(),
-            format!("{:.1}% of {kind} time", lat.share_percent(kind, stage)),
-        ]);
-    }
-    let lookup_traced = traces.iter().filter(|tr| tr.kind == "lookup").count();
-    let outcome_count = |o: ron_obs::CacheOutcome| traces.iter().filter(|tr| tr.cache == o).count();
-    let shards: std::collections::BTreeSet<u32> =
-        traces.iter().filter_map(|tr| tr.cache_shard).collect();
-    t.rows.push(vec![
-        "elat.lookup.cache".into(),
-        "outcomes".into(),
-        lookup_traced.to_string(),
-        "-".into(),
-        "-".into(),
-        format!(
-            "{} hit / {} miss / {} stale across {} shards, epoch {epoch}",
-            outcome_count(ron_obs::CacheOutcome::Hit),
-            outcome_count(ron_obs::CacheOutcome::Miss),
-            outcome_count(ron_obs::CacheOutcome::Stale),
-            shards.len()
-        ),
-    ]);
-    t.rows.push(vec![
-        "mem.snapshot.bytes".into(),
-        "gauge (max)".into(),
-        snapshot_bytes.to_string(),
-        "-".into(),
-        "-".into(),
-        "published snapshot heap, sampled into every telemetry point".into(),
-    ]);
-
-    // The telemetry trajectory, compressed to sparkline rows: served
-    // probes and recorded hop counts per captured point.
-    let probe_curve: Vec<u64> = series
-        .iter()
-        .map(|p| p.registry.counter_prefix_sum("engine.cache."))
-        .collect();
-    let hops_curve: Vec<u64> = series
-        .iter()
-        .map(|p| {
-            p.registry
-                .histogram("lookup.hops")
-                .map_or(0, ron_obs::Pow2Histogram::count)
-        })
-        .collect();
-    let labels: std::collections::BTreeSet<&str> =
-        series.iter().map(|p| p.label.as_str()).collect();
-    t.rows.push(vec![
-        "series.points".into(),
-        "timeseries".into(),
-        series.len().to_string(),
-        "-".into(),
-        "-".into(),
-        format!(
-            "{} distinct tick labels, exponentially thinned",
-            labels.len()
-        ),
-    ]);
-    t.rows.push(vec![
-        "series.engine.cache.probes".into(),
-        "sparkline".into(),
-        probe_curve.len().to_string(),
-        probe_curve.last().copied().unwrap_or(0).to_string(),
-        "-".into(),
-        ron_obs::sparkline(&probe_curve),
-    ]);
-    t.rows.push(vec![
-        "series.lookup.hops.count".into(),
-        "sparkline".into(),
-        hops_curve.len().to_string(),
-        hops_curve.last().copied().unwrap_or(0).to_string(),
-        "-".into(),
-        ron_obs::sparkline(&hops_curve),
-    ]);
-
-    (t, series)
-}
-
-/// E-LAT: per-query latency attribution, rendered as a table (see
-/// [`fig_lat_with_series`]).
-#[must_use]
-pub fn fig_lat(n: usize) -> Table {
-    fig_lat_with_series(n).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tables_render() {
-        let t = Table {
-            title: "test".into(),
-            header: vec!["a".into(), "b".into()],
-            rows: vec![vec!["1".into(), "22".into()]],
-            backend: "dense".into(),
-        };
+        let mut t = Table::new("test", &["a", "b"]);
+        t.rows.push(vec!["1".into(), "22".into()]);
         let s = t.render();
         assert!(s.contains("test"));
         assert!(s.contains("22"));
@@ -2701,175 +209,5 @@ mod tests {
     fn metric_instances_build() {
         assert_eq!(metric_instance("cube-64").len(), 64);
         assert_eq!(metric_instance("exp-line-24").len(), 24);
-    }
-
-    #[test]
-    fn json_records_the_backend() {
-        let mut t = Table {
-            title: "b".into(),
-            header: vec!["h".into()],
-            rows: Vec::new(),
-            backend: String::new(),
-        };
-        assert!(t.to_json().contains("\"backend\":\"dense\""));
-        t.backend = "per-row".into();
-        assert!(t.to_json().contains("\"backend\":\"per-row\""));
-    }
-
-    #[test]
-    fn fig_build_scaling_smoke() {
-        // fig_build_scaling asserts its own bit-identity invariants
-        // (parallel and incremental fingerprints equal the serial one);
-        // here we pin the extended table shape: the bytes/node column,
-        // the incremental row below the cap, and the dense row.
-        let t = fig_build_scaling(192);
-        assert_eq!(t.header[9], "bytes/node");
-        let sparse = &t.rows[0];
-        assert_eq!(sparse[0], "sparse net-tree");
-        let bytes: usize = sparse[9].parse().expect("bytes/node is an integer");
-        assert!(
-            0 < bytes && bytes <= BYTES_PER_NODE_BUDGET,
-            "{bytes} bytes/node out of budget"
-        );
-        let inc = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "sparse incremental")
-            .expect("incremental row below INCREMENTAL_TIMING_CAP");
-        assert_eq!(inc[10], sparse[10], "fingerprints must match");
-        assert!(t.rows.iter().any(|r| r[0] == "dense index"));
-    }
-
-    #[test]
-    fn fig_build_scaling_curve_smoke() {
-        // The curve asserts its own invariants (two-worker bit-identity
-        // and the bytes/node budget at every size); here we pin one row
-        // per requested size and that bytes/node is populated.
-        let t = fig_build_scaling_curve(&[96, 160]);
-        assert_eq!(t.rows.len(), 2);
-        for row in &t.rows {
-            let bytes: usize = row[7].parse().expect("bytes/node is an integer");
-            assert!(bytes > 0);
-            assert_eq!(row[9], "bit-identical");
-        }
-        assert_eq!(t.rows[0][0], "96");
-        assert_eq!(t.rows[1][0], "160");
-    }
-
-    #[test]
-    fn fig_sim_smoke() {
-        let t = fig_sim(64);
-        assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.backend, "dense");
-        // Failure-free phases serve everything.
-        assert_eq!(t.rows[0][2], "100.0");
-        assert_eq!(t.rows[1][2], "100.0");
-    }
-
-    #[test]
-    fn fig_churn_smoke() {
-        // fig_churn asserts its own recovery invariants (steady and
-        // post-repair phases at 100%); here we pin the table shape:
-        // 5 phases + 2 repair bills + the whole-run summary.
-        let t = fig_churn(64);
-        assert_eq!(t.rows.len(), 8);
-        assert!(t.rows.iter().any(|r| r[0] == "repair 2"));
-        assert_eq!(t.rows[0][0], "steady");
-        assert_eq!(t.rows[0][2], "100.0");
-    }
-
-    /// `fig_obs` and `fig_lat` both toggle the process-global obs
-    /// state (enabled flag, registry, qtrace rate, time series); the
-    /// harness runs tests concurrently, so they serialize here.
-    fn obs_figs_lock() -> std::sync::MutexGuard<'static, ()> {
-        static OBS_FIGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        OBS_FIGS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn fig_lat_smoke() {
-        // fig_lat asserts its own tentpole invariants (worker-split
-        // determinism, deterministic cache hits, epoch pinning, series
-        // coverage); here we pin the projection and the exports.
-        let _lock = obs_figs_lock();
-        let (t, series) = fig_lat_with_series(64);
-        assert_eq!(t.rows[0][0], "elat.determinism");
-        for family in [
-            "elat.lookup.total_ns",
-            "elat.lookup.owner",
-            "elat.publish.total_ns",
-            "elat.lookup.cache",
-            "series.points",
-            "series.engine.cache.probes",
-        ] {
-            assert!(
-                t.rows.iter().any(|r| r[0].starts_with(family)),
-                "no {family} row in E-LAT"
-            );
-        }
-        let csv = ron_obs::timeseries_csv(&series);
-        assert!(csv.starts_with("tick,label,kind,name,value\n"));
-        assert!(csv.lines().count() > series.len(), "every point dumps rows");
-        assert!(ron_obs::timeseries_json(&series).starts_with('['));
-        // The run restores the disabled defaults (tests share the
-        // flags).
-        assert!(!ron_obs::enabled());
-        assert_eq!(ron_obs::qtrace_rate(), 0);
-    }
-
-    #[test]
-    fn fig_obs_smoke() {
-        // fig_obs asserts its own wiring invariants (every layer's keys
-        // present, throughput sane); here we pin the projection: the
-        // overhead row leads, and each acceptance family has rows.
-        let _lock = obs_figs_lock();
-        let (t, registry) = fig_obs_with_registry(64);
-        assert_eq!(t.rows[0][0], "engine.serve.throughput");
-        for family in [
-            "oracle.",
-            "construct.",
-            "lookup.",
-            "engine.cache.ratio/",
-            "repair.",
-            "sim.gram/",
-        ] {
-            assert!(
-                t.rows.iter().any(|r| r[0].starts_with(family)),
-                "no {family} row in E-OBS"
-            );
-        }
-        assert!(!registry.is_empty());
-        assert!(registry.to_json().starts_with("{\"counters\":{"));
-        // The run restores the disabled default (tests share the flag).
-        assert!(!ron_obs::enabled());
-    }
-
-    #[test]
-    fn fig_avail_smoke() {
-        // fig_avail asserts its own invariants (the pre-wave and
-        // post-repair states serve at 100%, epoch availability >=
-        // blocking when measurable, timeline sums matching run totals);
-        // here we pin the table shape: 2 modes x 4 windows + at most 10
-        // sim timeline buckets (empty tail trimmed) + the whole-run
-        // summary.
-        let t = fig_avail(64);
-        assert!(t.rows.len() > 2 * 4 + 1 && t.rows.len() <= 2 * 4 + 10 + 1);
-        assert_eq!(t.rows[0][0], "blocking");
-        assert_eq!(t.rows[0][1], "steady");
-        assert_eq!(t.rows[4][0], "epoch");
-        assert_eq!(t.rows[8][0], "sim");
-        assert_eq!(t.rows.last().unwrap()[1], "whole run");
-        assert_eq!(t.header[4], "avail %");
-        // The last timeline bucket has lookups — the empty tail the
-        // repair acks used to append is suppressed.
-        let last_bucket = &t.rows[t.rows.len() - 2];
-        assert_eq!(last_bucket[0], "sim");
-        assert_ne!(last_bucket[2], "0", "trailing empty buckets must go");
-        // The wave and repair marks label the buckets they land in.
-        let details: Vec<&str> = t.rows[8..].iter().map(|r| r[7].as_str()).collect();
-        assert!(details.iter().any(|d| d.contains("wave")), "{details:?}");
-        assert!(details.iter().any(|d| d.contains("repair")), "{details:?}");
     }
 }

@@ -17,7 +17,7 @@
 //! * **D1 `wall-clock`** — `Instant::now`, `SystemTime`,
 //!   `thread::current` / `ThreadId`, and pointer-to-`usize` casts
 //!   (address-as-hash) are forbidden in determinism-critical code.
-//!   Timing belongs in `ron-obs` and `ron-bench`.
+//!   Timing belongs in `ron-obs` and the `benchmark/` package.
 //! * **D2 `map-order`** — iterating a `HashMap`/`HashSet` leaks a
 //!   nondeterministic order. Any iteration over a name bound to a hash
 //!   collection in the same file is flagged unless the statement sorts
@@ -130,10 +130,11 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// The policy for this workspace: every crate except `ron-obs` and
-    /// `ron-bench` is determinism-critical (trace fingerprints, registry
-    /// drains and repair plans must be byte-identical across reruns and
-    /// `RON_THREADS`); timing belongs in ron-obs and ron-bench.
+    /// The policy for this workspace: every crate except `ron-obs` is
+    /// determinism-critical (trace fingerprints, registry drains, repair
+    /// plans and the paper tables `ron-bench` prints must be
+    /// byte-identical across reruns and `RON_THREADS`); timing belongs
+    /// in ron-obs and the `benchmark/` package.
     #[must_use]
     pub fn workspace() -> Self {
         let crates = [
@@ -147,6 +148,7 @@ impl Policy {
             "smallworld",
             "location",
             "sim",
+            "bench",
             "lint",
         ];
         let mut prefixes: Vec<String> = crates.iter().map(|c| format!("crates/{c}/")).collect();
@@ -433,7 +435,7 @@ fn check_wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         }
         let mut hit: Option<&str> = None;
         if seq(toks, i, &["Instant", ":", ":", "now"]) {
-            hit = Some("`Instant::now()` in determinism-critical code; timing belongs in ron-obs / ron-bench");
+            hit = Some("`Instant::now()` in determinism-critical code; timing belongs in ron-obs / the benchmark package");
         } else if t.text == "SystemTime" {
             hit = Some("`SystemTime` in determinism-critical code; wall-clock time must not reach deterministic paths");
         } else if seq(toks, i, &["thread", ":", ":", "current"]) || t.text == "ThreadId" {

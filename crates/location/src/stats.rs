@@ -65,12 +65,6 @@ impl CacheShardStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Compact `hits/misses/stale` cell for tables.
-    #[must_use]
-    pub fn render(&self) -> String {
-        format!("{}/{}/{}", self.hits, self.misses, self.stale)
-    }
 }
 
 /// The outcome of serving one batch through the query engine.
@@ -115,22 +109,6 @@ impl BatchReport {
         } else {
             self.successes as f64 / self.served as f64
         }
-    }
-
-    /// Compact per-shard cache summary for table detail cells:
-    /// `h/m/st 12/8/0 11/9/1 ...` in shard order, or `-` when the
-    /// cache was disabled.
-    #[must_use]
-    pub fn render_cache_shards(&self) -> String {
-        if self.cache_shards.is_empty() {
-            return "-".to_string();
-        }
-        let cells: Vec<String> = self
-            .cache_shards
-            .iter()
-            .map(CacheShardStats::render)
-            .collect();
-        format!("h/m/st {}", cells.join(" "))
     }
 }
 

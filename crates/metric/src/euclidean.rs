@@ -55,18 +55,38 @@ impl EuclideanMetric {
         }
         let m = EuclideanMetric { dim, coords };
         // Reject coincident points: the library requires a true metric.
-        let n = m.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if m.dist(Node::new(i), Node::new(j)) == 0.0 {
-                    return Err(MetricError::ZeroDistance {
-                        u: Node::new(i),
-                        v: Node::new(j),
-                    });
+        match m.first_zero_distance() {
+            Some((u, v)) => Err(MetricError::ZeroDistance { u, v }),
+            None => Ok(m),
+        }
+    }
+
+    /// The first pair `u < v` in index order with `dist(u, v) == 0.0`.
+    ///
+    /// A zero distance needs every squared coordinate difference to be
+    /// zero (underflow included: `1e-200` apart squares to zero), so the
+    /// points are sorted on their first coordinate and each is compared
+    /// only with its successors while that coordinate's squared
+    /// difference stays zero — the same pairs an all-pairs scan would
+    /// report, without the scan.
+    fn first_zero_distance(&self) -> Option<(Node, Node)> {
+        let x = |i: usize| self.coords[i * self.dim];
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&a, &b| x(a).total_cmp(&x(b)));
+        let mut first: Option<(usize, usize)> = None;
+        for (at, &i) in order.iter().enumerate() {
+            for &j in &order[at + 1..] {
+                let dx = x(j) - x(i);
+                if dx * dx != 0.0 {
+                    break;
+                }
+                if self.dist(Node::new(i), Node::new(j)) == 0.0 {
+                    let pair = (i.min(j), i.max(j));
+                    first = Some(first.map_or(pair, |best| best.min(pair)));
                 }
             }
         }
-        Ok(m)
+        first.map(|(u, v)| (Node::new(u), Node::new(v)))
     }
 
     /// Dimension of the ambient space.
@@ -119,6 +139,76 @@ mod tests {
     fn rejects_duplicate_points() {
         let err = EuclideanMetric::new(vec![vec![1.0, 2.0], vec![1.0, 2.0]]);
         assert!(matches!(err, Err(MetricError::ZeroDistance { .. })));
+    }
+
+    #[test]
+    fn reports_the_first_duplicate_pair_in_index_order() {
+        // Duplicates far apart in index order, and a later pair that
+        // sorts first on x: the error still names the smallest (u, v).
+        let mut points: Vec<Vec<f64>> = (0..100)
+            .map(|i| vec![f64::from(i) * 0.5, f64::from(i % 7)])
+            .collect();
+        points[97] = points[3].clone();
+        points[20] = vec![-1.0, 0.0];
+        points[10] = points[20].clone();
+        match EuclideanMetric::new(points) {
+            Err(MetricError::ZeroDistance { u, v }) => {
+                assert_eq!((u, v), (Node::new(3), Node::new(97)));
+            }
+            other => panic!("expected ZeroDistance, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_pair_whose_distance_underflows_to_zero() {
+        // Nodes 0 and 2 differ, but by less than the square root of the
+        // smallest positive float: their distance is 0.0. Node 1 sorts
+        // between them lexicographically, so comparing neighbours in a
+        // full-coordinate sort would let the pair through.
+        let err = EuclideanMetric::new(vec![vec![0.0, 0.0], vec![0.0, 5.0], vec![1e-200, 0.0]]);
+        assert_eq!(
+            err,
+            Err(MetricError::ZeroDistance {
+                u: Node::new(0),
+                v: Node::new(2),
+            })
+        );
+    }
+
+    #[test]
+    fn sweep_agrees_with_the_all_pairs_definition() {
+        // Every point set over a 3 x 3 lattice whose spacing mixes
+        // underflowing and ordinary gaps, up to 4 points: the sweep
+        // accepts, rejects and names exactly what the definition does.
+        let lattice = [0.0, 1e-200, 1.0];
+        let cells: Vec<Vec<f64>> = lattice
+            .iter()
+            .flat_map(|&x| lattice.iter().map(move |&y| vec![x, y]))
+            .collect();
+        for n in 2..=4u32 {
+            for code in 0..9usize.pow(n) {
+                let points: Vec<Vec<f64>> = (0..n)
+                    .map(|k| cells[code / 9usize.pow(k) % 9].clone())
+                    .collect();
+                let m = EuclideanMetric {
+                    dim: 2,
+                    coords: points.concat(),
+                };
+                let nodes = || (0..n as usize).map(Node::new);
+                let expected = nodes()
+                    .flat_map(|u| nodes().map(move |v| (u, v)))
+                    .find(|&(u, v)| u < v && m.dist(u, v) == 0.0);
+                assert_eq!(m.first_zero_distance(), expected, "{points:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn distinctness_check_scales_to_a_large_grid() {
+        // 2^16 points: an all-pairs scan is 2^31 unoptimized distance
+        // calls, far outside the test budget.
+        let m = crate::gen::perturbed_grid(256, 2, 0.25, 1);
+        assert_eq!(m.len(), 65_536);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Random metric generators used across tests, examples and benchmarks.
 //!
-//! Each generator is deterministic in its seed, so every experiment in
-//! EXPERIMENTS.md is reproducible. The families cover the regimes the paper
+//! Each generator is deterministic in its seed, so every experiment is
+//! reproducible. The families cover the regimes the paper
 //! distinguishes:
 //!
 //! * [`uniform_cube`] — points in `[0,1]^d`: low doubling dimension,

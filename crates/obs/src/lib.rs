@@ -13,14 +13,13 @@
 //!   a scope — across `par` worker threads — to a named stage.
 //! * **Flight recorder** — per-query trace records
 //!   ([`QueryTrace`], sampled deterministically by batch index via
-//!   `RON_QTRACE`/[`set_qtrace`]) aggregated into the E-LAT
+//!   `RON_QTRACE`/[`set_qtrace`]) aggregated into the
 //!   [`LatencyAttribution`] table, and ring-buffered time-series
 //!   snapshots ([`timeseries_tick`]) taken at structural moments —
 //!   stage exits, sim phase marks, engine batches — rendered as CSV
 //!   ([`timeseries_csv`]) and [`sparkline`] rows.
 //! * **Exporters** — [`Registry::render`] (aligned text),
-//!   [`Registry::to_json`] (folded into `BENCH_report.json` by
-//!   `ron-bench`), an opt-in Chrome-trace dump
+//!   [`Registry::to_json`], an opt-in Chrome-trace dump
 //!   ([`write_chrome_trace`], enabled by `RON_TRACE=chrome`), and the
 //!   Prometheus text form ([`prometheus_text`]) served live over TCP
 //!   by [`MetricsServer`] (`RON_METRICS_ADDR`, `GET /metrics`).

@@ -1,6 +1,6 @@
 //! Per-query flight records: structured traces of individual lookups
-//! and publishes, sampled deterministically and aggregated into the
-//! E-LAT latency-attribution table.
+//! and publishes, sampled deterministically and aggregated into a
+//! latency-attribution table.
 //!
 //! The aggregate registry answers "how many and how long in total"; a
 //! [`QueryTrace`] answers "where did *this* query's time go" — which
@@ -154,7 +154,7 @@ pub fn drain_query_traces() -> Vec<QueryTrace> {
     traces
 }
 
-/// The E-LAT aggregation: per `(kind, stage)` latency histograms built
+/// The latency attribution: per `(kind, stage)` latency histograms built
 /// from drained flight records, answering which stage owns a query
 /// family's p50 and p99.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

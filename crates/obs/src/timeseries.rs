@@ -155,8 +155,8 @@ pub fn timeseries_csv(points: &[TimePoint]) -> String {
 
 /// Serializes points as a JSON array of
 /// `{"tick":t,"label":"...","counters":{...},"gauges":{...},"hists":{name:{"count":c,"sum":s}}}`
-/// — the compact per-tick view embedded in `BENCH_report.json` (full
-/// bucket vectors stay in the end-of-run "obs" block).
+/// — the compact per-tick view (full bucket vectors stay in the
+/// end-of-run [`Registry::to_json`](crate::Registry::to_json)).
 #[must_use]
 pub fn timeseries_json(points: &[TimePoint]) -> String {
     let mut out = String::from("[");

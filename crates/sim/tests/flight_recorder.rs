@@ -1,0 +1,241 @@
+//! The flight recorder and the metrics registry, end to end.
+//!
+//! Exact assertions on what a traced build + serve + repair + simulate
+//! pass leaves behind: flight records that do not depend on the worker
+//! split, deterministic sampling and cache outcomes, every layer's keys
+//! in the drained registry, latency attribution and the time-series
+//! export. The counts are exact, so every test here takes
+//! [`Recording::start`]'s lock and nothing else in this binary records:
+//! a test that ran a simulator beside these would land in the same
+//! process-global registry.
+
+use ron_location::{DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine, Snapshot};
+use ron_metric::{gen, EuclideanMetric, Node, Space};
+use ron_nets::NestedNets;
+use ron_obs::{CacheOutcome, LatencyAttribution, QueryTrace};
+use ron_sim::directory::{DirectoryMsg, DirectoryNode};
+use ron_sim::{MetricLatency, SimConfig, Simulator};
+
+const N: usize = 64;
+const OBJECTS: usize = N / 4;
+/// Every `(origin, object)` pair distinct, so a single cold pass misses
+/// the cache on every probe no matter how workers interleave inserts.
+const QUERIES: usize = 1024;
+
+/// Exclusive use of the process-global obs state, recording on and
+/// empty, until dropped.
+struct Recording {
+    _exclusive: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Recording {
+    fn start(qtrace: u64) -> Self {
+        static OBS_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let exclusive = OBS_STATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        ron_obs::set_enabled(true);
+        ron_obs::reset();
+        ron_obs::set_qtrace(qtrace);
+        Recording {
+            _exclusive: exclusive,
+        }
+    }
+
+    /// Restores the off/0 defaults, still holding the lock.
+    fn stop(&self) {
+        ron_obs::set_qtrace(0);
+        ron_obs::reset();
+        ron_obs::set_enabled(false);
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn cube() -> Space<EuclideanMetric> {
+    Space::new(gen::uniform_cube(N, 2, 1))
+}
+
+fn published(space: &Space<EuclideanMetric>) -> DirectoryOverlay {
+    let mut overlay = DirectoryOverlay::build(space);
+    let items: Vec<(ObjectId, Node)> = (0..OBJECTS)
+        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % N)))
+        .collect();
+    overlay.publish_batch(space, &items);
+    overlay
+}
+
+fn distinct_queries() -> Vec<(Node, ObjectId)> {
+    (0..QUERIES)
+        .map(|i| (Node::new(i % N), ObjectId((i / N) as u64)))
+        .collect()
+}
+
+/// Per-shard capacity covers a doubled batch, so nothing is evicted.
+fn config(workers: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        cache_capacity: 8 * QUERIES,
+        cache_shards: 8,
+    }
+}
+
+fn simulate_lookups(space: &Space<EuclideanMetric>, overlay: &DirectoryOverlay) {
+    let mut sim = Simulator::new(
+        DirectoryNode::fleet(space, overlay),
+        |u, v| space.dist(u, v),
+        MetricLatency {
+            scale: 1.0,
+            floor: 0.01,
+        },
+        SimConfig::default(),
+    );
+    sim.mark_phase(0.0, "steady");
+    for q in 0..N {
+        let origin = Node::new((q * 53 + 7) % N);
+        let obj = ObjectId((q * 97 + 13) as u64 % OBJECTS as u64);
+        sim.inject(q as f64 * 0.05, origin, DirectoryMsg::Lookup { obj });
+    }
+    let _ = sim.run();
+}
+
+fn assert_recording_is_off() {
+    assert!(!ron_obs::enabled(), "recording must be back off");
+    assert_eq!(ron_obs::qtrace_rate(), 0, "query tracing must be back off");
+}
+
+/// Sampling is by batch index and the shard is a pure key hash, so the
+/// same batch leaves the same flight records — ids, epochs, shards,
+/// cache outcomes, levels, probes, hops; everything but wall time —
+/// whether one worker served it or four.
+#[test]
+fn flight_records_do_not_depend_on_the_worker_split() {
+    let recording = Recording::start(2);
+    let space = cube();
+    let overlay = published(&space);
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let engine = QueryEngine::new(&space, &cell);
+    let queries = distinct_queries();
+    let _ = ron_obs::drain_query_traces();
+
+    let _ = engine.serve(&queries, &config(1));
+    let serial = ron_obs::drain_query_traces();
+    let _ = engine.serve(&queries, &config(4));
+    let split = ron_obs::drain_query_traces();
+    recording.stop();
+
+    let structural = |traces: &[QueryTrace]| -> Vec<QueryTrace> {
+        traces.iter().map(QueryTrace::structural).collect()
+    };
+    assert_eq!(structural(&serial), structural(&split));
+    assert_eq!(
+        serial.len(),
+        QUERIES / 2,
+        "rate-2 sampling traces half the batch"
+    );
+    assert!(
+        serial.iter().all(|tr| tr.cache == CacheOutcome::Miss),
+        "unique cold queries all miss"
+    );
+    assert!(
+        serial.iter().all(|tr| tr.epoch == serial[0].epoch),
+        "one pinned snapshot serves the whole batch"
+    );
+    assert_recording_is_off();
+}
+
+/// The same batch twice on one worker: the second half probes warm, so
+/// its flight records are cache hits that never walked. The records of
+/// the run attribute latency to a stage per kind, and the time series it
+/// ticked exports under the documented CSV schema.
+#[test]
+fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
+    let recording = Recording::start(2);
+    let space = cube();
+    let overlay = published(&space);
+    let mut traces = ron_obs::drain_query_traces();
+    assert!(
+        !traces.is_empty() && traces.iter().all(|tr| tr.kind == "publish"),
+        "sampled publishes must leave flight records"
+    );
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let engine = QueryEngine::new(&space, &cell);
+    let queries = distinct_queries();
+    let doubled: Vec<(Node, ObjectId)> = queries.iter().chain(&queries).copied().collect();
+    let _ = engine.serve(&doubled, &config(1));
+    let lookups = ron_obs::drain_query_traces();
+    let series = ron_obs::take_timeseries();
+    recording.stop();
+
+    assert_eq!(lookups.len(), QUERIES, "rate-2 sampling of 2 x QUERIES");
+    let (cold, warm) = lookups.split_at(QUERIES / 2);
+    assert!(cold.iter().all(|tr| tr.cache == CacheOutcome::Miss));
+    assert!(
+        warm.iter().all(|tr| tr.id >= QUERIES as u64
+            && tr.cache == CacheOutcome::Hit
+            && tr.found_level.is_none()
+            && tr.probes == 0),
+        "the second half must hit the warm cache and skip the walk"
+    );
+
+    traces.extend(lookups);
+    let lat = LatencyAttribution::from_traces(&traces);
+    assert!(lat.owner("lookup", 0.5).is_some());
+    assert!(lat.owner("publish", 0.99).is_some());
+
+    let csv = ron_obs::timeseries_csv(&series);
+    assert!(csv.starts_with("tick,label,kind,name,value\n"));
+    assert!(csv.lines().count() > series.len(), "every point dumps rows");
+    assert_recording_is_off();
+}
+
+/// Dense and sparse construction, engine serving, a leave wave with its
+/// repair and a simulator slice each land their own keys in the one
+/// drained registry.
+#[test]
+fn every_layer_lands_in_the_drained_registry() {
+    let recording = Recording::start(0);
+    let space = cube();
+    let sparse = Space::new_sparse(gen::uniform_cube(N, 2, 1));
+    let _ = NestedNets::build(&sparse);
+    let mut overlay = published(&space);
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let engine = QueryEngine::new(&space, &cell);
+    let _ = engine.serve(&distinct_queries(), &EngineConfig::default());
+    for k in 0..N / 16 {
+        overlay.leave(Node::new((k * 11 + 3) % N));
+    }
+    let _ = overlay.repair(&space);
+    simulate_lookups(&space, &overlay);
+    let registry = ron_obs::drain();
+    recording.stop();
+
+    let oracle = |backend: &str| {
+        registry
+            .histograms
+            .keys()
+            .any(|k| k.starts_with("oracle.") && k.contains(backend))
+    };
+    assert!(oracle(".dense"), "dense oracle calls must record");
+    assert!(oracle(".sparse"), "sparse oracle calls must record");
+    assert!(
+        registry.histogram("lookup.hops").is_some(),
+        "engine lookups must record hop histograms"
+    );
+    assert!(
+        registry
+            .histograms
+            .keys()
+            .any(|k| k.starts_with("repair.plan.covering")),
+        "repair plan phases must record"
+    );
+    assert!(
+        registry.counter_prefix_sum("sim.gram") > 0,
+        "sim gram counts must record"
+    );
+    assert_recording_is_off();
+}

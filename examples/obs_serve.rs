@@ -12,7 +12,8 @@
 //! - `RON_SERVE_MS=20000` keeps the load loop (and the wire) up that
 //!   long (default 250 ms, so the example terminates quickly);
 //! - `RON_QTRACE=16` additionally samples every 16th query into
-//!   flight records (see the E-LAT table in the bench harness).
+//!   flight records (`obs::QueryTrace`; `obs::drain_query_traces`
+//!   reads them back).
 //!
 //! [`MetricsServer`]: rings_of_neighbors::obs::MetricsServer
 
