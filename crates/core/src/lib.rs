@@ -15,8 +15,8 @@
 //!
 //! This crate provides the shared machinery:
 //!
-//! * [`RingFamily`] / [`Ring`]: the per-node partitioned pointer sets with
-//!   degree statistics and overlay-graph export;
+//! * [`RingFamily`] / [`RingView`]: the per-node partitioned pointer sets
+//!   with degree statistics and overlay-graph export;
 //! * [`Enumeration`] and [`TranslationFn`]: the *host/virtual enumeration*
 //!   trick that replaces `ceil(log n)`-bit global identifiers with
 //!   `log K`-bit local indices (proofs of Theorems 2.1 and 3.4);
@@ -46,5 +46,5 @@ pub mod stats;
 pub mod zoom;
 
 pub use enumeration::{Enumeration, TranslationFn};
-pub use rings::{NodeRings, Ring, RingFamily, RingView};
+pub use rings::{RingFamily, RingView};
 pub use ron_metric::par;

@@ -10,76 +10,23 @@
 //! The family is a compact-id CSR arena, not a vec-of-vec-of-rings: one
 //! global `(level, radius)` table (rings are built at the same scales for
 //! every node), one offset array, and one flat 4-byte-per-pointer member
-//! arena. Accessors hand out borrowing [`RingView`]s; per-node owned
-//! [`Ring`]s exist only where a node genuinely owns its slice
-//! ([`RingFamily::partition`] → [`NodeRings`], the simulator's
-//! distributed state). [`HeapBytes`] accounts the exact footprint.
+//! arena. Accessors hand out borrowing [`RingView`]s; [`HeapBytes`]
+//! accounts the exact footprint.
 
 use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{par, BallOracle, CompactId, HeapBytes, Metric, Node, Space};
 use ron_nets::NestedNets;
 
-/// One owned ring of a node: the neighbors at one scale.
-///
-/// The borrowing equivalent — what [`RingFamily`]'s accessors return —
-/// is [`RingView`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Ring {
+/// One ring of a node — the neighbors at one scale — borrowed from a
+/// [`RingFamily`] arena.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct RingView<'a> {
     /// The scale index of this ring (application-specific; e.g. the net
     /// level `j` of `Y_uj` or the cardinality exponent `i` of `X_ui`).
     pub level: usize,
     /// Radius of the ball `B_i` this ring is contained in.
     pub radius: f64,
     /// The neighbor pointers, sorted by node id.
-    members: Vec<Node>,
-}
-
-impl Ring {
-    /// Creates a ring from members (sorted and deduped internally).
-    #[must_use]
-    pub fn new(level: usize, radius: f64, mut members: Vec<Node>) -> Self {
-        members.sort_unstable();
-        members.dedup();
-        Ring {
-            level,
-            radius,
-            members,
-        }
-    }
-
-    /// The neighbor pointers, in node-id order.
-    #[must_use]
-    pub fn members(&self) -> &[Node] {
-        &self.members
-    }
-
-    /// Number of neighbors in this ring.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Whether `v` is in this ring.
-    #[must_use]
-    pub fn contains(&self, v: Node) -> bool {
-        self.members.binary_search(&v).is_ok()
-    }
-}
-
-/// A borrowed view of one ring inside a [`RingFamily`] arena: the same
-/// read surface as [`Ring`], without owning the members.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct RingView<'a> {
-    /// The scale index of this ring.
-    pub level: usize,
-    /// Radius of the ball this ring is contained in.
-    pub radius: f64,
     members: &'a [CompactId],
 }
 
@@ -107,16 +54,6 @@ impl<'a> RingView<'a> {
     #[must_use]
     pub fn contains(&self, v: Node) -> bool {
         self.members.binary_search(&CompactId::from(v)).is_ok()
-    }
-
-    /// An owning copy of this ring.
-    #[must_use]
-    pub fn to_ring(&self) -> Ring {
-        Ring {
-            level: self.level,
-            radius: self.radius,
-            members: self.members().to_vec(),
-        }
     }
 }
 
@@ -235,47 +172,6 @@ impl RingFamily {
             members: arena,
         }
     }
-
-    /// Builds a family from explicit per-node rings (for sampled
-    /// constructions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_node` is empty, or if the nodes do not share the
-    /// same `(level, radius)` sequence (the arena layout stores the scale
-    /// table once, globally — which every in-tree construction satisfies).
-    #[must_use]
-    pub fn from_rings(per_node: Vec<Vec<Ring>>) -> Self {
-        assert!(!per_node.is_empty(), "ring family needs at least one node");
-        let n = per_node.len();
-        let levels: Vec<(usize, f64)> = per_node[0]
-            .iter()
-            .map(|ring| (ring.level, ring.radius))
-            .collect();
-        for (i, rings) in per_node.iter().enumerate() {
-            let got: Vec<(usize, f64)> = rings.iter().map(|r| (r.level, r.radius)).collect();
-            assert!(
-                got == levels,
-                "node {i} has level sequence {got:?}, expected the global {levels:?}"
-            );
-        }
-        let mut start: Vec<u32> = Vec::with_capacity(levels.len() * (n + 1));
-        let mut arena: Vec<CompactId> = Vec::new();
-        for j in 0..levels.len() {
-            for rings in &per_node {
-                start.push(u32::try_from(arena.len()).expect("ring arena exceeds u32"));
-                arena.extend(rings[j].members().iter().map(|&v| CompactId::from(v)));
-            }
-            start.push(u32::try_from(arena.len()).expect("ring arena exceeds u32"));
-        }
-        RingFamily {
-            n,
-            levels,
-            start,
-            members: arena,
-        }
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -383,27 +279,6 @@ impl RingFamily {
             .max()
             .unwrap_or(0)
     }
-
-    /// Splits the family into per-node slices: `partition()[u]` owns the
-    /// rings of node `u` and nothing else.
-    ///
-    /// This is the state-distribution step of the paper read literally —
-    /// "every node keeps pointers to its ring neighbors" — and the input
-    /// format of the message-passing simulator (`ron-sim`), where each
-    /// simulated node may touch only its own [`NodeRings`].
-    #[must_use]
-    pub fn partition(&self) -> Vec<NodeRings> {
-        (0..self.n)
-            .map(|i| {
-                let u = Node::new(i);
-                NodeRings {
-                    node: u,
-                    rings: self.rings_of(u).map(|v| v.to_ring()).collect(),
-                }
-            })
-            .collect()
-    }
-
     /// Checks that every ring member lies inside the ring's ball.
     ///
     /// Returns the first violation as `(node, level, member)`.
@@ -430,43 +305,6 @@ impl HeapBytes for RingFamily {
         vec_capacity_bytes(&self.levels)
             + vec_capacity_bytes(&self.start)
             + vec_capacity_bytes(&self.members)
-    }
-}
-
-/// One node's slice of a [`RingFamily`]: its rings and nothing else.
-///
-/// Produced by [`RingFamily::partition`]; the local state a distributed
-/// node actually holds.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeRings {
-    node: Node,
-    rings: Vec<Ring>,
-}
-
-impl NodeRings {
-    /// The node this slice belongs to.
-    #[must_use]
-    pub fn node(&self) -> Node {
-        self.node
-    }
-
-    /// The rings of this node, one per built level.
-    #[must_use]
-    pub fn rings(&self) -> &[Ring] {
-        &self.rings
-    }
-
-    /// The ring with the given scale index, if present.
-    #[must_use]
-    pub fn ring(&self, level: usize) -> Option<&Ring> {
-        self.rings.iter().find(|r| r.level == level)
-    }
-
-    /// Total pointer entries resident in this slice (with ring
-    /// multiplicity) — the node's share of the structure's memory.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.rings.iter().map(Ring::len).sum()
     }
 }
 
@@ -551,52 +389,6 @@ mod tests {
         assert!(rings.ring(Node::new(0), 0).is_none());
         assert!(rings.ring(Node::new(0), 1).is_some());
     }
-
-    #[test]
-    fn partition_slices_match_family() {
-        let (_, rings) = family();
-        let slices = rings.partition();
-        assert_eq!(slices.len(), rings.len());
-        for (i, slice) in slices.iter().enumerate() {
-            let u = Node::new(i);
-            assert_eq!(slice.node(), u);
-            let views: Vec<RingView<'_>> = rings.rings_of(u).collect();
-            assert_eq!(slice.rings().len(), views.len());
-            for (owned, view) in slice.rings().iter().zip(&views) {
-                assert_eq!(owned.level, view.level);
-                assert_eq!(owned.radius, view.radius);
-                assert_eq!(owned.members(), view.members());
-            }
-            assert_eq!(
-                slice.entries(),
-                views.iter().map(RingView::len).sum::<usize>()
-            );
-            for ring in slice.rings() {
-                assert_eq!(slice.ring(ring.level), Some(ring));
-            }
-        }
-        let total: usize = slices.iter().map(NodeRings::entries).sum();
-        assert_eq!(total, rings.total_pointers());
-    }
-
-    #[test]
-    fn from_rings_round_trips_through_the_arena() {
-        let (_, rings) = family();
-        let per_node: Vec<Vec<Ring>> = (0..rings.len())
-            .map(|i| rings.rings_of(Node::new(i)).map(|v| v.to_ring()).collect())
-            .collect();
-        let rebuilt = RingFamily::from_rings(per_node);
-        assert_eq!(rebuilt, rings);
-    }
-
-    #[test]
-    #[should_panic(expected = "level sequence")]
-    fn from_rings_rejects_ragged_levels() {
-        let a = vec![Ring::new(0, 1.0, vec![Node::new(0)])];
-        let b = vec![Ring::new(1, 2.0, vec![Node::new(1)])];
-        let _ = RingFamily::from_rings(vec![a, b]);
-    }
-
     #[test]
     fn heap_bytes_tracks_the_arena() {
         let (_, rings) = family();
@@ -605,13 +397,5 @@ mod tests {
         // Shrunk-to-fit arena stays within a small constant of the raw
         // pointer payload plus offsets.
         assert!(bytes < (rings.total_pointers() + rings.len() * 16) * 32);
-    }
-
-    #[test]
-    fn ring_dedups_members() {
-        let ring = Ring::new(0, 1.0, vec![Node::new(2), Node::new(2), Node::new(1)]);
-        assert_eq!(ring.members(), &[Node::new(1), Node::new(2)]);
-        assert!(ring.contains(Node::new(2)));
-        assert!(!ring.contains(Node::new(3)));
     }
 }

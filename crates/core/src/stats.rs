@@ -2,20 +2,17 @@
 //! the workspace summarizes with.
 //!
 //! The simulator's `Percentiles` and the location engine's
-//! `LatencySummary` used to round ranks with different conventions
-//! (`(n*q) as usize` vs `((n-1)*q).round()`), which disagreed on every
-//! pinned table and reported each p50 one rank high. The single
-//! convention here is **nearest-rank**: the `q`-quantile of `n` samples
-//! is the `ceil(q * n)`-th smallest sample (1-indexed), i.e.
-//! `sorted[ceil(q * n) - 1]` — the smallest sample `x` such that at
-//! least a `q`-fraction of the samples are `<= x`.
+//! `LatencySummary` both rank through this module, so every pinned table
+//! agrees on what a p50 is. The convention is **nearest-rank**: the
+//! `q`-quantile of `n` samples is the `ceil(q * n)`-th smallest sample
+//! (1-indexed), i.e. `sorted[ceil(q * n) - 1]` — the smallest sample `x`
+//! such that at least a `q`-fraction of the samples are `<= x`.
 //!
-//! Histograms follow the same consolidation: the power-of-two bucket
-//! histogram every layer used to hand-roll (the simulator's per-node
-//! load, the observability registry's distributions) is
-//! [`ron_obs::Pow2Histogram`], re-exported here so stats consumers get
-//! one bucket convention (bucket 0 = value 0, bucket `k >= 1` =
-//! `[2^(k-1), 2^k)`) and one merge rule.
+//! Histograms share one type the same way: the power-of-two bucket
+//! histogram behind the simulator's per-node load and the observability
+//! registry's distributions is [`ron_obs::Pow2Histogram`], re-exported
+//! here so stats consumers get one bucket convention (bucket 0 = value
+//! 0, bucket `k >= 1` = `[2^(k-1), 2^k)`) and one merge rule.
 
 pub use ron_obs::Pow2Histogram;
 

@@ -45,8 +45,7 @@ fn sparse_backend_rings_match_dense_at_same_radii() {
 }
 
 /// The member-centric CSR-arena construction must equal the textbook
-/// per-node filter `B_u(r) ∩ G_j`, and survive a round trip through the
-/// owned per-node representation.
+/// per-node filter `B_u(r) ∩ G_j`.
 fn assert_rings_match_definition<M: Metric>(space: &Space<M>) {
     let nets = NestedNets::build(space);
     let rings = RingFamily::from_nets(space, &nets, |_, r| Some(3.0 * r));
@@ -59,14 +58,6 @@ fn assert_rings_match_definition<M: Metric>(space: &Space<M>) {
             assert_eq!(ring.members(), &expected[..], "ring({u}, {j})");
         }
     }
-    // Splitting into owned per-node rings and re-assembling the arena is
-    // the identity: the compact layout stores exactly the same structure.
-    let per_node: Vec<Vec<ron_core::Ring>> = rings
-        .partition()
-        .into_iter()
-        .map(|nr| nr.rings().to_vec())
-        .collect();
-    assert_eq!(RingFamily::from_rings(per_node), rings);
 }
 
 #[test]

@@ -266,14 +266,6 @@ impl DirectoryOverlay {
         self.tables.node(v).len()
     }
 
-    /// Nodes whose level-`level` membership changed since the last
-    /// repair — the touched-set delta the repair planner (and the
-    /// distributed repair protocol's coordinator) works from.
-    #[must_use]
-    pub fn touched_since_repair(&self, level: usize) -> &[Node] {
-        &self.control.touched[level]
-    }
-
     /// The coarsest ladder level `v` is currently a member of, or `None`
     /// if `v` is dead. Coarse members are the overlay's hubs: they cover
     /// large balls and hold the most pointers.

@@ -3,9 +3,9 @@
 //! result cache.
 //!
 //! The engine separates *structure maintenance* (the mutable
-//! [`DirectoryOverlay`]) from *serving* — and, since the epoch
-//! refactor, the two run concurrently. A [`Snapshot`] is an **owned**,
-//! epoch-stamped copy of everything a lookup reads (liveness, homes,
+//! [`DirectoryOverlay`]) from *serving*, and the two run concurrently.
+//! A [`Snapshot`] is an **owned**, epoch-stamped copy of everything a
+//! lookup reads (liveness, homes,
 //! pointer tables, precomputed fingers); it lives in an
 //! [`EpochCell`] and workers clone the current `Arc` per query, so a
 //! repair can build and publish a successor snapshot *while the batch is
@@ -376,9 +376,11 @@ pub struct EngineConfig {
     /// Total capacity of the shared LRU result cache (0 disables
     /// caching).
     pub cache_capacity: usize,
-    /// Number of independent cache shards (clamped to at least 1). One
-    /// shard reproduces the old single-mutex behaviour; more shards cut
-    /// lock contention on cache-hot workloads.
+    /// Number of independent cache shards (clamped to at least 1): each
+    /// is an LRU of `ceil(cache_capacity / cache_shards)` entries behind
+    /// its own mutex, and a key always hashes to the same shard. One
+    /// shard is a single global LRU; more shards cut lock contention
+    /// between workers on cache-hot workloads.
     pub cache_shards: usize,
 }
 

@@ -114,13 +114,6 @@ impl DirectoryNodeState {
         self.view(obj).descend(level)
     }
 
-    /// Whether this node is a member of the level-`level` net (in its
-    /// own, possibly repair-updated, view).
-    #[must_use]
-    pub fn is_member(&self, level: usize) -> bool {
-        self.member[level]
-    }
-
     /// Installs a level-`level` entry for `obj` forwarding to `next`
     /// (what a node does on receiving a publish-install message).
     pub fn install(&mut self, level: usize, obj: ObjectId, next: Node) {

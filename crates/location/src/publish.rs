@@ -245,8 +245,7 @@ mod tests {
             let ring = ov.rings().ring(home, j).unwrap();
             assert!(!ring.is_empty());
             for &w in ring.members() {
-                // Every ring member holds the level-j entry (Ring::contains
-                // is the membership test the satellite asks for).
+                // Every ring member holds the level-j entry.
                 assert!(ring.contains(w));
                 assert!(
                     ov.tables.node(w).get(j, ObjectId(7)).is_some(),

@@ -54,19 +54,6 @@ pub struct CacheShardStats {
     pub stale: u64,
 }
 
-impl CacheShardStats {
-    /// Hit fraction among this shard's gets (1.0 when never probed).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.stale;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The outcome of serving one batch through the query engine.
 #[derive(Clone, Debug, Default)]
 pub struct BatchReport {

@@ -1,16 +1,15 @@
 //! Compact per-node directory pointer tables.
 //!
-//! The overlay used to hold `tables[v][j]: HashMap<ObjectId, Node>` — an
-//! `n x levels` grid of hash maps. Each `HashMap` costs ~48 bytes of
-//! header *empty*, so at `n = 2^20` nodes and ~20 ladder levels the grid
-//! burned a gigabyte before the first publish. A [`PointerTable`] is one
-//! sorted compact array per node instead: entries keyed by
-//! `(level, object)`, 16 bytes each, found by binary search. Per-node
-//! tables are small (a node holds one entry per object whose publish ring
-//! it sits in, per level), so sorted-insert beats hashing on both memory
-//! and cache behaviour. The overlay and every [`Snapshot`] hold `n` of
-//! them ([`PointerTables`]); a partitioned
-//! [`DirectoryNodeState`] holds its node's one.
+//! A [`PointerTable`] is one sorted compact array per node: entries
+//! keyed by `(level, object)`, 16 bytes each, found by binary search, and
+//! an empty table allocates nothing — at `n = 2^20` nodes and ~20 ladder
+//! levels a per-`(node, level)` hash map would cost a gigabyte of empty
+//! headers before the first publish. Per-node tables are small (a node
+//! holds one entry per object whose publish ring it sits in, per level),
+//! so sorted-insert beats hashing on both memory and cache behaviour.
+//! The overlay and every [`Snapshot`] hold `n` of them
+//! ([`PointerTables`]); a partitioned [`DirectoryNodeState`] holds its
+//! node's one.
 //!
 //! [`Snapshot`]: crate::engine::Snapshot
 //! [`DirectoryNodeState`]: crate::partition::DirectoryNodeState

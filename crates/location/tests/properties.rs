@@ -7,7 +7,7 @@ use ron_location::{
     ChurnConfig, ChurnSchedule, DirectoryNodeState, DirectoryOverlay, EngineConfig, EpochCell,
     ObjectId, QueryEngine, Snapshot,
 };
-use ron_metric::{gen, LineMetric, Metric, NetTreeIndex, Node, Space};
+use ron_metric::{gen, LineMetric, Metric, Node, Space};
 
 /// Static worst-case stretch bound of the factor-2 overlay (documented in
 /// `lookup.rs`: climb <= 4 r*, chain hop <= 3 r*, descent <= 2 r*, with
@@ -372,45 +372,6 @@ fn storage_representations_agree_on_all_families() {
     assert_representations_agree(&Space::new(gen::clustered(48, 2, 4, 0.02, 9)), 6, 6);
     assert_representations_agree(&Space::new(gen::perturbed_grid(6, 2, 0.3, 4)), 5, 4);
     assert_representations_agree(&Space::new(gen::exponential_line(14)), 3, 2);
-}
-
-/// End to end on the incremental index: a `NetTreeIndex` grown one
-/// `insert` at a time (in a scrambled order) backs the same directory
-/// overlay as the batch-built sparse backend — identical ring family,
-/// identical pointer placement, identical lookups.
-#[test]
-fn incremental_tree_overlay_matches_batch_sparse() {
-    let n = 48usize;
-    let metric = gen::uniform_cube(n, 2, 17);
-    let batch = Space::new_sparse(metric.clone());
-
-    let mut tree = NetTreeIndex::incremental(metric.clone());
-    for i in 0..n {
-        // An affine permutation of the id space: far from insertion order.
-        tree.insert(Node::new((i * 29 + 11) % n));
-    }
-    let inc = Space::from_parts(metric, tree);
-
-    let mut ov_batch = DirectoryOverlay::build(&batch);
-    let mut ov_inc = DirectoryOverlay::build(&inc);
-    assert_eq!(ov_inc.rings(), ov_batch.rings());
-
-    let items: Vec<(ObjectId, Node)> = (0..10)
-        .map(|i| (ObjectId(i as u64), Node::new((i * 13 + 5) % n)))
-        .collect();
-    let writes_batch = ov_batch.publish_batch(&batch, &items);
-    let writes_inc = ov_inc.publish_batch(&inc, &items);
-    assert_eq!(writes_inc, writes_batch);
-    assert_eq!(ov_inc.total_entries(), ov_batch.total_entries());
-    for s in batch.nodes() {
-        assert_eq!(ov_inc.entries_at(s), ov_batch.entries_at(s), "load at {s}");
-        for &(obj, home) in &items {
-            let a = ov_batch.lookup(&batch, s, obj).expect("batch lookup");
-            let b = ov_inc.lookup(&inc, s, obj).expect("incremental lookup");
-            assert_eq!(a.home, home);
-            assert_eq!(a, b, "lookup({s}, {obj})");
-        }
-    }
 }
 
 /// Non-proptest: the line metric exercises exact distance ties.

@@ -56,7 +56,7 @@ pub fn doubling_measure<M: Metric, I: BallOracle>(
         for &p in parents.members() {
             let kids = &children_of[p.index()];
             // `kids` is sorted (children are pushed in net-member order), so
-            // membership is a binary search, matching `Ring::contains`.
+            // membership is a binary search, matching `RingView::contains`.
             debug_assert!(
                 kids.binary_search(&p).is_ok(),
                 "nested ladder: parent {p} must be its own child"

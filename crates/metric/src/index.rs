@@ -235,16 +235,6 @@ impl MetricIndex {
     ) -> Option<(f64, Node)> {
         self.sorted_from(u).iter().copied().find(|&(_, v)| pred(v))
     }
-
-    /// `k`-th nearest neighbor of `u` (`k = 0` is `u` itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= n`.
-    #[must_use]
-    pub fn kth_nearest(&self, u: Node, k: usize) -> (f64, Node) {
-        self.sorted_from(u)[k]
-    }
 }
 
 impl HeapBytes for MetricIndex {

@@ -44,14 +44,13 @@
 //! of level `k` is exactly the insertion-order-free rule: a node is a
 //! member iff it is a member of level `k-1` (a *seed* — nets are nested),
 //! or no seed lies strictly within the radius and no smaller-id non-seed
-//! member lies strictly within the radius. The batch marking construction
-//! implements this rule directly, which is what lets the incremental
-//! [`insert`](NetTreeIndex::insert) path reproduce batch membership
-//! bit-for-bit under any insertion order.
+//! member lies strictly within the radius. The marking construction
+//! implements this rule directly, so a level depends only on the node set
+//! and the radius, never on the order the nodes were visited in.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::mem::vec_capacity_bytes;
 use crate::{BallOracle, CompactId, HeapBytes, Metric, Node};
@@ -74,16 +73,6 @@ struct TreeLevel {
     /// assigned to each member of this level (each within this level's
     /// radius), ascending within each parent's range.
     children: Vec<u32>,
-}
-
-impl TreeLevel {
-    /// Position of `v` in this level's id-sorted members, if a member.
-    fn position_of(&self, v: Node) -> Option<u32> {
-        self.members
-            .binary_search(&CompactId::from(v))
-            .ok()
-            .map(|p| p as u32)
-    }
 }
 
 /// Min-heap entry of the expanding query frontier: a member of some level
@@ -147,14 +136,8 @@ thread_local! {
 #[derive(Clone, Debug)]
 pub struct NetTreeIndex<M> {
     metric: M,
-    /// Number of nodes currently indexed (equals `metric.len()` after a
-    /// batch build; grows one per [`insert`](NetTreeIndex::insert) on the
-    /// incremental path).
-    n: usize,
     diameter_ub: f64,
     min_dist: f64,
-    /// Which nodes of the metric's universe are indexed.
-    present: Vec<bool>,
     levels: Vec<TreeLevel>,
 }
 
@@ -249,10 +232,8 @@ impl<M: Metric> NetTreeIndex<M> {
 
         let mut tree = NetTreeIndex {
             metric,
-            n,
             diameter_ub: 2.0 * ecc0,
             min_dist: 1.0,
-            present: vec![true; n],
             levels,
         };
         if n >= 2 {
@@ -265,378 +246,6 @@ impl<M: Metric> NetTreeIndex<M> {
             tree.min_dist = nearest.into_iter().fold(f64::INFINITY, f64::min);
         }
         tree
-    }
-
-    /// Starts an **incremental** index over `metric`'s node universe with
-    /// no nodes inserted yet; grow it one node at a time with
-    /// [`insert`](NetTreeIndex::insert).
-    ///
-    /// The ladder radii are anchored at the eccentricity of node 0 over
-    /// the *full* universe (one linear pass here), so inserting every
-    /// node — in **any order** — converges to exactly the canonical
-    /// per-level membership the batch [`build`](NetTreeIndex::build)
-    /// produces, and all oracle answers (including predicate call order)
-    /// match bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the metric is empty.
-    #[must_use]
-    pub fn incremental(metric: M) -> Self {
-        let universe = metric.len();
-        assert!(universe > 0, "cannot index an empty metric");
-        let ecc0 = eccentricity_of_v0(&metric);
-        NetTreeIndex {
-            metric,
-            n: 0,
-            diameter_ub: 2.0 * ecc0,
-            min_dist: 1.0,
-            present: vec![false; universe],
-            levels: Vec::new(),
-        }
-    }
-
-    /// Whether `v` has been inserted (always true after a batch build).
-    #[must_use]
-    pub fn contains(&self, v: Node) -> bool {
-        self.present.get(v.index()).copied().unwrap_or(false)
-    }
-
-    /// Inserts `v` by threading it down the existing ladder: only the
-    /// levels (and members) actually perturbed are touched, instead of
-    /// rebuilding from scratch. Each level's membership is re-decided by
-    /// the canonical id-order rule on an ascending-id worklist seeded
-    /// from the previous level's changes, so the resulting tree answers
-    /// queries identically to a batch build over the same node set.
-    ///
-    /// Cost per insert on a doubling metric: `O(polylog)` distance
-    /// evaluations for the membership cascade, plus `O(|level|)` word
-    /// work per touched level to splice the compact arrays — far below
-    /// the `O(n log Delta)` distance evaluations of a full rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside the metric's universe or already
-    /// inserted.
-    pub fn insert(&mut self, v: Node) {
-        assert!(
-            v.index() < self.metric.len(),
-            "{v} outside the metric universe"
-        );
-        assert!(!self.present[v.index()], "{v} already inserted");
-        if self.n == 0 {
-            self.levels.push(TreeLevel {
-                radius: self.diameter_ub / 2.0,
-                members: vec![CompactId::from(v)],
-                parent: Vec::new(),
-                child_start: Vec::new(),
-                children: Vec::new(),
-            });
-            self.present[v.index()] = true;
-            self.n = 1;
-            return;
-        }
-        // Nearest already-inserted node, before the tree mutates.
-        let dmin = self
-            .nearest_where(v, &mut |_| true)
-            .expect("tree is nonempty")
-            .0;
-        self.min_dist = if self.n == 1 {
-            dmin
-        } else {
-            self.min_dist.min(dmin)
-        };
-
-        let mut changed_prev: Vec<u32> = Vec::new();
-        let mut leaf_drops: Vec<CompactId> = Vec::new();
-        for k in 0..self.levels.len() {
-            let (adds, drops) = self.decide_level(k, v, &changed_prev);
-            changed_prev = adds
-                .iter()
-                .chain(drops.iter())
-                .map(|&c| c.index() as u32)
-                .collect();
-            changed_prev.sort_unstable();
-            if k + 1 == self.levels.len() {
-                leaf_drops.clone_from(&drops);
-            }
-            self.apply_level(k, &adds, &drops);
-        }
-        self.present[v.index()] = true;
-        self.n += 1;
-
-        // Extend the ladder until the leaf level holds every inserted
-        // node again (v and any members the insert displaced).
-        let mut missing: Vec<u32> = leaf_drops.iter().map(|&c| c.index() as u32).collect();
-        if self
-            .levels
-            .last()
-            .expect("nonempty")
-            .position_of(v)
-            .is_none()
-        {
-            missing.push(v.index() as u32);
-        }
-        missing.sort_unstable();
-        while !missing.is_empty() {
-            missing = self.extend_level(&missing);
-        }
-    }
-
-    /// Recomputes level `k`'s membership after the universe gained `v`
-    /// and the previous level changed by `changed_prev` (node ids,
-    /// sorted). Read-only: returns the members to add and drop, both
-    /// ascending by id. Levels above `k` are already updated; `k` and
-    /// below are stale (which is exactly what the stale-candidate scan
-    /// wants).
-    fn decide_level(
-        &self,
-        k: usize,
-        v: Node,
-        changed_prev: &[u32],
-    ) -> (Vec<CompactId>, Vec<CompactId>) {
-        let r = self.levels[k].radius;
-        let mut work: BTreeSet<u32> = BTreeSet::new();
-        work.insert(v.index() as u32);
-        for &y in changed_prev {
-            work.insert(y);
-            // A changed seed can flip the membership of anything it
-            // strictly covers, regardless of id order.
-            self.descend(Node::new(y as usize), r, &mut |d, w| {
-                if d < r {
-                    work.insert(w.index() as u32);
-                }
-            });
-        }
-        let mut adds: Vec<CompactId> = Vec::new();
-        let mut drops: Vec<CompactId> = Vec::new();
-        while let Some(uid) = work.pop_first() {
-            let u = Node::new(uid as usize);
-            let uc = CompactId::from(u);
-            let was = self.levels[k].position_of(u).is_some();
-            let is_seed = k > 0 && self.levels[k - 1].position_of(u).is_some();
-            let now = if is_seed {
-                true
-            } else {
-                // Covered by a seed (= updated previous-level member, any
-                // id), or by a smaller-id member of this level under the
-                // pending adds/drops?
-                let seed_cover = k > 0
-                    && coarse_members_within(&self.metric, &self.levels[..k], u, r)
-                        .iter()
-                        .any(|&(_, d)| d < r);
-                let covered = seed_cover
-                    || coarse_members_within(&self.metric, &self.levels[..=k], u, r)
-                        .iter()
-                        .any(|&(pos, d)| {
-                            let m = self.levels[k].members[pos as usize];
-                            d < r && m < uc && drops.binary_search(&m).is_err()
-                        })
-                    || adds
-                        .iter()
-                        .any(|&a| a < uc && self.metric.dist(a.node(), u) < r);
-                !covered
-            };
-            if was == now {
-                continue;
-            }
-            if now {
-                adds.push(uc);
-            } else {
-                drops.push(uc);
-            }
-            // The flip ripples only to larger ids (decisions read only
-            // smaller-id members and seeds, and seed changes arrived via
-            // `changed_prev`).
-            self.descend(u, r, &mut |d, w| {
-                if d < r && w > u {
-                    work.insert(w.index() as u32);
-                }
-            });
-        }
-        (adds, drops)
-    }
-
-    /// Commits `decide_level`'s verdict: splices the id-sorted member
-    /// array, reparents as needed, and rebuilds the CSR links on both
-    /// sides of level `k` so descent stays valid for the next level's
-    /// decision pass.
-    fn apply_level(&mut self, k: usize, adds: &[CompactId], drops: &[CompactId]) {
-        if adds.is_empty() && drops.is_empty() {
-            return;
-        }
-        let old = &self.levels[k];
-        let mut members: Vec<CompactId> =
-            Vec::with_capacity(old.members.len() + adds.len() - drops.len());
-        let mut ai = adds.iter().peekable();
-        for &m in &old.members {
-            if drops.binary_search(&m).is_ok() {
-                continue;
-            }
-            while let Some(&&a) = ai.peek() {
-                if a < m {
-                    members.push(a);
-                    ai.next();
-                } else {
-                    break;
-                }
-            }
-            members.push(m);
-        }
-        members.extend(ai.copied());
-
-        // Parents for the updated level-k members. Kept members keep
-        // theirs (apply at k-1 already healed any whose parent dropped
-        // there); new members parent to themselves if they are previous-
-        // level members, else to any previous member covering them.
-        let parent: Vec<CompactId> = if k == 0 {
-            Vec::new()
-        } else {
-            let prev = &self.levels[k - 1];
-            members
-                .iter()
-                .map(|&m| {
-                    if let Some(pos) = old.position_of(m.node()) {
-                        old.parent[pos as usize]
-                    } else if prev.position_of(m.node()).is_some() {
-                        m
-                    } else {
-                        let hits = coarse_members_within(
-                            &self.metric,
-                            &self.levels[..k],
-                            m.node(),
-                            prev.radius,
-                        );
-                        let (pos, _) = hits.first().expect("previous net covers every node");
-                        prev.members[*pos as usize]
-                    }
-                })
-                .collect()
-        };
-        self.levels[k].members = members;
-        self.levels[k].parent = parent;
-        if k > 0 {
-            let parent_pos: Vec<u32> = self.levels[k]
-                .parent
-                .iter()
-                .map(|&p| {
-                    self.levels[k - 1]
-                        .position_of(p.node())
-                        .expect("parent is a previous-level member")
-                })
-                .collect();
-            let (upper, _) = self.levels.split_at_mut(k);
-            fill_csr(&mut upper[k - 1], &parent_pos);
-        }
-
-        // Heal the level below: members whose parent dropped from level
-        // k get a surviving coverer, and the CSR is rebuilt against the
-        // spliced member positions.
-        if k + 1 < self.levels.len() {
-            let r_k = self.levels[k].radius;
-            let next_parent: Vec<CompactId> = self.levels[k + 1]
-                .members
-                .iter()
-                .zip(&self.levels[k + 1].parent)
-                .map(|(&m, &p)| {
-                    if drops.binary_search(&p).is_err() {
-                        p
-                    } else if self.levels[k].position_of(m.node()).is_some() {
-                        m
-                    } else {
-                        let hits =
-                            coarse_members_within(&self.metric, &self.levels[..=k], m.node(), r_k);
-                        let (pos, _) = hits.first().expect("updated net covers every node");
-                        self.levels[k].members[*pos as usize]
-                    }
-                })
-                .collect();
-            let next_parent_pos: Vec<u32> = next_parent
-                .iter()
-                .map(|&p| {
-                    self.levels[k]
-                        .position_of(p.node())
-                        .expect("parent is a level-k member")
-                })
-                .collect();
-            self.levels[k + 1].parent = next_parent;
-            let (upper, _) = self.levels.split_at_mut(k + 1);
-            fill_csr(&mut upper[k], &next_parent_pos);
-        }
-    }
-
-    /// Appends one half-radius level: all current leaf members seed it,
-    /// and the `missing` nodes (inserted but strictly covered out of the
-    /// leaf) join in id order by the canonical rule. Returns the nodes
-    /// still missing (covered again), for the next round.
-    fn extend_level(&mut self, missing: &[u32]) -> Vec<u32> {
-        assert!(
-            self.levels.len() < 4096,
-            "net-tree ladder failed to terminate (radius underflow?)"
-        );
-        let prev_radius = self.levels.last().expect("nonempty").radius;
-        let radius = prev_radius / 2.0;
-        let mut joiners: Vec<CompactId> = Vec::new();
-        let mut remaining: Vec<u32> = Vec::new();
-        for &uid in missing {
-            let u = Node::new(uid as usize);
-            let seed_cover = coarse_members_within(&self.metric, &self.levels, u, radius)
-                .iter()
-                .any(|&(_, d)| d < radius);
-            let joiner_cover = joiners
-                .iter()
-                .any(|&a| self.metric.dist(a.node(), u) < radius);
-            if seed_cover || joiner_cover {
-                remaining.push(uid);
-            } else {
-                joiners.push(CompactId::new(uid as usize));
-            }
-        }
-        let prev = self.levels.last().expect("nonempty");
-        let mut members: Vec<CompactId> = Vec::with_capacity(prev.members.len() + joiners.len());
-        let mut ji = joiners.iter().peekable();
-        for &m in &prev.members {
-            while let Some(&&a) = ji.peek() {
-                if a < m {
-                    members.push(a);
-                    ji.next();
-                } else {
-                    break;
-                }
-            }
-            members.push(m);
-        }
-        members.extend(ji.copied());
-        let parent: Vec<CompactId> = members
-            .iter()
-            .map(|&m| {
-                if prev.position_of(m.node()).is_some() {
-                    m
-                } else {
-                    let hits =
-                        coarse_members_within(&self.metric, &self.levels, m.node(), prev_radius);
-                    let (pos, _) = hits.first().expect("previous net covers every node");
-                    prev.members[*pos as usize]
-                }
-            })
-            .collect();
-        let parent_pos: Vec<u32> = parent
-            .iter()
-            .map(|&p| {
-                prev.position_of(p.node())
-                    .expect("parent is a previous-level member")
-            })
-            .collect();
-        let last = self.levels.len() - 1;
-        fill_csr(&mut self.levels[last], &parent_pos);
-        self.levels.push(TreeLevel {
-            radius,
-            members,
-            parent,
-            child_start: Vec::new(),
-            children: Vec::new(),
-        });
-        remaining
     }
 
     /// The metric the index answers queries about.
@@ -958,7 +567,6 @@ fn fill_csr(prev: &mut TreeLevel, parent_pos: &[u32]) {
 impl<M: Metric> HeapBytes for NetTreeIndex<M> {
     fn heap_bytes(&self) -> usize {
         vec_capacity_bytes(&self.levels)
-            + vec_capacity_bytes(&self.present)
             + self
                 .levels
                 .iter()
@@ -974,7 +582,7 @@ impl<M: Metric> HeapBytes for NetTreeIndex<M> {
 
 impl<M: Metric> BallOracle for NetTreeIndex<M> {
     fn len(&self) -> usize {
-        self.n
+        self.metric.len()
     }
 
     fn diameter_ub(&self) -> f64 {
@@ -1021,7 +629,7 @@ impl<M: Metric> BallOracle for NetTreeIndex<M> {
             if hit.is_some() {
                 break hit;
             }
-            if offered == self.n {
+            if offered == self.metric.len() {
                 break None;
             }
             r *= 2.0;
@@ -1032,9 +640,9 @@ impl<M: Metric> BallOracle for NetTreeIndex<M> {
 
     fn radius_for_count(&self, u: Node, k: usize) -> f64 {
         assert!(
-            k >= 1 && k <= self.n,
+            k >= 1 && k <= self.metric.len(),
             "count {k} out of range 1..={}",
-            self.n
+            self.metric.len()
         );
         let t = ron_obs::start();
         let mut heaps = self.new_frontier(u);
@@ -1232,169 +840,5 @@ mod tests {
     fn metric_accessor_returns_the_metric() {
         let tree = NetTreeIndex::build(LineMetric::uniform(4).unwrap());
         assert_eq!(tree.metric().len(), 4);
-    }
-
-    /// Deterministic permutation of `0..n` (multiplicative LCG walk).
-    fn permutation(n: usize, seed: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut state = seed
-            .wrapping_mul(2862933555777941757)
-            .wrapping_add(3037000493);
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            order.swap(i, j);
-        }
-        order
-    }
-
-    fn assert_answers_match<M: Metric>(
-        inc: &NetTreeIndex<M>,
-        batch: &NetTreeIndex<M>,
-        n: usize,
-        label: &str,
-    ) {
-        assert_eq!(
-            inc.min_distance(),
-            batch.min_distance(),
-            "{label}: min_dist"
-        );
-        assert_eq!(
-            BallOracle::diameter_ub(inc),
-            BallOracle::diameter_ub(batch),
-            "{label}: diameter_ub"
-        );
-        for i in 0..n {
-            let u = Node::new(i);
-            for r in [0.0, batch.min_distance(), batch.diameter_ub / 3.0] {
-                assert_eq!(
-                    BallOracle::ball(inc, u, r),
-                    BallOracle::ball(batch, u, r),
-                    "{label}: ball({u}, {r})"
-                );
-            }
-            for k in [1, n / 2 + 1, n] {
-                assert_eq!(
-                    inc.radius_for_count(u, k),
-                    batch.radius_for_count(u, k),
-                    "{label}: radius_for_count({u}, {k})"
-                );
-            }
-            // Predicate call order, the strictest part of the contract.
-            let mut inc_order = Vec::new();
-            let _ = BallOracle::nearest_where(inc, u, &mut |v| {
-                inc_order.push(v);
-                false
-            });
-            let mut batch_order = Vec::new();
-            let _ = BallOracle::nearest_where(batch, u, &mut |v| {
-                batch_order.push(v);
-                false
-            });
-            assert_eq!(inc_order, batch_order, "{label}: call order from {u}");
-        }
-    }
-
-    #[test]
-    fn incremental_matches_batch_on_the_line() {
-        let n = 24;
-        for seed in 0..3u64 {
-            let order = permutation(n, seed);
-            let mut inc = NetTreeIndex::incremental(LineMetric::uniform(n).unwrap());
-            for &j in &order {
-                inc.insert(Node::new(j));
-            }
-            let batch = NetTreeIndex::build(LineMetric::uniform(n).unwrap());
-            assert_answers_match(&inc, &batch, n, &format!("line seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn incremental_matches_batch_on_a_cube() {
-        let n = 64;
-        for seed in 0..2u64 {
-            let order = permutation(n, 100 + seed);
-            let cube = gen::uniform_cube(n, 2, 9);
-            let mut inc = NetTreeIndex::incremental(cube.clone());
-            for &j in &order {
-                inc.insert(Node::new(j));
-                assert!(inc.contains(Node::new(j)));
-            }
-            let batch = NetTreeIndex::build(cube);
-            assert_answers_match(&inc, &batch, n, &format!("cube seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn incremental_matches_batch_on_the_exponential_line() {
-        let n = 14;
-        let order = permutation(n, 7);
-        let mut inc = NetTreeIndex::incremental(LineMetric::exponential(n).unwrap());
-        for &j in &order {
-            inc.insert(Node::new(j));
-        }
-        let batch = NetTreeIndex::build(LineMetric::exponential(n).unwrap());
-        assert_answers_match(&inc, &batch, n, "exponential line");
-    }
-
-    #[test]
-    fn incremental_membership_matches_batch_per_level() {
-        // Stronger than answer equality: the canonical id-order rule
-        // makes per-level membership insertion-order independent, so the
-        // shared radii of the two ladders hold identical member sets.
-        let n = 48;
-        let cube = gen::uniform_cube(n, 3, 17);
-        let order = permutation(n, 5);
-        let mut inc = NetTreeIndex::incremental(cube.clone());
-        for &j in &order {
-            inc.insert(Node::new(j));
-        }
-        let batch = NetTreeIndex::build(cube);
-        assert!(inc.depth() >= batch.depth());
-        for (k, b) in batch.levels.iter().enumerate() {
-            assert_eq!(inc.levels[k].radius, b.radius, "radius at level {k}");
-            assert_eq!(inc.levels[k].members, b.members, "members at level {k}");
-        }
-        // Any extra incremental levels hold every node (answers are
-        // unaffected; batch just stops at the first complete level).
-        for extra in &inc.levels[batch.depth()..] {
-            assert_eq!(extra.members.len(), n);
-        }
-    }
-
-    #[test]
-    fn incremental_mid_build_answers_are_exact_on_the_prefix() {
-        let n = 40;
-        let order = permutation(n, 11);
-        let cube = gen::uniform_cube(n, 2, 23);
-        let mut inc = NetTreeIndex::incremental(cube.clone());
-        for (step, &j) in order.iter().enumerate() {
-            inc.insert(Node::new(j));
-            if step % 7 != 3 {
-                continue;
-            }
-            // Against a brute-force scan of the inserted prefix.
-            let members: Vec<Node> = order[..=step].iter().map(|&i| Node::new(i)).collect();
-            let q = Node::new(j);
-            let r = inc.diameter_ub / 4.0;
-            let mut expect: Vec<(f64, Node)> = members
-                .iter()
-                .map(|&w| (cube.dist(q, w), w))
-                .filter(|&(d, _)| d <= r)
-                .collect();
-            expect.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            assert_eq!(BallOracle::ball(&inc, q, r), expect, "step {step}");
-            assert_eq!(BallOracle::len(&inc), step + 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "already inserted")]
-    fn insert_rejects_duplicates() {
-        let mut inc = NetTreeIndex::incremental(LineMetric::uniform(4).unwrap());
-        inc.insert(Node::new(2));
-        inc.insert(Node::new(2));
     }
 }

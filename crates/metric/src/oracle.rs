@@ -60,19 +60,6 @@ pub trait BallOracle: Sync {
     /// this covering the space, never on it being attained by a pair.
     fn diameter_ub(&self) -> f64;
 
-    /// Former name of [`diameter_ub`](BallOracle::diameter_ub).
-    ///
-    /// The old name suggested an exact diameter, but the sparse backend
-    /// reports `2 * ecc(v0)`; the rename makes the upper-bound contract
-    /// visible at every call site.
-    #[deprecated(
-        since = "0.8.0",
-        note = "renamed to `diameter_ub`: the value may be an upper bound within a factor of 2, not the exact diameter"
-    )]
-    fn diameter(&self) -> f64 {
-        self.diameter_ub()
-    }
-
     /// Exact smallest positive pairwise distance (`1.0` for a single
     /// node).
     fn min_distance(&self) -> f64;

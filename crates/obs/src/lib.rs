@@ -17,7 +17,7 @@
 //!   [`LatencyAttribution`] table, and ring-buffered time-series
 //!   snapshots ([`timeseries_tick`]) taken at structural moments —
 //!   stage exits, sim phase marks, engine batches — rendered as CSV
-//!   ([`timeseries_csv`]) and [`sparkline`] rows.
+//!   ([`timeseries_csv`]).
 //! * **Exporters** — [`Registry::render`] (aligned text),
 //!   [`Registry::to_json`], an opt-in Chrome-trace dump
 //!   ([`write_chrome_trace`], enabled by `RON_TRACE=chrome`), and the
@@ -67,10 +67,7 @@ pub use registry::{
 };
 pub use serve::{serve_from_env, MetricsServer};
 pub use span::{finish, span, span_labeled, stage, start, SpanGuard, StageGuard};
-pub use timeseries::{
-    set_timeseries_capacity, sparkline, take_timeseries, timeseries_csv, timeseries_json,
-    timeseries_tick, TimePoint,
-};
+pub use timeseries::{take_timeseries, timeseries_csv, timeseries_tick, TimePoint};
 
 pub(crate) use registry::label_text as label_name;
 
@@ -352,7 +349,6 @@ mod tests {
         for line in lines {
             assert_eq!(line.split(',').count(), 5, "row {line}");
         }
-        assert_json_object(&format!("{{\"ts\":{}}}", timeseries_json(&points)));
         assert!(take_timeseries().is_empty());
         done(guard);
     }
@@ -396,7 +392,6 @@ mod tests {
         let metrics = fetch("/metrics");
         assert!(metrics.contains("ron_counter{key=\"wire.requests\"} 3\n"));
         assert!(metrics.contains("ron_latency_count{key=\"wire.latency_ns\"} 1\n"));
-        assert!(fetch("/nope").starts_with("HTTP/1.1 404"));
 
         server.shutdown();
         server.shutdown(); // idempotent

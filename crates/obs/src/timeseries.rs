@@ -18,8 +18,7 @@
 //! label, occurrences are **exponentially thinned** (the first 8 are
 //! kept, then only power-of-two occurrences — a per-object `publish`
 //! stage loop costs one snapshot per doubling, and its curve comes out
-//! log-spaced), and the buffer is a ring
-//! ([`set_timeseries_capacity`], default 1024 points) so long runs
+//! log-spaced), and the buffer is a ring of 1024 points, so long runs
 //! keep the most recent window rather than growing without bound.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -27,7 +26,8 @@ use std::sync::Mutex;
 
 use crate::registry::{self, Registry};
 
-const DEFAULT_CAPACITY: usize = 1024;
+/// Ring-buffer size in points (oldest evicted first).
+const CAPACITY: usize = 1024;
 
 /// One sampled point: the registry as it stood at a tick.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +44,6 @@ pub struct TimePoint {
 
 struct SeriesBuf {
     next_tick: u64,
-    capacity: usize,
     points: VecDeque<TimePoint>,
     /// Occurrence counts per label, for exponential thinning.
     seen: BTreeMap<String, u64>,
@@ -52,20 +51,9 @@ struct SeriesBuf {
 
 static SERIES: Mutex<SeriesBuf> = Mutex::new(SeriesBuf {
     next_tick: 0,
-    capacity: DEFAULT_CAPACITY,
     points: VecDeque::new(),
     seen: BTreeMap::new(),
 });
-
-/// Caps the ring buffer at `capacity` points (oldest evicted first).
-/// Zero is clamped to 1.
-pub fn set_timeseries_capacity(capacity: usize) {
-    let mut buf = SERIES.lock().unwrap();
-    buf.capacity = capacity.max(1);
-    while buf.points.len() > buf.capacity {
-        buf.points.pop_front();
-    }
-}
 
 /// Records a time-series point labelled `label` by snapshotting the
 /// live registry. A no-op (one relaxed load) when observability is
@@ -99,7 +87,7 @@ pub fn timeseries_tick(label: &str) {
         registry: snapshot,
     };
     buf.points.push_back(point);
-    while buf.points.len() > buf.capacity {
+    while buf.points.len() > CAPACITY {
         buf.points.pop_front();
     }
 }
@@ -153,91 +141,9 @@ pub fn timeseries_csv(points: &[TimePoint]) -> String {
     out
 }
 
-/// Serializes points as a JSON array of
-/// `{"tick":t,"label":"...","counters":{...},"gauges":{...},"hists":{name:{"count":c,"sum":s}}}`
-/// — the compact per-tick view (full bucket vectors stay in the
-/// end-of-run [`Registry::to_json`](crate::Registry::to_json)).
-#[must_use]
-pub fn timeseries_json(points: &[TimePoint]) -> String {
-    let mut out = String::from("[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"tick\":{},\"label\":\"{}\",\"counters\":{{",
-            p.tick,
-            registry::json_escape(&p.label)
-        ));
-        for (j, (k, v)) in p.registry.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", registry::json_escape(k)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (j, (k, v)) in p.registry.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", registry::json_escape(k)));
-        }
-        out.push_str("},\"hists\":{");
-        for (j, (k, h)) in p.registry.histograms.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{}}}",
-                registry::json_escape(k),
-                h.count(),
-                h.sum(),
-            ));
-        }
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
-}
-
-/// Renders values as a unicode sparkline (`▁` to `█`, space for
-/// absent data), scaled to the slice maximum — the report's one-line
-/// curve view of a time series.
-#[must_use]
-pub fn sparkline(values: &[u64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().copied().max().unwrap_or(0);
-    if max == 0 {
-        return values.iter().map(|_| BARS[0]).collect();
-    }
-    values
-        .iter()
-        .map(|&v| {
-            // Scale v/max into 0..8; nonzero values always show at
-            // least the lowest bar.
-            let idx = (v * 8 / max).clamp(u64::from(v > 0), 8) as usize;
-            BARS[idx.saturating_sub(1)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparkline_scales_to_max() {
-        assert_eq!(sparkline(&[]), "");
-        assert_eq!(sparkline(&[0, 0]), "▁▁");
-        let s = sparkline(&[0, 1, 4, 8]);
-        assert_eq!(s.chars().count(), 4);
-        assert_eq!(s.chars().next(), Some('▁'));
-        assert_eq!(s.chars().last(), Some('█'));
-        // Nonzero values never render as the zero bar height... they
-        // get at least the lowest visible bar.
-        let tiny = sparkline(&[1, 1_000_000]);
-        assert_eq!(tiny.chars().next(), Some('▁'));
-    }
 
     #[test]
     fn csv_field_never_breaks_the_row() {

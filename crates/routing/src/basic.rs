@@ -12,6 +12,7 @@
 //! leg following a fixed shortest path via first-hop pointers.
 
 use ron_core::bits::{id_bits, index_bits, SizeReport};
+use ron_core::zoom::{geometric_scales, ZoomSequence};
 use ron_core::TranslationFn;
 use ron_graph::{Apsp, Graph};
 use ron_metric::{distance_levels, BallOracle, Metric, Node, Space};
@@ -78,10 +79,8 @@ pub struct BasicScheme {
     dout: usize,
     num_scales: usize,
     k_max: usize,
-    /// `rings[u][j]` = `Y_uj`.
-    rings: Vec<Vec<RingTable>>,
-    /// `zetas[u][j]` translates ring-`j` keys into ring-`j+1` indices.
-    zetas: Vec<Vec<TranslationFn>>,
+    /// `states[u]` = node `u`'s rings and translation functions.
+    states: Vec<BasicNodeState>,
     labels: Vec<BasicLabel>,
 }
 
@@ -129,10 +128,14 @@ impl BasicScheme {
         let diameter = space.index().diameter_ub();
         let num_scales = distance_levels(space.index().aspect_ratio()) + 1;
         let nets = NestedNets::build(space);
-        let scales: Vec<f64> = (0..num_scales)
-            .map(|j| diameter / (2.0f64).powi(j as i32))
+        let scales = geometric_scales(diameter, num_scales);
+        // Zooming sequences f_t0, f_t1, ...; the net level behind each
+        // scale is the same for every target.
+        let zoom: Vec<ZoomSequence> = space
+            .nodes()
+            .map(|t| ZoomSequence::towards(space, &nets, t, &scales))
             .collect();
-        let net_levels: Vec<usize> = scales.iter().map(|&s| nets.level_for_scale(s)).collect();
+        let net_levels = zoom[0].levels();
 
         // Rings Y_uj.
         let mut k_max = 1usize;
@@ -161,23 +164,16 @@ impl BasicScheme {
             })
             .collect();
 
-        // Zooming sequences and labels.
-        let zoom: Vec<Vec<Node>> = space
-            .nodes()
-            .map(|t| {
-                (0..num_scales)
-                    .map(|j| nets.net(net_levels[j]).nearest_member(space, t).1)
-                    .collect()
-            })
-            .collect();
+        // Labels: each zooming sequence in local indices.
         let labels: Vec<BasicLabel> = space
             .nodes()
             .map(|t| {
+                let chain = zoom[t.index()].points();
                 let seq: Vec<u32> = (0..num_scales)
                     .map(|j| {
-                        let host = if j == 0 { t } else { zoom[t.index()][j - 1] };
+                        let host = if j == 0 { t } else { chain[j - 1] };
                         rings[host.index()][j]
-                            .index_of(zoom[t.index()][j])
+                            .index_of(chain[j])
                             .expect("Claim 2.3: f_tj is a j-ring neighbor of f_(t,j-1)")
                     })
                     .collect();
@@ -211,6 +207,16 @@ impl BasicScheme {
             })
             .collect();
 
+        let states = rings
+            .into_iter()
+            .zip(zetas)
+            .enumerate()
+            .map(|(i, (rings, zetas))| BasicNodeState {
+                node: Node::new(i),
+                rings,
+                zetas,
+            })
+            .collect();
         let dout = graph.map_or(0, |(g, _)| g.max_out_degree());
         BasicScheme {
             delta,
@@ -218,8 +224,7 @@ impl BasicScheme {
             dout,
             num_scales,
             k_max,
-            rings,
-            zetas,
+            states,
             labels,
         }
     }
@@ -260,20 +265,6 @@ impl BasicScheme {
         &self.labels[t.index()]
     }
 
-    /// Decodes, at node `u`, the host-enumeration indices of the zooming
-    /// sequence of the labeled target, as far as possible (Claim 2.2):
-    /// returns `m` with `m[i] = phi_ui(f_ti)` for `i <= j_ut`.
-    fn decode(&self, u: Node, label: &BasicLabel) -> Vec<u32> {
-        let mut m = vec![label.seq[0]];
-        for i in 0..self.num_scales - 1 {
-            match self.zetas[u.index()][i].lookup(m[i], label.seq[i + 1]) {
-                Some(z) => m.push(z),
-                None => break,
-            }
-        }
-        m
-    }
-
     /// Routes a packet over the graph using only per-node tables and the
     /// packet header (target label + current intermediate scale).
     ///
@@ -283,7 +274,7 @@ impl BasicScheme {
     /// construction is broken; tests rely on this signal).
     pub fn route(&self, graph: &Graph, src: Node, tgt: Node) -> Result<RouteTrace, RouteError> {
         assert_eq!(graph.len(), self.n, "graph/scheme arity mismatch");
-        let label = self.labels[tgt.index()].clone();
+        let label = &self.labels[tgt.index()];
         let budget = (self.n + 2) * (self.num_scales + 2);
         let mut path = vec![src];
         let mut length = 0.0;
@@ -297,7 +288,8 @@ impl BasicScheme {
                     budget,
                 });
             }
-            let m = self.decode(cur, &label);
+            let state = &self.states[cur.index()];
+            let m = state.decode(label);
             let j_ut = m.len() - 1;
             let reselect = match level {
                 None => true,
@@ -310,7 +302,7 @@ impl BasicScheme {
                     }
                     // The current node is the intermediate target iff its
                     // own ring entry has no first hop.
-                    self.rings[cur.index()][j].first_hop[m[j] as usize].is_none()
+                    state.rings[j].first_hop[m[j] as usize].is_none()
                 }
             };
             let j = if reselect {
@@ -318,9 +310,7 @@ impl BasicScheme {
             } else {
                 level.expect("non-reselect has a level")
             };
-            let ring = &self.rings[cur.index()][j];
-            let idx = m[j] as usize;
-            let Some(slot) = ring.first_hop[idx] else {
+            let Some(slot) = state.rings[j].first_hop[m[j] as usize] else {
                 return Err(RouteError::NoDecision {
                     at: cur,
                     reason: "selected intermediate target is the current node",
@@ -343,8 +333,8 @@ impl BasicScheme {
     ///
     /// Returns an error if the packet loops (construction broken).
     pub fn route_overlay(&self, src: Node, tgt: Node) -> Result<RouteTrace, RouteError> {
-        let label = self.labels[tgt.index()].clone();
-        let budget = 4 * (self.num_scales + 2);
+        let label = &self.labels[tgt.index()];
+        let budget = self.states[src.index()].hop_budget();
         let mut path = vec![src];
         let mut length = 0.0;
         let mut cur = src;
@@ -355,18 +345,13 @@ impl BasicScheme {
                     budget,
                 });
             }
-            let m = self.decode(cur, &label);
-            let j = m.len() - 1;
-            let ring = &self.rings[cur.index()][j];
-            let idx = m[j] as usize;
-            let next = ring.members[idx];
-            if next == cur {
+            let Some((next, d)) = self.states[cur.index()].next_overlay_hop(label) else {
                 return Err(RouteError::NoDecision {
                     at: cur,
                     reason: "zooming sequence stalled on the current node",
                 });
-            }
-            length += ring.dists[idx];
+            };
+            length += d;
             cur = next;
             path.push(cur);
         }
@@ -379,7 +364,8 @@ impl BasicScheme {
     pub fn overlay_out_degree(&self) -> usize {
         (0..self.n)
             .map(|i| {
-                let mut all: Vec<Node> = self.rings[i]
+                let mut all: Vec<Node> = self.states[i]
+                    .rings
                     .iter()
                     .flat_map(|r| r.members.iter().copied())
                     .collect();
@@ -399,7 +385,7 @@ impl BasicScheme {
         let k_bits = index_bits(self.k_max + 1); // +1: the null entry
         let mut zeta_bits = 0u64;
         let mut hop_bits = 0u64;
-        for (j, ring) in self.rings[u.index()].iter().enumerate() {
+        for (j, ring) in self.states[u.index()].rings.iter().enumerate() {
             if j + 1 < self.num_scales {
                 zeta_bits += ring.members.len() as u64 * self.k_max as u64 * k_bits;
             }
@@ -432,40 +418,28 @@ impl BasicScheme {
         label + index_bits(self.num_scales + 1)
     }
 
-    /// Splits the scheme into per-node overlay state: `partition()[u]`
-    /// holds node `u`'s rings (members and virtual-link lengths) and its
-    /// translation functions — everything `u` consults when it forwards a
-    /// packet in overlay mode, and nothing belonging to any other node.
+    /// Splits the scheme into per-node state: `partition()[u]` holds node
+    /// `u`'s rings and its translation functions — everything `u`
+    /// consults when it forwards a packet, and nothing belonging to any
+    /// other node. These are the very states the in-process walks read.
     ///
     /// The input format of the message-passing simulator (`ron-sim`).
-    /// First-hop pointers are not included: overlay legs jump straight to
-    /// the decoded intermediate target (Section 4.1).
     #[must_use]
     pub fn partition(&self) -> Vec<BasicNodeState> {
-        (0..self.n)
-            .map(|i| BasicNodeState {
-                node: Node::new(i),
-                num_scales: self.num_scales,
-                rings: self.rings[i]
-                    .iter()
-                    .map(|r| (r.members.clone(), r.dists.clone()))
-                    .collect(),
-                zetas: self.zetas[i].clone(),
-            })
-            .collect()
+        self.states.clone()
     }
 }
 
-/// One node's slice of a [`BasicScheme`] in overlay mode: its rings
-/// `Y_uj` (members plus virtual-link lengths) and its translation
+/// One node's slice of a [`BasicScheme`]: its rings `Y_uj` (members,
+/// virtual-link lengths, first-hop pointers) and its translation
 /// functions `zeta_uj`. Forwarding decisions are made from this state and
 /// the packet's label alone.
 #[derive(Clone, Debug)]
 pub struct BasicNodeState {
     node: Node,
-    num_scales: usize,
-    /// `rings[j]` = (members of `Y_uj` in enumeration order, distances).
-    rings: Vec<(Vec<Node>, Vec<f64>)>,
+    /// `rings[j]` = `Y_uj`.
+    rings: Vec<RingTable>,
+    /// `zetas[j]` translates ring-`j` keys into ring-`j+1` indices.
     zetas: Vec<TranslationFn>,
 }
 
@@ -479,7 +453,7 @@ impl BasicNodeState {
     /// Ring members plus translation triples resident at this node.
     #[must_use]
     pub fn entries(&self) -> usize {
-        let members: usize = self.rings.iter().map(|(m, _)| m.len()).sum();
+        let members: usize = self.rings.iter().map(|r| r.members.len()).sum();
         let triples: usize = self.zetas.iter().map(TranslationFn::len).sum();
         members + triples
     }
@@ -488,16 +462,16 @@ impl BasicNodeState {
     /// every node (it depends only on the scale count).
     #[must_use]
     pub fn hop_budget(&self) -> usize {
-        4 * (self.num_scales + 2)
+        4 * (self.rings.len() + 2)
     }
 
-    /// Decodes, at this node, the host-enumeration indices of the labeled
-    /// target's zooming sequence, as far as translatable (Claim 2.2) —
-    /// the same walk as the in-process scheme's decoder.
+    /// Decodes, at this node, the host-enumeration indices of the zooming
+    /// sequence of the labeled target, as far as possible (Claim 2.2):
+    /// returns `m` with `m[i] = phi_ui(f_ti)` for `i <= j_ut`.
     fn decode(&self, label: &BasicLabel) -> Vec<u32> {
         let mut m = vec![label.seq[0]];
-        for i in 0..self.num_scales - 1 {
-            match self.zetas[i].lookup(m[i], label.seq[i + 1]) {
+        for (i, zeta) in self.zetas.iter().enumerate() {
+            match zeta.lookup(m[i], label.seq[i + 1]) {
                 Some(z) => m.push(z),
                 None => break,
             }
@@ -507,20 +481,19 @@ impl BasicNodeState {
 
     /// The next overlay hop for a packet labeled `label`, with the
     /// virtual-link length, or `None` when the zooming sequence stalls on
-    /// this node (broken construction; mirrors the in-process
-    /// `NoDecision`). Identical decision to [`BasicScheme::route_overlay`]
-    /// at the same node.
+    /// this node (broken construction). The decision rule of
+    /// [`BasicScheme::route_overlay`], which calls this at every node.
     #[must_use]
     pub fn next_overlay_hop(&self, label: &BasicLabel) -> Option<(Node, f64)> {
         let m = self.decode(label);
         let j = m.len() - 1;
-        let (members, dists) = &self.rings[j];
+        let ring = &self.rings[j];
         let idx = m[j] as usize;
-        let next = members[idx];
+        let next = ring.members[idx];
         if next == self.node {
             None
         } else {
-            Some((next, dists[idx]))
+            Some((next, ring.dists[idx]))
         }
     }
 }

@@ -161,16 +161,14 @@ impl SimpleScheme {
         self.max_degree.saturating_sub(1)
     }
 
-    /// Selects, at node `u`, the neighbor minimizing the label distance to
-    /// the target (excluding `u` itself), using labels only.
-    fn select_intermediate(&self, u: Node, tgt_label_owner: Node) -> Option<Node> {
-        let tgt_label = self.dls.label(tgt_label_owner);
-        self.neighbors[u.index()]
+    /// Selects, at node `u`, the intermediate target for a packet to
+    /// `tgt`: [`select_intermediate`] over `u`'s neighbors and the labels
+    /// its table stores for them.
+    fn select_intermediate(&self, u: Node, tgt: Node) -> Option<Node> {
+        let neighbors = self.neighbors[u.index()]
             .iter()
-            .filter(|&&(v, _)| v != u)
-            .map(|&(v, _)| (self.dls.estimate_labels(self.dls.label(v), tgt_label), v))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, v)| v)
+            .map(|&(v, _)| (v, self.dls.label(v)));
+        select_intermediate(&self.dls.estimator(), u, neighbors, self.dls.label(tgt))
     }
 
     /// Routes a packet over the graph.
@@ -332,6 +330,23 @@ impl SimpleScheme {
     }
 }
 
+/// Theorem 4.1's forwarding rule at node `me`: among `neighbors` (each
+/// with its distance label), the one other than `me` whose label-distance
+/// estimate to the `target` label is smallest, ties by node id. Uses
+/// labels only; the in-process walks and the simulated node both call it.
+fn select_intermediate<'a>(
+    estimator: &LabelEstimator,
+    me: Node,
+    neighbors: impl Iterator<Item = (Node, &'a CompactLabel)>,
+    target: &CompactLabel,
+) -> Option<Node> {
+    neighbors
+        .filter(|&(v, _)| v != me)
+        .map(|(v, label)| (estimator.estimate(label, target), v))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, v)| v)
+}
+
 /// One node's slice of a [`SimpleScheme`] in overlay mode: its neighbors'
 /// distance labels and the shared decoding constants. Forwarding picks
 /// the neighbor whose label-distance to the packet's target label is
@@ -366,16 +381,12 @@ impl SimpleNodeState {
 
     /// The next overlay hop for a packet whose target carries `label`:
     /// the neighbor minimizing the label-distance estimate (ties by node
-    /// id), or `None` if this node has no neighbor but itself. Identical
-    /// decision to the in-process `select_intermediate`.
+    /// id), or `None` if this node has no neighbor but itself — the
+    /// selection rule the in-process walks apply.
     #[must_use]
     pub fn next_overlay_hop(&self, label: &CompactLabel) -> Option<Node> {
-        self.neighbors
-            .iter()
-            .filter(|&&(v, _)| v != self.node)
-            .map(|(v, l)| (self.estimator.estimate(l, label), *v))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, v)| v)
+        let neighbors = self.neighbors.iter().map(|(v, l)| (*v, l));
+        select_intermediate(&self.estimator, self.node, neighbors, label)
     }
 }
 

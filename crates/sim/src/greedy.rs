@@ -4,13 +4,14 @@
 //! ([`ContactGraph::partition`]); a packet carries the target and a hop
 //! budget, and each relay applies the strongly local greedy rule — the
 //! contact closest to the target, provided it makes strict progress, ties
-//! by node id. The decision, budget and tie-breaking replicate
-//! `ron_smallworld`'s in-process `route_with`/`greedy_rule` exactly, so
-//! for a failure-free network the simulated message chain *is* the
-//! in-process path (property-tested), and Theorem 5.2's `O(log n)` hop
-//! bound becomes an `O(log n)` message-chain bound.
+//! by node id. The decision is `ron_smallworld`'s own
+//! [`greedy_choice`] and the budget check mirrors `route_with`, so for a
+//! failure-free network the simulated message chain *is* the in-process
+//! path (property-tested), and Theorem 5.2's `O(log n)` hop bound becomes
+//! an `O(log n)` message-chain bound.
 
 use ron_metric::Node;
+use ron_smallworld::model::greedy_choice;
 use ron_smallworld::ContactGraph;
 
 use crate::engine::{Ctx, FailKind, SimNode};
@@ -78,15 +79,7 @@ impl SimNode for GreedyNode {
             ctx.fail(FailKind::BudgetExhausted);
             return;
         }
-        let du = ctx.dist(self.me, msg.target);
-        let next = self
-            .contacts
-            .iter()
-            .map(|&c| (ctx.dist(c, msg.target), c))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .filter(|&(d, _)| d < du)
-            .map(|(_, c)| c);
-        match next {
+        match greedy_choice(self.me, &self.contacts, msg.target, |a, b| ctx.dist(a, b)) {
             Some(next) => ctx.send(
                 next,
                 GreedyPacket {

@@ -80,131 +80,3 @@ pub use report::{
     render_rate, AvailabilityBucket, MessageCounts, Percentiles, PhaseMark, PhaseSummary,
     QueryRecord, SimReport,
 };
-
-use ron_metric::Node;
-
-/// A per-node slice of protocol state: the contract every `partition()`
-/// constructor in the workspace satisfies, and the unit of state a
-/// simulated node is allowed to touch.
-///
-/// The `entries` count is the node's share of the distributed
-/// structure's memory — the static counterpart of the per-node
-/// message-load histogram in [`SimReport`].
-pub trait LocalState {
-    /// The node this slice belongs to.
-    fn node(&self) -> Node;
-
-    /// Pointer/table entries resident in this slice.
-    fn entries(&self) -> usize;
-}
-
-impl LocalState for ron_core::NodeRings {
-    fn node(&self) -> Node {
-        self.node()
-    }
-
-    fn entries(&self) -> usize {
-        self.entries()
-    }
-}
-
-impl LocalState for ron_routing::BasicNodeState {
-    fn node(&self) -> Node {
-        self.node()
-    }
-
-    fn entries(&self) -> usize {
-        self.entries()
-    }
-}
-
-impl LocalState for ron_routing::SimpleNodeState {
-    fn node(&self) -> Node {
-        self.node()
-    }
-
-    fn entries(&self) -> usize {
-        self.entries()
-    }
-}
-
-impl LocalState for ron_location::DirectoryNodeState {
-    fn node(&self) -> Node {
-        self.node()
-    }
-
-    fn entries(&self) -> usize {
-        self.entries()
-    }
-}
-
-impl LocalState for greedy::GreedyNode {
-    fn node(&self) -> Node {
-        self.node()
-    }
-
-    fn entries(&self) -> usize {
-        self.entries()
-    }
-}
-
-impl LocalState for directory::DirectoryNode {
-    fn node(&self) -> Node {
-        self.state().node()
-    }
-
-    fn entries(&self) -> usize {
-        self.state().entries()
-    }
-}
-
-impl LocalState for overlay::BasicOverlayNode {
-    fn node(&self) -> Node {
-        self.state().node()
-    }
-
-    fn entries(&self) -> usize {
-        self.state().entries()
-    }
-}
-
-impl LocalState for overlay::SimpleOverlayNode {
-    fn node(&self) -> Node {
-        self.state().node()
-    }
-
-    fn entries(&self) -> usize {
-        self.state().entries()
-    }
-}
-
-/// The per-node resident-entry counts of a partitioned structure, in
-/// node order — the static load distribution next to the dynamic one in
-/// [`SimReport::node_received`].
-pub fn state_entries<L: LocalState>(states: &[L]) -> Vec<usize> {
-    states.iter().map(LocalState::entries).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ron_core::RingFamily;
-    use ron_metric::{LineMetric, Space};
-    use ron_nets::NestedNets;
-
-    #[test]
-    fn local_state_is_implemented_across_the_partitions() {
-        let space = Space::new(LineMetric::uniform(16).unwrap());
-        let nets = NestedNets::build(&space);
-        let rings = RingFamily::from_nets(&space, &nets, |_, r| Some(2.0 * r));
-        let slices = rings.partition();
-        let entries = state_entries(&slices);
-        assert_eq!(entries.len(), 16);
-        assert_eq!(
-            entries.iter().sum::<usize>(),
-            rings.total_pointers(),
-            "partitioned entries must add up to the family total"
-        );
-        assert_eq!(LocalState::node(&slices[5]), Node::new(5));
-    }
-}

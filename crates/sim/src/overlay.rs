@@ -5,10 +5,10 @@
 //! its slice of the scheme — [`BasicNodeState`] (rings + translation
 //! functions) or [`SimpleNodeState`] (neighbor labels + decoding
 //! constants) — and the packet header carries exactly what the paper
-//! says it carries: the target's routing label. Forwarding decisions and
-//! hop budgets replicate the in-process `route_overlay` walks, so the
-//! simulated message chains match them hop for hop on a failure-free
-//! network.
+//! says it carries: the target's routing label. Each forwarding decision
+//! is the `next_overlay_hop` call the in-process `route_overlay` walks
+//! make, under the same hop budget, so the simulated message chains
+//! match them hop for hop on a failure-free network.
 
 use ron_labels::CompactLabel;
 use ron_metric::Node;

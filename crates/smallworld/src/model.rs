@@ -123,20 +123,31 @@ pub fn route_with<M: Metric>(
     Some(QueryOutcome { path })
 }
 
-/// The greedy strongly local rule: the contact closest to the target,
-/// provided it is closer than the current node (ties by node id).
+/// The greedy strongly local choice at `u`: the contact closest to the
+/// target `t` under `dist`, provided it is closer than `u` itself (ties
+/// by node id). The one definition behind [`greedy_rule`] and the
+/// simulator's greedy node.
+pub fn greedy_choice(
+    u: Node,
+    contacts: &[Node],
+    t: Node,
+    dist: impl Fn(Node, Node) -> f64,
+) -> Option<Node> {
+    let du = dist(u, t);
+    contacts
+        .iter()
+        .map(|&c| (dist(c, t), c))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .filter(|&(d, _)| d < du)
+        .map(|(_, c)| c)
+}
+
+/// [`greedy_choice`] over a space's metric, in the shape [`route_with`]
+/// takes.
 pub fn greedy_rule<M: Metric>(
     space: &Space<M>,
 ) -> impl FnMut(Node, &[Node], Node) -> Option<Node> + '_ {
-    move |u, contacts, t| {
-        let du = space.dist(u, t);
-        contacts
-            .iter()
-            .map(|&c| (space.dist(c, t), c))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .filter(|&(d, _)| d < du)
-            .map(|(_, c)| c)
-    }
+    move |u, contacts, t| greedy_choice(u, contacts, t, |a, b| space.dist(a, b))
 }
 
 /// Aggregate hop statistics over a set of queries.

@@ -18,8 +18,7 @@ use rings_of_neighbors::metric::{gen, Node, Space};
 use rings_of_neighbors::sim::directory::{DirectoryMsg, DirectoryNode};
 use rings_of_neighbors::sim::greedy::{GreedyNode, GreedyPacket};
 use rings_of_neighbors::sim::{
-    state_entries, ChurnSchedule, LognormalLatency, MetricLatency, Percentiles, SimConfig,
-    Simulator,
+    ChurnSchedule, LognormalLatency, MetricLatency, Percentiles, SimConfig, Simulator,
 };
 use rings_of_neighbors::smallworld::GreedyModel;
 
@@ -97,7 +96,12 @@ fn main() {
     // The per-node *state* load after the installs — the static
     // counterpart of the message-load histograms below.
     let nodes = publish.into_nodes();
-    let static_load = Percentiles::of(state_entries(&nodes).iter().map(|&e| e as f64).collect());
+    let static_load = Percentiles::of(
+        nodes
+            .iter()
+            .map(|node| node.state().entries() as f64)
+            .collect(),
+    );
     println!(
         "per-node directory entries: p50 {:.0} / p99 {:.0} / max {:.0}\n",
         static_load.p50, static_load.p99, static_load.max
