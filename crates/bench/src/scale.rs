@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use ron_core::{par, RingFamily};
-use ron_location::{DirectoryOverlay, ObjectId, DEFAULT_RING_FACTOR};
+use ron_location::{DirectoryOverlay, ObjectId, Snapshot, DEFAULT_RING_FACTOR};
 use ron_metric::{gen, HeapBytes, Node, Space};
 use ron_nets::NestedNets;
 
@@ -21,10 +21,11 @@ use crate::{f, Table};
 pub const BYTES_PER_NODE_BUDGET: usize = 4096;
 
 /// One construction pass over a 2-d uniform cube: ball index, net
-/// ladder, publish rings, directory assembly, and a batched publish.
+/// ladder, publish rings, directory assembly, a batched publish, and
+/// the serving snapshot's capture.
 struct Build {
-    /// Wall milliseconds of the five stages, in pipeline order.
-    stage_ms: [f64; 5],
+    /// Wall milliseconds of the six stages, in pipeline order.
+    stage_ms: [f64; 6],
     struct_bytes: usize,
     fingerprint: u64,
 }
@@ -87,8 +88,19 @@ fn build(n: usize) -> Build {
     let ((), publish_ms) = timed(|| {
         overlay.publish_batch(&space, &objects);
     });
+    // On a never-churned overlay every finger is a scan of a stored
+    // ring, so this stage stays linear in n; an oracle search per
+    // (node, level) here is minutes at 2^14.
+    let (_snapshot, capture_ms) = timed(|| Snapshot::capture(&space, &overlay));
     Build {
-        stage_ms: [index_ms, nets_ms, rings_ms, directory_ms, publish_ms],
+        stage_ms: [
+            index_ms,
+            nets_ms,
+            rings_ms,
+            directory_ms,
+            publish_ms,
+            capture_ms,
+        ],
         // The overlay owns its net ladder, ring arena and pointer
         // tables, so index + overlay is the whole resident structure.
         struct_bytes: space.index().heap_bytes() + overlay.heap_bytes(),
@@ -120,6 +132,7 @@ pub fn table(ns: &[usize]) -> Table {
             "rings ms",
             "directory ms",
             "publish ms",
+            "capture ms",
             "total ms",
             "bytes/node",
             "fingerprint",
@@ -159,12 +172,13 @@ mod tests {
         // and the bytes/node budget at every size); here we pin one row
         // per requested size and that bytes/node is populated.
         let t = super::table(&[96, 160]);
-        assert_eq!(t.header[7], "bytes/node");
+        assert_eq!(t.header[6], "capture ms");
+        assert_eq!(t.header[8], "bytes/node");
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
-            let bytes: usize = row[7].parse().expect("bytes/node is an integer");
+            let bytes: usize = row[8].parse().expect("bytes/node is an integer");
             assert!(bytes > 0);
-            assert_eq!(row[9], "bit-identical");
+            assert_eq!(row[10], "bit-identical");
         }
         assert_eq!(t.rows[0][0], "96");
         assert_eq!(t.rows[1][0], "160");

@@ -110,12 +110,6 @@ impl SizeReport {
     pub fn total_bits(&self) -> u64 {
         self.parts.iter().map(|(_, b)| b).sum()
     }
-
-    /// Total rounded up to whole bytes.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bits().div_ceil(8)
-    }
 }
 
 impl fmt::Display for SizeReport {
@@ -169,7 +163,6 @@ mod tests {
         b.add("y", 9);
         a.merge(&b);
         assert_eq!(a.total_bits(), 25);
-        assert_eq!(a.total_bytes(), 4);
     }
 
     #[test]

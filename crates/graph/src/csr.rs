@@ -215,12 +215,6 @@ impl Graph {
         (Node::new(self.heads[k] as usize), self.weights[k])
     }
 
-    /// Slot index of the arc `u -> v`, if present (first match).
-    #[must_use]
-    pub fn slot_of(&self, u: Node, v: Node) -> Option<usize> {
-        self.out_links(u).position(|(head, _)| head == v)
-    }
-
     /// Whether the graph is (strongly) connected, via forward BFS from node
     /// 0 (sufficient for symmetric graphs; routing substrates here are
     /// symmetric).
@@ -287,14 +281,6 @@ mod tests {
         assert_eq!(g.max_out_degree(), 2);
         let links: Vec<_> = g.out_links(Node::new(0)).collect();
         assert_eq!(links, vec![(Node::new(1), 1.0), (Node::new(2), 4.0)]);
-    }
-
-    #[test]
-    fn slots_are_stable() {
-        let g = triangle();
-        let slot = g.slot_of(Node::new(0), Node::new(2)).unwrap();
-        assert_eq!(g.link(Node::new(0), slot), (Node::new(2), 4.0));
-        assert_eq!(g.slot_of(Node::new(0), Node::new(0)), None);
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl IdRangeTree {
         self.members.iter().position(|&x| x == node)
     }
 
-    /// Parent member of the given member, `None` for the root.
-    #[must_use]
-    pub fn parent_of(&self, member: usize) -> Option<Node> {
-        self.parent[member].map(|p| self.members[p])
-    }
-
     /// Children members of the given member.
     pub fn children_of(&self, member: usize) -> impl Iterator<Item = Node> + '_ {
         self.children[member].iter().map(|&c| self.members[c])

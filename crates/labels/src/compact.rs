@@ -71,12 +71,6 @@ impl CompactLabel {
     pub fn host_len(&self) -> usize {
         self.host_dists.len()
     }
-
-    /// Number of translation-map entries across levels.
-    #[must_use]
-    pub fn zeta_entries(&self) -> usize {
-        self.zeta.iter().map(TranslationFn::len).sum()
-    }
 }
 
 /// The Theorem 3.4 labeling scheme for one metric space.
@@ -579,7 +573,6 @@ mod tests {
         let report = scheme.label_bits(Node::new(3));
         assert!(report.total_bits() > 0);
         assert_eq!(report.parts().len(), 3);
-        let _ = label.zeta_entries();
     }
 
     #[test]

@@ -241,7 +241,9 @@ pub struct RepairAuthority {
     /// of the level-`j` net. Starts as the static ladder.
     pub(crate) member: Vec<Vec<bool>>,
     /// Whether level `j` has diverged from the static ladder (any join,
-    /// leave or promotion) — controls the static fast path in `publish`.
+    /// leave or promotion). A level never marked still is the static
+    /// net: the overlay reads its fingers and publish rings from the
+    /// stored `RingFamily`.
     pub(crate) level_dirty: Vec<bool>,
     /// Nodes whose level-`j` membership changed since the last repair.
     pub(crate) touched: Vec<Vec<Node>>,
@@ -407,11 +409,6 @@ impl RepairAuthority {
         ring
     }
 
-    /// Whether any level has diverged from the static ladder.
-    pub(crate) fn is_dirty(&self) -> bool {
-        self.level_dirty.iter().any(|&d| d)
-    }
-
     /// The home's zoom chain under the current membership: `chain[j]` is
     /// the finger of `home` at level `j`. A level emptied by churn
     /// (possible between a `leave` and the next repair) contributes the
@@ -523,7 +520,10 @@ impl RepairAuthority {
             }
             plan.objects_touched += 1;
 
-            debug_assert!(self.is_dirty(), "repair planning on a pristine ladder");
+            debug_assert!(
+                self.level_dirty.contains(&true),
+                "repair planning on a pristine ladder"
+            );
             let new_chain = self.dynamic_chain(oracle, home);
             let mut refresh = vec![false; levels];
             for (j, slot) in refresh.iter_mut().enumerate() {

@@ -231,6 +231,16 @@ impl DirectoryOverlay {
     /// The finger of `s` at level `j`: the nearest alive member of the
     /// dynamic level-`j` net (with its distance), or `None` if the level
     /// has no members left.
+    ///
+    /// A level that never diverged from the static ladder is read from
+    /// the stored rings, not asked of the oracle: covering puts the
+    /// nearest member within `r_j <= ring_factor * r_j` of `s`, so it is
+    /// in `rings.ring(s, j)` (the paper's point — the rings subsume the
+    /// zooming sequence), and strict `<` over the id-sorted members
+    /// reproduces the oracle's `(distance, id)` order bit for bit. This
+    /// is the one place that choice is made; chains, snapshots, slices
+    /// and lookups inherit it. A diverged level delegates to the control
+    /// plane's oracle search.
     #[must_use]
     pub fn finger<M: Metric, I: BallOracle>(
         &self,
@@ -238,7 +248,21 @@ impl DirectoryOverlay {
         s: Node,
         level: usize,
     ) -> Option<(f64, Node)> {
-        self.control.finger(space, s, level)
+        if self.control.level_dirty[level] {
+            return self.control.finger(space, s, level);
+        }
+        let ring = self
+            .rings
+            .ring(s, level)
+            .expect("overlay builds every level");
+        let mut best: Option<(f64, Node)> = None;
+        for &v in ring.members() {
+            let d = space.dist(s, v);
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, v));
+            }
+        }
+        best
     }
 
     /// Published objects, in publish order.

@@ -222,14 +222,10 @@ impl LruCache {
         }
     }
 
-    fn get(&mut self, key: (Node, ObjectId), epoch: u64) -> Option<CachedHit> {
-        self.get_probed(key, epoch).0
-    }
-
-    /// `get` plus the probe's classification, for per-query flight
-    /// records: hit, plain miss, or an entry cached against a
-    /// superseded epoch.
-    fn get_probed(
+    /// The cached hit, if any, and the probe's classification (for
+    /// per-query flight records): hit, plain miss, or an entry cached
+    /// against a superseded epoch.
+    fn get(
         &mut self,
         key: (Node, ObjectId),
         epoch: u64,
@@ -329,17 +325,9 @@ impl ShardedCache {
         (h % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, key: (Node, ObjectId)) -> &Mutex<LruCache> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    fn get(&self, key: (Node, ObjectId), epoch: u64) -> Option<CachedHit> {
-        self.shard(key).lock().expect("cache lock").get(key, epoch)
-    }
-
-    /// `get` plus the probe classification and the shard probed, for
-    /// per-query flight records.
-    fn get_probed(
+    /// The cached hit, if any, with the probe classification and the
+    /// shard probed (the latter two for per-query flight records).
+    fn get(
         &self,
         key: (Node, ObjectId),
         epoch: u64,
@@ -348,12 +336,12 @@ impl ShardedCache {
         let (value, outcome) = self.shards[shard]
             .lock()
             .expect("cache lock")
-            .get_probed(key, epoch);
+            .get(key, epoch);
         (value, outcome, shard as u32)
     }
 
     fn insert(&self, key: (Node, ObjectId), value: CachedHit, epoch: u64) {
-        self.shard(key)
+        self.shards[self.shard_index(key)]
             .lock()
             .expect("cache lock")
             .insert(key, value, epoch);
@@ -505,8 +493,6 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                 ron_obs::count_labeled("engine.cache.stale", shard, s.stale);
             }
         }
-        // A served batch is a structural moment on the serving curve.
-        ron_obs::timeseries_tick("engine:batch");
         report
     }
 
@@ -536,16 +522,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
             // entries from a superseded snapshot from being served.
             let snap = self.directory.load();
             let epoch = snap.epoch();
-            // A traced query goes through the probed path, which also
-            // classifies the probe and names the shard; the common path
-            // stays as-is.
-            let (probe, cache_kind, shard) = if traced {
-                let (p, k, s) = cache.get_probed((origin, obj), epoch);
-                (p, k, Some(s))
-            } else {
-                let p = cache.get((origin, obj), epoch);
-                (p, ron_obs::CacheOutcome::Uncached, None)
-            };
+            let (probe, cache_kind, shard) = cache.get((origin, obj), epoch);
             let cache_ns = if traced {
                 t0.elapsed().as_nanos() as u64
             } else {
@@ -594,7 +571,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                     kind: "lookup",
                     id: qid,
                     epoch,
-                    cache_shard: shard,
+                    cache_shard: Some(shard),
                     cache: cache_kind,
                     levels_visited: walk.0,
                     found_level: walk.1,
@@ -655,11 +632,11 @@ mod tests {
         let mut lru = LruCache::new(2);
         lru.insert(key(1), hit(1), 0);
         lru.insert(key(2), hit(2), 0);
-        assert_eq!(lru.get(key(1), 0), Some(hit(1))); // 1 is now MRU
+        assert_eq!(lru.get(key(1), 0).0, Some(hit(1))); // 1 is now MRU
         lru.insert(key(3), hit(3), 0); // evicts 2
-        assert_eq!(lru.get(key(2), 0), None);
-        assert_eq!(lru.get(key(1), 0), Some(hit(1)));
-        assert_eq!(lru.get(key(3), 0), Some(hit(3)));
+        assert_eq!(lru.get(key(2), 0).0, None);
+        assert_eq!(lru.get(key(1), 0).0, Some(hit(1)));
+        assert_eq!(lru.get(key(3), 0).0, Some(hit(3)));
         assert_eq!(lru.len(), 2);
     }
 
@@ -670,15 +647,15 @@ mod tests {
         lru.insert(key(2), hit(2), 0);
         lru.insert(key(1), hit(9), 0); // update, 1 becomes MRU
         lru.insert(key(3), hit(3), 0); // evicts 2
-        assert_eq!(lru.get(key(1), 0), Some(hit(9)));
-        assert_eq!(lru.get(key(2), 0), None);
+        assert_eq!(lru.get(key(1), 0).0, Some(hit(9)));
+        assert_eq!(lru.get(key(2), 0).0, None);
     }
 
     #[test]
     fn lru_accounts_hits_and_misses_exactly() {
         let mut lru = LruCache::new(4);
         let (mut hits, mut misses) = (0usize, 0usize);
-        let mut probe = |lru: &mut LruCache, k: u64| match lru.get(key(k), 0) {
+        let mut probe = |lru: &mut LruCache, k: u64| match lru.get(key(k), 0).0 {
             Some(_) => hits += 1,
             None => misses += 1,
         };
@@ -695,13 +672,13 @@ mod tests {
     fn lru_rejects_entries_from_a_superseded_epoch() {
         let mut lru = LruCache::new(4);
         lru.insert(key(1), hit(1), 0);
-        assert_eq!(lru.get(key(1), 0), Some(hit(1)));
+        assert_eq!(lru.get(key(1), 0).0, Some(hit(1)));
         // After a publish the same key under the new epoch is a miss...
-        assert_eq!(lru.get(key(1), 1), None);
+        assert_eq!(lru.get(key(1), 1).0, None);
         // ...and re-inserting retags it, making the *old* epoch stale.
         lru.insert(key(1), hit(2), 1);
-        assert_eq!(lru.get(key(1), 1), Some(hit(2)));
-        assert_eq!(lru.get(key(1), 0), None);
+        assert_eq!(lru.get(key(1), 1).0, Some(hit(2)));
+        assert_eq!(lru.get(key(1), 0).0, None);
         assert_eq!(lru.len(), 1, "retagging must not duplicate the entry");
     }
 
@@ -709,7 +686,7 @@ mod tests {
     fn zero_capacity_cache_is_inert() {
         let mut lru = LruCache::new(0);
         lru.insert(key(1), hit(1), 0);
-        assert_eq!(lru.get(key(1), 0), None);
+        assert_eq!(lru.get(key(1), 0).0, None);
         assert_eq!(lru.len(), 0);
     }
 
@@ -720,8 +697,8 @@ mod tests {
             cache.insert(key(i), hit(i as usize), 0);
         }
         for i in 0..32u64 {
-            assert_eq!(cache.get(key(i), 0), Some(hit(i as usize)), "key {i}");
-            assert_eq!(cache.get(key(i), 1), None, "epoch tag applies per shard");
+            assert_eq!(cache.get(key(i), 0).0, Some(hit(i as usize)), "key {i}");
+            assert_eq!(cache.get(key(i), 1).0, None, "epoch tag applies per shard");
         }
     }
 
@@ -731,10 +708,10 @@ mod tests {
         let cache = ShardedCache::new(16, 0);
         assert_eq!(cache.shards.len(), 1);
         cache.insert(key(1), hit(1), 0);
-        assert_eq!(cache.get(key(1), 0), Some(hit(1)));
+        assert_eq!(cache.get(key(1), 0).0, Some(hit(1)));
         let inert = ShardedCache::new(0, 4);
         inert.insert(key(1), hit(1), 0);
-        assert_eq!(inert.get(key(1), 0), None);
+        assert_eq!(inert.get(key(1), 0).0, None);
     }
 
     #[test]

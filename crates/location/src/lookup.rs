@@ -289,8 +289,8 @@ impl DirectoryOverlay {
             homes: &self.control.homes,
             tables: &self.tables,
         };
-        // The live overlay scans the metric index for fingers; engine
-        // snapshots use a precomputed table.
+        // The live overlay finds fingers on demand; engine snapshots
+        // use a precomputed table.
         locate_view(&view, space, origin, obj, |s, j| {
             self.finger(space, s, j).map(|(_, f)| f)
         })

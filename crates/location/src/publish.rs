@@ -166,43 +166,19 @@ impl DirectoryOverlay {
     }
 
     /// The home's zooming chain against the *current* net membership:
-    /// `chain[j]` is the nearest alive level-`j` member to `home`.
-    ///
-    /// On a pristine overlay the stored rings subsume the zooming
-    /// sequence (the paper's point): covering puts the nearest level-`j`
-    /// member within `r_j <= ring_factor * r_j`, so it is already a
-    /// member of the publish ring and a linear scan of that `O(1)`-sized
-    /// slice replaces an oracle search whose expanding frontier grows
-    /// with `n` at the coarse levels. The scan improves on strict `<`
-    /// over the id-sorted members, matching the oracle's
-    /// distance-then-id order bit for bit. Once any level diverged the
-    /// chain is the control plane's
-    /// [`dynamic_chain`](crate::RepairAuthority::dynamic_chain).
+    /// `chain[j]` is the [`finger`](DirectoryOverlay::finger) of `home`
+    /// at level `j` — read from the stored rings on a level that never
+    /// diverged, asked of the oracle otherwise — and the home itself on
+    /// a level emptied by churn (see
+    /// [`dynamic_chain`](crate::RepairAuthority::dynamic_chain)).
     pub(crate) fn desired_chain<M: Metric, I: BallOracle>(
         &self,
         space: &Space<M, I>,
         home: Node,
     ) -> Vec<Node> {
-        if self.control.is_dirty() {
-            self.control.dynamic_chain(space, home)
-        } else {
-            (0..self.levels())
-                .map(|j| {
-                    let ring = self
-                        .rings
-                        .ring(home, j)
-                        .expect("overlay builds every level");
-                    let mut best: Option<(f64, Node)> = None;
-                    for &v in ring.members() {
-                        let d = space.dist(home, v);
-                        if best.is_none_or(|(bd, _)| d < bd) {
-                            best = Some((d, v));
-                        }
-                    }
-                    best.map_or(home, |(_, f)| f)
-                })
-                .collect()
-        }
+        (0..self.levels())
+            .map(|j| self.finger(space, home, j).map_or(home, |(_, f)| f))
+            .collect()
     }
 
     /// The publish-ring members of `home` at `level`, from the static

@@ -5,17 +5,17 @@
 use proptest::prelude::*;
 use ron_location::{
     ChurnConfig, ChurnSchedule, DirectoryNodeState, DirectoryOverlay, EngineConfig, EpochCell,
-    ObjectId, QueryEngine, Snapshot,
+    ObjectId, QueryEngine, RepairOracle, Snapshot,
 };
-use ron_metric::{gen, LineMetric, Metric, Node, Space};
+use ron_metric::{gen, BallOracle, LineMetric, Metric, Node, Space};
 
 /// Static worst-case stretch bound of the factor-2 overlay (documented in
 /// `lookup.rs`: climb <= 4 r*, chain hop <= 3 r*, descent <= 2 r*, with
 /// r* <= 2 d).
 const STRETCH_BOUND: f64 = 18.0;
 
-fn publish_some<M: Metric>(
-    space: &Space<M>,
+fn publish_some<M: Metric, I: BallOracle>(
+    space: &Space<M, I>,
     overlay: &mut DirectoryOverlay,
     objects: usize,
     stride: usize,
@@ -167,13 +167,16 @@ proptest! {
 /// epoch-publication safety property: reader threads load the published
 /// snapshot and record `(epoch, origin, obj, answer)` while the main
 /// thread publishes a leave wave (epoch 1) and then a repair built off
-/// to the side (epoch 2). Afterwards every recorded answer is recomputed
+/// to the side (epoch 2). The writer moves on from an epoch only once
+/// every reader has recorded a lookup against it, so every reader
+/// observes all three. Afterwards every recorded answer is recomputed
 /// on the *retained* snapshot of its epoch — each answer must be exactly
 /// the answer of one published plan state, pre-plan-valid or
 /// post-plan-valid, never a torn mixture — and every reader must observe
 /// epochs monotonically.
 fn assert_never_torn<M: Metric + Sync>(space: &Space<M>, objects: usize, victims: usize) {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const READERS: usize = 2;
 
     let n = space.len();
     let mut overlay = DirectoryOverlay::build(space);
@@ -181,11 +184,13 @@ fn assert_never_torn<M: Metric + Sync>(space: &Space<M>, objects: usize, victims
     let cell = EpochCell::new(Snapshot::capture(space, &overlay));
     let mut retained = vec![cell.load()];
     let stop = AtomicBool::new(false);
+    // `seen[e]`: how many readers have recorded a lookup against epoch `e`.
+    let seen = [const { AtomicUsize::new(0) }; 3];
 
-    let records = std::thread::scope(|scope| {
-        let readers: Vec<_> = (0..2)
+    let per_reader = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
             .map(|r| {
-                let (cell, stop) = (&cell, &stop);
+                let (cell, stop, seen) = (&cell, &stop, &seen);
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut last_epoch = 0u64;
@@ -199,19 +204,37 @@ fn assert_never_torn<M: Metric + Sync>(space: &Space<M>, objects: usize, victims
                             snap.epoch() >= last_epoch,
                             "published epochs must be monotone per reader"
                         );
+                        let first_of_epoch = out.is_empty() || snap.epoch() > last_epoch;
                         last_epoch = snap.epoch();
                         let origin = Node::new((q * 53 + 7) % n);
                         let obj = ObjectId((q % objects) as u64);
                         out.push((snap.epoch(), origin, obj, snap.lookup(space, origin, obj)));
-                        q += 2;
+                        if first_of_epoch {
+                            // ordering: Release -- pairs with the writer's
+                            // Acquire wait: its next publish happens after
+                            // this reader's recorded lookup.
+                            seen[snap.epoch() as usize].fetch_add(1, Ordering::Release);
+                        }
+                        q += READERS;
                     }
                     out
                 })
             })
             .collect();
+        // Blocks until every reader has recorded a lookup against
+        // `epoch` (or one died: its panic surfaces at the join below).
+        let every_reader_saw = |epoch: usize| {
+            // ordering: Acquire -- pairs with the readers' Release bumps.
+            while seen[epoch].load(Ordering::Acquire) < READERS
+                && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
+            }
+        };
 
         // The writer script: the leave wave lands as one published epoch,
         // the repair is built off to the side and swapped in as the next.
+        every_reader_saw(0);
         for k in 0..victims {
             let v = Node::new((k * 11 + 3) % n);
             if overlay.is_alive(v) && overlay.alive_count() > 2 {
@@ -220,16 +243,16 @@ fn assert_never_torn<M: Metric + Sync>(space: &Space<M>, objects: usize, victims
         }
         overlay.publish_snapshot(space, &cell);
         retained.push(cell.load());
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        every_reader_saw(1);
         overlay.repair_published(space, &cell);
         retained.push(cell.load());
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        every_reader_saw(2);
         // ordering: Release -- publishes the writer's final state to
         // readers that exit on the Acquire load above.
         stop.store(true, Ordering::Release);
         readers
             .into_iter()
-            .flat_map(|r| r.join().expect("reader panicked"))
+            .map(|r| r.join().expect("reader panicked"))
             .collect::<Vec<_>>()
     });
 
@@ -240,8 +263,12 @@ fn assert_never_torn<M: Metric + Sync>(space: &Space<M>, objects: usize, victims
             .collect::<Vec<_>>(),
         vec![0, 1, 2]
     );
-    assert!(!records.is_empty(), "the race must observe some lookups");
-    for (epoch, origin, obj, answer) in &records {
+    for (r, records) in per_reader.iter().enumerate() {
+        let mut epochs: Vec<u64> = records.iter().map(|rec| rec.0).collect();
+        epochs.dedup();
+        assert_eq!(epochs, [0, 1, 2], "reader {r} must observe every epoch");
+    }
+    for (epoch, origin, obj, answer) in per_reader.iter().flatten() {
         let expected = retained[*epoch as usize].lookup(space, *origin, *obj);
         assert_eq!(
             answer, &expected,
@@ -372,6 +399,70 @@ fn storage_representations_agree_on_all_families() {
     assert_representations_agree(&Space::new(gen::clustered(48, 2, 4, 0.02, 9)), 6, 6);
     assert_representations_agree(&Space::new(gen::perturbed_grid(6, 2, 0.3, 4)), 5, 4);
     assert_representations_agree(&Space::new(gen::exponential_line(14)), 3, 2);
+}
+
+/// The level rule against an independent answer. `overlay.finger` — a
+/// scan of the stored ring on a level that never diverged, an oracle
+/// search on one that did — must equal a plain oracle search over the
+/// current membership for every `(node, level)`, and a fresh snapshot
+/// (those fingers, frozen) must answer every lookup as the overlay does.
+/// Checked on the pristine overlay and after each step of a leave wave,
+/// its repair, the re-joins and their repair, so levels are read both
+/// ways.
+fn assert_fingers_match_the_oracle<M: Metric, I: BallOracle>(space: &Space<M, I>) {
+    let n = space.len();
+    let mut overlay = DirectoryOverlay::build(space);
+    publish_some(space, &mut overlay, 4, 13);
+    let check = |overlay: &DirectoryOverlay, when: &str| {
+        for s in space.nodes() {
+            for j in 0..overlay.levels() {
+                assert_eq!(
+                    overlay.finger(space, s, j),
+                    RepairOracle::nearest_where(space, s, &mut |v| overlay.is_net_member(j, v)),
+                    "{when}: finger({s}, {j})"
+                );
+            }
+        }
+        let snap = Snapshot::capture(space, overlay);
+        for s in space.nodes() {
+            for &obj in overlay.objects() {
+                assert_eq!(
+                    snap.lookup(space, s, obj),
+                    overlay.lookup(space, s, obj),
+                    "{when}: lookup({s}, {obj})"
+                );
+            }
+        }
+    };
+    check(&overlay, "pristine");
+    let gone: Vec<Node> = (0..n / 6).map(|k| Node::new((k * 11 + 3) % n)).collect();
+    for &v in &gone {
+        overlay.leave(v);
+    }
+    check(&overlay, "after the leave wave");
+    overlay.repair(space);
+    check(&overlay, "after its repair");
+    for &v in &gone {
+        overlay.join(space, v);
+    }
+    check(&overlay, "after the re-joins");
+    overlay.repair(space);
+    check(&overlay, "after their repair");
+}
+
+#[test]
+fn fingers_match_the_oracle_on_all_families_and_backends() {
+    fn on_both_backends<M: Metric + Clone>(metric: M) {
+        assert_fingers_match_the_oracle(&Space::new(metric.clone()));
+        assert_fingers_match_the_oracle(&Space::new_sparse(metric));
+    }
+    on_both_backends(gen::uniform_cube(48, 2, 17));
+    on_both_backends(gen::clustered(48, 2, 4, 0.02, 9));
+    on_both_backends(gen::perturbed_grid(6, 2, 0.3, 4));
+    on_both_backends(gen::exponential_line(14));
+    // Exact distance ties: strict `<` over id-sorted ring members must
+    // break them as the oracle's `(distance, id)` order does.
+    on_both_backends(LineMetric::uniform(32).unwrap());
 }
 
 /// Non-proptest: the line metric exercises exact distance ties.

@@ -85,17 +85,6 @@ pub fn grid_dimension(index: &MetricIndex) -> f64 {
     worst.log2()
 }
 
-/// Checks Lemma 1.2: `1 + log2(Delta) >= log2(n) / alpha`.
-///
-/// Returns the slack `(1 + log Delta) - (log n) / alpha`; nonnegative for
-/// any correct `(Delta, n, alpha)` triple. Tests use it as a sanity check
-/// tying the three quantities together.
-#[must_use]
-pub fn aspect_ratio_lower_bound_slack(n: usize, aspect_ratio: f64, alpha: f64) -> f64 {
-    debug_assert!(n >= 1 && aspect_ratio >= 1.0 && alpha > 0.0);
-    (1.0 + aspect_ratio.log2()) - (n as f64).log2() / alpha
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +131,8 @@ mod tests {
         for n in [8usize, 32, 64] {
             let space = Space::new(LineMetric::uniform(n).unwrap());
             let alpha = doubling_dimension(space.metric(), space.index()).max(1.0);
-            let slack = aspect_ratio_lower_bound_slack(n, space.index().aspect_ratio(), alpha);
+            // Lemma 1.2: `1 + log2(Delta) >= log2(n) / alpha`.
+            let slack = (1.0 + space.index().aspect_ratio().log2()) - (n as f64).log2() / alpha;
             assert!(
                 slack >= -1e-9,
                 "Lemma 1.2 violated: slack {slack} for n={n}"

@@ -162,14 +162,6 @@ impl MetricIndex {
         self.ball(u, r).len()
     }
 
-    /// The open ball: all nodes at distance strictly less than `r`.
-    #[must_use]
-    pub fn open_ball(&self, u: Node, r: f64) -> &[(f64, Node)] {
-        let row = self.sorted_from(u);
-        let end = row.partition_point(|&(d, _)| d < r);
-        &row[..end]
-    }
-
     /// Nodes in the annulus `(inner, outer]` around `u`, sorted by distance.
     ///
     /// The half-open convention matches Section 5.1's annuli
@@ -262,11 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn ball_closed_vs_open() {
+    fn ball_is_closed() {
         let idx = idx();
         let u = Node::new(0);
         assert_eq!(idx.ball_size(u, 3.0), 4);
-        assert_eq!(idx.open_ball(u, 3.0).len(), 3);
         assert_eq!(idx.ball_size(u, 2.5), 3);
     }
 

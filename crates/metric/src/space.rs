@@ -1,10 +1,10 @@
-use crate::{BallOracle, Metric, MetricIndex, NetTreeIndex, Node};
+use crate::{Metric, MetricIndex, NetTreeIndex, Node};
 
 /// A metric bundled with a ball-query backend.
 ///
 /// Nearly every construction in the paper needs both raw distances and
 /// ball/radius queries, so the higher-level crates take `&Space<M, I>` as
-/// input, generic over the [`BallOracle`] backend `I`:
+/// input, generic over the [`BallOracle`](crate::BallOracle) backend `I`:
 ///
 /// * `Space<M>` (the default, [`Space::new`]) carries the dense
 ///   [`MetricIndex`] — exact `O(log n)` queries, `O(n^2)` memory;
@@ -83,24 +83,6 @@ impl<M: Metric + Clone> Space<M, NetTreeIndex<M>> {
 }
 
 impl<M: Metric, I> Space<M, I> {
-    /// Bundles a metric with an already-built backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend's node count differs from the metric's.
-    #[must_use]
-    pub fn from_parts(metric: M, index: I) -> Self
-    where
-        I: BallOracle,
-    {
-        assert_eq!(
-            metric.len(),
-            index.len(),
-            "index arity must match the metric"
-        );
-        Space { metric, index }
-    }
-
     /// The underlying metric.
     #[must_use]
     pub fn metric(&self) -> &M {
@@ -135,12 +117,6 @@ impl<M: Metric, I> Space<M, I> {
     pub fn nodes(&self) -> impl Iterator<Item = Node> + Clone {
         Node::all(self.len())
     }
-
-    /// Consumes the space, returning the metric.
-    #[must_use]
-    pub fn into_metric(self) -> M {
-        self.metric
-    }
 }
 
 impl<M: Metric, I: Sync> Metric for Space<M, I> {
@@ -156,7 +132,7 @@ impl<M: Metric, I: Sync> Metric for Space<M, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LineMetric;
+    use crate::{BallOracle, LineMetric};
 
     #[test]
     fn bundles_metric_and_index() {
@@ -166,13 +142,6 @@ mod tests {
         assert_eq!(space.dist(Node::new(0), Node::new(3)), 3.0);
         assert_eq!(space.nodes().count(), 4);
         assert!(!space.is_empty());
-    }
-
-    #[test]
-    fn into_metric_returns_inner() {
-        let line = LineMetric::uniform(4).unwrap();
-        let space = Space::new(line.clone());
-        assert_eq!(space.into_metric(), line);
     }
 
     #[test]
@@ -196,21 +165,6 @@ mod tests {
             );
         }
         assert_eq!(sparse.dist(Node::new(1), Node::new(4)), 3.0);
-    }
-
-    #[test]
-    fn from_parts_accepts_matching_backend() {
-        let line = LineMetric::uniform(6).unwrap();
-        let index = MetricIndex::build(&line);
-        let space = Space::from_parts(line, index);
-        assert_eq!(space.len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn from_parts_rejects_mismatch() {
-        let index = MetricIndex::build(&LineMetric::uniform(5).unwrap());
-        let _ = Space::from_parts(LineMetric::uniform(6).unwrap(), index);
     }
 
     #[test]

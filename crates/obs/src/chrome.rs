@@ -14,13 +14,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::registry::{self, Label};
+use crate::registry;
 
 /// One complete span event, timestamps in ns since the process epoch.
 #[derive(Clone, Debug)]
 pub(crate) struct ChromeEvent {
     pub name: &'static str,
-    pub label: Label,
     pub tid: u32,
     pub ts_ns: u64,
     pub dur_ns: u64,
@@ -41,7 +40,7 @@ pub(crate) fn epoch_ns() -> u64 {
 }
 
 /// Buffers a finished span as a trace event on the calling thread.
-pub(crate) fn push_event(name: &'static str, label: Label, ts_ns: u64, dur_ns: u64) {
+pub(crate) fn push_event(name: &'static str, ts_ns: u64, dur_ns: u64) {
     registry::with_collector(|c| {
         if c.tid == u32::MAX {
             // ordering: Relaxed -- a unique-id allocator; only the
@@ -52,7 +51,6 @@ pub(crate) fn push_event(name: &'static str, label: Label, ts_ns: u64, dur_ns: u
         let tid = c.tid;
         c.chrome.push(ChromeEvent {
             name,
-            label,
             tid,
             ts_ns,
             dur_ns,
@@ -61,29 +59,17 @@ pub(crate) fn push_event(name: &'static str, label: Label, ts_ns: u64, dur_ns: u
 }
 
 fn render_event(e: &ChromeEvent) -> String {
-    let name = match e.label {
-        Label::None => e.name.to_string(),
-        Label::Static(s) => format!("{}/{s}", e.name),
-        l @ Label::Dyn(_) => match crate::label_name(l) {
-            Some(s) => format!("{}/{s}", e.name),
-            None => e.name.to_string(),
-        },
-    };
     format!(
         "{{\"name\":\"{}\",\"cat\":\"ron\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-        name.replace('\\', "\\\\").replace('"', "\\\""),
+        e.name.replace('\\', "\\\\").replace('"', "\\\""),
         e.tid,
         e.ts_ns as f64 / 1e3,
         e.dur_ns as f64 / 1e3,
     )
 }
 
-/// Serializes and drains the buffered trace events (calling thread
-/// flushed first) as a Chrome trace-event JSON array, one event per
-/// line. Returns the empty array `"[]"` when nothing was captured.
-#[must_use]
-pub fn chrome_trace_json() -> String {
-    let events = registry::take_chrome_events();
+/// The events as a Chrome trace-event JSON array, one event per line.
+fn render_trace(events: &[ChromeEvent]) -> String {
     let mut out = String::from("[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
@@ -94,6 +80,14 @@ pub fn chrome_trace_json() -> String {
     }
     out.push_str("\n]\n");
     out
+}
+
+/// Serializes and drains the buffered trace events (calling thread
+/// flushed first) as a Chrome trace-event JSON array, one event per
+/// line. Returns the empty array `"[]"` when nothing was captured.
+#[must_use]
+pub fn chrome_trace_json() -> String {
+    render_trace(&registry::take_chrome_events())
 }
 
 /// Writes [`chrome_trace_json`] to `path`, returning the number of
@@ -109,20 +103,9 @@ pub fn write_chrome_trace(path: &Path) -> std::io::Result<usize> {
     name.push(".tmp");
     tmp.set_file_name(name);
     {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        file.write_all(b"[")?;
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                file.write_all(b",")?;
-            }
-            file.write_all(b"\n")?;
-            file.write_all(render_event(e).as_bytes())?;
-        }
-        file.write_all(b"\n]\n")?;
-        file.flush()?;
-        file.into_inner()
-            .map_err(std::io::IntoInnerError::into_error)?
-            .sync_all()?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(render_trace(&events).as_bytes())?;
+        file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     Ok(events.len())
@@ -135,8 +118,7 @@ mod tests {
     #[test]
     fn render_escapes_quotes_and_backslashes_in_names() {
         let e = ChromeEvent {
-            name: "walk",
-            label: Label::Static("shard\"0\\a"),
+            name: "walk/shard\"0\\a",
             tid: 3,
             ts_ns: 1500,
             dur_ns: 2500,
@@ -149,17 +131,5 @@ mod tests {
         // The escaped line is itself a complete one-object JSON value.
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert_eq!(line.matches("shard\\\"0\\\\a").count(), 1);
-    }
-
-    #[test]
-    fn unlabeled_event_renders_the_bare_name() {
-        let e = ChromeEvent {
-            name: "directory.capture",
-            label: Label::None,
-            tid: 1,
-            ts_ns: 0,
-            dur_ns: 0,
-        };
-        assert!(render_event(&e).contains("\"name\":\"directory.capture\""));
     }
 }

@@ -6,23 +6,22 @@
 //! * **[`Registry`]** — named counters, high-water-mark gauges, and
 //!   [`Pow2Histogram`]s, recorded through thread-local collectors and
 //!   drained into a deterministic label-sorted snapshot.
-//! * **Spans** — [`span()`]`("directory.lookup")` (or the
-//!   [`span!`](crate::span!) macro) returns a guard that records its
-//!   scope's duration into a histogram; [`start`]/[`finish`] are the
-//!   hot-path variant. [`stage`] attributes everything recorded inside
-//!   a scope — across `par` worker threads — to a named stage.
+//! * **Spans** — [`span()`]`("directory.lookup")` returns a guard
+//!   that records its scope's duration into a histogram;
+//!   [`start`]/[`finish`] are the hot-path variant. [`stage`]
+//!   attributes everything recorded inside a scope — across `par`
+//!   worker threads — to a named stage.
 //! * **Flight recorder** — per-query trace records
 //!   ([`QueryTrace`], sampled deterministically by batch index via
 //!   `RON_QTRACE`/[`set_qtrace`]) aggregated into the
-//!   [`LatencyAttribution`] table, and ring-buffered time-series
-//!   snapshots ([`timeseries_tick`]) taken at structural moments —
-//!   stage exits, sim phase marks, engine batches — rendered as CSV
-//!   ([`timeseries_csv`]).
-//! * **Exporters** — [`Registry::render`] (aligned text),
-//!   [`Registry::to_json`], an opt-in Chrome-trace dump
-//!   ([`write_chrome_trace`], enabled by `RON_TRACE=chrome`), and the
-//!   Prometheus text form ([`prometheus_text`]) served live over TCP
-//!   by [`MetricsServer`] (`RON_METRICS_ADDR`, `GET /metrics`).
+//!   [`LatencyAttribution`] table. The global buffer keeps the newest
+//!   65 536 records; older ones are dropped and counted in
+//!   `obs.qtrace.dropped`.
+//! * **Exporters** — [`Registry::render`] (aligned text), an opt-in
+//!   Chrome-trace dump ([`write_chrome_trace`], enabled by
+//!   `RON_TRACE=chrome`), and the Prometheus text form
+//!   ([`prometheus_text`]) served live over TCP by [`MetricsServer`]
+//!   (`RON_METRICS_ADDR`, `GET /metrics`).
 //!
 //! Everything is **off by default**: each instrumentation point costs
 //! one relaxed atomic load until [`set_enabled`]/[`init_from_env`]
@@ -52,7 +51,6 @@ mod querytrace;
 mod registry;
 mod serve;
 mod span;
-mod timeseries;
 
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use expo::prometheus_text;
@@ -66,10 +64,7 @@ pub use registry::{
     observe, observe_labeled, peek, reset, set_chrome, set_enabled, Label, Registry,
 };
 pub use serve::{serve_from_env, MetricsServer};
-pub use span::{finish, span, span_labeled, stage, start, SpanGuard, StageGuard};
-pub use timeseries::{take_timeseries, timeseries_csv, timeseries_tick, TimePoint};
-
-pub(crate) use registry::label_text as label_name;
+pub use span::{finish, span, stage, start, SpanGuard, StageGuard};
 
 #[cfg(test)]
 mod tests {
@@ -176,7 +171,7 @@ mod tests {
     fn spans_record_durations_and_registry_merge_is_deterministic() {
         let guard = exclusive();
         {
-            let _g = span!("unit.span");
+            let _g = span("unit.span");
             std::hint::black_box(0u64);
         }
         finish("unit.hot", start());
@@ -198,34 +193,18 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_well_formed() {
-        let guard = exclusive();
-        count("a.calls", 3);
-        gauge_max("b.depth", 12);
-        observe("c.lat", 0);
-        observe("c.lat", 900);
-        let reg = drain();
-        let json = reg.to_json();
-        assert_json_object(&json);
-        assert!(json.contains("\"a.calls\":3"));
-        assert!(json.contains("\"b.depth\":12"));
-        assert!(json.contains("\"count\":2"));
-        done(guard);
-    }
-
-    #[test]
     fn chrome_trace_is_well_formed_json() {
         let guard = exclusive();
         set_chrome(true);
         {
             let _a = span("trace.outer");
-            let _b = span_labeled("trace.inner", label("phase1"));
+            let _b = span("trace.inner");
         }
         let json = chrome_trace_json();
         set_chrome(false);
         // An array of one-object-per-line complete events.
         assert_json_array_of_objects(&json, 2);
-        assert!(json.contains("\"name\":\"trace.inner/phase1\""));
+        assert!(json.contains("\"name\":\"trace.inner\""));
         assert!(json.contains("\"ph\":\"X\""));
         // Draining consumed the events.
         assert_eq!(chrome_trace_json().trim(), "[\n]");
@@ -263,6 +242,21 @@ mod tests {
         done(guard);
     }
 
+    fn lookup_trace(id: u64) -> QueryTrace {
+        QueryTrace {
+            kind: "lookup",
+            id,
+            epoch: 1,
+            cache_shard: Some(0),
+            cache: CacheOutcome::Miss,
+            levels_visited: 3,
+            found_level: Some(2),
+            probes: 5,
+            hops: 2,
+            stages: vec![("cache", 10), ("walk", 100)],
+        }
+    }
+
     #[test]
     fn query_traces_round_trip_through_worker_flushes() {
         let guard = exclusive();
@@ -272,18 +266,7 @@ mod tests {
                 s.spawn(move || {
                     for id in (0..8).filter(|i| i % 2 == t) {
                         if qtrace_sampled(id) {
-                            record_query_trace(QueryTrace {
-                                kind: "lookup",
-                                id,
-                                epoch: 1,
-                                cache_shard: Some(0),
-                                cache: CacheOutcome::Miss,
-                                levels_visited: 3,
-                                found_level: Some(2),
-                                probes: 5,
-                                hops: 2,
-                                stages: vec![("cache", 10), ("walk", 100)],
-                            });
+                            record_query_trace(lookup_trace(id));
                         }
                     }
                     flush();
@@ -324,46 +307,29 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_ticks_capture_thinned_labeled_snapshots() {
+    fn global_flight_record_buffer_is_bounded() {
         let guard = exclusive();
-        count("ts.work", 1);
-        timeseries_tick("stage:a");
-        count("ts.work", 4);
-        timeseries_tick("stage:a");
-        // A hot label: 100 ticks keep 1..=8 and the powers of two.
-        for _ in 0..100 {
-            timeseries_tick("stage:hot");
-        }
-        let points = take_timeseries();
-        let a_points: Vec<_> = points.iter().filter(|p| p.label == "stage:a").collect();
-        assert_eq!(a_points.len(), 2);
-        assert_eq!(a_points[0].registry.counter("ts.work"), 1);
-        assert_eq!(a_points[1].registry.counter("ts.work"), 5);
-        assert!(a_points[0].tick < a_points[1].tick);
-        let hot = points.iter().filter(|p| p.label == "stage:hot").count();
-        assert_eq!(hot, 8 + 3, "1..=8 plus 16, 32, 64");
-        // CSV: header + 5 fields per row, commas in labels made safe.
-        let csv = timeseries_csv(&points);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("tick,label,kind,name,value"));
-        for line in lines {
-            assert_eq!(line.split(',').count(), 5, "row {line}");
-        }
-        assert!(take_timeseries().is_empty());
-        done(guard);
-    }
-
-    #[test]
-    fn stage_guard_exit_ticks_the_series() {
-        let guard = exclusive();
-        {
-            let _s = stage("nets");
-            count("oracle.calls", 7);
-        }
-        let points = take_timeseries();
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].label, "stage:nets");
-        assert_eq!(points[0].registry.counter("oracle.calls/nets"), 7);
+        let extra = 37usize;
+        let total = registry::QTRACE_CAPACITY + extra;
+        // Two threads, each flushing in several rounds, so the cap is
+        // applied across merges and not only inside one.
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                s.spawn(move || {
+                    for id in (0..total).filter(|i| i % 2 == t) {
+                        record_query_trace(lookup_trace(id as u64));
+                        if id % 4096 < 2 {
+                            flush();
+                        }
+                    }
+                    flush();
+                });
+            }
+        });
+        // The live view `/metrics` serves shows the truncation.
+        assert_eq!(peek().counter("obs.qtrace.dropped"), extra as u64);
+        assert_eq!(drain_query_traces().len(), registry::QTRACE_CAPACITY);
+        assert_eq!(drain().counter("obs.qtrace.dropped"), extra as u64);
         done(guard);
     }
 
@@ -485,11 +451,6 @@ mod tests {
                 panic!("unrecognised JSON value: {s:.40}");
             }
         }
-    }
-
-    fn assert_json_object(s: &str) {
-        assert!(s.trim_start().starts_with('{'));
-        assert!(skip_json_value(s).trim().is_empty(), "trailing garbage");
     }
 
     fn assert_json_array_of_objects(s: &str, expected: usize) {

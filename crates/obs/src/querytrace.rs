@@ -72,20 +72,6 @@ pub enum CacheOutcome {
     Stale,
 }
 
-impl CacheOutcome {
-    /// Stable lowercase name (`"hit"`, `"miss"`, `"stale"`,
-    /// `"uncached"`).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheOutcome::Uncached => "uncached",
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Stale => "stale",
-        }
-    }
-}
-
 /// One sampled query's flight record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryTrace {
@@ -190,11 +176,6 @@ impl LatencyAttribution {
         self.stages.iter().map(|(&(k, s), h)| (k, s, h))
     }
 
-    /// The query kinds seen, sorted.
-    pub fn kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.totals.keys().copied()
-    }
-
     /// Total-latency histogram for `kind` (sum of each record's
     /// stages).
     #[must_use]
@@ -218,22 +199,6 @@ impl LatencyAttribution {
             }
         }
         best.map(|(_, stage)| stage)
-    }
-
-    /// A stage's share of the kind's total recorded time, in percent
-    /// (0.0 when the kind recorded nothing).
-    #[must_use]
-    pub fn share_percent(&self, kind: &str, stage: &str) -> f64 {
-        let total: u64 = self.total(kind).map_or(0, Pow2Histogram::sum);
-        if total == 0 {
-            return 0.0;
-        }
-        let stage_sum = self
-            .stages
-            .iter()
-            .find(|(&(k, s), _)| k == kind && s == stage)
-            .map_or(0, |(_, h)| h.sum());
-        stage_sum as f64 / total as f64 * 100.0
     }
 }
 
@@ -281,13 +246,8 @@ mod tests {
         assert_eq!(lat.owner("lookup", 0.99), Some("walk"));
         assert_eq!(lat.owner("publish", 0.99), None);
         assert_eq!(lat.total("lookup").unwrap().count(), 100);
-        let share = lat.share_percent("lookup", "walk");
-        assert!(share > 99.0, "walk share {share}");
-        assert!(lat.share_percent("lookup", "cache") < 1.0);
-        assert_eq!(lat.share_percent("publish", "plan"), 0.0);
         let stages: Vec<_> = lat.stages().map(|(k, s, _)| (k, s)).collect();
         assert_eq!(stages, vec![("lookup", "cache"), ("lookup", "walk")]);
-        assert_eq!(lat.kinds().collect::<Vec<_>>(), vec!["lookup"]);
     }
 
     #[test]

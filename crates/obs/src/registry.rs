@@ -18,8 +18,9 @@
 //! When disabled — the default — every record call is a single relaxed
 //! atomic load and a branch.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
@@ -250,25 +251,34 @@ impl Collector {
             return;
         }
         let mut global = GLOBAL.lock().unwrap();
+        let global = &mut *global;
         // ron-lint: allow(map-order): drain order cannot escape -- the
-        // merges below are commutative (sum, max, per-bucket add) into
-        // the BTreeMap-keyed global store, which drains sorted.
-        for (k, v) in self.pending_counters.drain() {
-            *global.counters.entry(k).or_insert(0) += v;
-        }
-        // ron-lint: allow(map-order): commutative max-merge into the
-        // sorted global store; visit order is unobservable.
-        for (k, v) in self.pending_gauges.drain() {
-            let slot = global.gauges.entry(k).or_insert(0);
-            *slot = (*slot).max(v);
-        }
-        // ron-lint: allow(map-order): per-bucket addition commutes;
-        // the global store is a BTreeMap and drains sorted.
-        for (k, h) in self.pending_hists.drain() {
-            global.hists.entry(k).or_default().merge(&h);
-        }
+        // fold is commutative (sum, max, per-bucket add) into the
+        // BTreeMap-keyed global store, which drains sorted.
+        fold(
+            &mut global.counters,
+            &mut global.gauges,
+            &mut global.hists,
+            self.pending_counters.drain(),
+            self.pending_gauges.drain(),
+            self.pending_hists.drain(),
+        );
         global.chrome.append(&mut self.chrome);
-        global.qtraces.append(&mut self.qtraces);
+        global.qtraces.extend(self.qtraces.drain(..));
+        // A process that records flight records but never drains them
+        // (a long `obs_serve`) must not grow without bound: keep the
+        // newest QTRACE_CAPACITY and count what fell off, so a
+        // truncated drain shows on `/metrics`.
+        let excess = global.qtraces.len().saturating_sub(QTRACE_CAPACITY);
+        if excess > 0 {
+            global.qtraces.drain(..excess);
+            let dropped = Key {
+                name: "obs.qtrace.dropped",
+                stage: 0,
+                label: Label::None,
+            };
+            *global.counters.entry(dropped).or_insert(0) += excess as u64;
+        }
     }
 }
 
@@ -294,7 +304,54 @@ struct GlobalStore {
     gauges: BTreeMap<Key, u64>,
     hists: BTreeMap<Key, Pow2Histogram>,
     chrome: Vec<ChromeEvent>,
-    qtraces: Vec<QueryTrace>,
+    /// Flight records, oldest first, at most [`QTRACE_CAPACITY`].
+    qtraces: VecDeque<QueryTrace>,
+}
+
+/// Bound on the global flight-record buffer: merges past it drop the
+/// oldest records and count them in `obs.qtrace.dropped`.
+pub(crate) const QTRACE_CAPACITY: usize = 65_536;
+
+impl GlobalStore {
+    /// The store's metrics under composed `name[/stage][/label]` keys.
+    /// Distinct keys can compose to one string (a static and an
+    /// interned label of the same text), so this is a fold, not a copy.
+    fn compose(&self) -> Registry {
+        let mut reg = Registry::default();
+        fold(
+            &mut reg.counters,
+            &mut reg.gauges,
+            &mut reg.histograms,
+            self.counters.iter().map(|(k, &v)| (k.compose(), v)),
+            self.gauges.iter().map(|(k, &v)| (k.compose(), v)),
+            self.hists.iter().map(|(k, h)| (k.compose(), h)),
+        );
+        reg
+    }
+}
+
+/// The registry's one merge rule: counters add, gauges keep the
+/// maximum, histograms add bucket-wise. All three commute, so the
+/// order records arrive in — which thread flushed first, how a hash
+/// map iterates — never shows in the result.
+fn fold<K: Ord, H: Borrow<Pow2Histogram>>(
+    counters: &mut BTreeMap<K, u64>,
+    gauges: &mut BTreeMap<K, u64>,
+    hists: &mut BTreeMap<K, Pow2Histogram>,
+    add: impl Iterator<Item = (K, u64)>,
+    max: impl Iterator<Item = (K, u64)>,
+    merge: impl Iterator<Item = (K, H)>,
+) {
+    for (k, v) in add {
+        *counters.entry(k).or_insert(0) += v;
+    }
+    for (k, v) in max {
+        let slot = gauges.entry(k).or_insert(0);
+        *slot = (*slot).max(v);
+    }
+    for (k, h) in merge {
+        hists.entry(k).or_default().merge(h.borrow());
+    }
 }
 
 static GLOBAL: Mutex<GlobalStore> = Mutex::new(GlobalStore {
@@ -302,7 +359,7 @@ static GLOBAL: Mutex<GlobalStore> = Mutex::new(GlobalStore {
     gauges: BTreeMap::new(),
     hists: BTreeMap::new(),
     chrome: Vec::new(),
-    qtraces: Vec::new(),
+    qtraces: VecDeque::new(),
 });
 
 /// Adds `by` to the counter `name` (attributed to the current stage).
@@ -380,48 +437,22 @@ pub fn flush() {
 #[must_use]
 pub fn drain() -> Registry {
     flush();
-    let (counters, gauges, hists) = {
-        let mut global = GLOBAL.lock().unwrap();
-        (
-            std::mem::take(&mut global.counters),
-            std::mem::take(&mut global.gauges),
-            std::mem::take(&mut global.hists),
-        )
-    };
-    let mut reg = Registry::default();
-    for (k, v) in counters {
-        *reg.counters.entry(k.compose()).or_insert(0) += v;
-    }
-    for (k, v) in gauges {
-        let slot = reg.gauges.entry(k.compose()).or_insert(0);
-        *slot = (*slot).max(v);
-    }
-    for (k, h) in hists {
-        reg.histograms.entry(k.compose()).or_default().merge(&h);
-    }
+    let mut global = GLOBAL.lock().unwrap();
+    let reg = global.compose();
+    global.counters.clear();
+    global.gauges.clear();
+    global.hists.clear();
     reg
 }
 
 /// Flushes the calling thread and snapshots the global store as a
 /// composed-key [`Registry`] **without emptying it** — the live view
-/// the time-series sampler and the `/metrics` wire read. Accumulation
-/// continues; a later [`drain`] still sees everything.
+/// the `/metrics` wire reads. Accumulation continues; a later
+/// [`drain`] still sees everything.
 #[must_use]
 pub fn peek() -> Registry {
     flush();
-    let global = GLOBAL.lock().unwrap();
-    let mut reg = Registry::default();
-    for (k, v) in &global.counters {
-        *reg.counters.entry(k.compose()).or_insert(0) += v;
-    }
-    for (k, v) in &global.gauges {
-        let slot = reg.gauges.entry(k.compose()).or_insert(0);
-        *slot = (*slot).max(*v);
-    }
-    for (k, h) in &global.hists {
-        reg.histograms.entry(k.compose()).or_default().merge(h);
-    }
-    reg
+    GLOBAL.lock().unwrap().compose()
 }
 
 /// Buffers a flight record on the calling thread's collector.
@@ -433,13 +464,13 @@ pub(crate) fn push_query_trace(trace: QueryTrace) {
 /// (unsorted; `drain_query_traces` orders them).
 pub(crate) fn take_query_traces() -> Vec<QueryTrace> {
     flush();
-    std::mem::take(&mut GLOBAL.lock().unwrap().qtraces)
+    std::mem::take(&mut GLOBAL.lock().unwrap().qtraces).into()
 }
 
 /// Discards everything collected so far: the calling thread's pending
-/// records, the global store, buffered Chrome events, flight records,
-/// and the time-series ring buffer. Other threads' un-flushed records
-/// are not reachable and are not cleared.
+/// records, the global store, buffered Chrome events and flight
+/// records. Other threads' un-flushed records are not reachable and
+/// are not cleared.
 pub fn reset() {
     with_collector(|c| {
         c.pending_counters.clear();
@@ -448,15 +479,12 @@ pub fn reset() {
         c.chrome.clear();
         c.qtraces.clear();
     });
-    {
-        let mut global = GLOBAL.lock().unwrap();
-        global.counters.clear();
-        global.gauges.clear();
-        global.hists.clear();
-        global.chrome.clear();
-        global.qtraces.clear();
-    }
-    crate::timeseries::clear();
+    let mut global = GLOBAL.lock().unwrap();
+    global.counters.clear();
+    global.gauges.clear();
+    global.hists.clear();
+    global.chrome.clear();
+    global.qtraces.clear();
 }
 
 /// Takes the buffered Chrome events (calling thread flushed first),
@@ -466,22 +494,6 @@ pub(crate) fn take_chrome_events() -> Vec<ChromeEvent> {
     let mut events = std::mem::take(&mut GLOBAL.lock().unwrap().chrome);
     events.sort_by_key(|e| (e.ts_ns, e.tid, e.dur_ns));
     events
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A drained, immutable snapshot of the registry: composed
@@ -529,16 +541,14 @@ impl Registry {
     /// Merges another drained snapshot into this one (label-ordered,
     /// commutative: counter sums, gauge max, histogram bucket sums).
     pub fn merge(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let slot = self.gauges.entry(k.clone()).or_insert(0);
-            *slot = (*slot).max(*v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
+        fold(
+            &mut self.counters,
+            &mut self.gauges,
+            &mut self.histograms,
+            other.counters.iter().map(|(k, &v)| (k.clone(), v)),
+            other.gauges.iter().map(|(k, &v)| (k.clone(), v)),
+            other.histograms.iter().map(|(k, h)| (k.clone(), h)),
+        );
     }
 
     /// Renders the snapshot as an aligned text table, one metric per
@@ -567,48 +577,6 @@ impl Registry {
         if out.is_empty() {
             out.push_str("(no observations)\n");
         }
-        out
-    }
-
-    /// Serializes the snapshot as a JSON object:
-    /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,max,buckets}}}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets = h
-                .buckets()
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-                json_escape(k),
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-            ));
-        }
-        out.push_str("}}");
         out
     }
 }

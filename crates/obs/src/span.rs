@@ -6,16 +6,15 @@
 use std::time::Instant;
 
 use crate::chrome;
-use crate::registry::{self, Label};
+use crate::registry;
 
-/// A timer guard returned by [`span`]/[`span_labeled`]: on drop,
-/// records the elapsed nanoseconds into the histogram named after the
-/// span, and emits a Chrome trace event when capture is enabled. A
-/// disabled span is inert (no clock read).
+/// A timer guard returned by [`span`]: on drop, records the elapsed
+/// nanoseconds into the histogram named after the span, and emits a
+/// Chrome trace event when capture is enabled. A disabled span is
+/// inert (no clock read).
 #[must_use = "a span records its duration when dropped; binding it to _ ends it immediately"]
 pub struct SpanGuard {
     name: &'static str,
-    label: Label,
     start: Option<Instant>,
     ts_ns: u64,
     chrome: bool,
@@ -26,15 +25,9 @@ pub struct SpanGuard {
 /// per-call hot-path timing use [`start`]/[`finish`], which skip the
 /// Chrome buffer.
 pub fn span(name: &'static str) -> SpanGuard {
-    span_labeled(name, Label::None)
-}
-
-/// Starts a named span with a label (e.g. a worker id).
-pub fn span_labeled(name: &'static str, label: Label) -> SpanGuard {
     if !registry::enabled() {
         return SpanGuard {
             name,
-            label,
             start: None,
             ts_ns: 0,
             chrome: false,
@@ -44,7 +37,6 @@ pub fn span_labeled(name: &'static str, label: Label) -> SpanGuard {
     let ts_ns = if chrome { chrome::epoch_ns() } else { 0 };
     SpanGuard {
         name,
-        label,
         start: Some(Instant::now()),
         ts_ns,
         chrome,
@@ -55,9 +47,9 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(started) = self.start {
             let dur_ns = started.elapsed().as_nanos() as u64;
-            registry::observe_labeled(self.name, self.label, dur_ns);
+            registry::observe(self.name, dur_ns);
             if self.chrome {
-                chrome::push_event(self.name, self.label, self.ts_ns, dur_ns);
+                chrome::push_event(self.name, self.ts_ns, dur_ns);
             }
         }
     }
@@ -88,7 +80,6 @@ pub fn finish(name: &'static str, started: Option<Instant>) {
 /// A guard that restores the previous stage on drop; see [`stage`].
 #[must_use = "the stage reverts when the guard drops; binding it to _ reverts immediately"]
 pub struct StageGuard {
-    name: &'static str,
     prev: u32,
     active: bool,
 }
@@ -103,13 +94,11 @@ pub struct StageGuard {
 pub fn stage(name: &'static str) -> StageGuard {
     if !registry::enabled() {
         return StageGuard {
-            name,
             prev: 0,
             active: false,
         };
     }
     StageGuard {
-        name,
         prev: registry::swap_stage(name),
         active: true,
     }
@@ -119,22 +108,6 @@ impl Drop for StageGuard {
     fn drop(&mut self) {
         if self.active {
             registry::restore_stage(self.prev);
-            // A stage exit is a structural moment every builder already
-            // marks — sample the time series there, so construction
-            // stages become curve points without touching the callers.
-            crate::timeseries::timeseries_tick(&format!("stage:{}", self.name));
         }
     }
-}
-
-/// Starts a [`span`] by name; the macro form named in the issue
-/// (`obs::span!("directory.lookup")`). Expands to the function call.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-    ($name:expr, $label:expr) => {
-        $crate::span_labeled($name, $label)
-    };
 }

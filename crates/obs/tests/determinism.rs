@@ -5,7 +5,7 @@
 //! associative (counter sums, gauge maxes, histogram bucket adds), and
 //! the drain composes into sorted maps — so no matter how a workload
 //! is split across threads, or in which order those threads flush,
-//! the drained JSON must come out byte-identical and the flight
+//! the drained registry must come out identical and the flight
 //! records must drain in the same `(kind, id)` order with the same
 //! contents.
 
@@ -63,7 +63,7 @@ fn run_split(
     ops: u64,
     threads: u64,
     chunked: bool,
-) -> (String, Vec<ron_obs::QueryTrace>) {
+) -> (ron_obs::Registry, Vec<ron_obs::QueryTrace>) {
     ron_obs::set_enabled(true);
     ron_obs::reset();
     std::thread::scope(|scope| {
@@ -86,7 +86,7 @@ fn run_split(
     let traces = ron_obs::drain_query_traces();
     let registry = ron_obs::drain();
     ron_obs::set_enabled(false);
-    (registry.to_json(), traces)
+    (registry, traces)
 }
 
 proptest! {
@@ -99,11 +99,11 @@ proptest! {
         threads in 2u64..6,
     ) {
         let _lock = obs_state_lock();
-        let (serial_json, serial_traces) = run_split(seed, ops, 1, false);
-        let (rr_json, rr_traces) = run_split(seed, ops, threads, false);
-        let (chunk_json, chunk_traces) = run_split(seed, ops, threads, true);
-        prop_assert_eq!(&serial_json, &rr_json, "round-robin split changed the drain");
-        prop_assert_eq!(&serial_json, &chunk_json, "chunked split changed the drain");
+        let (serial_reg, serial_traces) = run_split(seed, ops, 1, false);
+        let (rr_reg, rr_traces) = run_split(seed, ops, threads, false);
+        let (chunk_reg, chunk_traces) = run_split(seed, ops, threads, true);
+        prop_assert_eq!(&serial_reg, &rr_reg, "round-robin split changed the drain");
+        prop_assert_eq!(&serial_reg, &chunk_reg, "chunked split changed the drain");
         prop_assert_eq!(&serial_traces, &rr_traces);
         prop_assert_eq!(&serial_traces, &chunk_traces);
         // The drained order is the sorted (kind, id) order, full stop.

@@ -456,10 +456,6 @@ impl<'a, N: SimNode> Simulator<'a, N> {
                     if ron_obs::enabled() {
                         // Intern once per mark, not per delivery.
                         self.phase_label = ron_obs::label(&name);
-                        // A phase boundary is a deterministic tick point
-                        // on the simulation's telemetry curve (the label
-                        // format! only runs with obs on).
-                        ron_obs::timeseries_tick(&format!("sim:phase:{name}"));
                     }
                     self.phase_marks.push(PhaseMark {
                         name,

@@ -3,14 +3,14 @@
 //! Exact assertions on what a traced build + serve + repair + simulate
 //! pass leaves behind: flight records that do not depend on the worker
 //! split, deterministic sampling and cache outcomes, every layer's keys
-//! in the drained registry, latency attribution and the time-series
-//! export. The counts are exact, so every test here takes
+//! in the drained registry, latency attribution, and which oracle a
+//! never-churned sparse stack asks. The counts are exact, so every test here takes
 //! [`Recording::start`]'s lock and nothing else in this binary records:
 //! a test that ran a simulator beside these would land in the same
 //! process-global registry.
 
 use ron_location::{DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine, Snapshot};
-use ron_metric::{gen, EuclideanMetric, Node, Space};
+use ron_metric::{gen, BallOracle, EuclideanMetric, Node, Space};
 use ron_nets::NestedNets;
 use ron_obs::{CacheOutcome, LatencyAttribution, QueryTrace};
 use ron_sim::directory::{DirectoryMsg, DirectoryNode};
@@ -60,7 +60,7 @@ fn cube() -> Space<EuclideanMetric> {
     Space::new(gen::uniform_cube(N, 2, 1))
 }
 
-fn published(space: &Space<EuclideanMetric>) -> DirectoryOverlay {
+fn published<I: BallOracle>(space: &Space<EuclideanMetric, I>) -> DirectoryOverlay {
     let mut overlay = DirectoryOverlay::build(space);
     let items: Vec<(ObjectId, Node)> = (0..OBJECTS)
         .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % N)))
@@ -150,8 +150,7 @@ fn flight_records_do_not_depend_on_the_worker_split() {
 
 /// The same batch twice on one worker: the second half probes warm, so
 /// its flight records are cache hits that never walked. The records of
-/// the run attribute latency to a stage per kind, and the time series it
-/// ticked exports under the documented CSV schema.
+/// the run attribute latency to a stage per kind.
 #[test]
 fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
     let recording = Recording::start(2);
@@ -168,7 +167,6 @@ fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
     let doubled: Vec<(Node, ObjectId)> = queries.iter().chain(&queries).copied().collect();
     let _ = engine.serve(&doubled, &config(1));
     let lookups = ron_obs::drain_query_traces();
-    let series = ron_obs::take_timeseries();
     recording.stop();
 
     assert_eq!(lookups.len(), QUERIES, "rate-2 sampling of 2 x QUERIES");
@@ -186,10 +184,45 @@ fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
     let lat = LatencyAttribution::from_traces(&traces);
     assert!(lat.owner("lookup", 0.5).is_some());
     assert!(lat.owner("publish", 0.99).is_some());
+    assert_recording_is_off();
+}
 
-    let csv = ron_obs::timeseries_csv(&series);
-    assert!(csv.starts_with("tick,label,kind,name,value\n"));
-    assert!(csv.lines().count() > series.len(), "every point dumps rows");
+/// A never-churned sparse stack reads its fingers from the stored rings:
+/// capturing a snapshot and serving live lookups asks the net-tree
+/// oracle for no nearest-member search at all. One `leave` of a member
+/// of a level above 0 makes that level diverge, and the same calls then
+/// do ask — so this guard can fail.
+#[test]
+fn pristine_sparse_stack_never_asks_the_oracle_for_a_finger() {
+    let recording = Recording::start(0);
+    let space = Space::new_sparse(gen::uniform_cube(N, 2, 1));
+    let mut overlay = published(&space);
+    let nearest_searches = |overlay: &DirectoryOverlay| -> Vec<String> {
+        ron_obs::reset();
+        let _ = Snapshot::capture(&space, overlay);
+        for q in 0..256 {
+            let origin = Node::new((q * 53 + 7) % N);
+            let _ = overlay.lookup(&space, origin, ObjectId((q % OBJECTS) as u64));
+        }
+        let mut keys: Vec<String> = ron_obs::drain().histograms.into_keys().collect();
+        keys.retain(|k| k.starts_with("oracle.nearest.sparse"));
+        keys
+    };
+    assert!(
+        nearest_searches(&overlay).is_empty(),
+        "every level is still the static net: fingers come from the rings"
+    );
+    let member = space
+        .nodes()
+        .find(|&v| overlay.is_net_member(1, v))
+        .expect("level 1 has members");
+    overlay.leave(member);
+    assert_eq!(
+        nearest_searches(&overlay),
+        ["oracle.nearest.sparse"],
+        "a diverged level is asked of the oracle"
+    );
+    recording.stop();
     assert_recording_is_off();
 }
 
