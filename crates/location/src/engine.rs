@@ -5,13 +5,17 @@
 //! The engine separates *structure maintenance* (the mutable
 //! [`DirectoryOverlay`]) from *serving*, and the two run concurrently.
 //! A [`Snapshot`] is an **owned**, epoch-stamped copy of everything a
-//! lookup reads (liveness, homes,
-//! pointer tables, precomputed fingers); it lives in an
-//! [`EpochCell`] and workers clone the current `Arc` per query, so a
-//! repair can build and publish a successor snapshot *while the batch is
-//! in flight*: lookups proceed at full rate through churn and repair,
-//! each answer valid against exactly one published state, never a torn
-//! mixture (property-tested across all four generator families).
+//! lookup reads, laid out flat: four-byte fingers (`n x levels`, a
+//! sentinel for a level churn emptied), liveness, the homes map, and
+//! every node's pointer entries in one arena behind `n + 1` row offsets
+//! (`tables::FrozenTables`) — five heap blocks whatever `n` is, so
+//! dropping a superseded snapshot is five frees, and a lookup over it
+//! allocates nothing. It lives in an [`EpochCell`] and workers clone the
+//! current `Arc` per query, so a repair can build and publish a
+//! successor snapshot *while the batch is in flight*: lookups proceed at
+//! full rate through churn and repair, each answer valid against exactly
+//! one published state, never a torn mixture (property-tested across all
+//! four generator families).
 //!
 //! Worker threads (`std::thread::scope`; no external dependencies, per
 //! the vendored-shim discipline) split the batch; every successful
@@ -33,15 +37,16 @@ use ron_metric::{BallOracle, HeapBytes, Metric, MetricIndex, Node, Space};
 use ron_routing::PathStats;
 
 use crate::directory::{DirectoryOverlay, ObjectId};
-use crate::lookup::{locate_view, LookupView};
+use crate::lookup::{locate_view, Finger, LocateError, LookupOutcome, LookupView};
 use crate::stats::{BatchReport, CacheShardStats, LatencySummary};
-use crate::tables::PointerTables;
+use crate::tables::FrozenTables;
 
 /// An immutable, owned serving view of a [`DirectoryOverlay`]: the
 /// per-node, per-level fingers are precomputed so a lookup is a pure
 /// table walk, and the state a lookup reads (liveness, homes, pointer
-/// tables) is copied out, so the overlay is free to mutate — churn,
-/// repair, publish — while the snapshot serves.
+/// entries) is copied out into flat arrays — no per-node heap object —
+/// so the overlay is free to mutate — churn, repair, publish — while the
+/// snapshot serves.
 ///
 /// A snapshot is stamped with the overlay [epoch] it was captured at.
 /// Publish one through an [`EpochCell`] (see
@@ -56,17 +61,18 @@ pub struct Snapshot {
     epoch: u64,
     levels: usize,
     /// `fingers[v * levels + j]`: nearest alive level-`j` member to `v`.
-    fingers: Vec<Option<Node>>,
+    fingers: Vec<Finger>,
     alive: Vec<bool>,
     homes: HashMap<ObjectId, Node>,
-    /// Per-node directory pointer entries (compact sorted arrays; see
-    /// [`PointerTables`]).
-    tables: PointerTables,
+    /// Every node's directory pointer entries, in one arena (see
+    /// [`FrozenTables`]).
+    tables: FrozenTables,
 }
 
 impl Snapshot {
     /// Freezes the overlay's current state: fingers, liveness, homes and
-    /// pointer tables, stamped with the overlay's current epoch.
+    /// the pointer tables (copied row by row into one arena), stamped
+    /// with the overlay's current epoch.
     #[must_use]
     pub fn capture<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
@@ -79,7 +85,7 @@ impl Snapshot {
         for i in 0..n {
             let v = Node::new(i);
             for j in 0..levels {
-                fingers.push(overlay.finger(space, v, j).map(|(_, f)| f));
+                fingers.push(Finger::new(overlay.finger(space, v, j).map(|(_, f)| f)));
             }
         }
         Snapshot {
@@ -88,7 +94,7 @@ impl Snapshot {
             fingers,
             alive: overlay.control.alive.clone(),
             homes: overlay.control.homes.clone(),
-            tables: overlay.tables.clone(),
+            tables: FrozenTables::freeze(&overlay.tables),
         }
     }
 
@@ -98,7 +104,25 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Serves one lookup from the frozen finger table.
+    fn walk<M: Metric, I>(
+        &self,
+        space: &Space<M, I>,
+        origin: Node,
+        obj: ObjectId,
+        visit: impl FnMut(Node),
+    ) -> Result<LookupOutcome, LocateError> {
+        let view = LookupView {
+            levels: self.levels,
+            alive: &self.alive,
+            homes: &self.homes,
+            rows: |v| self.tables.row(v),
+        };
+        let fingers = |s: Node, j: usize| self.fingers[s.index() * self.levels + j].get();
+        locate_view(&view, space, origin, obj, fingers, visit)
+    }
+
+    /// Serves one lookup from the frozen finger table and pointer arena.
+    /// Allocates nothing.
     ///
     /// # Errors
     ///
@@ -108,16 +132,25 @@ impl Snapshot {
         space: &Space<M, I>,
         origin: Node,
         obj: ObjectId,
-    ) -> Result<crate::lookup::LookupOutcome, crate::lookup::LocateError> {
-        let view = LookupView {
-            levels: self.levels,
-            alive: &self.alive,
-            homes: &self.homes,
-            tables: &self.tables,
-        };
-        locate_view(&view, space, origin, obj, |s, j| {
-            self.fingers[s.index() * self.levels + j]
-        })
+    ) -> Result<LookupOutcome, LocateError> {
+        self.walk(space, origin, obj, |_| {})
+    }
+
+    /// [`lookup`](Self::lookup), also returning the visited nodes, as
+    /// [`DirectoryOverlay::lookup_path`] does.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`DirectoryOverlay::lookup`].
+    pub fn lookup_path<M: Metric, I>(
+        &self,
+        space: &Space<M, I>,
+        origin: Node,
+        obj: ObjectId,
+    ) -> Result<(LookupOutcome, Vec<Node>), LocateError> {
+        let mut path = Vec::new();
+        let outcome = self.walk(space, origin, obj, |v| path.push(v))?;
+        Ok((outcome, path))
     }
 }
 
@@ -809,6 +842,96 @@ mod tests {
         let report = engine.serve(&queries, &EngineConfig::default());
         assert_eq!(report.failures, 16);
         assert_eq!(report.successes, 0);
+    }
+
+    #[test]
+    fn engine_counts_an_origin_outside_the_overlay_as_a_failure() {
+        let space = Space::new(LineMetric::uniform(32).unwrap());
+        let mut ov = DirectoryOverlay::build(&space);
+        ov.publish(&space, ObjectId(0), Node::new(5));
+        let snap = Snapshot::capture(&space, &ov);
+        let stranger = Node::new(32);
+        assert_eq!(
+            snap.lookup(&space, stranger, ObjectId(0)),
+            Err(LocateError::UnknownOrigin { origin: stranger })
+        );
+        let cell = EpochCell::new(snap);
+        let engine = QueryEngine::new(&space, &cell);
+        // Bad origins in both workers' chunks, beside good queries.
+        let queries: Vec<(Node, ObjectId)> = (0..64)
+            .map(|i| {
+                let origin = if i % 8 == 3 {
+                    Node::new(32 + i)
+                } else {
+                    Node::new(i % 32)
+                };
+                (origin, ObjectId(0))
+            })
+            .collect();
+        let config = EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        };
+        let report = engine.serve(&queries, &config);
+        assert_eq!(report.served, 64);
+        assert_eq!(report.failures, 8);
+        assert_eq!(report.successes, 56);
+    }
+
+    /// The arena a snapshot serves from answers, for every (node, level,
+    /// object), what the overlay's per-node table answers — captured
+    /// pristine and after each step of a leave wave, its repair, an
+    /// unpublish, the re-joins and their repair.
+    fn assert_frozen_arena_matches_the_tables<M: Metric, I: BallOracle>(space: &Space<M, I>) {
+        let n = space.len();
+        let mut ov = DirectoryOverlay::build(space);
+        let mut objects: Vec<ObjectId> = (0..5).map(ObjectId).collect();
+        for (i, &obj) in objects.iter().enumerate() {
+            ov.publish(space, obj, Node::new((i * 13 + 1) % n));
+        }
+        objects.push(ObjectId(u64::MAX)); // never published
+        let check = |ov: &DirectoryOverlay, when: &str| {
+            let snap = Snapshot::capture(space, ov);
+            for v in space.nodes() {
+                for level in 0..ov.levels() {
+                    for &obj in &objects {
+                        assert_eq!(
+                            snap.tables.row(v).get(level, obj),
+                            ov.tables.node(v).get(level, obj),
+                            "{when}: entry ({v}, {level}, {obj})"
+                        );
+                    }
+                }
+            }
+        };
+        check(&ov, "pristine");
+        let gone: Vec<Node> = (0..n / 6).map(|k| Node::new((k * 11 + 3) % n)).collect();
+        for &v in &gone {
+            ov.leave(v);
+        }
+        check(&ov, "after the leave wave");
+        ov.repair(space);
+        check(&ov, "after its repair");
+        ov.unpublish(ObjectId(2));
+        check(&ov, "after an unpublish");
+        for &v in &gone {
+            ov.join(space, v);
+        }
+        check(&ov, "after the re-joins");
+        ov.repair(space);
+        check(&ov, "after their repair");
+    }
+
+    #[test]
+    fn frozen_arena_matches_the_tables_on_all_families_and_backends() {
+        fn on_both_backends<M: Metric + Clone>(metric: M) {
+            assert_frozen_arena_matches_the_tables(&Space::new(metric.clone()));
+            assert_frozen_arena_matches_the_tables(&Space::new_sparse(metric));
+        }
+        on_both_backends(gen::uniform_cube(48, 2, 17));
+        on_both_backends(gen::clustered(48, 2, 4, 0.02, 9));
+        on_both_backends(gen::perturbed_grid(6, 2, 0.3, 4));
+        on_both_backends(gen::exponential_line(14));
     }
 
     #[test]

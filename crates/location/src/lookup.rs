@@ -16,15 +16,17 @@ use std::fmt;
 use ron_metric::{BallOracle, Metric, Node, Space};
 
 use crate::directory::{DirectoryOverlay, ObjectId};
-use crate::tables::{PointerTable, PointerTables};
+use crate::tables::TableRow;
 
-/// The outcome of one successful lookup.
-#[derive(Clone, Debug, PartialEq)]
+/// The outcome of one successful lookup: plain numbers, no heap. The
+/// nodes visited on the way are handed out only on request
+/// ([`DirectoryOverlay::lookup_path`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LookupOutcome {
     /// The located home node.
     pub home: Node,
-    /// Overlay nodes visited, starting at the origin, ending at the home.
-    pub path: Vec<Node>,
+    /// Overlay hops traversed, origin to home.
+    hops: u32,
     /// Total metric length of the traversed overlay path.
     pub length: f64,
     /// Ladder level at which the directory entry was found.
@@ -38,7 +40,7 @@ impl LookupOutcome {
     /// Number of overlay hops traversed.
     #[must_use]
     pub fn hops(&self) -> usize {
-        self.path.len().saturating_sub(1)
+        self.hops as usize
     }
 
     /// Stretch relative to the true origin-to-home distance (`1.0` when
@@ -59,6 +61,11 @@ impl LookupOutcome {
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum LocateError {
+    /// The querying node is not one of the overlay's `0..n`.
+    UnknownOrigin {
+        /// The out-of-range origin.
+        origin: Node,
+    },
     /// The querying node is dead.
     OriginDown {
         /// The dead origin.
@@ -91,6 +98,9 @@ pub enum LocateError {
 impl fmt::Display for LocateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            LocateError::UnknownOrigin { origin } => {
+                write!(f, "origin {origin} is not a node of the overlay")
+            }
             LocateError::OriginDown { origin } => write!(f, "origin {origin} is dead"),
             LocateError::UnknownObject { obj } => write!(f, "{obj} is not published"),
             LocateError::NotFound { obj, origin } => {
@@ -104,6 +114,53 @@ impl fmt::Display for LocateError {
 }
 
 impl Error for LocateError {}
+
+/// Counts a failed lookup by kind on its way out of [`locate_view`];
+/// kept out of line so the walk's error arms stay a call.
+#[cold]
+fn failed(err: LocateError) -> LocateError {
+    if ron_obs::enabled() {
+        match &err {
+            LocateError::UnknownOrigin { .. } => ron_obs::count("lookup.unknown_origin", 1),
+            LocateError::OriginDown { .. } => ron_obs::count("lookup.origin_down", 1),
+            LocateError::UnknownObject { .. } => ron_obs::count("lookup.unknown_object", 1),
+            LocateError::NotFound { .. } => ron_obs::count("lookup.not_found", 1),
+            LocateError::BrokenChain { level, .. } => ron_obs::count_labeled(
+                "lookup.broken_chain",
+                ron_obs::label(&format!("level{level}")),
+                1,
+            ),
+        }
+    }
+    err
+}
+
+/// One finger slot in four bytes: a node id, or a sentinel for a level
+/// emptied by churn. Constructed only through [`Finger::new`], which
+/// refuses a node id equal to the sentinel, so `get` cannot mistake one
+/// for the other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Finger(u32);
+
+impl Finger {
+    const NONE: u32 = u32::MAX;
+
+    /// # Panics
+    ///
+    /// Panics if the node's id is the sentinel (an overlay of `2^32`
+    /// nodes; `Node` itself allows the id).
+    pub(crate) fn new(finger: Option<Node>) -> Self {
+        match finger.map(u32::from) {
+            Some(Self::NONE) => panic!("node id {} is the no-finger sentinel", Self::NONE),
+            Some(id) => Finger(id),
+            None => Finger(Self::NONE),
+        }
+    }
+
+    pub(crate) fn get(self) -> Option<Node> {
+        (self.0 != Self::NONE).then(|| Node::from(self.0))
+    }
+}
 
 /// What one node decides for a descending lookup packet it holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,7 +184,7 @@ pub enum WalkStep {
     },
 }
 
-/// One node's share of a lookup walk: its pointer table and whether it
+/// One node's share of a lookup walk: its pointer entries and whether it
 /// homes the object. The walk rule is written once, here; the
 /// in-process loop of [`locate_view`] and the simulator's `Climb` /
 /// `Descend` message handlers (through
@@ -135,7 +192,7 @@ pub enum WalkStep {
 /// to do at each node they visit.
 pub(crate) struct NodeView<'a> {
     pub(crate) node: Node,
-    pub(crate) table: &'a PointerTable,
+    pub(crate) table: TableRow<'a>,
     pub(crate) obj: ObjectId,
     pub(crate) is_home: bool,
 }
@@ -178,43 +235,55 @@ impl NodeView<'_> {
 /// [`Snapshot`](crate::engine::Snapshot) — both answer the same walk, so
 /// a published snapshot serves exactly what the overlay it was captured
 /// from would have served.
-pub(crate) struct LookupView<'a> {
+pub(crate) struct LookupView<'a, R> {
     pub(crate) levels: usize,
     pub(crate) alive: &'a [bool],
     pub(crate) homes: &'a HashMap<ObjectId, Node>,
-    pub(crate) tables: &'a PointerTables,
+    /// Node `v`'s pointer entries: a per-node table of the overlay, a
+    /// row of the snapshot's arena.
+    pub(crate) rows: R,
 }
 
 /// The lookup walk over a [`LookupView`] and a finger provider: climb
 /// the origin's fingers until a level holds an entry, then descend the
 /// stored chain to the home, one [`NodeView`] decision per visited node.
-pub(crate) fn locate_view<M: Metric, I>(
-    view: &LookupView<'_>,
+///
+/// The walk allocates nothing: it counts its hops and hands every node
+/// it stands on — the origin first, the home last — to `visit`, which a
+/// caller that wants the path makes a `push` and every other caller a
+/// no-op.
+pub(crate) fn locate_view<'a, M: Metric, I>(
+    view: &LookupView<'a, impl Fn(Node) -> TableRow<'a>>,
     space: &Space<M, I>,
     origin: Node,
     obj: ObjectId,
     fingers: impl Fn(Node, usize) -> Option<Node>,
+    mut visit: impl FnMut(Node),
 ) -> Result<LookupOutcome, LocateError> {
-    if !view.alive[origin.index()] {
-        return Err(LocateError::OriginDown { origin });
+    match view.alive.get(origin.index()) {
+        Some(true) => {}
+        Some(false) => return Err(failed(LocateError::OriginDown { origin })),
+        None => return Err(failed(LocateError::UnknownOrigin { origin })),
     }
     let Some(&home) = view.homes.get(&obj) else {
-        return Err(LocateError::UnknownObject { obj });
+        return Err(failed(LocateError::UnknownObject { obj }));
     };
     let at = |v: Node| NodeView {
         node: v,
-        table: view.tables.node(v),
+        table: (view.rows)(v),
         obj,
         is_home: v == home,
     };
-    let mut path = vec![origin];
+    visit(origin);
     let mut cur = origin;
     let mut length = 0.0f64;
+    let mut hops = 0u32;
     let mut probes = 0u64;
-    let mut hop = |path: &mut Vec<Node>, cur: &mut Node, to: Node| {
+    let mut hop = |cur: &mut Node, to: Node| {
         if *cur != to {
             length += space.dist(*cur, to);
-            path.push(to);
+            hops += 1;
+            visit(to);
             *cur = to;
         }
     };
@@ -223,7 +292,7 @@ pub(crate) fn locate_view<M: Metric, I>(
             continue; // level emptied by churn; keep climbing
         };
         probes += 1;
-        hop(&mut path, &mut cur, f);
+        hop(&mut cur, f);
         let Some(mut step) = at(cur).probe(j) else {
             continue;
         };
@@ -232,68 +301,94 @@ pub(crate) fn locate_view<M: Metric, I>(
             match step {
                 WalkStep::Arrived => break,
                 WalkStep::Broken { level } => {
-                    return Err(LocateError::BrokenChain {
+                    return Err(failed(LocateError::BrokenChain {
                         obj,
                         at: cur,
                         level,
-                    })
+                    }))
                 }
                 WalkStep::Forward { level, next } => {
                     if !view.alive[next.index()] {
-                        return Err(LocateError::BrokenChain {
+                        return Err(failed(LocateError::BrokenChain {
                             obj,
                             at: next,
                             level,
-                        });
+                        }));
                     }
-                    hop(&mut path, &mut cur, next);
+                    hop(&mut cur, next);
                     step = at(cur).descend(level);
                 }
             }
         }
-        let outcome = LookupOutcome {
-            home: cur,
-            path,
-            length,
-            found_level: j,
-            probes,
-        };
         if ron_obs::enabled() {
-            ron_obs::observe("lookup.hops", outcome.hops() as u64);
+            ron_obs::observe("lookup.hops", u64::from(hops));
             ron_obs::observe("lookup.probes", probes);
             ron_obs::observe("lookup.found_level", j as u64);
         }
-        return Ok(outcome);
+        return Ok(LookupOutcome {
+            home: cur,
+            hops,
+            length,
+            found_level: j,
+            probes,
+        });
     }
-    ron_obs::count("lookup.not_found", 1);
-    Err(LocateError::NotFound { obj, origin })
+    Err(failed(LocateError::NotFound { obj, origin }))
 }
 
 impl DirectoryOverlay {
-    /// Locates `obj` from `origin`, returning the home and the traversed
-    /// overlay path.
+    fn walk<M: Metric, I: BallOracle>(
+        &self,
+        space: &Space<M, I>,
+        origin: Node,
+        obj: ObjectId,
+        visit: impl FnMut(Node),
+    ) -> Result<LookupOutcome, LocateError> {
+        let view = LookupView {
+            levels: self.levels(),
+            alive: &self.control.alive,
+            homes: &self.control.homes,
+            rows: |v| self.tables.node(v).row(),
+        };
+        // The live overlay finds fingers on demand; engine snapshots
+        // use a precomputed table.
+        let fingers = |s, j| self.finger(space, s, j).map(|(_, f)| f);
+        locate_view(&view, space, origin, obj, fingers, visit)
+    }
+
+    /// Locates `obj` from `origin`, returning the home and the cost of
+    /// the traversed overlay path. Allocates nothing.
     ///
     /// # Errors
     ///
-    /// See [`LocateError`]; errors other than `UnknownObject` and
-    /// `OriginDown` only occur between churn and the next repair.
+    /// See [`LocateError`]; errors other than `UnknownObject`,
+    /// `UnknownOrigin` and `OriginDown` only occur between churn and the
+    /// next repair.
     pub fn lookup<M: Metric, I: BallOracle>(
         &self,
         space: &Space<M, I>,
         origin: Node,
         obj: ObjectId,
     ) -> Result<LookupOutcome, LocateError> {
-        let view = LookupView {
-            levels: self.levels(),
-            alive: &self.control.alive,
-            homes: &self.control.homes,
-            tables: &self.tables,
-        };
-        // The live overlay finds fingers on demand; engine snapshots
-        // use a precomputed table.
-        locate_view(&view, space, origin, obj, |s, j| {
-            self.finger(space, s, j).map(|(_, f)| f)
-        })
+        self.walk(space, origin, obj, |_| {})
+    }
+
+    /// [`lookup`](Self::lookup), also returning the overlay nodes the
+    /// walk visited: `hops() + 1` of them, starting at the origin,
+    /// ending at the home.
+    ///
+    /// # Errors
+    ///
+    /// As [`lookup`](Self::lookup).
+    pub fn lookup_path<M: Metric, I: BallOracle>(
+        &self,
+        space: &Space<M, I>,
+        origin: Node,
+        obj: ObjectId,
+    ) -> Result<(LookupOutcome, Vec<Node>), LocateError> {
+        let mut path = Vec::new();
+        let outcome = self.walk(space, origin, obj, |v| path.push(v))?;
+        Ok((outcome, path))
     }
 }
 
@@ -311,10 +406,13 @@ mod tests {
         }
         for s in space.nodes() {
             for (i, h) in [0usize, 13, 31].iter().enumerate() {
-                let out = ov.lookup(&space, s, ObjectId(i as u64)).expect("static");
+                let obj = ObjectId(i as u64);
+                let (out, path) = ov.lookup_path(&space, s, obj).expect("static");
                 assert_eq!(out.home, Node::new(*h));
-                assert_eq!(*out.path.first().unwrap(), s);
-                assert_eq!(*out.path.last().unwrap(), Node::new(*h));
+                assert_eq!(ov.lookup(&space, s, obj), Ok(out));
+                assert_eq!(path.len(), out.hops() + 1);
+                assert_eq!(*path.first().unwrap(), s);
+                assert_eq!(*path.last().unwrap(), Node::new(*h));
             }
         }
     }
@@ -376,5 +474,29 @@ mod tests {
             origin: Node::new(4),
         };
         assert!(err.to_string().contains("dead"));
+    }
+
+    #[test]
+    fn an_origin_outside_the_overlay_is_an_error_not_a_panic() {
+        let space = Space::new(LineMetric::uniform(8).unwrap());
+        let mut ov = DirectoryOverlay::build(&space);
+        ov.publish(&space, ObjectId(0), Node::new(3));
+        for origin in [Node::new(8), Node::new(u32::MAX as usize)] {
+            let err = ov
+                .lookup(&space, origin, ObjectId(0))
+                .expect_err("no such node");
+            assert_eq!(err, LocateError::UnknownOrigin { origin });
+            assert!(err.to_string().contains("not a node"));
+        }
+    }
+
+    #[test]
+    fn finger_slots_round_trip_and_refuse_the_sentinel() {
+        assert_eq!(Finger::new(None).get(), None);
+        for i in [0usize, 7, u32::MAX as usize - 1] {
+            assert_eq!(Finger::new(Some(Node::new(i))).get(), Some(Node::new(i)));
+        }
+        let clash = std::panic::catch_unwind(|| Finger::new(Some(Node::new(u32::MAX as usize))));
+        assert!(clash.is_err(), "the sentinel id must be refused");
     }
 }

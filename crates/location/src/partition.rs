@@ -17,7 +17,7 @@ use ron_metric::{BallOracle, Metric, Node, Space};
 
 use crate::authority::PointerOp;
 use crate::directory::{DirectoryOverlay, ObjectId};
-use crate::lookup::{NodeView, WalkStep};
+use crate::lookup::{Finger, NodeView, WalkStep};
 use crate::tables::PointerTable;
 
 /// One node's slice of the directory overlay.
@@ -30,7 +30,7 @@ pub struct DirectoryNodeState {
     /// repair protocol updates through promotion announcements.
     member: Vec<bool>,
     /// `fingers[j]`: nearest alive level-`j` net member to this node.
-    fingers: Vec<Option<Node>>,
+    fingers: Vec<Finger>,
     /// `rings[j]`: members of this node's publish ring at level `j`.
     rings: Vec<Vec<Node>>,
     /// The directory entries stored at this node, all levels.
@@ -61,7 +61,7 @@ impl DirectoryNodeState {
     /// The finger at `level` (nearest net member), if the level had one.
     #[must_use]
     pub fn finger(&self, level: usize) -> Option<Node> {
-        self.fingers[level]
+        self.fingers[level].get()
     }
 
     /// The climb itinerary a lookup from this node follows: the
@@ -73,7 +73,7 @@ impl DirectoryNodeState {
         self.fingers
             .iter()
             .enumerate()
-            .filter_map(|(j, f)| f.map(|f| (j, f)))
+            .filter_map(|(j, f)| f.get().map(|f| (j, f)))
             .collect()
     }
 
@@ -92,7 +92,7 @@ impl DirectoryNodeState {
     fn view(&self, obj: ObjectId) -> NodeView<'_> {
         NodeView {
             node: self.node,
-            table: &self.table,
+            table: self.table.row(),
             obj,
             is_home: self.homed.contains(&obj),
         }
@@ -138,7 +138,7 @@ impl DirectoryNodeState {
     /// coordinator recomputed the nearest member under the new
     /// membership).
     pub fn set_finger(&mut self, level: usize, finger: Option<Node>) {
-        self.fingers[level] = finger;
+        self.fingers[level] = Finger::new(finger);
     }
 
     /// Resets the slice to a fresh joiner: alive, no memberships, no
@@ -201,7 +201,7 @@ impl DirectoryOverlay {
                     alive: self.is_alive(v),
                     member: (0..levels).map(|j| self.is_net_member(j, v)).collect(),
                     fingers: (0..levels)
-                        .map(|j| self.finger(space, v, j).map(|(_, f)| f))
+                        .map(|j| Finger::new(self.finger(space, v, j).map(|(_, f)| f)))
                         .collect(),
                     rings: (0..levels)
                         .map(|j| self.ring_members(space, v, j))

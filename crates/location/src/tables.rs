@@ -1,15 +1,26 @@
-//! Compact per-node directory pointer tables.
+//! Compact directory pointer tables: mutable per node, frozen in one
+//! arena.
 //!
-//! A [`PointerTable`] is one sorted compact array per node: entries
-//! keyed by `(level, object)`, 16 bytes each, found by binary search, and
-//! an empty table allocates nothing — at `n = 2^20` nodes and ~20 ladder
-//! levels a per-`(node, level)` hash map would cost a gigabyte of empty
-//! headers before the first publish. Per-node tables are small (a node
-//! holds one entry per object whose publish ring it sits in, per level),
-//! so sorted-insert beats hashing on both memory and cache behaviour.
-//! The overlay and every [`Snapshot`] hold `n` of them
-//! ([`PointerTables`]); a partitioned [`DirectoryNodeState`] holds its
-//! node's one.
+//! A node's entries are one compact array sorted by `(level, object)`,
+//! 16 bytes each, found by binary search — at `n = 2^20` nodes and ~20
+//! ladder levels a per-`(node, level)` hash map would cost a gigabyte of
+//! empty headers before the first publish, and per-node tables are small
+//! (a node holds one entry per object whose publish ring it sits in, per
+//! level), so a sorted array beats hashing on both memory and cache
+//! behaviour. Two owners store such arrays and one view reads them:
+//!
+//! * [`PointerTable`] is the mutable one — a `Vec` per node, empty
+//!   tables allocating nothing. The overlay holds `n` of them
+//!   ([`PointerTables`]), a partitioned [`DirectoryNodeState`] its
+//!   node's one; publish, unpublish and repair insert and remove in
+//!   place.
+//! * [`FrozenTables`] is what a [`Snapshot`] serves from: every node's
+//!   entries copied once, in node order, into a single `entries` array
+//!   behind `n + 1` row offsets — two allocations however large `n` is,
+//!   so a capture is one pass of slice copies and a superseded
+//!   snapshot is freed in O(1).
+//! * [`TableRow`] is the borrowed sorted slice both hand out, with the
+//!   one `get(level, object)`; the lookup walk reads nothing else.
 //!
 //! [`Snapshot`]: crate::engine::Snapshot
 //! [`DirectoryNodeState`]: crate::partition::DirectoryNodeState
@@ -35,6 +46,28 @@ impl PointerEntry {
     }
 }
 
+/// One node's entries, borrowed from whoever stores them — a mutable
+/// [`PointerTable`] or a row of a [`FrozenTables`] arena — sorted by
+/// `(level, object)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TableRow<'a> {
+    entries: &'a [PointerEntry],
+}
+
+impl TableRow<'_> {
+    fn search(self, level: usize, obj: ObjectId) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&(level as u32, obj), PointerEntry::key)
+    }
+
+    /// The level-`level` entry for `obj`, if installed.
+    pub(crate) fn get(self, level: usize, obj: ObjectId) -> Option<Node> {
+        self.search(level, obj)
+            .ok()
+            .map(|i| self.entries[i].target.node())
+    }
+}
+
 /// One node's directory pointer table, sorted by `(level, object)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct PointerTable {
@@ -42,16 +75,20 @@ pub(crate) struct PointerTable {
 }
 
 impl PointerTable {
+    /// The entries as the lookup walk reads them.
+    pub(crate) fn row(&self) -> TableRow<'_> {
+        TableRow {
+            entries: &self.entries,
+        }
+    }
+
     fn search(&self, level: usize, obj: ObjectId) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by_key(&(level as u32, obj), PointerEntry::key)
+        self.row().search(level, obj)
     }
 
     /// The level-`level` entry for `obj`, if installed.
     pub(crate) fn get(&self, level: usize, obj: ObjectId) -> Option<Node> {
-        self.search(level, obj)
-            .ok()
-            .map(|i| self.entries[i].target.node())
+        self.row().get(level, obj)
     }
 
     /// Installs (or retargets) the level-`level` entry for `obj`,
@@ -157,6 +194,52 @@ impl HeapBytes for PointerTables {
     }
 }
 
+/// Every node's pointer entries frozen into one arena: node `v`'s row is
+/// `entries[row_start[v]..row_start[v + 1]]`.
+#[derive(Clone, Debug)]
+pub(crate) struct FrozenTables {
+    /// `n + 1` offsets into `entries`, non-decreasing.
+    row_start: Vec<u32>,
+    entries: Vec<PointerEntry>,
+}
+
+impl FrozenTables {
+    /// Copies `tables` row by row, in node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entries outnumber what a `u32` offset addresses.
+    pub(crate) fn freeze(tables: &PointerTables) -> Self {
+        let total = tables.total();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} pointer entries overflow the arena's u32 offsets"
+        );
+        let mut row_start = Vec::with_capacity(tables.nodes.len() + 1);
+        let mut entries = Vec::with_capacity(total);
+        for table in &tables.nodes {
+            row_start.push(entries.len() as u32);
+            entries.extend_from_slice(&table.entries);
+        }
+        row_start.push(entries.len() as u32);
+        FrozenTables { row_start, entries }
+    }
+
+    /// Node `v`'s row.
+    pub(crate) fn row(&self, v: Node) -> TableRow<'_> {
+        let i = v.index();
+        TableRow {
+            entries: &self.entries[self.row_start[i] as usize..self.row_start[i + 1] as usize],
+        }
+    }
+}
+
+impl HeapBytes for FrozenTables {
+    fn heap_bytes(&self) -> usize {
+        vec_capacity_bytes(&self.row_start) + vec_capacity_bytes(&self.entries)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +277,38 @@ mod tests {
         assert_eq!(t.node(Node::new(0)).len(), 0);
         assert_eq!(t.node(Node::new(0)).get(0, ObjectId(1)), None);
         assert_eq!(t.total(), 1);
+    }
+
+    #[test]
+    fn frozen_rows_answer_like_the_tables_they_copied() {
+        let mut tables = PointerTables::new(4);
+        tables
+            .node_mut(Node::new(1))
+            .insert(2, ObjectId(7), Node::new(3));
+        tables
+            .node_mut(Node::new(1))
+            .insert(0, ObjectId(7), Node::new(0));
+        tables
+            .node_mut(Node::new(3))
+            .insert(1, ObjectId(9), Node::new(2));
+        let frozen = FrozenTables::freeze(&tables);
+        assert_eq!(frozen.row_start, [0, 0, 2, 2, 3]);
+        for v in Node::all(4) {
+            for level in 0..3 {
+                for obj in [ObjectId(7), ObjectId(8), ObjectId(9)] {
+                    assert_eq!(
+                        frozen.row(v).get(level, obj),
+                        tables.node(v).get(level, obj),
+                        "{v} level {level} {obj}"
+                    );
+                }
+            }
+        }
+        // Two allocations, sized exactly.
+        assert_eq!(
+            frozen.heap_bytes(),
+            5 * 4 + 3 * std::mem::size_of::<PointerEntry>()
+        );
     }
 
     #[test]

@@ -352,7 +352,7 @@ fn engine_batch_racing_a_publish_never_fails() {
 }
 
 /// The three holders of the directory's pointer tables — the overlay,
-/// the snapshot's cloned tables, and the per-node slices of
+/// the snapshot's frozen arena, and the per-node slices of
 /// `partition()` (each one node's sorted array) — must
 /// agree entry for entry after publishes, unpublishes, churn and repair.
 fn assert_representations_agree<M: Metric>(space: &Space<M>, objects: usize, victims: usize) {
@@ -405,7 +405,9 @@ fn storage_representations_agree_on_all_families() {
 /// scan of the stored ring on a level that never diverged, an oracle
 /// search on one that did — must equal a plain oracle search over the
 /// current membership for every `(node, level)`, and a fresh snapshot
-/// (those fingers, frozen) must answer every lookup as the overlay does.
+/// (those fingers, frozen) must answer every lookup as the overlay does:
+/// the same outcome or error, and the same visited nodes — `hops() + 1`
+/// of them from the origin to the home, whose legs sum to `length`.
 /// Checked on the pristine overlay and after each step of a leave wave,
 /// its repair, the re-joins and their repair, so levels are read both
 /// ways.
@@ -426,11 +428,26 @@ fn assert_fingers_match_the_oracle<M: Metric, I: BallOracle>(space: &Space<M, I>
         let snap = Snapshot::capture(space, overlay);
         for s in space.nodes() {
             for &obj in overlay.objects() {
+                let live = overlay.lookup_path(space, s, obj);
+                assert_eq!(
+                    snap.lookup_path(space, s, obj),
+                    live,
+                    "{when}: lookup_path({s}, {obj})"
+                );
+                // The path-less call is the same walk.
                 assert_eq!(
                     snap.lookup(space, s, obj),
-                    overlay.lookup(space, s, obj),
+                    live.clone().map(|(out, _)| out),
                     "{when}: lookup({s}, {obj})"
                 );
+                let Ok((out, path)) = live else { continue };
+                assert_eq!(path.len(), out.hops() + 1, "{when}: {path:?}");
+                assert_eq!((path[0], path[out.hops()]), (s, out.home));
+                let legs = path.windows(2).fold(0.0, |sum, w| {
+                    assert_ne!(w[0], w[1], "{when}: a hop moves");
+                    sum + space.dist(w[0], w[1])
+                });
+                assert_eq!(legs, out.length, "{when}: legs of {path:?}");
             }
         }
     };

@@ -9,7 +9,9 @@
 //! a test that ran a simulator beside these would land in the same
 //! process-global registry.
 
-use ron_location::{DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine, Snapshot};
+use ron_location::{
+    DirectoryOverlay, EngineConfig, EpochCell, LocateError, ObjectId, QueryEngine, Snapshot,
+};
 use ron_metric::{gen, BallOracle, EuclideanMetric, Node, Space};
 use ron_nets::NestedNets;
 use ron_obs::{CacheOutcome, LatencyAttribution, QueryTrace};
@@ -223,6 +225,71 @@ fn pristine_sparse_stack_never_asks_the_oracle_for_a_finger() {
         "a diverged level is asked of the oracle"
     );
     recording.stop();
+    assert_recording_is_off();
+}
+
+/// Every way a lookup fails is counted where it returns, a broken chain
+/// under the level it broke at: on a stack whose one leave (the home of
+/// object 0) was never repaired, the drained counters are exactly the
+/// tally of the errors the calls returned.
+#[test]
+fn failed_lookups_are_counted_by_kind_and_broken_level() {
+    let recording = Recording::start(0);
+    let space = cube();
+    let mut overlay = published(&space);
+    let victim = overlay.home_of(ObjectId(0)).expect("published");
+    overlay.leave(victim);
+    let snapshot = Snapshot::capture(&space, &overlay);
+    ron_obs::reset();
+
+    let mut expected = std::collections::BTreeMap::<String, u64>::new();
+    let mut ask = |origin: Node, obj: ObjectId| {
+        let key = match snapshot.lookup(&space, origin, obj) {
+            Ok(_) => return,
+            Err(LocateError::UnknownOrigin { .. }) => "lookup.unknown_origin".to_string(),
+            Err(LocateError::OriginDown { .. }) => "lookup.origin_down".to_string(),
+            Err(LocateError::UnknownObject { .. }) => "lookup.unknown_object".to_string(),
+            Err(LocateError::NotFound { .. }) => "lookup.not_found".to_string(),
+            Err(LocateError::BrokenChain { level, .. }) => {
+                format!("lookup.broken_chain/level{level}")
+            }
+            Err(other) => panic!("uncounted failure: {other}"),
+        };
+        *expected.entry(key).or_default() += 1;
+    };
+    for origin in space.nodes() {
+        for obj in 0..OBJECTS as u64 {
+            ask(origin, ObjectId(obj));
+        }
+    }
+    ask(Node::new(N), ObjectId(0));
+    ask(Node::new(N + 7), ObjectId(1));
+    ask(Node::new(0), ObjectId(OBJECTS as u64));
+    let registry = ron_obs::drain();
+    recording.stop();
+
+    assert_eq!(expected["lookup.unknown_origin"], 2);
+    assert_eq!(expected["lookup.unknown_object"], 1);
+    assert_eq!(
+        expected["lookup.origin_down"], OBJECTS as u64,
+        "the victim asked for every object"
+    );
+    let broken: u64 = expected
+        .iter()
+        .filter(|(k, _)| k.starts_with("lookup.broken_chain/"))
+        .map(|(_, &c)| c)
+        .sum();
+    assert!(
+        broken >= N as u64 - 1,
+        "every alive origin loses the dead home's object: {expected:?}"
+    );
+    let counted: std::collections::BTreeMap<String, u64> = registry
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("lookup."))
+        .map(|(k, &c)| (k.clone(), c))
+        .collect();
+    assert_eq!(counted, expected);
     assert_recording_is_off();
 }
 

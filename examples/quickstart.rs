@@ -1,9 +1,11 @@
 //! Quickstart: build a doubling metric, estimate distances from labels,
-//! and run a small-world query — the three faces of rings of neighbors.
+//! run a small-world query, and locate a published object — the faces of
+//! rings of neighbors.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use rings_of_neighbors::labels::Triangulation;
+use rings_of_neighbors::location::{DirectoryOverlay, ObjectId};
 use rings_of_neighbors::metric::{gen, Node, Space};
 use rings_of_neighbors::smallworld::GreedyModel;
 
@@ -43,4 +45,23 @@ fn main() {
         outcome.hops()
     );
     println!("path: {:?}", outcome.path);
+
+    // 4. Object location via the directory overlay: publish an object at
+    //    `v`, find it from `u` by climbing `u`'s fingers and descending
+    //    `v`'s zooming sequence. `lookup` returns numbers only (home,
+    //    hops, length) and allocates nothing; `lookup_path` is the same
+    //    walk for a caller that also wants the nodes it visited.
+    let mut overlay = DirectoryOverlay::build(&space);
+    overlay.publish(&space, ObjectId(1), v);
+    let (found, path) = overlay
+        .lookup_path(&space, u, ObjectId(1))
+        .expect("a static overlay serves every lookup");
+    println!(
+        "directory: {u} found obj:1 at {} in {} hops, stretch {:.2}",
+        found.home,
+        found.hops(),
+        found.stretch(d)
+    );
+    println!("path: {path:?}");
+    assert_eq!((found.home, path.len()), (v, found.hops() + 1));
 }
