@@ -12,15 +12,25 @@
 //! the latest publication.
 //!
 //! Under the vendored-shim constraint there is no `arc-swap` crate, so
-//! the swap is guarded by a [`std::sync::RwLock`]: writers serialize on
-//! the write lock (held only for the pointer swap — successor
-//! construction happens outside), and a read is a shared lock held just
-//! long enough to clone the `Arc` — effectively wait-free, since no
-//! writer ever holds the lock across real work.
+//! the swap is guarded by a [`std::sync::RwLock`] held only for the
+//! pointer swap (a load is a momentary shared lock and an `Arc` clone).
+//! Two things keep the writer's work off the readers:
+//!
+//! * [`epoch`](EpochCell::epoch) reads an atomic mirror of the counter,
+//!   so a reader that pinned a state can ask "has anything newer been
+//!   published?" with one load and no lock;
+//! * the writer frees what it superseded. `publish` retires the old
+//!   value, and after releasing the lock frees every retired value no
+//!   reader still holds, so a reader dropping its last handle to a
+//!   superseded state only decrements a count.
+//!
+//! A poisoned lock is recovered, not propagated: the guarded section is
+//! one `Arc` swap, which a panic cannot leave half done.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A published value: a shared handle to one epoch's state.
 ///
@@ -86,6 +96,10 @@ impl<T: fmt::Debug> fmt::Debug for Published<T> {
 /// ```
 pub struct EpochCell<T> {
     slot: RwLock<Published<T>>,
+    /// `slot.epoch`, readable without the lock.
+    epoch: AtomicU64,
+    /// Superseded values a reader still held at their last sweep.
+    retired: Mutex<Vec<Arc<T>>>,
 }
 
 impl<T> EpochCell<T> {
@@ -97,31 +111,54 @@ impl<T> EpochCell<T> {
                 value: Arc::new(value),
                 epoch: 0,
             }),
+            epoch: AtomicU64::new(0),
+            retired: Mutex::new(Vec::new()),
         }
     }
 
     /// Loads the currently published state (a shared-lock `Arc` clone).
     #[must_use]
     pub fn load(&self) -> Published<T> {
-        self.slot.read().expect("publish cell poisoned").clone()
+        self.slot
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// The current epoch: the number of publications since [`new`].
+    /// The current epoch: the number of publications since [`new`]. One
+    /// atomic load; a reader holding a [`Published`] of a smaller epoch
+    /// knows a [`load`](EpochCell::load) would return something newer.
     ///
     /// [`new`]: EpochCell::new
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.slot.read().expect("publish cell poisoned").epoch
+        // ordering: Acquire pairs with the Release store in `publish`; a
+        // reader that sees epoch k and then loads gets epoch k or later
+        // (the slot's lock orders the value itself).
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Publishes `value` as the new current state, returning its epoch.
     /// Readers holding earlier states are undisturbed; new loads see the
-    /// successor.
+    /// successor. The superseded state is retired, and every retired
+    /// state no reader holds any more is freed here, by the writer.
     pub fn publish(&self, value: T) -> u64 {
-        let mut slot = self.slot.write().expect("publish cell poisoned");
-        slot.epoch += 1;
-        slot.value = Arc::new(value);
-        slot.epoch
+        let value = Arc::new(value);
+        let (superseded, epoch) = {
+            let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+            slot.epoch += 1;
+            // ordering: Release pairs with `epoch()`'s Acquire. Stored
+            // under the write lock, so concurrent publishers leave the
+            // mirror monotone.
+            self.epoch.store(slot.epoch, Ordering::Release);
+            (std::mem::replace(&mut slot.value, value), slot.epoch)
+        };
+        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        retired.push(superseded);
+        // A retired value is out of the slot, so no load can hand it out
+        // again: a count of one is this list's own handle.
+        retired.retain(|v| Arc::strong_count(v) > 1);
+        epoch
     }
 }
 
@@ -130,7 +167,7 @@ impl<T: fmt::Debug> fmt::Debug for EpochCell<T> {
         f.debug_struct("EpochCell")
             .field(
                 "current",
-                &*self.slot.read().expect("publish cell poisoned"),
+                &*self.slot.read().unwrap_or_else(PoisonError::into_inner),
             )
             .finish()
     }
@@ -189,6 +226,40 @@ mod tests {
                 r.join().expect("reader panicked");
             }
         });
+    }
+
+    /// Counts its drops.
+    struct Tracked<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            // ordering: Relaxed -- a plain counter; the thread joins and
+            // the cell's own locks order every read of it below.
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn the_writer_frees_what_it_superseded_and_readers_never_do() {
+        let drops = std::sync::atomic::AtomicUsize::new(0);
+        // ordering: Relaxed -- see `Tracked`.
+        let dropped = || drops.load(Ordering::Relaxed);
+        let cell = EpochCell::new(Tracked(&drops));
+        // Nobody holds epoch 0: the publish that supersedes it frees it.
+        cell.publish(Tracked(&drops));
+        assert_eq!(dropped(), 1);
+
+        // A reader holds epoch 1 across the next publish and drops its
+        // handle on its own thread: nothing is freed there...
+        let held = cell.load();
+        cell.publish(Tracked(&drops));
+        std::thread::scope(|s| s.spawn(move || drop(held)).join().unwrap());
+        assert_eq!(dropped(), 1, "a reader's last drop frees nothing");
+        // ...and the writer's next publish frees it, with epoch 2.
+        cell.publish(Tracked(&drops));
+        assert_eq!(dropped(), 3);
+        drop(cell);
+        assert_eq!(dropped(), 4, "the cell frees the current value");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use ron_metric::{BallOracle, Metric, Node, Space};
 use ron_nets::NestedNets;
 
 use crate::churn::RepairReport;
-use crate::directory::{ObjectId, Placement};
+use crate::directory::{IdMap, ObjectId, Placement};
 
 /// The geometric queries repair planning needs, in the ascending
 /// `(distance, node id)` visit order of
@@ -251,7 +251,7 @@ pub struct RepairAuthority {
     pub(crate) alive_count: usize,
     /// Published objects in publish order (deterministic iteration).
     pub(crate) objects: Vec<ObjectId>,
-    pub(crate) homes: HashMap<ObjectId, Node>,
+    pub(crate) homes: IdMap<ObjectId, Node>,
     pub(crate) placements: HashMap<ObjectId, Placement>,
 }
 
@@ -274,7 +274,7 @@ impl RepairAuthority {
             alive: vec![true; n],
             alive_count: n,
             objects: Vec::new(),
-            homes: HashMap::new(),
+            homes: IdMap::default(),
             placements: HashMap::new(),
         }
     }
@@ -428,17 +428,58 @@ impl RepairAuthority {
     /// and placements. The caller applies the plan's pointer operations
     /// (directly, or by fanning them out as messages).
     ///
-    /// Reconciliation is incremental. A chain point at level `j` can
-    /// only drift if membership changed strictly nearer to the home than
-    /// the old point, and after the covering pass any such change shows
-    /// up as a touched node inside the publish radius — so an object
-    /// with no touched node inside any publish radius and an unmoved
-    /// home is skipped at the cost of `sum_j |touched[j]|` distance
-    /// probes.
+    /// Both passes cost what changed since the last repair.
+    ///
+    /// *Covering.* The nets are `r_j`-covering after every repair (and
+    /// at build), and between repairs only a leave removes a member. So
+    /// at level `j` a node can be uncovered only if a level-`j` member
+    /// within `r_j` of it left, or if the node itself joined since. The
+    /// pass visits just those candidates, in ascending id order. Promotions
+    /// only add members, so every other node is covered and stays covered:
+    /// the plan is the one a scan of all nodes would make.
+    ///
+    /// *Pointers.* A chain point at level `j` can only drift if membership
+    /// changed strictly nearer to the home than the old point, and after
+    /// the covering pass any such change shows up as a touched node
+    /// inside the publish radius — so an object with no touched node
+    /// inside any publish radius and an unmoved home is skipped at the
+    /// cost of `sum_j |touched[j]|` distance probes.
     pub fn plan_repair(&mut self, oracle: &dyn RepairOracle) -> RepairPlan {
+        self.plan(oracle, Self::covering_candidates)
+    }
+
+    /// The nodes that can be uncovered at `level` (see
+    /// [`plan_repair`](Self::plan_repair)): the alive non-members within
+    /// `r_level` of a level member that left since the last repair, and
+    /// the joiners since then; ascending, each once.
+    fn covering_candidates(&self, oracle: &dyn RepairOracle, level: usize) -> Vec<Node> {
+        let member = &self.member[level];
+        let open = |u: Node| self.alive[u.index()] && !member[u.index()];
+        let reach = self.radii[level] * (1.0 + 1e-9);
+        let mut out = Vec::new();
+        let departed = self.touched[level].iter().filter(|m| !member[m.index()]);
+        for &m in departed {
+            oracle.ball(m, reach, &mut |u| {
+                if open(u) {
+                    out.push(u);
+                }
+            });
+        }
+        out.extend(self.touched[0].iter().copied().filter(|&v| open(v)));
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// [`plan_repair`](Self::plan_repair) with the covering pass visiting
+    /// `candidates(self, oracle, level)` at each level.
+    fn plan(
+        &mut self,
+        oracle: &dyn RepairOracle,
+        candidates: fn(&Self, &dyn RepairOracle, usize) -> Vec<Node>,
+    ) -> RepairPlan {
         let _stage = ron_obs::stage("repair");
         let levels = self.levels();
-        let n = self.len();
         let mut plan = RepairPlan {
             touched_levels: vec![false; levels],
             ..RepairPlan::default()
@@ -451,13 +492,20 @@ impl RepairAuthority {
             })
         };
 
-        // Covering pass: promote uncovered alive nodes, coarse-compatible
+        // Covering pass: promote uncovered candidates, coarse-compatible
         // (a node promoted to level j joins every finer level too).
         let t_covering = ron_obs::start();
         for j in 1..levels {
-            for i in 0..n {
-                let u = Node::new(i);
-                if !self.alive[i] || self.member[j][i] {
+            let candidates = candidates(self, oracle, j);
+            if ron_obs::enabled() {
+                ron_obs::count_labeled(
+                    "repair.covering.candidates",
+                    ron_obs::label(&format!("level{j}")),
+                    candidates.len() as u64,
+                );
+            }
+            for u in candidates {
+                if !self.alive[u.index()] || self.member[j][u.index()] {
                     continue;
                 }
                 let covered = match self.finger(oracle, u, j) {
@@ -666,7 +714,102 @@ impl RepairAuthority {
 mod tests {
     use super::*;
     use crate::DirectoryOverlay;
-    use ron_metric::{gen, LineMetric};
+    use proptest::prelude::*;
+    use ron_metric::{gen, LineMetric, Metric};
+
+    /// The covering pass as it was before it skipped: every node is a
+    /// candidate at every level.
+    fn full_scan(authority: &RepairAuthority, _: &dyn RepairOracle, _: usize) -> Vec<Node> {
+        Node::all(authority.len()).collect()
+    }
+
+    /// Drives one overlay through `steps` seeded random operations —
+    /// single leaves and joins, hub leaves, a level emptied outright, a
+    /// leave and rejoin within one epoch, repairs — and at every repair
+    /// checks that the planner visiting only the covering candidates
+    /// plans exactly what the full scan plans: the same per-node work
+    /// (promotions in order included), re-homings and touched levels,
+    /// and the same membership after.
+    fn assert_covering_matches_full_scan<M: Metric, I: BallOracle>(
+        space: &Space<M, I>,
+        seed: u64,
+        steps: usize,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = space.len();
+        let mut ov = DirectoryOverlay::build(space);
+        for i in 0..4 {
+            ov.publish(space, ObjectId(i as u64), Node::new((i * 7 + 1) % n));
+        }
+        let repair = |ov: &mut DirectoryOverlay, when: &str| {
+            let mut reference = ov.control.clone();
+            let expected = reference.plan(space, full_scan);
+            let mut skipping = ov.control.clone();
+            let planned = skipping.plan_repair(space);
+            assert_eq!(planned.node_repairs, expected.node_repairs, "{when}");
+            assert_eq!(planned.promotions, expected.promotions, "{when}");
+            assert_eq!(planned.rehomed, expected.rehomed, "{when}");
+            assert_eq!(planned.touched_levels, expected.touched_levels, "{when}");
+            assert_eq!(skipping.member, reference.member, "{when}");
+            ov.repair(space);
+        };
+        let leave = |ov: &mut DirectoryOverlay, v: Node| {
+            if ov.is_alive(v) && ov.alive_count() > 2 {
+                ov.leave(v);
+            }
+        };
+        for step in 0..steps {
+            let pick = rng.random_range(0..n);
+            let v = Node::new(pick);
+            let levels = ov.levels();
+            match rng.random_range(0..6u8) {
+                0 | 1 if ov.is_alive(v) => leave(&mut ov, v),
+                0 | 1 => ov.join(space, v),
+                2 => repair(&mut ov, &format!("step {step}")),
+                3 => {
+                    let top = (0..n).filter_map(|i| ov.top_level_of(Node::new(i))).max();
+                    let hub = (0..n).map(Node::new).find(|&u| ov.top_level_of(u) == top);
+                    leave(&mut ov, hub.expect("somebody is alive"));
+                }
+                4 => {
+                    let j = levels / 2 + pick % (levels - levels / 2);
+                    for u in (0..n).map(Node::new) {
+                        if ov.is_net_member(j, u) {
+                            leave(&mut ov, u);
+                        }
+                    }
+                }
+                _ if ov.is_alive(v) && ov.alive_count() > 2 => {
+                    ov.leave(v);
+                    ov.join(space, v);
+                }
+                _ => {}
+            }
+        }
+        repair(&mut ov, "final");
+    }
+
+    fn on_both_backends<M: Metric + Clone>(metric: M, seed: u64, steps: usize) {
+        assert_covering_matches_full_scan(&Space::new(metric.clone()), seed, steps);
+        assert_covering_matches_full_scan(&Space::new_sparse(metric), seed, steps);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn covering_candidates_plan_what_the_full_scan_plans(
+            seed in 0u64..1000,
+            steps in 4usize..24,
+        ) {
+            on_both_backends(gen::uniform_cube(40, 2, seed), seed, steps);
+            on_both_backends(gen::clustered(40, 2, 4, 0.02, seed), seed, steps);
+            on_both_backends(gen::perturbed_grid(6, 2, 0.3, seed), seed, steps);
+            on_both_backends(gen::exponential_line(14), seed, steps);
+        }
+    }
 
     #[test]
     fn scan_oracle_matches_the_indexed_backend() {

@@ -9,6 +9,9 @@
 //! (see [`lookup`](crate::lookup)) or through an immutable
 //! [`Snapshot`](crate::engine::Snapshot).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use ron_core::RingFamily;
 use ron_metric::mem::{nested_vec_bytes, vec_capacity_bytes};
 use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
@@ -28,6 +31,41 @@ pub struct ObjectId(pub u64);
 impl std::fmt::Display for ObjectId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "obj:{}", self.0)
+    }
+}
+
+/// A hash map keyed by node or object ids, hashed by [`IdHasher`]: the
+/// object registry's `homes` (probed once per lookup) and the engine's
+/// result-cache index.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// One multiply per id word instead of SipHash. The keys are ids the
+/// system assigns, not attacker-chosen strings, so there is no flooding
+/// to defend against. The state's high bits mix best, and `finish`
+/// rotates them down to where the table takes its bucket index.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 }
 

@@ -5,30 +5,36 @@
 //! The engine separates *structure maintenance* (the mutable
 //! [`DirectoryOverlay`]) from *serving*, and the two run concurrently.
 //! A [`Snapshot`] is an **owned**, epoch-stamped copy of everything a
-//! lookup reads, laid out flat: four-byte fingers (`n x levels`, a
-//! sentinel for a level churn emptied), liveness, the homes map, and
-//! every node's pointer entries in one arena behind `n + 1` row offsets
-//! (`tables::FrozenTables`) — five heap blocks whatever `n` is, so
-//! dropping a superseded snapshot is five frees, and a lookup over it
-//! allocates nothing. It lives in an [`EpochCell`] and workers clone the
-//! current `Arc` per query, so a repair can build and publish a
-//! successor snapshot *while the batch is in flight*: lookups proceed at
-//! full rate through churn and repair, each answer valid against exactly
-//! one published state, never a torn mixture (property-tested across all
-//! four generator families).
+//! lookup reads: four-byte fingers (`levels` per node, a sentinel for a
+//! level churn emptied) and every node's pointer entries, both frozen in
+//! `Arc`-shared chunks of eight nodes (`tables::FrozenRows`), plus
+//! liveness and an `Arc`-shared homes map. [`publish_snapshot`] compares
+//! each chunk it builds with the current publication's and keeps the old
+//! one where they are equal, so a swap hands readers new memory only
+//! where the epoch changed something. A lookup over a snapshot allocates
+//! nothing. Snapshots live in an [`EpochCell`], whose writer frees what
+//! it supersedes; a repair can build and publish a successor *while a
+//! batch is in flight*: lookups proceed at full rate through churn and
+//! repair, each answer valid against exactly one published state, never
+//! a torn mixture (property-tested across all four generator families).
 //!
 //! Worker threads (`std::thread::scope`; no external dependencies, per
-//! the vendored-shim discipline) split the batch; every successful
-//! lookup is memoised in an LRU cache keyed by `(origin, object)`,
-//! hash-sharded across [`EngineConfig::cache_shards`] locks so workers
-//! don't funnel through a single mutex, and tagged with the publication
-//! epoch so hits cached against a superseded snapshot are rejected. The
-//! [`BatchReport`] carries throughput, p50/p99 latency and hops/stretch
-//! statistics (through the shared [`PathStats`] accounting of
-//! `ron-routing`).
+//! the vendored-shim discipline) split the batch. Each pins the current
+//! snapshot for its chunk of the batch and reloads it only when the
+//! cell's epoch has moved, so a mid-batch publish is seen by the next
+//! query; on a reload it reads the chunks the successor did not share
+//! once, up front, rather than missing on them inside the next thousand
+//! walks. Every successful lookup is memoised in an LRU cache keyed by
+//! `(origin, object)`, hash-sharded across [`EngineConfig::cache_shards`]
+//! locks so workers don't funnel through a single mutex, and tagged with
+//! the publication epoch so hits cached against a superseded snapshot
+//! are rejected. The [`BatchReport`] carries throughput, p50/p99 latency
+//! and hops/stretch statistics (through the shared [`PathStats`]
+//! accounting of `ron-routing`).
+//!
+//! [`publish_snapshot`]: DirectoryOverlay::publish_snapshot
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ron_core::publish::EpochCell;
@@ -36,17 +42,17 @@ use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{BallOracle, HeapBytes, Metric, MetricIndex, Node, Space};
 use ron_routing::PathStats;
 
-use crate::directory::{DirectoryOverlay, ObjectId};
+use crate::directory::{DirectoryOverlay, IdMap, ObjectId};
 use crate::lookup::{locate_view, Finger, LocateError, LookupOutcome, LookupView};
 use crate::stats::{BatchReport, CacheShardStats, LatencySummary};
-use crate::tables::FrozenTables;
+use crate::tables::{ChunkTally, FrozenRows, FrozenTables};
 
 /// An immutable, owned serving view of a [`DirectoryOverlay`]: the
 /// per-node, per-level fingers are precomputed so a lookup is a pure
 /// table walk, and the state a lookup reads (liveness, homes, pointer
-/// entries) is copied out into flat arrays — no per-node heap object —
-/// so the overlay is free to mutate — churn, repair, publish — while the
-/// snapshot serves.
+/// entries) is copied out — into chunks that successive snapshots share
+/// where they agree — so the overlay is free to mutate — churn, repair,
+/// publish — while the snapshot serves.
 ///
 /// A snapshot is stamped with the overlay [epoch] it was captured at.
 /// Publish one through an [`EpochCell`] (see
@@ -60,41 +66,74 @@ pub struct Snapshot {
     /// Overlay epoch at capture time.
     epoch: u64,
     levels: usize,
-    /// `fingers[v * levels + j]`: nearest alive level-`j` member to `v`.
-    fingers: Vec<Finger>,
+    /// Node `v`'s row: `levels` fingers, the nearest alive level-`j`
+    /// member at `j`.
+    fingers: FrozenRows<Finger>,
     alive: Vec<bool>,
-    homes: HashMap<ObjectId, Node>,
-    /// Every node's directory pointer entries, in one arena (see
-    /// [`FrozenTables`]).
+    homes: Arc<IdMap<ObjectId, Node>>,
+    /// Every node's directory pointer entries.
     tables: FrozenTables,
 }
 
 impl Snapshot {
     /// Freezes the overlay's current state: fingers, liveness, homes and
-    /// the pointer tables (copied row by row into one arena), stamped
-    /// with the overlay's current epoch.
+    /// the pointer tables, stamped with the overlay's current epoch.
     #[must_use]
     pub fn capture<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         overlay: &DirectoryOverlay,
     ) -> Self {
+        Self::capture_sharing(space, overlay, None)
+    }
+
+    /// [`capture`](Self::capture), sharing with `prev` every chunk of
+    /// fingers or entries (and the homes map) that is unchanged since
+    /// `prev` — the one capture path; a first capture has no `prev`.
+    fn capture_sharing<M: Metric, I: BallOracle>(
+        space: &Space<M, I>,
+        overlay: &DirectoryOverlay,
+        prev: Option<&Snapshot>,
+    ) -> Self {
         let _span = ron_obs::span("directory.capture");
         let n = overlay.len();
         let levels = overlay.levels();
-        let mut fingers = Vec::with_capacity(n * levels);
-        for i in 0..n {
-            let v = Node::new(i);
-            for j in 0..levels {
-                fingers.push(Finger::new(overlay.finger(space, v, j).map(|(_, f)| f)));
-            }
+        let mut tally = ChunkTally::default();
+        let fingers = FrozenRows::freeze(n, prev.map(|p| &p.fingers), &mut tally, |v, row| {
+            row.extend(
+                (0..levels).map(|j| Finger::new(overlay.finger(space, v, j).map(|(_, f)| f))),
+            );
+        });
+        let tables =
+            FrozenTables::freeze_tables(&overlay.tables, prev.map(|p| &p.tables), &mut tally);
+        let homes = match prev {
+            Some(p) if *p.homes == overlay.control.homes => Arc::clone(&p.homes),
+            _ => Arc::new(overlay.control.homes.clone()),
+        };
+        if ron_obs::enabled() {
+            ron_obs::count("snapshot.chunks_shared", tally.shared);
+            ron_obs::count("snapshot.chunks_written", tally.written);
         }
         Snapshot {
             epoch: overlay.epoch(),
             levels,
             fingers,
             alive: overlay.control.alive.clone(),
-            homes: overlay.control.homes.clone(),
-            tables: FrozenTables::freeze(&overlay.tables),
+            homes,
+            tables,
+        }
+    }
+
+    /// Reads once every cache line this snapshot does not share with
+    /// `prev`: the chunks its capture rewrote and the liveness flags. A
+    /// worker switching to it thereby takes the epoch's changes as one
+    /// pass of independent loads, instead of one dependent miss at a time
+    /// inside the walks that follow (beside a writer swapping every few
+    /// milliseconds, those misses set `serve-churn`'s p99).
+    fn warm_since(&self, prev: &Snapshot) {
+        self.fingers.warm_since(&prev.fingers);
+        self.tables.warm_since(&prev.tables);
+        for &alive in self.alive.iter().step_by(64) {
+            std::hint::black_box(alive);
         }
     }
 
@@ -115,13 +154,16 @@ impl Snapshot {
             levels: self.levels,
             alive: &self.alive,
             homes: &self.homes,
-            rows: |v| self.tables.row(v),
+            rows: |v| self.tables.table(v),
         };
-        let fingers = |s: Node, j: usize| self.fingers[s.index() * self.levels + j].get();
+        let fingers = |s| {
+            let row = self.fingers.row(s);
+            move |j: usize| row[j].get()
+        };
         locate_view(&view, space, origin, obj, fingers, visit)
     }
 
-    /// Serves one lookup from the frozen finger table and pointer arena.
+    /// Serves one lookup from the frozen fingers and pointer rows.
     /// Allocates nothing.
     ///
     /// # Errors
@@ -156,26 +198,29 @@ impl Snapshot {
 
 impl HeapBytes for Snapshot {
     /// The serving state's heap footprint (fingers, liveness, pointer
-    /// tables; the object registry is size-of-catalogue, not size-of-`n`,
-    /// and `HashMap` capacity is not observable — left out).
+    /// tables, chunks shared with another snapshot included; the object
+    /// registry is size-of-catalogue, not size-of-`n`, and `HashMap`
+    /// capacity is not observable — left out).
     fn heap_bytes(&self) -> usize {
-        vec_capacity_bytes(&self.fingers)
-            + vec_capacity_bytes(&self.alive)
-            + self.tables.heap_bytes()
+        self.fingers.heap_bytes() + vec_capacity_bytes(&self.alive) + self.tables.heap_bytes()
     }
 }
 
 impl DirectoryOverlay {
-    /// Captures a fresh [`Snapshot`] of this overlay and publishes it to
-    /// `cell`, returning the cell's new publication epoch. In-flight
-    /// readers finish on the state they loaded; subsequent loads serve
-    /// the new one.
+    /// Captures a [`Snapshot`] of this overlay and publishes it to
+    /// `cell`, returning the cell's new publication epoch. The capture
+    /// shares every unchanged chunk with the snapshot it supersedes.
+    /// In-flight readers finish on the state they loaded; subsequent
+    /// loads serve the new one.
     pub fn publish_snapshot<M: Metric, I: BallOracle>(
         &self,
         space: &Space<M, I>,
         cell: &EpochCell<Snapshot>,
     ) -> u64 {
-        cell.publish(Snapshot::capture(space, self))
+        // The handle on the predecessor is gone before the swap, so the
+        // publish frees it at once unless a reader still holds it.
+        let successor = Snapshot::capture_sharing(space, self, Some(&*cell.load()));
+        cell.publish(successor)
     }
 }
 
@@ -187,7 +232,7 @@ struct CachedHit {
     hops: usize,
 }
 
-/// A fixed-capacity LRU map: `HashMap` index into a slab of
+/// A fixed-capacity LRU map: an [`IdMap`] index into a slab of
 /// doubly-linked entries. O(1) get/insert, least-recently-used eviction.
 ///
 /// Entries are tagged with the publication epoch they were computed
@@ -197,7 +242,7 @@ struct CachedHit {
 #[derive(Debug)]
 struct LruCache {
     capacity: usize,
-    map: HashMap<(Node, ObjectId), usize>,
+    map: IdMap<(Node, ObjectId), usize>,
     slots: Vec<LruSlot>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -221,7 +266,7 @@ impl LruCache {
     fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -419,10 +464,12 @@ impl Default for EngineConfig {
 /// lookups from the currently published [`Snapshot`] with a worker pool
 /// and a sharded, epoch-tagged LRU cache.
 ///
-/// The engine holds the [`EpochCell`], not a snapshot: each query loads
-/// the current publication, so a repair that publishes mid-batch is
-/// picked up immediately — earlier queries in the batch answered from
-/// the old state, later ones from the new, each complete.
+/// The engine holds the [`EpochCell`], not a snapshot: each worker pins
+/// the current publication and, before every query, checks the cell's
+/// epoch (one atomic load), reloading when it moved — so a repair that
+/// publishes mid-batch is picked up by the next query, earlier queries
+/// in the batch answered from the old state, later ones from the new,
+/// each complete.
 ///
 /// # Example
 ///
@@ -487,7 +534,13 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                     // sampling picks the same queries at any RON_THREADS.
                     let base = w * chunk.max(1);
                     scope.spawn(move || {
-                        let out = self.serve_chunk(w, base, slice, cache_ref);
+                        // Cache on or off is decided here, once per batch:
+                        // the per-query loop carries no branch for it.
+                        let out = if config.cache_capacity > 0 {
+                            self.serve_chunk::<true>(w, base, slice, cache_ref)
+                        } else {
+                            self.serve_chunk::<false>(w, base, slice, cache_ref)
+                        };
                         // Merge this worker's observability records before
                         // the scope can consider the thread finished.
                         ron_obs::flush();
@@ -529,7 +582,9 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
         report
     }
 
-    fn serve_chunk(
+    /// Serves one worker's share of a batch, probing and filling `cache`
+    /// only when `CACHED`.
+    fn serve_chunk<const CACHED: bool>(
         &self,
         worker: usize,
         base: usize,
@@ -543,6 +598,11 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
             None
         };
         let mut out = WorkerResult::default();
+        // Pinned for the chunk; the per-query epoch check below is one
+        // atomic load, so a mid-batch publish is still picked up by the
+        // next query (which warms what changed), and the epoch tag keeps
+        // cache entries from a superseded snapshot from being served.
+        let mut snap = self.directory.load();
         for (i, &(origin, obj)) in queries.iter().enumerate() {
             let qid = (base + i) as u64;
             let traced = ron_obs::qtrace_sampled(qid);
@@ -550,12 +610,18 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
             // measurement for the report; the lookup answer is
             // computed from the snapshot alone.
             let t0 = Instant::now();
-            // Load the current publication per query: a mid-batch publish
-            // is picked up immediately, and the epoch tag keeps cache
-            // entries from a superseded snapshot from being served.
-            let snap = self.directory.load();
+            if self.directory.epoch() != snap.epoch() {
+                let next = self.directory.load();
+                next.warm_since(&snap);
+                snap = next;
+            }
             let epoch = snap.epoch();
-            let (probe, cache_kind, shard) = cache.get((origin, obj), epoch);
+            let (probe, cache_kind, shard) = if CACHED {
+                let (probe, kind, shard) = cache.get((origin, obj), epoch);
+                (probe, kind, Some(shard))
+            } else {
+                (None, ron_obs::CacheOutcome::Uncached, None)
+            };
             let cache_ns = if traced {
                 t0.elapsed().as_nanos() as u64
             } else {
@@ -586,7 +652,9 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                             length: outcome.length,
                             hops: outcome.hops(),
                         };
-                        cache.insert((origin, obj), cached, epoch);
+                        if CACHED {
+                            cache.insert((origin, obj), cached, epoch);
+                        }
                         Some(cached)
                     }
                     Err(_) => {
@@ -604,7 +672,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                     kind: "lookup",
                     id: qid,
                     epoch,
-                    cache_shard: Some(shard),
+                    cache_shard: shard,
                     cache: cache_kind,
                     levels_visited: walk.0,
                     found_level: walk.1,
@@ -878,11 +946,13 @@ mod tests {
         assert_eq!(report.successes, 56);
     }
 
-    /// The arena a snapshot serves from answers, for every (node, level,
-    /// object), what the overlay's per-node table answers — captured
+    /// The chunks a snapshot serves from answer, for every (node, level,
+    /// object), what the overlay's per-node table answers — and the
+    /// successor `publish_snapshot` builds on its predecessor answers
+    /// every entry, finger and `lookup_path` as a fresh capture does —
     /// pristine and after each step of a leave wave, its repair, an
     /// unpublish, the re-joins and their repair.
-    fn assert_frozen_arena_matches_the_tables<M: Metric, I: BallOracle>(space: &Space<M, I>) {
+    fn assert_shared_capture_matches_a_fresh_one<M: Metric, I: BallOracle>(space: &Space<M, I>) {
         let n = space.len();
         let mut ov = DirectoryOverlay::build(space);
         let mut objects: Vec<ObjectId> = (0..5).map(ObjectId).collect();
@@ -890,17 +960,38 @@ mod tests {
             ov.publish(space, obj, Node::new((i * 13 + 1) % n));
         }
         objects.push(ObjectId(u64::MAX)); // never published
+        let cell = EpochCell::new(Snapshot::capture(space, &ov));
         let check = |ov: &DirectoryOverlay, when: &str| {
-            let snap = Snapshot::capture(space, ov);
+            ov.publish_snapshot(space, &cell);
+            let shared = cell.load();
+            let fresh = Snapshot::capture(space, ov);
             for v in space.nodes() {
+                assert_eq!(
+                    shared.fingers.row(v),
+                    fresh.fingers.row(v),
+                    "{when}: fingers of {v}"
+                );
                 for level in 0..ov.levels() {
                     for &obj in &objects {
+                        let entry = ov.tables.node(v).get(level, obj);
                         assert_eq!(
-                            snap.tables.row(v).get(level, obj),
-                            ov.tables.node(v).get(level, obj),
+                            fresh.tables.table(v).get(level, obj),
+                            entry,
                             "{when}: entry ({v}, {level}, {obj})"
                         );
+                        assert_eq!(
+                            shared.tables.table(v).get(level, obj),
+                            entry,
+                            "{when}: shared entry ({v}, {level}, {obj})"
+                        );
                     }
+                }
+                for &obj in &objects {
+                    assert_eq!(
+                        shared.lookup_path(space, v, obj),
+                        fresh.lookup_path(space, v, obj),
+                        "{when}: lookup_path({v}, {obj})"
+                    );
                 }
             }
         };
@@ -923,15 +1014,54 @@ mod tests {
     }
 
     #[test]
-    fn frozen_arena_matches_the_tables_on_all_families_and_backends() {
+    fn shared_capture_matches_a_fresh_one_on_all_families_and_backends() {
         fn on_both_backends<M: Metric + Clone>(metric: M) {
-            assert_frozen_arena_matches_the_tables(&Space::new(metric.clone()));
-            assert_frozen_arena_matches_the_tables(&Space::new_sparse(metric));
+            assert_shared_capture_matches_a_fresh_one(&Space::new(metric.clone()));
+            assert_shared_capture_matches_a_fresh_one(&Space::new_sparse(metric));
         }
         on_both_backends(gen::uniform_cube(48, 2, 17));
         on_both_backends(gen::clustered(48, 2, 4, 0.02, 9));
         on_both_backends(gen::perturbed_grid(6, 2, 0.3, 4));
         on_both_backends(gen::exponential_line(14));
+    }
+
+    /// A wave of 1/16 of the nodes, all from the fine half of the ladder,
+    /// published, then its repair published: the repaired successor
+    /// shares at least 70 % of its chunks with the snapshot it supersedes.
+    /// A wave of 1/16 of the nodes, all from the fine half of the ladder,
+    /// published, then its repair published: the repaired successor
+    /// shares at least 70 % of its chunks with the snapshot it supersedes.
+    #[test]
+    fn a_repaired_successor_shares_most_chunks_with_its_predecessor() {
+        const N: usize = 1024;
+        let space = Space::new(gen::uniform_cube(N, 2, 5));
+        let mut ov = DirectoryOverlay::build(&space);
+        let items: Vec<(ObjectId, Node)> = (0..N / 64)
+            .map(|i| (ObjectId(i as u64), Node::new((i * 37 + 11) % N)))
+            .collect();
+        ov.publish_batch(&space, &items);
+        let cell = EpochCell::new(Snapshot::capture(&space, &ov));
+        let fine = ov.levels() / 2;
+        let wave: Vec<Node> = (0..N)
+            .map(|k| Node::new((k * 97 + 5) % N))
+            .filter(|&v| ov.top_level_of(v) < Some(fine))
+            .take(N / 16)
+            .collect();
+        assert_eq!(wave.len(), N / 16);
+        for &v in &wave {
+            ov.leave(v);
+        }
+        ov.publish_snapshot(&space, &cell);
+        let before = cell.load();
+        ov.repair_published(&space, &cell);
+        let after = cell.load();
+        let shared = after.fingers.chunks_shared_with(&before.fingers)
+            + after.tables.chunks_shared_with(&before.tables);
+        let total = after.fingers.chunk_count() + after.tables.chunk_count();
+        assert!(
+            shared * 10 >= total * 7,
+            "the repaired successor shares {shared} of {total} chunks"
+        );
     }
 
     #[test]

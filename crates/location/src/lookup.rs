@@ -9,13 +9,12 @@
 //! length is at most a constant multiple of `d(s, home)` — the geometric
 //! sums of Theorem 2.1's analysis; tests pin a worst-case stretch of 18.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use ron_metric::{BallOracle, Metric, Node, Space};
 
-use crate::directory::{DirectoryOverlay, ObjectId};
+use crate::directory::{DirectoryOverlay, IdMap, ObjectId};
 use crate::tables::TableRow;
 
 /// The outcome of one successful lookup: plain numbers, no heap. The
@@ -238,26 +237,28 @@ impl NodeView<'_> {
 pub(crate) struct LookupView<'a, R> {
     pub(crate) levels: usize,
     pub(crate) alive: &'a [bool],
-    pub(crate) homes: &'a HashMap<ObjectId, Node>,
+    pub(crate) homes: &'a IdMap<ObjectId, Node>,
     /// Node `v`'s pointer entries: a per-node table of the overlay, a
-    /// row of the snapshot's arena.
+    /// frozen row of the snapshot.
     pub(crate) rows: R,
 }
 
 /// The lookup walk over a [`LookupView`] and a finger provider: climb
 /// the origin's fingers until a level holds an entry, then descend the
 /// stored chain to the home, one [`NodeView`] decision per visited node.
+/// `fingers(origin)` is asked once, after the origin checks, for the
+/// origin's finger at each level.
 ///
 /// The walk allocates nothing: it counts its hops and hands every node
 /// it stands on — the origin first, the home last — to `visit`, which a
 /// caller that wants the path makes a `push` and every other caller a
 /// no-op.
-pub(crate) fn locate_view<'a, M: Metric, I>(
+pub(crate) fn locate_view<'a, M: Metric, I, F: Fn(usize) -> Option<Node>>(
     view: &LookupView<'a, impl Fn(Node) -> TableRow<'a>>,
     space: &Space<M, I>,
     origin: Node,
     obj: ObjectId,
-    fingers: impl Fn(Node, usize) -> Option<Node>,
+    fingers: impl FnOnce(Node) -> F,
     mut visit: impl FnMut(Node),
 ) -> Result<LookupOutcome, LocateError> {
     match view.alive.get(origin.index()) {
@@ -268,6 +269,7 @@ pub(crate) fn locate_view<'a, M: Metric, I>(
     let Some(&home) = view.homes.get(&obj) else {
         return Err(failed(LocateError::UnknownObject { obj }));
     };
+    let finger = fingers(origin);
     let at = |v: Node| NodeView {
         node: v,
         table: (view.rows)(v),
@@ -288,7 +290,7 @@ pub(crate) fn locate_view<'a, M: Metric, I>(
         }
     };
     for j in 0..view.levels {
-        let Some(f) = fingers(origin, j) else {
+        let Some(f) = finger(j) else {
             continue; // level emptied by churn; keep climbing
         };
         probes += 1;
@@ -352,7 +354,7 @@ impl DirectoryOverlay {
         };
         // The live overlay finds fingers on demand; engine snapshots
         // use a precomputed table.
-        let fingers = |s, j| self.finger(space, s, j).map(|(_, f)| f);
+        let fingers = |s| move |j| self.finger(space, s, j).map(|(_, f)| f);
         locate_view(&view, space, origin, obj, fingers, visit)
     }
 

@@ -1,6 +1,5 @@
 //! Allocation guard for the serving path: a lookup allocates nothing,
-//! and a snapshot is a handful of heap blocks however many nodes it
-//! covers.
+//! and a reader never frees a snapshot — the writer's next publish does.
 //!
 //! The binary's global allocator counts blocks per thread, so the test
 //! harness's own threads never land in a measurement.
@@ -8,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ron_location::{DirectoryOverlay, ObjectId, Snapshot};
+use ron_location::{DirectoryOverlay, EpochCell, ObjectId, Snapshot};
 use ron_metric::{gen, Node, Space};
 
 thread_local! {
@@ -81,7 +80,7 @@ fn query(q: usize) -> (Node, ObjectId) {
 }
 
 #[test]
-fn lookups_allocate_nothing_and_a_snapshot_is_a_handful_of_blocks() {
+fn lookups_allocate_nothing() {
     let (space, overlay) = stack();
     let snapshot = Snapshot::capture(&space, &overlay);
 
@@ -120,10 +119,34 @@ fn lookups_allocate_nothing_and_a_snapshot_is_a_handful_of_blocks() {
         assert_eq!(path.len(), out.hops() + 1);
     });
     assert!(with_path.0 > 0, "lookup_path builds a Vec");
+}
 
-    let (_, freed) = blocks_during(|| drop(snapshot));
+/// A reader thread holding the last handle to a superseded snapshot
+/// frees nothing when it lets go; the writer's next publish frees it.
+#[test]
+fn the_writer_frees_a_superseded_snapshot_and_the_reader_never_does() {
+    let (space, overlay) = stack();
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let superseded = cell.load();
+    // Captured with no predecessor, epoch 1 shares no chunk with epoch 0,
+    // and it stays held here: the publish measured below can free all of
+    // epoch 0 and nothing else.
+    cell.publish(Snapshot::capture(&space, &overlay));
+    let current = cell.load();
+    let successor = Snapshot::capture(&space, &overlay);
+
+    let reader = std::thread::spawn(move || blocks_during(|| drop(superseded)));
+    let dropped = reader.join().expect("reader thread");
+    assert_eq!(dropped, (0, 0), "the reader's drop of the last handle");
+
+    let (_, freed) = blocks_during(|| {
+        cell.publish(successor);
+    });
+    // Every one of epoch 0's `N / 8` eight-node chunks of fingers is a
+    // block of its own.
     assert!(
-        (1..16).contains(&freed),
-        "dropping a snapshot of {N} nodes freed {freed} blocks"
+        freed >= (N / 8) as u64,
+        "the writer's publish freed {freed} blocks"
     );
+    drop(current);
 }

@@ -228,6 +228,94 @@ fn pristine_sparse_stack_never_asks_the_oracle_for_a_finger() {
     assert_recording_is_off();
 }
 
+/// An epoch explains its own cost: the covering pass counts its
+/// candidates per level, and every capture counts the chunks it shared
+/// with the snapshot it superseded and the ones it wrote afresh.
+#[test]
+fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
+    let recording = Recording::start(0);
+    let space = cube();
+    let mut overlay = published(&space);
+    // Fingers and pointer tables, eight nodes to a chunk.
+    let chunks = 2 * N.div_ceil(8) as u64;
+    let tally = |registry: &ron_obs::Registry| {
+        (
+            registry.counter_prefix_sum("snapshot.chunks_shared"),
+            registry.counter_prefix_sum("snapshot.chunks_written"),
+        )
+    };
+    ron_obs::reset();
+
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    assert_eq!(
+        tally(&ron_obs::drain()),
+        (0, chunks),
+        "a first capture writes every chunk"
+    );
+    overlay.publish_snapshot(&space, &cell);
+    assert_eq!(
+        tally(&ron_obs::drain()),
+        (chunks, 0),
+        "an idle epoch shares every chunk"
+    );
+
+    // A fine member leaves: the repaired successor rewrites some chunks
+    // and shares the rest.
+    let fine = space
+        .nodes()
+        .find(|&v| overlay.top_level_of(v) == Some(1))
+        .expect("level 1 has members of its own");
+    overlay.leave(fine);
+    overlay.repair_published(&space, &cell);
+    let epoch = ron_obs::drain();
+    let (shared, written) = tally(&epoch);
+    assert_eq!(shared + written, chunks);
+    assert!(
+        shared > 0 && written > 0,
+        "shared {shared}, written {written}"
+    );
+    let candidates = |registry: &ron_obs::Registry| -> Vec<(String, u64)> {
+        registry
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("repair.covering.candidates/"))
+            .map(|(k, &c)| (k.clone(), c))
+            .collect()
+    };
+    let counted = candidates(&epoch);
+    assert_eq!(
+        counted.len(),
+        overlay.levels() - 1,
+        "one count per level above 0: {counted:?}"
+    );
+    assert!(
+        counted.iter().all(|(k, _)| k.contains("/level")),
+        "{counted:?}"
+    );
+
+    // The top-level hub leaves and the level is empty: every survivor is
+    // in the hub's ball and a candidate there.
+    let top = overlay.levels() - 1;
+    let hub = space
+        .nodes()
+        .find(|&v| overlay.is_net_member(top, v))
+        .expect("the top level has its hub");
+    overlay.leave(hub);
+    overlay.repair_published(&space, &cell);
+    let counted = candidates(&ron_obs::drain());
+    recording.stop();
+    let at_top = counted
+        .iter()
+        .find(|(k, _)| k.ends_with(&format!("/level{top}")))
+        .map(|&(_, c)| c);
+    assert_eq!(
+        at_top,
+        Some(overlay.alive_count() as u64),
+        "every survivor: {counted:?}"
+    );
+    assert_recording_is_off();
+}
+
 /// Every way a lookup fails is counted where it returns, a broken chain
 /// under the level it broke at: on a stack whose one leave (the home of
 /// object 0) was never repaired, the drained counters are exactly the
