@@ -48,7 +48,8 @@ fn fnv(hash: &mut u64, value: u64) {
 /// Order-sensitive digest of the built structures: ring contents, pointer
 /// tables and homes. Two builds with the same digest placed every pointer
 /// identically — the bit-identity check between thread counts.
-fn fingerprint_overlay(rings: &RingFamily, overlay: &DirectoryOverlay) -> u64 {
+fn fingerprint_overlay(overlay: &DirectoryOverlay) -> u64 {
+    let rings = overlay.rings();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..rings.len() {
         let u = Node::new(i);
@@ -78,7 +79,7 @@ fn build(n: usize) -> Build {
     let (rings, rings_ms) =
         timed(|| RingFamily::from_nets(&space, &nets, |_, r| Some(DEFAULT_RING_FACTOR * r)));
     let (mut overlay, directory_ms) =
-        timed(|| DirectoryOverlay::from_structures(n, nets, rings.clone(), DEFAULT_RING_FACTOR));
+        timed(|| DirectoryOverlay::from_structures(n, nets, rings, DEFAULT_RING_FACTOR));
     // Cap the batch: each publish walks one zoom chain whose coarse
     // levels cost ~|B| probes, so the object count — not n — sets this
     // stage's wall time.
@@ -88,9 +89,9 @@ fn build(n: usize) -> Build {
     let ((), publish_ms) = timed(|| {
         overlay.publish_batch(&space, &objects);
     });
-    // On a never-churned overlay every finger is a scan of a stored
-    // ring, so this stage stays linear in n; an oracle search per
-    // (node, level) here is minutes at 2^14.
+    // Every finger is a scan of a stored ring, so this stage stays
+    // linear in n; an oracle search per (node, level) here is minutes
+    // at 2^14.
     let (_snapshot, capture_ms) = timed(|| Snapshot::capture(&space, &overlay));
     Build {
         stage_ms: [
@@ -104,7 +105,7 @@ fn build(n: usize) -> Build {
         // The overlay owns its net ladder, ring arena and pointer
         // tables, so index + overlay is the whole resident structure.
         struct_bytes: space.index().heap_bytes() + overlay.heap_bytes(),
-        fingerprint: fingerprint_overlay(&rings, &overlay),
+        fingerprint: fingerprint_overlay(&overlay),
     }
 }
 

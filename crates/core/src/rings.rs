@@ -165,6 +165,10 @@ impl RingFamily {
             start.extend_from_slice(&level_start[..n]);
             start.push(level_start[n]);
         }
+        // The family is never resized after this: hold no growth slack.
+        levels.shrink_to_fit();
+        start.shrink_to_fit();
+        arena.shrink_to_fit();
         RingFamily {
             n,
             levels,
@@ -329,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_members_are_net_points() {
+    fn rings_hold_only_net_points() {
         let space = Space::new(LineMetric::uniform(32).unwrap());
         let nets = NestedNets::build(&space);
         let rings = RingFamily::from_nets(&space, &nets, |_, r| Some(4.0 * r));

@@ -1,6 +1,7 @@
-//! The directory's control plane: membership, registry and placement
-//! state, the membership rules (`leave`, `join`, fingers, dynamic rings,
-//! zoom chains) and the repair *planner*.
+//! The directory's control plane: membership, the publish rings, registry
+//! and placement state, the membership rules (`leave`, `join`) and the
+//! one reader of a ladder level (fingers, rings, zoom chains), and the
+//! repair *planner*.
 //!
 //! The state and its rules are written once, in [`RepairAuthority`].
 //! A [`DirectoryOverlay`] owns one next to its pointer tables (the data
@@ -28,7 +29,9 @@
 //! plans — property-tested in `ron-sim` on all four instance families.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use ron_core::RingFamily;
 use ron_metric::{BallOracle, Metric, Node, Space};
 use ron_nets::NestedNets;
 
@@ -39,15 +42,6 @@ use crate::directory::{IdMap, ObjectId, Placement};
 /// `(distance, node id)` visit order of
 /// [`BallOracle`].
 pub trait RepairOracle {
-    /// Number of nodes in the space.
-    fn len(&self) -> usize;
-
-    /// Whether the space is empty (never true: construction rejects
-    /// empty metrics).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Metric distance between two nodes.
     fn dist(&self, u: Node, v: Node) -> f64;
 
@@ -61,10 +55,6 @@ pub trait RepairOracle {
 }
 
 impl<M: Metric, I: BallOracle> RepairOracle for Space<M, I> {
-    fn len(&self) -> usize {
-        Space::len(self)
-    }
-
     fn dist(&self, u: Node, v: Node) -> f64 {
         Space::dist(self, u, v)
     }
@@ -100,10 +90,6 @@ impl<'a> ScanOracle<'a> {
 }
 
 impl RepairOracle for ScanOracle<'_> {
-    fn len(&self) -> usize {
-        self.n
-    }
-
     fn dist(&self, u: Node, v: Node) -> f64 {
         (self.dist)(u, v)
     }
@@ -135,10 +121,6 @@ impl RepairOracle for ScanOracle<'_> {
         }
     }
 }
-
-/// One node's finger refreshes: `(level, new finger)` for each touched
-/// level.
-pub type FingerUpdate = (Node, Vec<(usize, Option<Node>)>);
 
 /// One pointer-table operation at one node: install the entry
 /// (`target = Some(next)`) or delete it (`target = None`).
@@ -203,6 +185,10 @@ pub struct RepairPlan {
     pub node_repairs: Vec<NodeRepair>,
     /// Updated placements, applied to the overlay's bookkeeping.
     pub(crate) placements: Vec<(ObjectId, Placement)>,
+    /// Row insertions the promotions made: `(level, new member, the
+    /// nodes within c·r_level of it)`, replayed by a control plane that
+    /// did not plan the epoch.
+    pub(crate) row_insertions: Vec<(usize, Node, Vec<Node>)>,
 }
 
 impl RepairPlan {
@@ -221,10 +207,14 @@ impl RepairPlan {
     }
 }
 
-/// The directory's control plane: the dynamic net ladder, alive flags,
-/// touched sets, the object registry and the per-object placements —
-/// everything **except** the pointer tables, which stay at the owning
-/// nodes (the data plane).
+/// The directory's control plane: the dynamic net ladder, the publish
+/// rings, alive flags, touched sets, the object registry and the
+/// per-object placements — everything **except** the pointer tables,
+/// which stay at the owning nodes (the data plane).
+///
+/// Whoever reads a ladder level (the overlay, the planner, a capture,
+/// `partition`, the simulator's coordinator) reads it here: `ring`,
+/// `finger` and `chain` filter the stored rows by membership.
 ///
 /// A [`DirectoryOverlay`] owns one and mutates it through `publish`,
 /// `leave`, `join` and `repair`; the simulator's coordinator node
@@ -240,11 +230,11 @@ pub struct RepairAuthority {
     /// Dynamic net membership: `member[j][v]` iff `v` is an *alive* member
     /// of the level-`j` net. Starts as the static ladder.
     pub(crate) member: Vec<Vec<bool>>,
-    /// Whether level `j` has diverged from the static ladder (any join,
-    /// leave or promotion). A level never marked still is the static
-    /// net: the overlay reads its fingers and publish rings from the
-    /// stored `RingFamily`.
-    pub(crate) level_dirty: Vec<bool>,
+    /// The publish rings `B_u(c r_j) ∩ G_j` as built, shared by copies.
+    pub(crate) rings: Arc<RingFamily>,
+    /// `(level, node)` rows copied out of `rings` because they gained a
+    /// member the static ladder lacked; empty at build.
+    pub(crate) grown: IdMap<(usize, Node), Vec<Node>>,
     /// Nodes whose level-`j` membership changed since the last repair.
     pub(crate) touched: Vec<Vec<Node>>,
     pub(crate) alive: Vec<bool>,
@@ -256,10 +246,10 @@ pub struct RepairAuthority {
 }
 
 impl RepairAuthority {
-    /// The pristine control plane over a static ladder: everyone alive,
-    /// membership as built, nothing published.
-    pub(crate) fn from_nets(n: usize, nets: &NestedNets, ring_factor: f64) -> Self {
-        let levels = nets.levels();
+    /// The pristine control plane over a static ladder and its publish
+    /// rings: everyone alive, membership as built, nothing published.
+    pub(crate) fn from_nets(nets: &NestedNets, rings: RingFamily, ring_factor: f64) -> Self {
+        let (n, levels) = (rings.len(), nets.levels());
         RepairAuthority {
             ring_factor,
             radii: (0..levels).map(|j| nets.radius(j)).collect(),
@@ -269,7 +259,8 @@ impl RepairAuthority {
                     (0..n).map(|v| net.contains(Node::new(v))).collect()
                 })
                 .collect(),
-            level_dirty: vec![false; levels],
+            rings: Arc::new(rings),
+            grown: IdMap::default(),
             touched: vec![Vec::new(); levels],
             alive: vec![true; n],
             alive_count: n,
@@ -324,9 +315,9 @@ impl RepairAuthority {
     }
 
     /// Records that `v` left: vacates its net memberships and marks the
-    /// touched levels. (The node's pointer tables die with it; the
-    /// overlay clears its data plane in
-    /// [`leave`](crate::DirectoryOverlay::leave).)
+    /// touched levels. No row changes: reads filter by membership.
+    /// (The node's pointer tables die with it; the overlay clears its
+    /// data plane in [`leave`](crate::DirectoryOverlay::leave).)
     ///
     /// # Panics
     ///
@@ -340,7 +331,6 @@ impl RepairAuthority {
             if self.member[j][v.index()] {
                 self.member[j][v.index()] = false;
                 self.touched[j].push(v);
-                self.level_dirty[j] = true;
             }
         }
     }
@@ -357,56 +347,107 @@ impl RepairAuthority {
         assert!(!self.alive[v.index()], "{v} is already alive");
         self.alive[v.index()] = true;
         self.alive_count += 1;
-        self.insert_member(0, v);
+        self.insert_member(oracle, 0, v);
         for j in 1..self.levels() {
-            let separated = match self.finger(oracle, v, j) {
-                Some((d, _)) => d >= self.radii[j],
-                None => true, // empty level: v restores it
-            };
+            // An empty ring means no member within c·r_j >= r_j.
+            let separated = self
+                .nearest_in_ring(oracle, v, j)
+                .is_none_or(|(d, _)| d >= self.radii[j]);
             if !separated {
                 break;
             }
-            self.insert_member(j, v);
+            self.insert_member(oracle, j, v);
         }
     }
 
-    fn insert_member(&mut self, level: usize, v: Node) {
-        if !self.member[level][v.index()] {
-            self.member[level][v.index()] = true;
-            self.touched[level].push(v);
-            self.level_dirty[level] = true;
+    /// Makes `v` a member at `level`. If no row holds `v` there yet (then
+    /// not even its own), one ball query at `c·r_level` finds the rows it
+    /// belongs in; they are returned so a detached plan can replay it.
+    fn insert_member(&mut self, o: &dyn RepairOracle, level: usize, v: Node) -> Option<Vec<Node>> {
+        if self.member[level][v.index()] {
+            return None;
         }
+        self.member[level][v.index()] = true;
+        self.touched[level].push(v);
+        if self.row(v, level).binary_search(&v).is_ok() {
+            return None;
+        }
+        let mut reach = Vec::new();
+        o.ball(v, self.ring_factor * self.radii[level], &mut |u| {
+            reach.push(u)
+        });
+        self.grow_rows(level, v, &reach);
+        Some(reach)
+    }
+
+    /// Inserts `v`, in id order, into the level-`level` row of every node
+    /// of `reach`, copying a built row the first time it grows.
+    fn grow_rows(&mut self, level: usize, v: Node, reach: &[Node]) {
+        for &u in reach {
+            let built = || self.rings.ring(u, level).expect("every level is built");
+            let row = self
+                .grown
+                .entry((level, u))
+                .or_insert_with(|| built().members().to_vec());
+            if let Err(at) = row.binary_search(&v) {
+                row.insert(at, v);
+            }
+        }
+    }
+
+    /// The row of `s` at `level`, id-sorted: every current member within
+    /// `c·r_level` of `s`, and possibly some that left (a leave touches
+    /// no row).
+    fn row(&self, s: Node, level: usize) -> &[Node] {
+        let built = || self.rings.ring(s, level).expect("every level is built");
+        let grown = self.grown.get(&(level, s));
+        grown.map_or_else(|| built().members(), Vec::as_slice)
+    }
+
+    /// The publish ring of `s` at `level`, `B_s(c r_level) ∩ G_level`
+    /// under the current membership: the row filtered, in id order.
+    pub(crate) fn ring(&self, s: Node, level: usize) -> Vec<Node> {
+        let (row, member) = (self.row(s, level), &self.member[level]);
+        let mut ring = Vec::with_capacity(row.len());
+        ring.extend(row.iter().filter(|v| member[v.index()]));
+        ring
+    }
+
+    /// The nearest member of the ring, ties to the lower id as in the
+    /// oracle's `(distance, id)` order; `None` iff no member is within
+    /// `c·r_level >= r_level`, so tests against `r_level` read it alone.
+    fn nearest_in_ring<O: RepairOracle + ?Sized>(
+        &self,
+        oracle: &O,
+        s: Node,
+        level: usize,
+    ) -> Option<(f64, Node)> {
+        let member = &self.member[level];
+        let ring = self.row(s, level).iter().filter(|v| member[v.index()]);
+        let mut best: Option<(f64, Node)> = None;
+        for &v in ring {
+            let d = oracle.dist(s, v);
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, v));
+            }
+        }
+        best
     }
 
     /// The finger of `s` at `level`: the nearest alive member of the
     /// dynamic level-`level` net (with its distance), or `None` if the
-    /// level has no members left.
-    pub(crate) fn finger(
+    /// level has no members left. The oracle is asked only when the ring
+    /// is empty: between a leave and its repair, or at a dead node.
+    pub(crate) fn finger<O: RepairOracle + ?Sized>(
         &self,
-        oracle: &dyn RepairOracle,
+        oracle: &O,
         s: Node,
         level: usize,
     ) -> Option<(f64, Node)> {
-        oracle.nearest_where(s, &mut |v| self.member[level][v.index()])
-    }
-
-    /// The dynamic publish ring of `home` at `level`: alive members of
-    /// the dynamic net within `ring_factor * r_level` of `home`, nearest
-    /// first.
-    pub(crate) fn dynamic_ring(
-        &self,
-        oracle: &dyn RepairOracle,
-        home: Node,
-        level: usize,
-    ) -> Vec<Node> {
-        let r = self.ring_factor * self.radii[level];
-        let mut ring = Vec::new();
-        oracle.ball(home, r, &mut |v| {
-            if self.member[level][v.index()] {
-                ring.push(v);
-            }
-        });
-        ring
+        self.nearest_in_ring(oracle, s, level).or_else(|| {
+            let member = &self.member[level];
+            oracle.nearest_where(s, &mut |v| member[v.index()])
+        })
     }
 
     /// The home's zoom chain under the current membership: `chain[j]` is
@@ -416,7 +457,7 @@ impl RepairAuthority {
     /// instead of into a void — the descent recognises arrival at the
     /// home (see [`WalkStep`](crate::WalkStep)) and such a publish still
     /// serves.
-    pub(crate) fn dynamic_chain(&self, oracle: &dyn RepairOracle, home: Node) -> Vec<Node> {
+    pub(crate) fn chain<O: RepairOracle + ?Sized>(&self, oracle: &O, home: Node) -> Vec<Node> {
         (0..self.levels())
             .map(|j| self.finger(oracle, home, j).map_or(home, |(_, f)| f))
             .collect()
@@ -508,16 +549,17 @@ impl RepairAuthority {
                 if !self.alive[u.index()] || self.member[j][u.index()] {
                     continue;
                 }
-                let covered = match self.finger(oracle, u, j) {
-                    Some((d, _)) => d <= self.radii[j] * (1.0 + 1e-12),
-                    None => false,
-                };
+                let covered = self
+                    .nearest_in_ring(oracle, u, j)
+                    .is_some_and(|(d, _)| d <= self.radii[j] * (1.0 + 1e-12));
                 if covered {
                     continue;
                 }
                 for k in 1..=j {
                     if !self.member[k][u.index()] {
-                        self.insert_member(k, u);
+                        if let Some(reach) = self.insert_member(oracle, k, u) {
+                            plan.row_insertions.push((k, u, reach));
+                        }
                         plan.promotions += 1;
                         let b = bucket(&mut plan, u);
                         plan.node_repairs[b].promote.push(k);
@@ -568,11 +610,7 @@ impl RepairAuthority {
             }
             plan.objects_touched += 1;
 
-            debug_assert!(
-                self.level_dirty.contains(&true),
-                "repair planning on a pristine ladder"
-            );
-            let new_chain = self.dynamic_chain(oracle, home);
+            let new_chain = self.chain(oracle, home);
             let mut refresh = vec![false; levels];
             for (j, slot) in refresh.iter_mut().enumerate() {
                 let chain_drift = j > 0 && old.chain.get(j - 1) != Some(&new_chain[j - 1]);
@@ -589,7 +627,7 @@ impl RepairAuthority {
                 }
             }
             for (level, _) in refresh.iter().enumerate().filter(|&(_, &r)| r) {
-                let desired = self.dynamic_ring(oracle, home, level);
+                let ring = self.ring(home, level);
                 let target = if level == 0 {
                     home
                 } else {
@@ -598,17 +636,7 @@ impl RepairAuthority {
                 // Delete stale entries from alive nodes that left the
                 // ring (a dead holder's table died with it).
                 for &(l, w) in &old.entries {
-                    if l == level
-                        && self.alive[w.index()]
-                        && desired
-                            .binary_search_by(|probe| {
-                                oracle
-                                    .dist(home, *probe)
-                                    .total_cmp(&oracle.dist(home, w))
-                                    .then(probe.cmp(&w))
-                            })
-                            .is_err()
-                    {
+                    if l == level && self.alive[w.index()] && ring.binary_search(&w).is_err() {
                         let b = bucket(&mut plan, w);
                         plan.node_repairs[b].ops.push(PointerOp {
                             level,
@@ -617,7 +645,13 @@ impl RepairAuthority {
                         });
                     }
                 }
-                for w in desired {
+                // Written nearest first, in `(distance, id)` order.
+                let mut desired: Vec<(f64, Node)> = ring
+                    .into_iter()
+                    .map(|w| (oracle.dist(home, w), w))
+                    .collect();
+                desired.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for (_, w) in desired {
                     let b = bucket(&mut plan, w);
                     plan.node_repairs[b].ops.push(PointerOp {
                         level,
@@ -640,16 +674,18 @@ impl RepairAuthority {
         plan
     }
 
-    /// Replays a plan's control-plane decisions — promotions,
-    /// re-homings, placements, consumed touched sets — onto a control
-    /// plane that did not plan it (the planner's own copy already
-    /// holds them).
+    /// Replays a plan's control-plane decisions — promotions, row
+    /// insertions, re-homings, placements, consumed touched sets — onto
+    /// a control plane that did not plan it (the planner's own copy
+    /// already holds them). Asks no oracle.
     pub(crate) fn absorb(&mut self, plan: &RepairPlan) {
         for nr in &plan.node_repairs {
             for &level in &nr.promote {
                 self.member[level][nr.node.index()] = true;
-                self.level_dirty[level] = true;
             }
+        }
+        for (level, v, reach) in &plan.row_insertions {
+            self.grow_rows(*level, *v, reach);
         }
         for &(obj, new_home) in &plan.rehomed {
             self.homes.insert(obj, new_home);
@@ -665,48 +701,47 @@ impl RepairAuthority {
         }
     }
 
-    /// The per-node finger refreshes a plan implies: for every alive
-    /// node, its new finger at each touched level (the untouched levels'
-    /// fingers are still valid). Separate from [`plan_repair`] because
-    /// only the distributed path needs it — in process, fingers are
-    /// recomputed on demand.
-    ///
-    /// [`plan_repair`]: RepairAuthority::plan_repair
+    /// `v`'s fingers, `(level, finger)`, at the levels `at` marks: what a
+    /// node holding its own finger table is sent after a repair (a
+    /// survivor at a plan's `touched_levels`, a joiner at every level).
+    /// In process, fingers are read on demand instead.
     #[must_use]
-    pub fn finger_updates(
+    pub fn fingers(
         &self,
         oracle: &dyn RepairOracle,
-        touched_levels: &[bool],
-    ) -> Vec<FingerUpdate> {
-        if !touched_levels.iter().any(|&t| t) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for i in 0..self.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            let u = Node::new(i);
-            let fingers: Vec<(usize, Option<Node>)> = touched_levels
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t)
-                .map(|(j, _)| (j, self.finger(oracle, u, j).map(|(_, f)| f)))
-                .collect();
-            out.push((u, fingers));
-        }
-        out
-    }
-
-    /// The complete finger vector of `v` under the current membership —
-    /// one entry per level. A fresh joiner's backfill needs all of them:
-    /// its slice may predate an arbitrary number of epochs, so "levels
-    /// untouched this epoch are still valid" does not hold for it.
-    #[must_use]
-    pub fn full_fingers(&self, oracle: &dyn RepairOracle, v: Node) -> Vec<(usize, Option<Node>)> {
+        v: Node,
+        at: &[bool],
+    ) -> Vec<(usize, Option<Node>)> {
         (0..self.levels())
+            .filter(|&j| at[j])
             .map(|j| (j, self.finger(oracle, v, j).map(|(_, f)| f)))
             .collect()
+    }
+}
+
+/// The reads' definitions, asked of the oracle, for the tests.
+#[cfg(test)]
+impl RepairAuthority {
+    /// Panics unless every `(node, level)` finger is the oracle's nearest
+    /// member and every ring the oracle's ball at `c·r_level` filtered by
+    /// membership (as a set: rings are in id order).
+    pub(crate) fn assert_rows_match_the_oracle(&self, oracle: &dyn RepairOracle, when: &str) {
+        for s in Node::all(self.len()) {
+            for j in 0..self.levels() {
+                let member = &self.member[j];
+                let nearest = oracle.nearest_where(s, &mut |v| member[v.index()]);
+                assert_eq!(
+                    self.finger(oracle, s, j),
+                    nearest,
+                    "{when}: finger({s}, {j})"
+                );
+                let mut ball = Vec::new();
+                oracle.ball(s, self.ring_factor * self.radii[j], &mut |v| ball.push(v));
+                ball.retain(|v| member[v.index()]);
+                ball.sort_unstable();
+                assert_eq!(self.ring(s, j), ball, "{when}: ring({s}, {j})");
+            }
+        }
     }
 }
 
@@ -729,7 +764,9 @@ mod tests {
     /// checks that the planner visiting only the covering candidates
     /// plans exactly what the full scan plans: the same per-node work
     /// (promotions in order included), re-homings and touched levels,
-    /// and the same membership after.
+    /// and the same membership after; and that a detached plan replayed
+    /// through `apply_plan` leaves the same rows. After every step each
+    /// finger and ring read from the rows equals its oracle definition.
     fn assert_covering_matches_full_scan<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         seed: u64,
@@ -753,7 +790,11 @@ mod tests {
             assert_eq!(planned.rehomed, expected.rehomed, "{when}");
             assert_eq!(planned.touched_levels, expected.touched_levels, "{when}");
             assert_eq!(skipping.member, reference.member, "{when}");
+            let mut detached = ov.clone();
+            let plan = detached.control_plane().plan_repair(space);
+            detached.apply_plan(&plan);
             ov.repair(space);
+            assert_eq!(detached.control.grown, ov.control.grown, "{when}: rows");
         };
         let leave = |ov: &mut DirectoryOverlay, v: Node| {
             if ov.is_alive(v) && ov.alive_count() > 2 {
@@ -787,8 +828,11 @@ mod tests {
                 }
                 _ => {}
             }
+            ov.control
+                .assert_rows_match_the_oracle(space, &format!("after step {step}"));
         }
         repair(&mut ov, "final");
+        ov.control.assert_rows_match_the_oracle(space, "final");
     }
 
     fn on_both_backends<M: Metric + Clone>(metric: M, seed: u64, steps: usize) {

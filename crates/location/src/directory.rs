@@ -67,6 +67,10 @@ impl Hasher for IdHasher {
             .wrapping_add(word)
             .wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
 }
 
 /// Where one object's directory state lives: its zoom chain and the
@@ -120,11 +124,10 @@ pub const DEFAULT_RING_FACTOR: f64 = 2.0;
 #[derive(Clone, Debug)]
 pub struct DirectoryOverlay {
     pub(crate) nets: NestedNets,
-    pub(crate) rings: RingFamily,
-    /// The control plane — dynamic membership, alive flags, touched
-    /// sets, object registry, placements — stored once, here. Every
-    /// membership rule (`leave`, `join`, fingers, dynamic rings, repair
-    /// planning) is a method on it.
+    /// The control plane — dynamic membership, the publish rings, alive
+    /// flags, touched sets, object registry, placements — stored once,
+    /// here. Every membership rule and ladder read (`leave`, `join`,
+    /// fingers, rings, chains, repair planning) is a method on it.
     pub(crate) control: RepairAuthority,
     /// The data plane: per-node directory pointer entries, keyed by
     /// `(level, object)` in one sorted compact array per node.
@@ -185,19 +188,18 @@ impl DirectoryOverlay {
         );
         assert_eq!(rings.len(), n, "ring family arity must match the space");
         DirectoryOverlay {
-            control: RepairAuthority::from_nets(n, &nets, ring_factor),
+            control: RepairAuthority::from_nets(&nets, rings, ring_factor),
             nets,
-            rings,
             tables: PointerTables::new(n),
             epoch: 0,
         }
     }
 
-    /// A copy of the control plane — membership ladder, alive flags,
-    /// touched sets, object registry and placements (the pointer tables
-    /// stay behind; they are the data plane). This is what a detached
-    /// planner, such as the simulator's repair coordinator, evolves on
-    /// its own.
+    /// A copy of the control plane — membership ladder, publish rings
+    /// (the built arena shared, not copied), alive flags, touched sets,
+    /// object registry and placements (the pointer tables stay behind;
+    /// they are the data plane). This is what a detached planner, such as
+    /// the simulator's repair coordinator, evolves on its own.
     #[must_use]
     pub fn control_plane(&self) -> RepairAuthority {
         self.control.clone()
@@ -242,10 +244,10 @@ impl DirectoryOverlay {
         &self.nets
     }
 
-    /// The static publish rings (`RingFamily` at radius `c r_j`).
+    /// The publish rings as built (`RingFamily` at radius `c r_j`).
     #[must_use]
     pub fn rings(&self) -> &RingFamily {
-        &self.rings
+        &self.control.rings
     }
 
     /// Whether `v` is currently alive.
@@ -270,15 +272,12 @@ impl DirectoryOverlay {
     /// dynamic level-`j` net (with its distance), or `None` if the level
     /// has no members left.
     ///
-    /// A level that never diverged from the static ladder is read from
-    /// the stored rings, not asked of the oracle: covering puts the
-    /// nearest member within `r_j <= ring_factor * r_j` of `s`, so it is
-    /// in `rings.ring(s, j)` (the paper's point — the rings subsume the
-    /// zooming sequence), and strict `<` over the id-sorted members
-    /// reproduces the oracle's `(distance, id)` order bit for bit. This
-    /// is the one place that choice is made; chains, snapshots, slices
-    /// and lookups inherit it. A diverged level delegates to the control
-    /// plane's oracle search.
+    /// Read from `s`'s publish ring at `j`, which holds every member
+    /// within `ring_factor * r_j` of `s` (the paper's point — the rings
+    /// subsume the zooming sequence); the oracle is asked only when that
+    /// ring is empty. Delegates to the one ladder reader, in
+    /// [`RepairAuthority`], that chains, snapshots, slices, lookups and
+    /// the repair planner share.
     #[must_use]
     pub fn finger<M: Metric, I: BallOracle>(
         &self,
@@ -286,21 +285,7 @@ impl DirectoryOverlay {
         s: Node,
         level: usize,
     ) -> Option<(f64, Node)> {
-        if self.control.level_dirty[level] {
-            return self.control.finger(space, s, level);
-        }
-        let ring = self
-            .rings
-            .ring(s, level)
-            .expect("overlay builds every level");
-        let mut best: Option<(f64, Node)> = None;
-        for &v in ring.members() {
-            let d = space.dist(s, v);
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, v));
-            }
-        }
-        best
+        self.control.finger(space, s, level)
     }
 
     /// Published objects, in publish order.
@@ -342,21 +327,24 @@ impl DirectoryOverlay {
 
 impl HeapBytes for DirectoryOverlay {
     /// The overlay's structural heap footprint: ladder radii, dynamic
-    /// membership, touched sets, the ring arena and the pointer tables.
-    /// The per-object registry (`homes`, `placements`) scales with the
-    /// published object count, not with `n`, and `HashMap` capacity is not
-    /// observable — it is deliberately left out, so the accounted value is
-    /// the bytes-per-*node* quantity the scaling benchmark budgets.
+    /// membership, touched sets, the ring arena and the rows copied out of
+    /// it (none at build), and the pointer tables. The per-object registry
+    /// (`homes`, `placements`) scales with the published object count, not
+    /// with `n`, and `HashMap` capacity is not observable — it is
+    /// deliberately left out, so the accounted value is the bytes-per-*node*
+    /// quantity the scaling benchmark budgets.
     fn heap_bytes(&self) -> usize {
         let control = &self.control;
+        // ron-lint: allow(map-order): a sum, the same in any order.
+        let grown: usize = control.grown.values().map(vec_capacity_bytes).sum();
         vec_capacity_bytes(&control.radii)
             + nested_vec_bytes(&control.member)
-            + vec_capacity_bytes(&control.level_dirty)
             + nested_vec_bytes(&control.touched)
             + vec_capacity_bytes(&control.alive)
             + vec_capacity_bytes(&control.objects)
             + self.nets.heap_bytes()
-            + self.rings.heap_bytes()
+            + control.rings.heap_bytes()
+            + grown
             + self.tables.heap_bytes()
     }
 }
@@ -405,16 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_ring_matches_static_rings_when_pristine() {
+    fn pristine_rows_are_the_built_rings_and_match_the_oracle() {
         let (space, ov) = overlay();
         for u in space.nodes() {
             for j in 0..ov.levels() {
-                let stat = ov.rings().ring(u, j).expect("all levels built");
-                let mut dynamic = ov.control.dynamic_ring(&space, u, j);
-                dynamic.sort_unstable();
-                assert_eq!(stat.members(), &dynamic[..], "node {u} level {j}");
+                let built = ov.rings().ring(u, j).expect("all levels built");
+                assert_eq!(built.members(), ov.control.ring(u, j), "node {u} level {j}");
             }
         }
+        ov.control.assert_rows_match_the_oracle(&space, "pristine");
     }
 
     #[test]

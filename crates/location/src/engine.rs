@@ -1028,9 +1028,6 @@ mod tests {
     /// A wave of 1/16 of the nodes, all from the fine half of the ladder,
     /// published, then its repair published: the repaired successor
     /// shares at least 70 % of its chunks with the snapshot it supersedes.
-    /// A wave of 1/16 of the nodes, all from the fine half of the ladder,
-    /// published, then its repair published: the repaired successor
-    /// shares at least 70 % of its chunks with the snapshot it supersedes.
     #[test]
     fn a_repaired_successor_shares_most_chunks_with_its_predecessor() {
         const N: usize = 1024;

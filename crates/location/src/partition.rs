@@ -203,9 +203,7 @@ impl DirectoryOverlay {
                     fingers: (0..levels)
                         .map(|j| Finger::new(self.finger(space, v, j).map(|(_, f)| f)))
                         .collect(),
-                    rings: (0..levels)
-                        .map(|j| self.ring_members(space, v, j))
-                        .collect(),
+                    rings: (0..levels).map(|j| self.control.ring(v, j)).collect(),
                     table: self.tables.node(v).clone(),
                     homed: std::mem::take(&mut homed[i]),
                 }

@@ -104,9 +104,9 @@ impl DirectoryOverlay {
         space: &Space<M, I>,
         home: Node,
     ) -> (Vec<Node>, Vec<Vec<Node>>) {
-        let chain = self.desired_chain(space, home);
+        let chain = self.control.chain(space, home);
         let rings = (0..self.levels())
-            .map(|j| self.ring_members(space, home, j))
+            .map(|j| self.control.ring(home, j))
             .collect();
         (chain, rings)
     }
@@ -163,41 +163,6 @@ impl DirectoryOverlay {
         control.homes.remove(&obj);
         control.objects.retain(|&o| o != obj);
         deletes
-    }
-
-    /// The home's zooming chain against the *current* net membership:
-    /// `chain[j]` is the [`finger`](DirectoryOverlay::finger) of `home`
-    /// at level `j` — read from the stored rings on a level that never
-    /// diverged, asked of the oracle otherwise — and the home itself on
-    /// a level emptied by churn (see
-    /// [`dynamic_chain`](crate::RepairAuthority::dynamic_chain)).
-    pub(crate) fn desired_chain<M: Metric, I: BallOracle>(
-        &self,
-        space: &Space<M, I>,
-        home: Node,
-    ) -> Vec<Node> {
-        (0..self.levels())
-            .map(|j| self.finger(space, home, j).map_or(home, |(_, f)| f))
-            .collect()
-    }
-
-    /// The publish-ring members of `home` at `level`, from the static
-    /// `RingFamily` while the level is pristine, dynamically otherwise.
-    pub(crate) fn ring_members<M: Metric, I: BallOracle>(
-        &self,
-        space: &Space<M, I>,
-        home: Node,
-        level: usize,
-    ) -> Vec<Node> {
-        if self.control.level_dirty[level] {
-            self.control.dynamic_ring(space, home, level)
-        } else {
-            self.rings
-                .ring(home, level)
-                .expect("overlay builds every level")
-                .members()
-                .to_vec()
-        }
     }
 }
 

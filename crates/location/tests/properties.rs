@@ -401,16 +401,40 @@ fn storage_representations_agree_on_all_families() {
     assert_representations_agree(&Space::new(gen::exponential_line(14)), 3, 2);
 }
 
-/// The level rule against an independent answer. `overlay.finger` — a
-/// scan of the stored ring on a level that never diverged, an oracle
-/// search on one that did — must equal a plain oracle search over the
-/// current membership for every `(node, level)`, and a fresh snapshot
-/// (those fingers, frozen) must answer every lookup as the overlay does:
-/// the same outcome or error, and the same visited nodes — `hops() + 1`
-/// of them from the origin to the home, whose legs sum to `length`.
-/// Checked on the pristine overlay and after each step of a leave wave,
-/// its repair, the re-joins and their repair, so levels are read both
-/// ways.
+/// Every `(node, level)` publish ring the overlay hands out (through
+/// `partition()`, in id order) is its definition asked of the oracle: the
+/// current level members in the closed ball of radius `c·r_j`.
+fn assert_rings_match_the_oracle<M: Metric, I: BallOracle>(
+    space: &Space<M, I>,
+    overlay: &DirectoryOverlay,
+    when: &str,
+) {
+    for (s, slice) in space.nodes().zip(overlay.partition(space)) {
+        for j in 0..overlay.levels() {
+            let radius = overlay.ring_factor() * overlay.nets().radius(j);
+            let mut reference = Vec::new();
+            RepairOracle::ball(space, s, radius, &mut |v| {
+                if overlay.is_net_member(j, v) {
+                    reference.push(v);
+                }
+            });
+            reference.sort_unstable();
+            assert_eq!(slice.ring(j), &reference[..], "{when}: ring({s}, {j})");
+        }
+    }
+}
+
+/// The level reads against an independent answer. `overlay.finger` — a
+/// scan of the stored ring, an oracle search only where the ring is
+/// empty — must equal a plain oracle search over the current membership
+/// for every `(node, level)`, every publish ring must be the oracle's
+/// ball filtered by membership, and a fresh snapshot (those fingers,
+/// frozen) must answer every lookup as the overlay does: the same
+/// outcome or error, and the same visited nodes — `hops() + 1` of them
+/// from the origin to the home, whose legs sum to `length`. Checked on
+/// the pristine overlay and after each step of a leave wave, its repair,
+/// the re-joins and their repair, so rows are read before and after they
+/// grow.
 fn assert_fingers_match_the_oracle<M: Metric, I: BallOracle>(space: &Space<M, I>) {
     let n = space.len();
     let mut overlay = DirectoryOverlay::build(space);
@@ -425,6 +449,7 @@ fn assert_fingers_match_the_oracle<M: Metric, I: BallOracle>(space: &Space<M, I>
                 );
             }
         }
+        assert_rings_match_the_oracle(space, overlay, when);
         let snap = Snapshot::capture(space, overlay);
         for s in space.nodes() {
             for &obj in overlay.objects() {
@@ -572,8 +597,10 @@ fn directory_on_sparse_backend_serves_and_recovers() {
 /// `control_plane()` copy plus `apply_plan` (what the benchmark's traced
 /// epochs and the simulator's coordinator do). After every epoch they
 /// must be indistinguishable: same repair bill, same epoch stamp, same
-/// homes, identical per-node `partition()` slices and identical answers
-/// (or errors) for every `(origin, object)` pair.
+/// homes, identical per-node `partition()` slices, publish rings that
+/// both match the oracle (so the twin replayed the plan's row insertions
+/// without one) and identical answers (or errors) for every
+/// `(origin, object)` pair.
 fn assert_in_place_repair_matches_detached_plan<M: Metric>(space: &Space<M>, seed: u64) {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -617,6 +644,8 @@ fn assert_in_place_repair_matches_detached_plan<M: Metric>(space: &Space<M>, see
             in_place.partition(space),
             "epoch {epoch}: per-node slices"
         );
+        assert_rings_match_the_oracle(space, &in_place, &format!("epoch {epoch}, in place"));
+        assert_rings_match_the_oracle(space, &detached, &format!("epoch {epoch}, detached"));
         for &obj in in_place.objects() {
             assert_eq!(detached.home_of(obj), in_place.home_of(obj), "{obj}");
             for s in space.nodes() {

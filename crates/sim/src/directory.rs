@@ -215,8 +215,14 @@ impl DirectoryNode {
             }
             let plan = co.authority.plan_repair(&oracle);
             epoch_base = plan.report_base();
-            for (u, fingers) in co.authority.finger_updates(&oracle, &plan.touched_levels) {
-                grams.entry(u).or_default().fingers = fingers;
+            // Every survivor refreshes its fingers at the touched levels
+            // (the untouched levels' fingers are still valid).
+            if plan.touched_levels.contains(&true) {
+                let alive = Node::all(co.authority.len()).filter(|&u| co.authority.is_alive(u));
+                for u in alive {
+                    grams.entry(u).or_default().fingers =
+                        co.authority.fingers(&oracle, u, &plan.touched_levels);
+                }
             }
             for nr in plan.node_repairs {
                 let gram = grams.entry(nr.node).or_default();
@@ -229,13 +235,14 @@ impl DirectoryNode {
             // vector — its slice may predate several epochs, so the
             // "untouched levels are still valid" shortcut that serves
             // the survivors does not hold for it.
+            let every_level = vec![true; co.authority.levels()];
             for &v in joins {
                 let gram = grams.entry(v).or_default();
                 gram.reset = true;
                 gram.promote.extend(co.authority.member_levels_of(v));
                 gram.promote.sort_unstable();
                 gram.promote.dedup();
-                gram.fingers = co.authority.full_fingers(&oracle, v);
+                gram.fingers = co.authority.fingers(&oracle, v, &every_level);
             }
         }
         let epoch = {

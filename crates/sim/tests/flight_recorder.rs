@@ -3,8 +3,8 @@
 //! Exact assertions on what a traced build + serve + repair + simulate
 //! pass leaves behind: flight records that do not depend on the worker
 //! split, deterministic sampling and cache outcomes, every layer's keys
-//! in the drained registry, latency attribution, and which oracle a
-//! never-churned sparse stack asks. The counts are exact, so every test here takes
+//! in the drained registry, latency attribution, and when a churned
+//! sparse stack asks its oracle. The counts are exact, so every test here takes
 //! [`Recording::start`]'s lock and nothing else in this binary records:
 //! a test that ran a simulator beside these would land in the same
 //! process-global registry.
@@ -189,41 +189,63 @@ fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
     assert_recording_is_off();
 }
 
-/// A never-churned sparse stack reads its fingers from the stored rings:
-/// capturing a snapshot and serving live lookups asks the net-tree
-/// oracle for no nearest-member search at all. One `leave` of a member
-/// of a level above 0 makes that level diverge, and the same calls then
-/// do ask — so this guard can fail.
+/// A sparse stack reads its fingers from the rows, churned or not:
+/// capturing a snapshot and serving live lookups ask the net-tree oracle
+/// for no nearest-member search at all, before and after a level-1
+/// member that homes an object leaves, a repair, its rejoin and a second
+/// repair; and each repair asks exactly one per object it re-homed (the
+/// homes pass).
 #[test]
-fn pristine_sparse_stack_never_asks_the_oracle_for_a_finger() {
+fn churned_sparse_stack_asks_the_oracle_only_to_rehome() {
     let recording = Recording::start(0);
     let space = Space::new_sparse(gen::uniform_cube(N, 2, 1));
     let mut overlay = published(&space);
-    let nearest_searches = |overlay: &DirectoryOverlay| -> Vec<String> {
-        ron_obs::reset();
+    // Summed over the stages the searches are attributed to.
+    let nearest_searches = || -> u64 {
+        ron_obs::drain()
+            .histograms
+            .iter()
+            .filter(|(k, _)| k.starts_with("oracle.nearest.sparse"))
+            .map(|(_, h)| h.count())
+            .sum()
+    };
+    let capture_and_serve = |overlay: &DirectoryOverlay| {
         let _ = Snapshot::capture(&space, overlay);
         for q in 0..256 {
             let origin = Node::new((q * 53 + 7) % N);
             let _ = overlay.lookup(&space, origin, ObjectId((q % OBJECTS) as u64));
         }
-        let mut keys: Vec<String> = ron_obs::drain().histograms.into_keys().collect();
-        keys.retain(|k| k.starts_with("oracle.nearest.sparse"));
-        keys
     };
-    assert!(
-        nearest_searches(&overlay).is_empty(),
-        "every level is still the static net: fingers come from the rings"
-    );
+    ron_obs::reset();
+    capture_and_serve(&overlay);
+    assert_eq!(nearest_searches(), 0, "pristine capture and lookups");
+    let homes_something = |v| {
+        overlay
+            .objects()
+            .iter()
+            .any(|&obj| overlay.home_of(obj) == Some(v))
+    };
     let member = space
         .nodes()
-        .find(|&v| overlay.is_net_member(1, v))
-        .expect("level 1 has members");
+        .find(|&v| overlay.is_net_member(1, v) && homes_something(v))
+        .expect("a level-1 member homes an object");
     overlay.leave(member);
+    let report = overlay.repair(&space);
+    assert!(report.rehomed > 0);
     assert_eq!(
-        nearest_searches(&overlay),
-        ["oracle.nearest.sparse"],
-        "a diverged level is asked of the oracle"
+        nearest_searches(),
+        report.rehomed as u64,
+        "the leave's repair"
     );
+    overlay.join(&space, member);
+    let report = overlay.repair(&space);
+    assert_eq!(
+        nearest_searches(),
+        report.rehomed as u64,
+        "the rejoin and its repair"
+    );
+    capture_and_serve(&overlay);
+    assert_eq!(nearest_searches(), 0, "churned capture and lookups");
     recording.stop();
     assert_recording_is_off();
 }
