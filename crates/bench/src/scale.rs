@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use ron_core::{par, RingFamily};
-use ron_location::{DirectoryOverlay, ObjectId, Snapshot, DEFAULT_RING_FACTOR};
+use ron_location::{DirectoryOverlay, EpochCell, ObjectId, Snapshot, DEFAULT_RING_FACTOR};
 use ron_metric::{gen, HeapBytes, Node, Space};
 use ron_nets::NestedNets;
 
@@ -22,10 +22,12 @@ pub const BYTES_PER_NODE_BUDGET: usize = 4096;
 
 /// One construction pass over a 2-d uniform cube: ball index, net
 /// ladder, publish rings, directory assembly, a batched publish, and
-/// the serving snapshot's capture.
+/// the serving snapshot's capture; then one churned epoch.
 struct Build {
     /// Wall milliseconds of the six stages, in pipeline order.
     stage_ms: [f64; 6],
+    /// Wall milliseconds of the churned epoch.
+    epoch_ms: f64,
     struct_bytes: usize,
     fingerprint: u64,
 }
@@ -92,7 +94,30 @@ fn build(n: usize) -> Build {
     // Every finger is a scan of a stored ring, so this stage stays
     // linear in n; an oracle search per (node, level) here is minutes
     // at 2^14.
-    let (_snapshot, capture_ms) = timed(|| Snapshot::capture(&space, &overlay));
+    let (snapshot, capture_ms) = timed(|| Snapshot::capture(&space, &overlay));
+    // The overlay owns its net ladder, ring arena and pointer tables, so
+    // index + overlay is the whole resident structure.
+    let struct_bytes = space.index().heap_bytes() + overlay.heap_bytes();
+    let fingerprint = fingerprint_overlay(&overlay);
+    // A churned epoch: a leave wave of n/64 fine-level nodes and its
+    // repair, the rejoin and its repair, each published over the last.
+    let cell = EpochCell::new(snapshot);
+    let fine = overlay.levels() / 2;
+    let wave: Vec<Node> = (0..n)
+        .map(|k| Node::new((k * 97 + 5) % n))
+        .filter(|&v| overlay.top_level_of(v) < Some(fine))
+        .take((n / 64).max(1))
+        .collect();
+    let ((), epoch_ms) = timed(|| {
+        for &v in &wave {
+            overlay.leave(v);
+        }
+        overlay.repair_published(&space, &cell);
+        for &v in &wave {
+            overlay.join(&space, v);
+        }
+        overlay.repair_published(&space, &cell);
+    });
     Build {
         stage_ms: [
             index_ms,
@@ -102,10 +127,9 @@ fn build(n: usize) -> Build {
             publish_ms,
             capture_ms,
         ],
-        // The overlay owns its net ladder, ring arena and pointer
-        // tables, so index + overlay is the whole resident structure.
-        struct_bytes: space.index().heap_bytes() + overlay.heap_bytes(),
-        fingerprint: fingerprint_overlay(&overlay),
+        epoch_ms,
+        struct_bytes,
+        fingerprint,
     }
 }
 
@@ -135,6 +159,7 @@ pub fn table(ns: &[usize]) -> Table {
             "publish ms",
             "capture ms",
             "total ms",
+            "epoch ms",
             "bytes/node",
             "fingerprint",
             "2-worker check",
@@ -156,6 +181,7 @@ pub fn table(ns: &[usize]) -> Table {
         row.extend(serial.stage_ms.iter().map(|&ms| f(ms)));
         row.extend([
             f(serial.stage_ms.iter().sum()),
+            f(serial.epoch_ms),
             bytes_per_node.to_string(),
             format!("{:016x}", serial.fingerprint),
             "bit-identical".into(),
@@ -174,12 +200,15 @@ mod tests {
         // per requested size and that bytes/node is populated.
         let t = super::table(&[96, 160]);
         assert_eq!(t.header[6], "capture ms");
-        assert_eq!(t.header[8], "bytes/node");
+        assert_eq!(t.header[8], "epoch ms");
+        assert_eq!(t.header[9], "bytes/node");
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
-            let bytes: usize = row[8].parse().expect("bytes/node is an integer");
+            let epoch_ms: f64 = row[8].parse().expect("epoch ms is a number");
+            assert!(epoch_ms > 0.0);
+            let bytes: usize = row[9].parse().expect("bytes/node is an integer");
             assert!(bytes > 0);
-            assert_eq!(row[10], "bit-identical");
+            assert_eq!(row[11], "bit-identical");
         }
         assert_eq!(t.rows[0][0], "96");
         assert_eq!(t.rows[1][0], "160");

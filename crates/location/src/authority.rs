@@ -37,6 +37,7 @@ use ron_nets::NestedNets;
 
 use crate::churn::RepairReport;
 use crate::directory::{IdMap, ObjectId, Placement};
+use crate::tables::Bits;
 
 /// The geometric queries repair planning needs, in the ascending
 /// `(distance, node id)` visit order of
@@ -444,10 +445,24 @@ impl RepairAuthority {
         s: Node,
         level: usize,
     ) -> Option<(f64, Node)> {
-        self.nearest_in_ring(oracle, s, level).or_else(|| {
-            let member = &self.member[level];
-            oracle.nearest_where(s, &mut |v| member[v.index()])
-        })
+        self.finger_and_fallback(oracle, s, level).0
+    }
+
+    /// [`finger`](Self::finger), and whether the oracle answered it (the
+    /// ring was empty).
+    pub(crate) fn finger_and_fallback<O: RepairOracle + ?Sized>(
+        &self,
+        oracle: &O,
+        s: Node,
+        level: usize,
+    ) -> (Option<(f64, Node)>, bool) {
+        match self.nearest_in_ring(oracle, s, level) {
+            Some(hit) => (Some(hit), false),
+            None => {
+                let member = &self.member[level];
+                (oracle.nearest_where(s, &mut |v| member[v.index()]), true)
+            }
+        }
     }
 
     /// The home's zoom chain under the current membership: `chain[j]` is
@@ -483,10 +498,21 @@ impl RepairAuthority {
     /// changed strictly nearer to the home than the old point, and after
     /// the covering pass any such change shows up as a touched node
     /// inside the publish radius — so an object with no touched node
-    /// inside any publish radius and an unmoved home is skipped at the
-    /// cost of `sum_j |touched[j]|` distance probes.
+    /// inside any publish radius and an unmoved home is skipped. A node
+    /// touched at `j` within `c·r_j` of the home is in the home's row at
+    /// `j` (a leaver stays in every row, an inserted member enters every
+    /// row within reach), so the test reads the home's rows against the
+    /// touched nodes, asking no distance.
     pub fn plan_repair(&mut self, oracle: &dyn RepairOracle) -> RepairPlan {
-        self.plan(oracle, Self::covering_candidates)
+        self.plan(oracle, Self::covering_candidates, Self::ring_touched)
+    }
+
+    /// Whether a node touched at `level` is in `home`'s row there (see
+    /// [`plan_repair`](Self::plan_repair)); `touched` marks the level's
+    /// touched nodes.
+    fn ring_touched(&self, _: &dyn RepairOracle, touched: &Bits, home: Node, level: usize) -> bool {
+        !self.touched[level].is_empty()
+            && self.row(home, level).iter().any(|v| touched.get(v.index()))
     }
 
     /// The nodes that can be uncovered at `level` (see
@@ -513,11 +539,14 @@ impl RepairAuthority {
     }
 
     /// [`plan_repair`](Self::plan_repair) with the covering pass visiting
-    /// `candidates(self, oracle, level)` at each level.
+    /// `candidates(self, oracle, level)` at each level, and the pointer
+    /// pass asking `ring_touched(self, oracle, touched, home, level)`
+    /// whether an object's level-`level` ring saw a change.
     fn plan(
         &mut self,
         oracle: &dyn RepairOracle,
         candidates: fn(&Self, &dyn RepairOracle, usize) -> Vec<Node>,
+        ring_touched: fn(&Self, &dyn RepairOracle, &Bits, Node, usize) -> bool,
     ) -> RepairPlan {
         let _stage = ron_obs::stage("repair");
         let levels = self.levels();
@@ -593,22 +622,30 @@ impl RepairAuthority {
         // Pointer pass: reconcile each object whose rings or chain could
         // have changed (the skip test argued in the method docs).
         let t_pointers = ron_obs::start();
+        let touched: Vec<Bits> = self
+            .touched
+            .iter()
+            .map(|nodes| {
+                let mut bits = Bits::zeros(self.len());
+                for v in nodes {
+                    bits.set(v.index(), true);
+                }
+                bits
+            })
+            .collect();
+        let mut ring_changed = vec![false; levels];
         for idx in 0..self.objects.len() {
             let obj = self.objects[idx];
             let home = self.homes[&obj];
-            let old = self.placements.get(&obj).cloned().unwrap_or_default();
-            let moved = old.chain.first() != Some(&home);
-
-            let mut ring_changed = vec![false; levels];
+            let moved = self.placements.get(&obj).and_then(|p| p.chain.first()) != Some(&home);
             for (j, slot) in ring_changed.iter_mut().enumerate() {
-                *slot = self.touched[j]
-                    .iter()
-                    .any(|&t| oracle.dist(home, t) <= self.ring_factor * self.radii[j] + 1e-12);
+                *slot = ring_touched(self, oracle, &touched[j], home, j);
             }
-            if !moved && ring_changed.iter().all(|&r| !r) {
+            if !moved && !ring_changed.contains(&true) {
                 continue;
             }
             plan.objects_touched += 1;
+            let old = self.placements.get(&obj).cloned().unwrap_or_default();
 
             let new_chain = self.chain(oracle, home);
             let mut refresh = vec![false; levels];
@@ -758,15 +795,32 @@ mod tests {
         Node::all(authority.len()).collect()
     }
 
+    /// The pointer pass's ring test as it was before it read the rows: a
+    /// distance probe from the home to every node touched at the level.
+    fn distance_scan(
+        authority: &RepairAuthority,
+        oracle: &dyn RepairOracle,
+        _: &Bits,
+        home: Node,
+        level: usize,
+    ) -> bool {
+        let reach = authority.ring_factor * authority.radii[level] + 1e-12;
+        authority.touched[level]
+            .iter()
+            .any(|&t| oracle.dist(home, t) <= reach)
+    }
+
     /// Drives one overlay through `steps` seeded random operations —
     /// single leaves and joins, hub leaves, a level emptied outright, a
     /// leave and rejoin within one epoch, repairs — and at every repair
-    /// checks that the planner visiting only the covering candidates
-    /// plans exactly what the full scan plans: the same per-node work
-    /// (promotions in order included), re-homings and touched levels,
-    /// and the same membership after; and that a detached plan replayed
-    /// through `apply_plan` leaves the same rows. After every step each
-    /// finger and ring read from the rows equals its oracle definition.
+    /// checks that the planner visiting only the covering candidates and
+    /// reading the rows for touched nodes plans exactly what the full
+    /// scan with per-object distance probes plans: the same per-node work
+    /// (promotions and pointer operations in order included), placements,
+    /// re-homings, touched objects and levels, and the same membership
+    /// after; and that a detached plan replayed through `apply_plan`
+    /// leaves the same rows. After every step each finger and ring read
+    /// from the rows equals its oracle definition.
     fn assert_covering_matches_full_scan<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         seed: u64,
@@ -782,10 +836,12 @@ mod tests {
         }
         let repair = |ov: &mut DirectoryOverlay, when: &str| {
             let mut reference = ov.control.clone();
-            let expected = reference.plan(space, full_scan);
+            let expected = reference.plan(space, full_scan, distance_scan);
             let mut skipping = ov.control.clone();
             let planned = skipping.plan_repair(space);
             assert_eq!(planned.node_repairs, expected.node_repairs, "{when}");
+            assert_eq!(planned.placements, expected.placements, "{when}");
+            assert_eq!(planned.objects_touched, expected.objects_touched, "{when}");
             assert_eq!(planned.promotions, expected.promotions, "{when}");
             assert_eq!(planned.rehomed, expected.rehomed, "{when}");
             assert_eq!(planned.touched_levels, expected.touched_levels, "{when}");

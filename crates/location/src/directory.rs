@@ -75,7 +75,7 @@ impl Hasher for IdHasher {
 
 /// Where one object's directory state lives: its zoom chain and the
 /// `(level, node)` pairs holding pointer entries for it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct Placement {
     /// `chain[j]` is the net point the level-`j+1` entries forward to
     /// (`chain[0]` is the home itself, since `G_0` contains every node).

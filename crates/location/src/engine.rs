@@ -8,15 +8,17 @@
 //! lookup reads: four-byte fingers (`levels` per node, a sentinel for a
 //! level churn emptied) and every node's pointer entries, both frozen in
 //! `Arc`-shared chunks of eight nodes (`tables::FrozenRows`), plus
-//! liveness and an `Arc`-shared homes map. [`publish_snapshot`] compares
-//! each chunk it builds with the current publication's and keeps the old
-//! one where they are equal, so a swap hands readers new memory only
-//! where the epoch changed something. A lookup over a snapshot allocates
-//! nothing. Snapshots live in an [`EpochCell`], whose writer frees what
-//! it supersedes; a repair can build and publish a successor *while a
-//! batch is in flight*: lookups proceed at full rate through churn and
-//! repair, each answer valid against exactly one published state, never
-//! a torn mixture (property-tested across all four generator families).
+//! liveness and an `Arc`-shared homes map. [`publish_snapshot`]
+//! recomputes only the fingers a membership change since the current
+//! publication can have moved, compares each chunk it builds with the
+//! publication's and keeps the old one where they are equal, so a swap
+//! hands readers new memory only where the epoch changed something. A
+//! lookup over a snapshot allocates nothing. Snapshots live in an
+//! [`EpochCell`], whose writer frees what it supersedes; a repair can
+//! build and publish a successor *while a batch is in flight*: lookups
+//! proceed at full rate through churn and repair, each answer valid
+//! against exactly one published state, never a torn mixture
+//! (property-tested across all four generator families).
 //!
 //! Worker threads (`std::thread::scope`; no external dependencies, per
 //! the vendored-shim discipline) split the batch. Each pins the current
@@ -38,14 +40,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ron_core::publish::EpochCell;
+use ron_core::RingFamily;
 use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{BallOracle, HeapBytes, Metric, MetricIndex, Node, Space};
 use ron_routing::PathStats;
 
+use crate::authority::RepairAuthority;
 use crate::directory::{DirectoryOverlay, IdMap, ObjectId};
 use crate::lookup::{locate_view, Finger, LocateError, LookupOutcome, LookupView};
 use crate::stats::{BatchReport, CacheShardStats, LatencySummary};
-use crate::tables::{ChunkTally, FrozenRows, FrozenTables};
+use crate::tables::{Bits, ChunkTally, FrozenRows, FrozenTables};
 
 /// An immutable, owned serving view of a [`DirectoryOverlay`]: the
 /// per-node, per-level fingers are precomputed so a lookup is a pure
@@ -69,6 +73,14 @@ pub struct Snapshot {
     /// Node `v`'s row: `levels` fingers, the nearest alive level-`j`
     /// member at `j`.
     fingers: FrozenRows<Finger>,
+    /// Bit `v * levels + j`: the oracle answered finger `(v, j)`, since
+    /// `v`'s ring at `j` was empty.
+    fallback: Bits,
+    /// The overlay's ring arena and each level's membership at capture:
+    /// what a successor captured over the same arena diffs its
+    /// membership against to find the fingers that can have moved.
+    rings: Arc<RingFamily>,
+    member: Vec<Bits>,
     alive: Vec<bool>,
     homes: Arc<IdMap<ObjectId, Node>>,
     /// Every node's directory pointer entries.
@@ -88,39 +100,122 @@ impl Snapshot {
 
     /// [`capture`](Self::capture), sharing with `prev` every chunk of
     /// fingers or entries (and the homes map) that is unchanged since
-    /// `prev` — the one capture path; a first capture has no `prev`.
+    /// `prev` — the one capture path. Only the fingers `prev` cannot
+    /// vouch for are recomputed: all of them on a first capture or over
+    /// another ring arena, else the stale ones (see
+    /// [`stale_fingers`](Self::stale_fingers)).
     fn capture_sharing<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         overlay: &DirectoryOverlay,
         prev: Option<&Snapshot>,
     ) -> Self {
         let _span = ron_obs::span("directory.capture");
-        let n = overlay.len();
-        let levels = overlay.levels();
+        let control = &overlay.control;
+        let (n, levels) = (overlay.len(), overlay.levels());
+        let member: Vec<Bits> = control.member.iter().map(|m| Bits::from_bools(m)).collect();
+        let same = prev.filter(|p| Arc::ptr_eq(&p.rings, &control.rings));
+        let (stale, mut fallback) = match same {
+            Some(p) => (p.stale_fingers(space, control, &member), p.fallback.clone()),
+            None => (Bits::ones(n * levels), Bits::zeros(n * levels)),
+        };
         let mut tally = ChunkTally::default();
-        let fingers = FrozenRows::freeze(n, prev.map(|p| &p.fingers), &mut tally, |v, row| {
-            row.extend(
-                (0..levels).map(|j| Finger::new(overlay.finger(space, v, j).map(|(_, f)| f))),
-            );
-        });
+        let mut recomputed = 0u64;
+        let fingers = FrozenRows::freeze(
+            n,
+            prev.map(|p| &p.fingers),
+            &mut tally,
+            |nodes| stale.any_in(nodes.start * levels..nodes.end * levels),
+            |v, row| {
+                let old = same.map(|p| p.fingers.row(v));
+                for j in 0..levels {
+                    let i = v.index() * levels + j;
+                    if let Some(old) = old.filter(|_| !stale.get(i)) {
+                        row.push(old[j]);
+                        continue;
+                    }
+                    let (finger, fell_back) = control.finger_and_fallback(space, v, j);
+                    fallback.set(i, fell_back);
+                    recomputed += 1;
+                    row.push(Finger::new(finger.map(|(_, f)| f)));
+                }
+            },
+        );
         let tables =
             FrozenTables::freeze_tables(&overlay.tables, prev.map(|p| &p.tables), &mut tally);
         let homes = match prev {
-            Some(p) if *p.homes == overlay.control.homes => Arc::clone(&p.homes),
-            _ => Arc::new(overlay.control.homes.clone()),
+            Some(p) if *p.homes == control.homes => Arc::clone(&p.homes),
+            _ => Arc::new(control.homes.clone()),
         };
         if ron_obs::enabled() {
             ron_obs::count("snapshot.chunks_shared", tally.shared);
             ron_obs::count("snapshot.chunks_written", tally.written);
+            ron_obs::count("snapshot.fingers_recomputed", recomputed);
         }
         Snapshot {
             epoch: overlay.epoch(),
             levels,
             fingers,
-            alive: overlay.control.alive.clone(),
+            fallback,
+            rings: Arc::clone(&control.rings),
+            member,
+            alive: control.alive.clone(),
             homes,
             tables,
         }
+    }
+
+    /// The fingers (bit `v * levels + j`) that a capture of `control`,
+    /// whose level membership is `member`, cannot copy from this
+    /// snapshot, taken over the same ring arena. A finger is the nearest
+    /// member of its level, so on a level whose membership is unchanged
+    /// none moves; on one that changed, `(v, j)` is stale if
+    ///
+    /// * the oracle answered it (the ring was empty, so the nearest
+    ///   member may lie anywhere);
+    /// * its member left the level; or
+    /// * an added member is at least as near to `v` as the finger — then
+    ///   within `c·r_j` of `v`, as a finger found in the ring is, so one
+    ///   ball query per added member finds every such `v`.
+    ///
+    /// Any other finger is still the nearest member, ties included.
+    fn stale_fingers<M: Metric, I: BallOracle>(
+        &self,
+        space: &Space<M, I>,
+        control: &RepairAuthority,
+        member: &[Bits],
+    ) -> Bits {
+        let (n, levels) = (control.len(), self.levels);
+        let mut stale = Bits::zeros(n * levels);
+        let changed: Vec<usize> = (0..levels)
+            .filter(|&j| self.member[j] != member[j])
+            .collect();
+        if changed.is_empty() {
+            return stale;
+        }
+        for v in Node::all(n) {
+            let row = self.fingers.row(v);
+            for &j in &changed {
+                let i = v.index() * levels + j;
+                let left = row[j].get().is_none_or(|f| !member[j].get(f.index()));
+                if left || self.fallback.get(i) {
+                    stale.set(i, true);
+                }
+            }
+        }
+        for &j in &changed {
+            // A hair past c·r_j, so that a ball distance rounded apart
+            // from `space.dist` cannot drop a node the test below needs.
+            let reach = control.ring_factor * control.radii[j] * (1.0 + 1e-9);
+            for a in member[j].minus(&self.member[j]).map(Node::new) {
+                space.index().for_each_in_ball(a, reach, &mut |_, v| {
+                    let finger = self.fingers.row(v)[j].get();
+                    if finger.is_none_or(|f| space.dist(v, a) <= space.dist(v, f)) {
+                        stale.set(v.index() * levels + j, true);
+                    }
+                });
+            }
+        }
+        stale
     }
 
     /// Reads once every cache line this snapshot does not share with
@@ -197,12 +292,17 @@ impl Snapshot {
 }
 
 impl HeapBytes for Snapshot {
-    /// The serving state's heap footprint (fingers, liveness, pointer
-    /// tables, chunks shared with another snapshot included; the object
-    /// registry is size-of-catalogue, not size-of-`n`, and `HashMap`
-    /// capacity is not observable — left out).
+    /// The snapshot's heap footprint (fingers and their provenance bits,
+    /// level membership, liveness, pointer tables, chunks shared with
+    /// another snapshot included; the ring arena is the overlay's, the
+    /// object registry is size-of-catalogue, not size-of-`n`, and
+    /// `HashMap` capacity is not observable — left out).
     fn heap_bytes(&self) -> usize {
-        self.fingers.heap_bytes() + vec_capacity_bytes(&self.alive) + self.tables.heap_bytes()
+        self.fingers.heap_bytes()
+            + self.fallback.heap_bytes()
+            + self.member.iter().map(Bits::heap_bytes).sum::<usize>()
+            + vec_capacity_bytes(&self.alive)
+            + self.tables.heap_bytes()
     }
 }
 
@@ -564,6 +664,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
             report.successes += w.successes;
             report.failures += w.failures;
             report.cache_hits += w.cache_hits;
+            report.reloads += w.reloads;
             report.paths.merge(&w.paths);
             nanos.extend(w.latencies_ns);
         }
@@ -572,6 +673,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
             report.cache_shards = cache.stats();
         }
         if ron_obs::enabled() {
+            ron_obs::count("engine.snapshot.reloads", report.reloads as u64);
             for (i, s) in report.cache_shards.iter().enumerate() {
                 let shard = ron_obs::label(&format!("shard{i}"));
                 ron_obs::count_labeled("engine.cache.hit", shard, s.hits);
@@ -614,6 +716,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                 let next = self.directory.load();
                 next.warm_since(&snap);
                 snap = next;
+                out.reloads += 1;
             }
             let epoch = snap.epoch();
             let (probe, cache_kind, shard) = if CACHED {
@@ -707,6 +810,7 @@ struct WorkerResult {
     successes: usize,
     failures: usize,
     cache_hits: usize,
+    reloads: usize,
     latencies_ns: Vec<u64>,
     paths: PathStats,
 }
@@ -871,6 +975,7 @@ mod tests {
         assert_eq!(report.served, 512);
         assert_eq!(report.successes, 512);
         assert_eq!(report.failures, 0);
+        assert_eq!(report.reloads, 0, "nothing was published mid-batch");
         assert!(report.cache_hits > 0, "repeated keys must hit the cache");
         assert_eq!(report.latency.count, 512);
         assert_eq!(report.paths.count, 512);
@@ -946,12 +1051,28 @@ mod tests {
         assert_eq!(report.successes, 56);
     }
 
+    /// Panics unless `shared` holds every finger, fallback bit and
+    /// membership bit that `fresh` holds.
+    fn assert_same_fingers(shared: &Snapshot, fresh: &Snapshot, when: &str) {
+        for v in Node::all(fresh.alive.len()) {
+            assert_eq!(
+                shared.fingers.row(v),
+                fresh.fingers.row(v),
+                "{when}: fingers of {v}"
+            );
+        }
+        assert_eq!(shared.fallback, fresh.fallback, "{when}: fallback bits");
+        assert_eq!(shared.member, fresh.member, "{when}: membership");
+    }
+
     /// The chunks a snapshot serves from answer, for every (node, level,
     /// object), what the overlay's per-node table answers — and the
     /// successor `publish_snapshot` builds on its predecessor answers
     /// every entry, finger and `lookup_path` as a fresh capture does —
     /// pristine and after each step of a leave wave, its repair, an
-    /// unpublish, the re-joins and their repair.
+    /// unpublish, the re-joins and their repair; over the snapshot of a
+    /// diverged clone and of a separate build; and through a level
+    /// emptied outright, its repair, and the rejoin of its members.
     fn assert_shared_capture_matches_a_fresh_one<M: Metric, I: BallOracle>(space: &Space<M, I>) {
         let n = space.len();
         let mut ov = DirectoryOverlay::build(space);
@@ -965,12 +1086,8 @@ mod tests {
             ov.publish_snapshot(space, &cell);
             let shared = cell.load();
             let fresh = Snapshot::capture(space, ov);
+            assert_same_fingers(&shared, &fresh, when);
             for v in space.nodes() {
-                assert_eq!(
-                    shared.fingers.row(v),
-                    fresh.fingers.row(v),
-                    "{when}: fingers of {v}"
-                );
                 for level in 0..ov.levels() {
                     for &obj in &objects {
                         let entry = ov.tables.node(v).get(level, obj);
@@ -1001,6 +1118,13 @@ mod tests {
             ov.leave(v);
         }
         check(&ov, "after the leave wave");
+        let levels = ov.levels();
+        let fell_back =
+            |v: Node| (0..levels).any(|j| cell.load().fallback.get(v.index() * levels + j));
+        assert!(
+            gone.iter().any(|&v| fell_back(v)),
+            "an unrepaired leave leaves some dead node an empty ring"
+        );
         ov.repair(space);
         check(&ov, "after its repair");
         ov.unpublish(ObjectId(2));
@@ -1011,6 +1135,98 @@ mod tests {
         check(&ov, "after the re-joins");
         ov.repair(space);
         check(&ov, "after their repair");
+
+        // Predecessors this overlay did not publish: a clone's that
+        // diverged (the same ring arena, diffed), then a separate build's
+        // (another arena, recomputed in full).
+        let mut twin = ov.clone();
+        for &v in &gone[..gone.len() / 2] {
+            twin.leave(v);
+        }
+        twin.repair(space);
+        cell.publish(Snapshot::capture(space, &twin));
+        check(&ov, "over a diverged clone's snapshot");
+        cell.publish(Snapshot::capture(space, &DirectoryOverlay::build(space)));
+        check(&ov, "over a separate build's snapshot");
+
+        // A level emptied outright: its fingers go to the sentinel and
+        // come back with the repair.
+        let j = levels / 2;
+        let emptied: Vec<Node> = space.nodes().filter(|&v| ov.is_net_member(j, v)).collect();
+        for &v in &emptied {
+            ov.leave(v);
+        }
+        check(&ov, "with a level emptied");
+        let none_at_j = |v: Node| cell.load().fingers.row(v)[j].get().is_none();
+        assert!(space.nodes().all(none_at_j), "level {j} has no member");
+        ov.repair(space);
+        check(&ov, "after the emptied level's repair");
+        assert!(!space.nodes().any(none_at_j), "level {j} is covered again");
+        for &v in &emptied {
+            ov.join(space, v);
+        }
+        check(&ov, "after its members rejoin");
+        ov.repair(space);
+        check(&ov, "after the rejoin's repair");
+    }
+
+    /// Seeded leave, join, hub-leave, repair and `publish_snapshot`
+    /// sequences: after every publish the published fingers, fallback
+    /// bits and membership equal a fresh capture's.
+    fn assert_publishes_match_fresh_captures<M: Metric, I: BallOracle>(
+        space: &Space<M, I>,
+        seed: u64,
+        steps: usize,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = space.len();
+        let mut ov = DirectoryOverlay::build(space);
+        let cell = EpochCell::new(Snapshot::capture(space, &ov));
+        let leave = |ov: &mut DirectoryOverlay, v: Node| {
+            if ov.is_alive(v) && ov.alive_count() > 2 {
+                ov.leave(v);
+            }
+        };
+        for step in 0..steps {
+            let v = Node::new(rng.random_range(0..n));
+            match rng.random_range(0..6u8) {
+                0 | 1 if ov.is_alive(v) => leave(&mut ov, v),
+                0 | 1 => ov.join(space, v),
+                2 => {
+                    let top = space.nodes().filter_map(|u| ov.top_level_of(u)).max();
+                    let hub = space.nodes().find(|&u| ov.top_level_of(u) == top);
+                    leave(&mut ov, hub.expect("somebody is alive"));
+                }
+                3 => {
+                    ov.repair(space);
+                }
+                _ => {
+                    ov.publish_snapshot(space, &cell);
+                    let fresh = Snapshot::capture(space, &ov);
+                    assert_same_fingers(&cell.load(), &fresh, &format!("step {step}"));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn every_publish_matches_a_fresh_capture(seed in 0u64..1000, steps in 8usize..40) {
+            fn on_both_backends<M: Metric + Clone>(metric: M, seed: u64, steps: usize) {
+                assert_publishes_match_fresh_captures(&Space::new(metric.clone()), seed, steps);
+                assert_publishes_match_fresh_captures(&Space::new_sparse(metric), seed, steps);
+            }
+            on_both_backends(gen::uniform_cube(40, 2, seed), seed, steps);
+            on_both_backends(gen::clustered(40, 2, 4, 0.02, seed), seed, steps);
+            on_both_backends(gen::perturbed_grid(6, 2, 0.3, seed), seed, steps);
+            on_both_backends(gen::exponential_line(14), seed, steps);
+            // Integer spacing: an added member ties with a finger.
+            on_both_backends(LineMetric::uniform(24).unwrap(), seed, steps);
+        }
     }
 
     #[test]

@@ -65,6 +65,9 @@ pub struct BatchReport {
     pub failures: usize,
     /// Queries answered from the LRU result cache.
     pub cache_hits: usize,
+    /// Times a worker found a newer publication mid-batch and reloaded
+    /// the snapshot (summed over workers).
+    pub reloads: usize,
     /// Wall-clock time for the whole batch.
     pub elapsed: Duration,
     /// Per-query latency percentiles.

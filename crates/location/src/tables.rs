@@ -22,9 +22,13 @@
 //! * [`TableRow`] is the borrowed sorted slice both hand out, with the
 //!   one `get(level, object)`; the lookup walk reads nothing else.
 //!
+//! [`Bits`], the bitset a snapshot keeps beside its frozen fingers and
+//! the planner marks touched nodes in, lives here too.
+//!
 //! [`Snapshot`]: crate::engine::Snapshot
 //! [`DirectoryNodeState`]: crate::partition::DirectoryNodeState
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ron_metric::mem::vec_capacity_bytes;
@@ -230,9 +234,10 @@ pub(crate) struct ChunkTally {
 
 impl<T: Copy + PartialEq> FrozenRows<T> {
     /// Freezes the rows of nodes `0..n`, `fill(v, out)` appending node
-    /// `v`'s row to `out`. Each chunk is built in a scratch buffer and
-    /// compared with `prev`'s chunk at the same position; an equal one is
-    /// shared, not copied.
+    /// `v`'s row to `out`. A chunk of `prev` whose nodes `changed` calls
+    /// unchanged is shared without being built; every other chunk is
+    /// built in a scratch buffer and compared with `prev`'s chunk at the
+    /// same position, and an equal one is shared, not copied.
     ///
     /// # Panics
     ///
@@ -242,11 +247,17 @@ impl<T: Copy + PartialEq> FrozenRows<T> {
         n: usize,
         prev: Option<&Self>,
         tally: &mut ChunkTally,
+        changed: impl Fn(Range<usize>) -> bool,
         mut fill: impl FnMut(Node, &mut Vec<T>),
     ) -> Self {
         let mut scratch = Vec::new();
         let chunks = (0..n.div_ceil(CHUNK))
             .map(|c| {
+                let old = prev.and_then(|p| p.chunks.get(c));
+                if let Some(old) = old.filter(|_| !changed(c * CHUNK..n.min((c + 1) * CHUNK))) {
+                    tally.shared += 1;
+                    return Arc::clone(old);
+                }
                 scratch.clear();
                 let mut row_start = [0u32; CHUNK + 1];
                 for k in 0..CHUNK {
@@ -256,7 +267,7 @@ impl<T: Copy + PartialEq> FrozenRows<T> {
                     }
                     row_start[k + 1] = u32::try_from(scratch.len()).expect("chunk overflows u32");
                 }
-                match prev.and_then(|p| p.chunks.get(c)) {
+                match old {
                     Some(old) if old.row_start == row_start && *old.items == scratch[..] => {
                         tally.shared += 1;
                         Arc::clone(old)
@@ -325,6 +336,93 @@ impl<T> HeapBytes for FrozenRows<T> {
     }
 }
 
+/// A fixed-length bitset: a snapshot's level membership and finger
+/// provenance, a capture's stale fingers, the planner's touched marks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Bits {
+    words: Vec<u64>,
+}
+
+impl Bits {
+    /// `len` clear bits.
+    pub(crate) fn zeros(len: usize) -> Self {
+        Bits {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// `len` set bits.
+    pub(crate) fn ones(len: usize) -> Self {
+        let mut words = vec![!0u64; len.div_ceil(64)];
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last >>= 64 - len % 64;
+        }
+        Bits { words }
+    }
+
+    /// Bit `i` set where `flags[i]` is.
+    pub(crate) fn from_bools(flags: &[bool]) -> Self {
+        let word = |chunk: &[bool]| {
+            let bit = |(b, &f): (usize, &bool)| u64::from(f) << b;
+            chunk.iter().enumerate().map(bit).fold(0, |w, b| w | b)
+        };
+        Bits {
+            words: flags.chunks(64).map(word).collect(),
+        }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    pub(crate) fn set(&mut self, i: usize, value: bool) {
+        let (word, mask) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        if value {
+            *word |= mask;
+        } else {
+            *word &= !mask;
+        }
+    }
+
+    /// Whether any bit in `range` is set.
+    pub(crate) fn any_in(&self, range: Range<usize>) -> bool {
+        if range.is_empty() {
+            return false;
+        }
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        (first..=last).any(|w| {
+            let mut word = self.words[w];
+            if w == first {
+                word &= !0 << (range.start % 64);
+            }
+            if w == last {
+                word &= !0 >> (63 - (range.end - 1) % 64);
+            }
+            word != 0
+        })
+    }
+
+    /// The bits set here and clear in `other`, ascending.
+    pub(crate) fn minus<'a>(&'a self, other: &'a Bits) -> impl Iterator<Item = usize> + 'a {
+        let words = self.words.iter().zip(&other.words).map(|(a, b)| a & !b);
+        words.enumerate().flat_map(|(w, mut word)| {
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+impl HeapBytes for Bits {
+    fn heap_bytes(&self) -> usize {
+        vec_capacity_bytes(&self.words)
+    }
+}
+
 /// Every node's pointer entries, frozen.
 pub(crate) type FrozenTables = FrozenRows<PointerEntry>;
 
@@ -335,9 +433,13 @@ impl FrozenTables {
         prev: Option<&Self>,
         tally: &mut ChunkTally,
     ) -> Self {
-        Self::freeze(tables.nodes.len(), prev, tally, |v, out| {
-            out.extend_from_slice(&tables.node(v).entries);
-        })
+        Self::freeze(
+            tables.nodes.len(),
+            prev,
+            tally,
+            |_| true,
+            |v, out| out.extend_from_slice(&tables.node(v).entries),
+        )
     }
 
     /// Node `v`'s entries as the lookup walk reads them.
@@ -462,6 +564,25 @@ mod tests {
                 .get(0, ObjectId(CHUNK as u64 + 3)),
             Some(Node::new(CHUNK + 3))
         );
+    }
+
+    #[test]
+    fn bits_answer_ranges_and_differences_across_word_boundaries() {
+        let ones = Bits::ones(130);
+        assert!((0..130).all(|i| ones.get(i)));
+        assert_eq!(ones, Bits::from_bools(&[true; 130]), "no bit past the end");
+        let mut bits = Bits::zeros(130);
+        for i in [0, 63, 64, 129] {
+            bits.set(i, true);
+        }
+        assert!(bits.any_in(63..64) && bits.any_in(60..66) && bits.any_in(129..130));
+        assert!(!bits.any_in(1..63) && !bits.any_in(65..129) && !bits.any_in(5..5));
+        let mut other = bits.clone();
+        other.set(63, false);
+        other.set(100, true);
+        assert_eq!(bits.minus(&other).collect::<Vec<_>>(), [63]);
+        assert_eq!(other.minus(&bits).collect::<Vec<_>>(), [100]);
+        assert_eq!(ones.minus(&bits).count(), 126);
     }
 
     #[test]

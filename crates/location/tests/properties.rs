@@ -349,6 +349,11 @@ fn engine_batch_racing_a_publish_never_fails() {
         "a mid-batch epoch swap must not fail a query"
     );
     assert_eq!(directory.epoch(), 1);
+    assert!(
+        report.reloads <= config.workers,
+        "one publish reloads each worker at most once: {}",
+        report.reloads
+    );
 }
 
 /// The three holders of the directory's pointer tables — the overlay,

@@ -150,6 +150,45 @@ fn flight_records_do_not_depend_on_the_worker_split() {
     assert_recording_is_off();
 }
 
+/// A worker that finds a newer publication mid-batch reloads and counts
+/// it: served beside a writer publishing in a loop, the batches'
+/// `reloads` add up to the `engine.snapshot.reloads` counter.
+#[test]
+fn mid_batch_reloads_are_counted() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let recording = Recording::start(0);
+    let space = cube();
+    let overlay = published(&space);
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let engine = QueryEngine::new(&space, &cell);
+    let queries = distinct_queries();
+    let done = AtomicBool::new(false);
+    let reloads = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // ordering: Acquire pairs with the Release store below; the
+            // flag only says "stop publishing".
+            while !done.load(Ordering::Acquire) {
+                overlay.publish_snapshot(&space, &cell);
+            }
+        });
+        let mut reloads = 0;
+        for _ in 0..10_000 {
+            reloads += engine.serve(&queries, &config(2)).reloads;
+            if reloads > 0 {
+                break;
+            }
+        }
+        // ordering: Release, seen by the writer's Acquire load.
+        done.store(true, Ordering::Release);
+        reloads
+    });
+    let counted = ron_obs::drain().counter_prefix_sum("engine.snapshot.reloads");
+    recording.stop();
+    assert!(reloads > 0, "a batch served beside the writer reloaded");
+    assert_eq!(counted, reloads as u64);
+    assert_recording_is_off();
+}
+
 /// The same batch twice on one worker: the second half probes warm, so
 /// its flight records are cache hits that never walked. The records of
 /// the run attribute latency to a stage per kind.
@@ -252,18 +291,21 @@ fn churned_sparse_stack_asks_the_oracle_only_to_rehome() {
 
 /// An epoch explains its own cost: the covering pass counts its
 /// candidates per level, and every capture counts the chunks it shared
-/// with the snapshot it superseded and the ones it wrote afresh.
+/// with the snapshot it superseded and the ones it wrote afresh, and the
+/// fingers it recomputed.
 #[test]
 fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
     let recording = Recording::start(0);
     let space = cube();
     let mut overlay = published(&space);
+    let levels = overlay.levels();
     // Fingers and pointer tables, eight nodes to a chunk.
     let chunks = 2 * N.div_ceil(8) as u64;
     let tally = |registry: &ron_obs::Registry| {
         (
             registry.counter_prefix_sum("snapshot.chunks_shared"),
             registry.counter_prefix_sum("snapshot.chunks_written"),
+            registry.counter_prefix_sum("snapshot.fingers_recomputed"),
         )
     };
     ron_obs::reset();
@@ -271,30 +313,55 @@ fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
     let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
     assert_eq!(
         tally(&ron_obs::drain()),
-        (0, chunks),
-        "a first capture writes every chunk"
+        (0, chunks, (N * levels) as u64),
+        "a first capture writes every chunk and computes every finger"
     );
     overlay.publish_snapshot(&space, &cell);
     assert_eq!(
         tally(&ron_obs::drain()),
-        (chunks, 0),
-        "an idle epoch shares every chunk"
+        (chunks, 0, 0),
+        "an idle epoch shares every chunk and recomputes no finger"
     );
 
     // A fine member leaves: the repaired successor rewrites some chunks
-    // and shares the rest.
+    // and shares the rest, and recomputes fingers only in the balls at
+    // c·r_j around each membership change at level j.
     let fine = space
         .nodes()
         .find(|&v| overlay.top_level_of(v) == Some(1))
         .expect("level 1 has members of its own");
+    let membership = |overlay: &DirectoryOverlay| -> Vec<Vec<bool>> {
+        (0..levels)
+            .map(|j| space.nodes().map(|v| overlay.is_net_member(j, v)).collect())
+            .collect()
+    };
+    let before = membership(&overlay);
     overlay.leave(fine);
     overlay.repair_published(&space, &cell);
     let epoch = ron_obs::drain();
-    let (shared, written) = tally(&epoch);
+    let (shared, written, recomputed) = tally(&epoch);
     assert_eq!(shared + written, chunks);
     assert!(
         shared > 0 && written > 0,
         "shared {shared}, written {written}"
+    );
+    let after = membership(&overlay);
+    let mut near_a_change = [false; N];
+    for j in 0..levels {
+        let reach = overlay.ring_factor() * overlay.nets().radius(j);
+        for v in space
+            .nodes()
+            .filter(|v| before[j][v.index()] != after[j][v.index()])
+        {
+            for (_, u) in space.index().ball(v, reach) {
+                near_a_change[u.index()] = true;
+            }
+        }
+    }
+    let near = near_a_change.iter().filter(|&&b| b).count();
+    assert!(
+        recomputed > 0 && recomputed < (levels * near) as u64,
+        "{recomputed} fingers recomputed, {near} nodes near a change"
     );
     let candidates = |registry: &ron_obs::Registry| -> Vec<(String, u64)> {
         registry
