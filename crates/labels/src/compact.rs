@@ -332,9 +332,9 @@ impl CompactScheme {
     ///
     /// In a distributed deployment every node carries these few words of
     /// protocol configuration and the *labels it has learned* — never the
-    /// whole label table — so per-node routing state (e.g.
-    /// `ron_routing::SimpleNodeState`) embeds a [`LabelEstimator`] instead
-    /// of a back-reference to the scheme.
+    /// whole label table — so a forwarding rule that reads labels (e.g.
+    /// Theorem 4.1's in `ron_routing::SimpleScheme`) takes a
+    /// [`LabelEstimator`] instead of a back-reference to the scheme.
     #[must_use]
     pub fn estimator(&self) -> LabelEstimator {
         LabelEstimator {

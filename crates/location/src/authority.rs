@@ -738,21 +738,34 @@ impl RepairAuthority {
         }
     }
 
-    /// `v`'s fingers, `(level, finger)`, at the levels `at` marks: what a
-    /// node holding its own finger table is sent after a repair (a
-    /// survivor at a plan's `touched_levels`, a joiner at every level).
-    /// In process, fingers are read on demand instead.
+    /// `v`'s view of the levels `at` marks, `(level, finger, ring)`: what
+    /// a node holding its own fingers and publish rings is sent after a
+    /// repair (a survivor at a plan's `touched_levels`, whose other
+    /// levels did not change; a joiner at every level). In process, both
+    /// are read on demand instead.
     #[must_use]
-    pub fn fingers(
+    pub fn refresh(
         &self,
         oracle: &dyn RepairOracle,
         v: Node,
         at: &[bool],
-    ) -> Vec<(usize, Option<Node>)> {
+    ) -> Vec<(usize, Option<Node>, Vec<Node>)> {
         (0..self.levels())
             .filter(|&j| at[j])
-            .map(|j| (j, self.finger(oracle, v, j).map(|(_, f)| f)))
+            .map(|j| {
+                let finger = self.finger(oracle, v, j).map(|(_, f)| f);
+                (j, finger, self.ring(v, j))
+            })
             .collect()
+    }
+
+    /// The objects the registry homes at `v`, in publish order: what a
+    /// joiner adopts, since it may be a home that left and came back
+    /// within one epoch.
+    #[must_use]
+    pub fn homed_at(&self, v: Node) -> Vec<ObjectId> {
+        let homed = self.objects.iter().copied();
+        homed.filter(|obj| self.homes[obj] == v).collect()
     }
 }
 

@@ -143,27 +143,13 @@ impl DirectoryOverlay {
     /// Builds the overlay over `space` with the default ring factor.
     #[must_use]
     pub fn build<M: Metric, I: BallOracle>(space: &Space<M, I>) -> Self {
-        Self::build_with_factor(space, DEFAULT_RING_FACTOR)
-    }
-
-    /// Builds the overlay with an explicit ring-radius factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring_factor < 2.0` (the smallest factor with a static
-    /// delivery guarantee; see [`DEFAULT_RING_FACTOR`]).
-    #[must_use]
-    pub fn build_with_factor<M: Metric, I: BallOracle>(
-        space: &Space<M, I>,
-        ring_factor: f64,
-    ) -> Self {
         let nets = NestedNets::build(space);
         // The publish rings are exactly the net rings of Theorem 2.1 shape
-        // with radius `ring_factor * r_j`.
-        let rings = RingFamily::from_nets(space, &nets, |_, r| Some(ring_factor * r));
+        // with radius `DEFAULT_RING_FACTOR * r_j`.
+        let rings = RingFamily::from_nets(space, &nets, |_, r| Some(DEFAULT_RING_FACTOR * r));
         let _stage = ron_obs::stage("directory");
         let _span = ron_obs::span("construct.directory");
-        Self::from_structures(space.len(), nets, rings, ring_factor)
+        Self::from_structures(space.len(), nets, rings, DEFAULT_RING_FACTOR)
     }
 
     /// Assembles the overlay from an already-built ladder and ring family
@@ -421,6 +407,8 @@ mod tests {
     #[should_panic(expected = "delivery guarantee")]
     fn small_ring_factor_rejected() {
         let space = Space::new(LineMetric::uniform(8).unwrap());
-        let _ = DirectoryOverlay::build_with_factor(&space, 1.5);
+        let nets = NestedNets::build(&space);
+        let rings = RingFamily::from_nets(&space, &nets, |_, r| Some(1.5 * r));
+        let _ = DirectoryOverlay::from_structures(space.len(), nets, rings, 1.5);
     }
 }

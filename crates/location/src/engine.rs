@@ -42,7 +42,7 @@ use std::time::Instant;
 use ron_core::publish::EpochCell;
 use ron_core::RingFamily;
 use ron_metric::mem::vec_capacity_bytes;
-use ron_metric::{BallOracle, HeapBytes, Metric, MetricIndex, Node, Space};
+use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
 use ron_routing::PathStats;
 
 use crate::authority::RepairAuthority;
@@ -601,7 +601,7 @@ impl Default for EngineConfig {
 /// over any ball-query backend — the dense default or a
 /// [`Space::new_sparse`] alike.
 #[derive(Debug)]
-pub struct QueryEngine<'a, M, I = MetricIndex> {
+pub struct QueryEngine<'a, M, I> {
     space: &'a Space<M, I>,
     directory: &'a EpochCell<Snapshot>,
 }

@@ -134,18 +134,20 @@ impl DirectoryNodeState {
         self.member[level] = true;
     }
 
-    /// Replaces the finger at `level` (a repair finger refresh: the
-    /// coordinator recomputed the nearest member under the new
+    /// Replaces the finger and the publish ring at `level` (a repair
+    /// refresh: the coordinator recomputed both under the new
     /// membership).
-    pub fn set_finger(&mut self, level: usize, finger: Option<Node>) {
+    pub fn set_level(&mut self, level: usize, finger: Option<Node>, ring: Vec<Node>) {
         self.fingers[level] = Finger::new(finger);
+        self.rings[level] = ring;
     }
 
     /// Resets the slice to a fresh joiner: alive, no memberships, no
     /// entries, homing nothing. A node that *left* lost its state; when
     /// it rejoins, the repair protocol rebuilds what it should hold
-    /// (join backfill). Fingers are kept — the joiner receives refreshed
-    /// ones in the same repair gram.
+    /// (join backfill). Fingers and rings are kept: the same repair gram
+    /// refreshes them at every level, and re-adopts every object the
+    /// registry homes here.
     pub fn reset(&mut self) {
         self.alive = true;
         self.member.iter_mut().for_each(|m| *m = false);

@@ -55,16 +55,6 @@ pub enum MetricError {
     },
     /// The metric has no nodes where at least one was required.
     Empty,
-    /// A dense (`O(n^2)`-memory) structure was asked to index more nodes
-    /// than its cap allows.
-    TooLarge {
-        /// Number of nodes requested.
-        n: usize,
-        /// The largest node count the dense backend accepts.
-        cap: usize,
-        /// What to use instead (names the sparse entry point).
-        hint: &'static str,
-    },
 }
 
 impl fmt::Display for MetricError {
@@ -98,9 +88,6 @@ impl fmt::Display for MetricError {
                 )
             }
             MetricError::Empty => write!(f, "metric space has no nodes"),
-            MetricError::TooLarge { n, cap, hint } => {
-                write!(f, "dense index refuses n = {n} nodes (cap {cap}): {hint}")
-            }
         }
     }
 }
@@ -121,19 +108,6 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("triangle"));
         assert!(text.contains("v0"));
-    }
-
-    #[test]
-    fn too_large_names_the_sparse_fix() {
-        let err = MetricError::TooLarge {
-            n: 65536,
-            cap: 8192,
-            hint: "use Space::new_sparse (NetTreeIndex) for large spaces",
-        };
-        let text = err.to_string();
-        assert!(text.contains("65536"));
-        assert!(text.contains("8192"));
-        assert!(text.contains("Space::new_sparse"));
     }
 
     #[test]

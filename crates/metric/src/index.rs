@@ -1,10 +1,6 @@
-use crate::{HeapBytes, Metric, MetricError, Node};
+use crate::{HeapBytes, Metric, Node};
 
-/// Largest node count the dense backend indexes: `n^2` stored distances
-/// get out of hand past this (8192 nodes is already 512 MB of rows).
-/// Larger spaces go through the sparse
-/// [`NetTreeIndex`](crate::NetTreeIndex) via
-/// [`Space::new_sparse`](crate::Space::new_sparse).
+/// The largest instance E-SIM and E-CHURN build: both clamp `n` to it.
 pub const DENSE_NODE_CAP: usize = 8192;
 
 /// Per-node sorted-by-distance index over a finite metric.
@@ -52,32 +48,6 @@ impl MetricIndex {
     pub fn build<M: Metric + ?Sized>(metric: &M) -> Self {
         let n = metric.len();
         assert!(n > 0, "cannot index an empty metric");
-        Self::build_unchecked(metric, n)
-    }
-
-    /// Builds the index only if `metric` fits under [`DENSE_NODE_CAP`];
-    /// the typed refusal names the sparse backend as the fix.
-    ///
-    /// # Errors
-    ///
-    /// [`MetricError::Empty`] for an empty metric,
-    /// [`MetricError::TooLarge`] when `len() > DENSE_NODE_CAP`.
-    pub fn try_build<M: Metric + ?Sized>(metric: &M) -> Result<Self, MetricError> {
-        let n = metric.len();
-        if n == 0 {
-            return Err(MetricError::Empty);
-        }
-        if n > DENSE_NODE_CAP {
-            return Err(MetricError::TooLarge {
-                n,
-                cap: DENSE_NODE_CAP,
-                hint: "use Space::new_sparse (NetTreeIndex) for large spaces",
-            });
-        }
-        Ok(Self::build_unchecked(metric, n))
-    }
-
-    fn build_unchecked<M: Metric + ?Sized>(metric: &M, n: usize) -> Self {
         let by_dist: Vec<Vec<(f64, Node)>> = crate::par::map(n, |i| {
             let u = Node::new(i);
             let mut row: Vec<(f64, Node)> = (0..n)
@@ -340,32 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn try_build_accepts_small_spaces() {
-        let idx = MetricIndex::try_build(&LineMetric::uniform(16).unwrap()).unwrap();
+    fn heap_bytes_counts_every_row() {
+        let idx = MetricIndex::build(&LineMetric::uniform(16).unwrap());
         assert_eq!(idx.len(), 16);
         assert!(idx.heap_bytes() >= 16 * 16 * std::mem::size_of::<(f64, Node)>());
-    }
-
-    #[test]
-    fn try_build_refuses_past_the_cap_with_the_sparse_hint() {
-        struct Huge;
-        impl Metric for Huge {
-            fn len(&self) -> usize {
-                DENSE_NODE_CAP + 1
-            }
-            fn dist(&self, u: Node, v: Node) -> f64 {
-                (u.index() as f64 - v.index() as f64).abs()
-            }
-        }
-        let err = MetricIndex::try_build(&Huge).unwrap_err();
-        match err {
-            MetricError::TooLarge { n, cap, hint } => {
-                assert_eq!(n, DENSE_NODE_CAP + 1);
-                assert_eq!(cap, DENSE_NODE_CAP);
-                assert!(hint.contains("Space::new_sparse"));
-            }
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-        assert!(err.to_string().contains("Space::new_sparse"));
     }
 }

@@ -272,58 +272,14 @@ impl<M: Metric> NetTreeIndex<M> {
             .sum()
     }
 
-    /// Descends the hierarchy and emits `(d, v)` for every node of the
-    /// closed ball `B_q(r)`, in **unsorted** order. Frontier vectors are
-    /// thread-local scratch: no allocation on the hot path.
-    fn descend(&self, q: Node, r: f64, emit: &mut impl FnMut(f64, Node)) {
-        let (mut cands, mut next_cands) = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        cands.clear();
-        next_cands.clear();
-
-        let last = self.levels.len() - 1;
-        let top = &self.levels[0];
-        for (pos, &m) in top.members.iter().enumerate() {
-            let d = self.metric.dist(q, m.node());
-            if last == 0 {
-                if d <= r {
-                    emit(d, m.node());
-                }
-            } else if d <= r + 2.0 * top.radius {
-                cands.push(pos as u32);
-            }
-        }
-        for k in 0..last {
-            let level = &self.levels[k];
-            let next = &self.levels[k + 1];
-            let at_leaf = k + 1 == last;
-            let slack = 2.0 * next.radius;
-            next_cands.clear();
-            for &pos in &cands {
-                let lo = level.child_start[pos as usize] as usize;
-                let hi = level.child_start[pos as usize + 1] as usize;
-                for &cpos in &level.children[lo..hi] {
-                    let m = next.members[cpos as usize].node();
-                    let d = self.metric.dist(q, m);
-                    if at_leaf {
-                        if d <= r {
-                            emit(d, m);
-                        }
-                    } else if d <= r + slack {
-                        next_cands.push(cpos);
-                    }
-                }
-            }
-            std::mem::swap(&mut cands, &mut next_cands);
-        }
-
-        SCRATCH.with(|s| *s.borrow_mut() = (cands, next_cands));
-    }
-
     /// The closed ball `B_q(r)` sorted by `(distance, id)` — the exact
     /// dense-index order.
     fn sorted_ball(&self, q: Node, r: f64) -> Vec<(f64, Node)> {
+        let leaves = &self.levels[self.levels.len() - 1].members;
         let mut out = Vec::new();
-        self.descend(q, r, &mut |d, v| out.push((d, v)));
+        descend(&self.metric, &self.levels, q, r, &mut |pos, d| {
+            out.push((d, leaves[pos as usize].node()));
+        });
         out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         out
     }
@@ -439,14 +395,14 @@ fn build_level<M: Metric>(
     let seed_hits: Vec<Vec<(u32, f64)>> = crate::par::map(prev.members.len(), |i| {
         let m = prev.members[i].node();
         let mut hits = Vec::new();
-        for (p, _) in coarse_members_within(metric, levels, m, reach) {
+        descend(metric, levels, m, reach, &mut |p, _| {
             for &v in &buckets[p as usize] {
                 let d = metric.dist(m, v);
                 if d <= radius {
                     hits.push((v.index() as u32, d));
                 }
             }
-        }
+        });
         hits
     });
     // ...and merged sequentially in seed order, reproducing the
@@ -473,7 +429,7 @@ fn build_level<M: Metric>(
             let pos = members.len() as u32;
             is_member[j] = true;
             members.push(u);
-            for (p, _) in coarse_members_within(metric, levels, u, reach) {
+            descend(metric, levels, u, reach, &mut |p, _| {
                 for &v in &buckets[p as usize] {
                     let d = metric.dist(u, v);
                     if d <= radius {
@@ -485,7 +441,7 @@ fn build_level<M: Metric>(
                         }
                     }
                 }
-            }
+            });
         }
     }
     debug_assert!(
@@ -495,25 +451,30 @@ fn build_level<M: Metric>(
     (members, next_assign)
 }
 
-/// `(position, distance)` of the finest *completed* level's members
-/// within `x` of `q`, by descent over the completed levels.
-fn coarse_members_within<M: Metric>(
+/// Descends `levels` from the top and emits `(position, distance)` for
+/// every member of the last level within `r` of `q`, in unsorted order.
+/// Everything below a level-`k` member lies within `2 r_k` of it, so a
+/// member farther than `r + 2 r_k` is pruned. Queries descend the whole
+/// tree; a level under construction descends the completed prefix. The
+/// frontiers are the thread-local `SCRATCH`, so nothing is allocated.
+fn descend<M: Metric>(
     metric: &M,
     levels: &[TreeLevel],
     q: Node,
-    x: f64,
-) -> Vec<(u32, f64)> {
+    r: f64,
+    emit: &mut impl FnMut(u32, f64),
+) {
+    let (mut cands, mut next_cands) = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    cands.clear();
     let last = levels.len() - 1;
     let top = &levels[0];
-    let mut cands: Vec<u32> = Vec::new();
-    let mut out: Vec<(u32, f64)> = Vec::new();
     for (pos, &m) in top.members.iter().enumerate() {
         let d = metric.dist(q, m.node());
         if last == 0 {
-            if d <= x {
-                out.push((pos as u32, d));
+            if d <= r {
+                emit(pos as u32, d);
             }
-        } else if d <= x + 2.0 * top.radius {
+        } else if d <= r + 2.0 * top.radius {
             cands.push(pos as u32);
         }
     }
@@ -522,24 +483,24 @@ fn coarse_members_within<M: Metric>(
         let next = &levels[k + 1];
         let at_leaf = k + 1 == last;
         let slack = 2.0 * next.radius;
-        let mut next_cands = Vec::new();
+        next_cands.clear();
         for &pos in &cands {
             let lo = level.child_start[pos as usize] as usize;
             let hi = level.child_start[pos as usize + 1] as usize;
             for &cpos in &level.children[lo..hi] {
                 let d = metric.dist(q, next.members[cpos as usize].node());
                 if at_leaf {
-                    if d <= x {
-                        out.push((cpos, d));
+                    if d <= r {
+                        emit(cpos, d);
                     }
-                } else if d <= x + slack {
+                } else if d <= r + slack {
                     next_cands.push(cpos);
                 }
             }
         }
-        cands = next_cands;
+        std::mem::swap(&mut cands, &mut next_cands);
     }
-    out
+    SCRATCH.with(|s| *s.borrow_mut() = (cands, next_cands));
 }
 
 /// Rebuilds `prev`'s child CSR from `parent_pos` (the position in
@@ -611,7 +572,7 @@ impl<M: Metric> BallOracle for NetTreeIndex<M> {
     fn ball_size(&self, u: Node, r: f64) -> usize {
         let t = ron_obs::start();
         let mut count = 0usize;
-        self.descend(u, r, &mut |_, _| count += 1);
+        descend(&self.metric, &self.levels, u, r, &mut |_, _| count += 1);
         ron_obs::finish("oracle.ball_size.sparse", t);
         count
     }

@@ -48,22 +48,6 @@ impl<M: Metric> Space<M> {
         let index = MetricIndex::build(&metric);
         Space { metric, index }
     }
-
-    /// Builds the dense index only if the metric fits under
-    /// [`DENSE_NODE_CAP`](crate::DENSE_NODE_CAP).
-    ///
-    /// # Errors
-    ///
-    /// [`MetricError::Empty`](crate::MetricError::Empty) for an empty
-    /// metric; [`MetricError::TooLarge`](crate::MetricError::TooLarge) —
-    /// naming [`Space::new_sparse`] as the fix — when the metric exceeds
-    /// the dense cap.
-    pub fn try_new(metric: M) -> Result<Self, crate::MetricError> {
-        let _stage = ron_obs::stage("index");
-        let _span = ron_obs::span("construct.index.dense");
-        let index = MetricIndex::try_build(&metric)?;
-        Ok(Space { metric, index })
-    }
 }
 
 impl<M: Metric + Clone> Space<M, NetTreeIndex<M>> {
@@ -165,11 +149,5 @@ mod tests {
             );
         }
         assert_eq!(sparse.dist(Node::new(1), Node::new(4)), 3.0);
-    }
-
-    #[test]
-    fn try_new_builds_small_spaces() {
-        let space = Space::try_new(LineMetric::uniform(8).unwrap()).unwrap();
-        assert_eq!(space.len(), 8);
     }
 }

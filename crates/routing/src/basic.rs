@@ -417,25 +417,14 @@ impl BasicScheme {
         let label = id_bits(self.n) + self.num_scales as u64 * index_bits(self.k_max);
         label + index_bits(self.num_scales + 1)
     }
-
-    /// Splits the scheme into per-node state: `partition()[u]` holds node
-    /// `u`'s rings and its translation functions — everything `u`
-    /// consults when it forwards a packet, and nothing belonging to any
-    /// other node. These are the very states the in-process walks read.
-    ///
-    /// The input format of the message-passing simulator (`ron-sim`).
-    #[must_use]
-    pub fn partition(&self) -> Vec<BasicNodeState> {
-        self.states.clone()
-    }
 }
 
-/// One node's slice of a [`BasicScheme`]: its rings `Y_uj` (members,
+/// One node's share of a [`BasicScheme`]: its rings `Y_uj` (members,
 /// virtual-link lengths, first-hop pointers) and its translation
 /// functions `zeta_uj`. Forwarding decisions are made from this state and
 /// the packet's label alone.
 #[derive(Clone, Debug)]
-pub struct BasicNodeState {
+struct BasicNodeState {
     node: Node,
     /// `rings[j]` = `Y_uj`.
     rings: Vec<RingTable>,
@@ -444,24 +433,9 @@ pub struct BasicNodeState {
 }
 
 impl BasicNodeState {
-    /// The node this slice belongs to.
-    #[must_use]
-    pub fn node(&self) -> Node {
-        self.node
-    }
-
-    /// Ring members plus translation triples resident at this node.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        let members: usize = self.rings.iter().map(|r| r.members.len()).sum();
-        let triples: usize = self.zetas.iter().map(TranslationFn::len).sum();
-        members + triples
-    }
-
     /// The overlay hop budget of [`BasicScheme::route_overlay`], local to
     /// every node (it depends only on the scale count).
-    #[must_use]
-    pub fn hop_budget(&self) -> usize {
+    fn hop_budget(&self) -> usize {
         4 * (self.rings.len() + 2)
     }
 
@@ -483,8 +457,7 @@ impl BasicNodeState {
     /// virtual-link length, or `None` when the zooming sequence stalls on
     /// this node (broken construction). The decision rule of
     /// [`BasicScheme::route_overlay`], which calls this at every node.
-    #[must_use]
-    pub fn next_overlay_hop(&self, label: &BasicLabel) -> Option<(Node, f64)> {
+    fn next_overlay_hop(&self, label: &BasicLabel) -> Option<(Node, f64)> {
         let m = self.decode(label);
         let j = m.len() - 1;
         let ring = &self.rings[j];
@@ -637,41 +610,6 @@ mod tests {
         // 16 -> 36 nodes but aspect ratio only 6 -> 10: header grows by a
         // couple of scale slots, far from linearly in n.
         assert!(s_big.header_bits() <= s_small.header_bits() * 2);
-    }
-
-    #[test]
-    fn partitioned_state_reproduces_overlay_routes() {
-        let space = Space::new(LineMetric::uniform(32).unwrap());
-        let scheme = BasicScheme::build_overlay(&space, 0.25);
-        let states = scheme.partition();
-        assert_eq!(states.len(), 32);
-        for u in space.nodes() {
-            for v in space.nodes() {
-                if u == v {
-                    continue;
-                }
-                let trace = scheme.route_overlay(u, v).unwrap();
-                // Walk the same packet through the per-node slices.
-                let label = scheme.label(v).clone();
-                let mut cur = u;
-                let mut path = vec![u];
-                let mut length = 0.0f64;
-                while cur != v {
-                    let (next, d) = states[cur.index()]
-                        .next_overlay_hop(&label)
-                        .expect("static construction never stalls");
-                    length += d;
-                    cur = next;
-                    path.push(cur);
-                    assert!(path.len() <= states[u.index()].hop_budget() + 1);
-                }
-                assert_eq!(path, trace.path, "{u} -> {v}");
-                assert!((length - trace.length).abs() < 1e-12);
-            }
-        }
-        assert_eq!(states[0].node(), Node::new(0));
-        assert!(states[0].entries() > 0);
-        assert_eq!(scheme.label(Node::new(7)).node(), Node::new(7));
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod simple;
 mod twomode;
 
 pub use baseline::FullTableBaseline;
-pub use basic::{BasicLabel, BasicNodeState, BasicScheme};
+pub use basic::{BasicLabel, BasicScheme};
 pub use scheme::{PathStats, RouteError, RouteTrace, StretchStats};
-pub use simple::{SimpleNodeState, SimpleScheme};
+pub use simple::SimpleScheme;
 pub use twomode::{TwoModeScheme, TwoModeStats};

@@ -14,7 +14,7 @@
 
 use ron_core::bits::{id_bits, index_bits, SizeReport};
 use ron_graph::{Apsp, Graph};
-use ron_labels::{CompactLabel, CompactScheme, LabelEstimator, NeighborSystem};
+use ron_labels::{CompactScheme, NeighborSystem};
 use ron_metric::{distance_levels, BallOracle, Metric, Node, Space};
 use ron_nets::NestedNets;
 
@@ -161,14 +161,18 @@ impl SimpleScheme {
         self.max_degree.saturating_sub(1)
     }
 
-    /// Selects, at node `u`, the intermediate target for a packet to
-    /// `tgt`: [`select_intermediate`] over `u`'s neighbors and the labels
-    /// its table stores for them.
+    /// Theorem 4.1's forwarding rule at node `u`: among `u`'s neighbors
+    /// other than `u`, the one whose stored label's distance estimate to
+    /// `tgt`'s label is smallest, ties by node id. Uses labels only.
     fn select_intermediate(&self, u: Node, tgt: Node) -> Option<Node> {
-        let neighbors = self.neighbors[u.index()]
+        let estimator = self.dls.estimator();
+        let target = self.dls.label(tgt);
+        self.neighbors[u.index()]
             .iter()
-            .map(|&(v, _)| (v, self.dls.label(v)));
-        select_intermediate(&self.dls.estimator(), u, neighbors, self.dls.label(tgt))
+            .filter(|&&(v, _)| v != u)
+            .map(|&(v, _)| (estimator.estimate(self.dls.label(v), target), v))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(_, v)| v)
     }
 
     /// Routes a packet over the graph.
@@ -299,95 +303,6 @@ impl SimpleScheme {
     pub fn header_bits(&self) -> u64 {
         self.dls.max_label_bits() + id_bits(self.n)
     }
-
-    /// An owned copy of `t`'s distance label — what a packet addressed to
-    /// `t` carries in its header.
-    #[must_use]
-    pub fn target_label(&self, t: Node) -> CompactLabel {
-        self.dls.label(t).clone()
-    }
-
-    /// Splits the scheme into per-node overlay state: `partition()[u]`
-    /// holds node `u`'s neighbor list *with each neighbor's distance
-    /// label* (exactly what Theorem 4.1 says the routing table stores)
-    /// plus the label-decoding constants — and no other node's state.
-    ///
-    /// The input format of the message-passing simulator (`ron-sim`).
-    #[must_use]
-    pub fn partition(&self) -> Vec<SimpleNodeState> {
-        let estimator = self.dls.estimator();
-        (0..self.n)
-            .map(|i| SimpleNodeState {
-                node: Node::new(i),
-                num_scales: self.num_scales,
-                estimator,
-                neighbors: self.neighbors[i]
-                    .iter()
-                    .map(|&(v, _)| (v, self.dls.label(v).clone()))
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
-/// Theorem 4.1's forwarding rule at node `me`: among `neighbors` (each
-/// with its distance label), the one other than `me` whose label-distance
-/// estimate to the `target` label is smallest, ties by node id. Uses
-/// labels only; the in-process walks and the simulated node both call it.
-fn select_intermediate<'a>(
-    estimator: &LabelEstimator,
-    me: Node,
-    neighbors: impl Iterator<Item = (Node, &'a CompactLabel)>,
-    target: &CompactLabel,
-) -> Option<Node> {
-    neighbors
-        .filter(|&(v, _)| v != me)
-        .map(|(v, label)| (estimator.estimate(label, target), v))
-        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        .map(|(_, v)| v)
-}
-
-/// One node's slice of a [`SimpleScheme`] in overlay mode: its neighbors'
-/// distance labels and the shared decoding constants. Forwarding picks
-/// the neighbor whose label-distance to the packet's target label is
-/// smallest — a strongly local decision.
-#[derive(Clone, Debug)]
-pub struct SimpleNodeState {
-    node: Node,
-    num_scales: usize,
-    estimator: LabelEstimator,
-    neighbors: Vec<(Node, CompactLabel)>,
-}
-
-impl SimpleNodeState {
-    /// The node this slice belongs to.
-    #[must_use]
-    pub fn node(&self) -> Node {
-        self.node
-    }
-
-    /// Neighbor labels resident at this node.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// The overlay hop budget of [`SimpleScheme::route_overlay`], local
-    /// to every node.
-    #[must_use]
-    pub fn hop_budget(&self) -> usize {
-        4 * (self.num_scales + 4)
-    }
-
-    /// The next overlay hop for a packet whose target carries `label`:
-    /// the neighbor minimizing the label-distance estimate (ties by node
-    /// id), or `None` if this node has no neighbor but itself — the
-    /// selection rule the in-process walks apply.
-    #[must_use]
-    pub fn next_overlay_hop(&self, label: &CompactLabel) -> Option<Node> {
-        let neighbors = self.neighbors.iter().map(|(v, l)| (*v, l));
-        select_intermediate(&self.estimator, self.node, neighbors, label)
-    }
 }
 
 #[cfg(test)]
@@ -464,34 +379,6 @@ mod tests {
         let stats =
             StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
         assert!((stats.max_stretch - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn partitioned_state_reproduces_overlay_routes() {
-        let space = Space::new(LineMetric::uniform(24).unwrap());
-        let scheme = SimpleScheme::build_overlay(&space, 0.25);
-        let states = scheme.partition();
-        for u in space.nodes() {
-            for v in space.nodes() {
-                if u == v {
-                    continue;
-                }
-                let trace = scheme.route_overlay(&space, u, v).unwrap();
-                let label = scheme.target_label(v);
-                let mut cur = u;
-                let mut path = vec![u];
-                while cur != v {
-                    cur = states[cur.index()]
-                        .next_overlay_hop(&label)
-                        .expect("neighbors exist");
-                    path.push(cur);
-                    assert!(path.len() <= states[u.index()].hop_budget() + 1);
-                }
-                assert_eq!(path, trace.path, "{u} -> {v}");
-            }
-        }
-        assert_eq!(states[3].node(), Node::new(3));
-        assert!(states[3].entries() > 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@ struct Coordinator {
 struct GramParts {
     reset: bool,
     promote: Vec<usize>,
-    fingers: Vec<(usize, Option<Node>)>,
+    levels: Vec<(usize, Option<Node>, Vec<Node>)>,
     adopt: Vec<ObjectId>,
     ops: Vec<PointerOp>,
 }
@@ -215,13 +215,13 @@ impl DirectoryNode {
             }
             let plan = co.authority.plan_repair(&oracle);
             epoch_base = plan.report_base();
-            // Every survivor refreshes its fingers at the touched levels
-            // (the untouched levels' fingers are still valid).
+            // Every survivor refreshes its fingers and rings at the
+            // touched levels (the untouched levels are still valid).
             if plan.touched_levels.contains(&true) {
                 let alive = Node::all(co.authority.len()).filter(|&u| co.authority.is_alive(u));
                 for u in alive {
-                    grams.entry(u).or_default().fingers =
-                        co.authority.fingers(&oracle, u, &plan.touched_levels);
+                    grams.entry(u).or_default().levels =
+                        co.authority.refresh(&oracle, u, &plan.touched_levels);
                 }
             }
             for nr in plan.node_repairs {
@@ -231,10 +231,10 @@ impl DirectoryNode {
                 gram.ops = nr.ops;
             }
             // Join backfill: a fresh joiner resets its slice and learns
-            // its full ladder membership and its *complete* finger
-            // vector — its slice may predate several epochs, so the
-            // "untouched levels are still valid" shortcut that serves
-            // the survivors does not hold for it.
+            // its full ladder membership, every level's finger and ring
+            // — its slice may predate several epochs, so the "untouched
+            // levels are still valid" shortcut that serves the survivors
+            // does not hold for it — and every object homed at it.
             let every_level = vec![true; co.authority.levels()];
             for &v in joins {
                 let gram = grams.entry(v).or_default();
@@ -242,7 +242,8 @@ impl DirectoryNode {
                 gram.promote.extend(co.authority.member_levels_of(v));
                 gram.promote.sort_unstable();
                 gram.promote.dedup();
-                gram.fingers = co.authority.fingers(&oracle, v, &every_level);
+                gram.levels = co.authority.refresh(&oracle, v, &every_level);
+                gram.adopt = co.authority.homed_at(v);
             }
         }
         let epoch = {
@@ -257,7 +258,7 @@ impl DirectoryNode {
                 own = Some(self.apply_gram(
                     parts.reset,
                     &parts.promote,
-                    &parts.fingers,
+                    parts.levels,
                     &parts.adopt,
                     &parts.ops,
                 ));
@@ -270,7 +271,7 @@ impl DirectoryNode {
                         epoch,
                         reset: parts.reset,
                         promote: parts.promote,
-                        fingers: parts.fingers,
+                        levels: parts.levels,
                         adopt: parts.adopt,
                         ops: parts.ops,
                     },
@@ -294,7 +295,7 @@ impl DirectoryNode {
         &mut self,
         reset: bool,
         promote: &[usize],
-        fingers: &[(usize, Option<Node>)],
+        levels: Vec<(usize, Option<Node>, Vec<Node>)>,
         adopt: &[ObjectId],
         ops: &[PointerOp],
     ) -> (usize, usize) {
@@ -304,8 +305,8 @@ impl DirectoryNode {
         for &level in promote {
             self.state.promote(level);
         }
-        for &(level, finger) in fingers {
-            self.state.set_finger(level, finger);
+        for (level, finger, ring) in levels {
+            self.state.set_level(level, finger, ring);
         }
         for &obj in adopt {
             self.state.adopt(obj);
@@ -382,9 +383,9 @@ pub enum DirectoryMsg {
         joins: Vec<Node>,
     },
     /// One node's slice of a repair plan, fanned out by the coordinator:
-    /// promotion announcements, finger refreshes, re-homing adoptions
-    /// and pointer reconciliation ops (join backfill is the same gram
-    /// with `reset` set).
+    /// promotion announcements, finger and ring refreshes, re-homing
+    /// adoptions and pointer reconciliation ops (join backfill is the
+    /// same gram with `reset` set).
     RepairGram {
         /// Where to send the ack.
         coordinator: Node,
@@ -394,10 +395,11 @@ pub enum DirectoryMsg {
         reset: bool,
         /// Net levels this node is promoted into.
         promote: Vec<usize>,
-        /// `(level, finger)` refreshes for the levels whose membership
-        /// changed.
-        fingers: Vec<(usize, Option<Node>)>,
-        /// Objects this node now homes (re-homed from dead homes).
+        /// `(level, finger, ring)` refreshes for the levels whose
+        /// membership changed.
+        levels: Vec<(usize, Option<Node>, Vec<Node>)>,
+        /// Objects this node now homes (re-homed from dead homes; for a
+        /// joiner, every object homed at it).
         adopt: Vec<ObjectId>,
         /// Pointer-table writes and deletes.
         ops: Vec<PointerOp>,
@@ -494,11 +496,11 @@ impl SimNode for DirectoryNode {
                 epoch,
                 reset,
                 promote,
-                fingers,
+                levels,
                 adopt,
                 ops,
             } => {
-                let (writes, deletes) = self.apply_gram(reset, &promote, &fingers, &adopt, &ops);
+                let (writes, deletes) = self.apply_gram(reset, &promote, levels, &adopt, &ops);
                 ctx.send(
                     coordinator,
                     DirectoryMsg::RepairAck {

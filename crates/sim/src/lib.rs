@@ -18,15 +18,15 @@
 //!   ([`Simulator::crash_at`]);
 //! * protocol drivers over per-node state extracted by the `partition()`
 //!   constructors of the structure crates: greedy small-world forwarding
-//!   ([`greedy`]; Theorem 5.2 hops become message chains), the
-//!   (1+delta)-stretch overlay schemes ([`overlay`]; Theorems 2.1/4.1),
-//!   and the object-location directory ([`directory`]; publish fan-out,
-//!   finger climb and zoom descent as message rounds);
+//!   ([`greedy`]; Theorem 5.2 hops become message chains) and the
+//!   object-location directory ([`directory`]; publish fan-out, finger
+//!   climb and zoom descent as message rounds);
 //! * [`churn`]: churn schedules (leaves, fresh joins, crash-with-rejoin)
 //!   injected at simulated times, with repair epochs running as message
 //!   rounds through a coordinator that carries the directory's control
 //!   plane — zero-latency failure-free repair is property-tested equal
-//!   to the in-process `DirectoryOverlay::repair`;
+//!   to the in-process `DirectoryOverlay::repair`, down to every alive
+//!   node's slice;
 //! * [`report`]: a [`SimReport`] with message counts, hop statistics,
 //!   simulated-latency percentiles, the **per-node message-load
 //!   histogram** — the quantity the §5 STRUCTURES uniform-load
@@ -69,7 +69,6 @@ pub mod directory;
 pub mod engine;
 pub mod greedy;
 pub mod latency;
-pub mod overlay;
 pub mod report;
 
 pub use churn::{ChurnEvent, ChurnSchedule};

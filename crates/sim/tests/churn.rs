@@ -5,7 +5,8 @@
 //! grams, acks summed) must equal the in-process
 //! `DirectoryOverlay::repair` **exactly**: the same promotions, pointer
 //! writes/deletes and re-homings, and identical post-repair lookup
-//! answers, hop counts and found levels — property-tested on all four
+//! answers, hop counts and found levels, and every alive node's slice
+//! equal to the twin's `partition()` slice — property-tested on all four
 //! instance families. Determinism: the full event trace of a churn run
 //! (leaves, joins, repair rounds, lookups under jitter and drops) is
 //! byte-identical across reruns and `RON_THREADS` settings.
@@ -18,6 +19,22 @@ use ron_sim::directory::{DirectoryMsg, DirectoryNode};
 use ron_sim::{
     ChurnSchedule, ConstantLatency, FailKind, LognormalLatency, Resolution, SimConfig, Simulator,
 };
+
+/// Every alive node's simulated slice equals the in-process twin's
+/// `partition()` slice: membership, fingers, publish rings, pointer
+/// entries and homes.
+fn assert_slices_match<M: Metric>(
+    space: &Space<M>,
+    twin: &DirectoryOverlay,
+    sim: &Simulator<'_, DirectoryNode>,
+    when: &str,
+) {
+    for (v, slice) in space.nodes().zip(twin.partition(space)) {
+        if slice.is_alive() {
+            assert_eq!(sim.node(v).state(), &slice, "{when}: slice of {v}");
+        }
+    }
+}
 
 /// Runs one leave/join wave plus repair both ways and asserts exact
 /// agreement. `kills` indexes the victims (mod n, deduplicated, capped
@@ -89,6 +106,7 @@ fn cross_validate_repair<M: Metric>(
         ),
         "the repair epoch must complete"
     );
+    assert_slices_match(space, &twin, &sim, "after the epoch");
     let nodes = sim.into_nodes();
     assert_eq!(
         nodes[coordinator.index()].repair_history(),
@@ -208,34 +226,41 @@ fn consecutive_epochs_track_the_in_process_overlay() {
     let coordinator = Node::new(0);
 
     let mut twin = overlay.clone();
-    for &v in &wave1 {
-        twin.leave(v);
-    }
-    let first = twin.repair(&space);
-    for &v in &wave2 {
-        twin.leave(v);
-    }
-    twin.join(&space, wave1[0]); // node 3 comes back between the waves
-    let second = twin.repair(&space);
-
     let mut sim = Simulator::new(
         DirectoryNode::fleet_with_coordinator(&space, &overlay, coordinator),
         |u, v| space.dist(u, v),
         ConstantLatency(0.0),
         SimConfig::default(),
     );
+
+    for &v in &wave1 {
+        twin.leave(v);
+    }
+    let first = twin.repair(&space);
     let mut schedule = ChurnSchedule::new();
     for &v in &wave1 {
         schedule.leave_at(0.0, v);
     }
     schedule.repair_at(1.0);
+    let mut qids = schedule.apply(&mut sim, coordinator);
+    sim.run();
+    assert_slices_match(&space, &twin, &sim, "after the first epoch");
+
+    for &v in &wave2 {
+        twin.leave(v);
+    }
+    twin.join(&space, wave1[0]); // node 3 comes back between the waves
+    let second = twin.repair(&space);
+    let mut schedule = ChurnSchedule::new();
     for &v in &wave2 {
         schedule.leave_at(10.0, v);
     }
     schedule.join_at(11.0, wave1[0]);
     schedule.repair_at(12.0);
-    let qids = schedule.apply(&mut sim, coordinator);
+    qids.extend(schedule.apply(&mut sim, coordinator));
     let report = sim.run();
+    assert_slices_match(&space, &twin, &sim, "after the second epoch");
+
     assert_eq!(qids.len(), 2);
     for &qid in &qids {
         assert!(matches!(
@@ -273,6 +298,81 @@ fn consecutive_epochs_track_the_in_process_overlay() {
                 detail: out.found_level as u64
             }
         );
+    }
+}
+
+/// A publish injected after a hub leave and its repair installs exactly
+/// the entries the in-process publish does: its fan-out reads the home's
+/// publish rings, which the repair grams refresh along with the fingers.
+/// One object is published at a survivor, one at a home that left and
+/// rejoined inside the epoch (which must still home what the registry
+/// homes at it).
+#[test]
+fn post_repair_publish_installs_the_in_process_entries() {
+    for seed in 0..10u64 {
+        let space = Space::new(gen::uniform_cube(48, 2, seed));
+        let mut overlay = DirectoryOverlay::build(&space);
+        for i in 0..4u64 {
+            overlay.publish(&space, ObjectId(i), Node::new((i as usize * 13 + 1) % 48));
+        }
+        let top = overlay.levels() - 1;
+        let hub = space
+            .nodes()
+            .find(|&v| overlay.is_net_member(top, v))
+            .expect("a hub exists");
+        let home = overlay
+            .objects()
+            .iter()
+            .filter_map(|&obj| overlay.home_of(obj))
+            .find(|&h| h != hub)
+            .expect("a home other than the hub");
+        let survivor = Node::new((hub.index() + 24) % 48);
+        let coordinator = space
+            .nodes()
+            .find(|&v| v != hub && v != home)
+            .expect("a coordinator");
+        let fresh = [(ObjectId(100), survivor), (ObjectId(101), home)];
+
+        let mut twin = overlay.clone();
+        twin.leave(hub);
+        twin.leave(home);
+        twin.join(&space, home);
+        twin.repair(&space);
+        for &(obj, at) in &fresh {
+            twin.publish(&space, obj, at);
+        }
+
+        let mut sim = Simulator::new(
+            DirectoryNode::fleet_with_coordinator(&space, &overlay, coordinator),
+            |u, v| space.dist(u, v),
+            ConstantLatency(0.0),
+            SimConfig::default(),
+        );
+        let mut schedule = ChurnSchedule::new();
+        schedule.leave_at(0.0, hub);
+        schedule.leave_at(0.0, home);
+        schedule.join_at(1.0, home);
+        schedule.repair_at(2.0);
+        schedule.apply(&mut sim, coordinator);
+        for &(obj, at) in &fresh {
+            sim.inject(3.0, at, DirectoryMsg::Publish { obj });
+        }
+        sim.run();
+
+        let slices = twin.partition(&space);
+        for v in space.nodes().filter(|&v| twin.is_alive(v)) {
+            let state = sim.node(v).state();
+            for j in 0..twin.levels() {
+                for &(obj, _) in &fresh {
+                    assert_eq!(
+                        state.entry(j, obj),
+                        slices[v.index()].entry(j, obj),
+                        "seed {seed}: level-{j} entry for {obj} at {v}"
+                    );
+                }
+            }
+        }
+        assert_slices_match(&space, &twin, &sim, &format!("seed {seed}"));
     }
 }
 
