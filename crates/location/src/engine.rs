@@ -400,31 +400,26 @@ impl LruCache {
         }
     }
 
-    /// The cached hit, if any, and the probe's classification (for
-    /// per-query flight records): hit, plain miss, or an entry cached
-    /// against a superseded epoch.
-    fn get(
-        &mut self,
-        key: (Node, ObjectId),
-        epoch: u64,
-    ) -> (Option<CachedHit>, ron_obs::CacheOutcome) {
+    /// The cached hit, if any; a miss and an entry cached against a
+    /// superseded epoch are counted apart.
+    fn get(&mut self, key: (Node, ObjectId), epoch: u64) -> Option<CachedHit> {
         let Some(&i) = self.map.get(&key) else {
             self.stats.misses += 1;
-            return (None, ron_obs::CacheOutcome::Miss);
+            return None;
         };
         if self.slots[i].epoch != epoch {
             // Cached against a superseded publication: distinct from a
             // plain miss in the accounting, since it measures how much
             // of the cache each publish invalidates.
             self.stats.stale += 1;
-            return (None, ron_obs::CacheOutcome::Stale);
+            return None;
         }
         if self.head != i {
             self.unlink(i);
             self.push_front(i);
         }
         self.stats.hits += 1;
-        (Some(self.slots[i].value), ron_obs::CacheOutcome::Hit)
+        Some(self.slots[i].value)
     }
 
     fn insert(&mut self, key: (Node, ObjectId), value: CachedHit, epoch: u64) {
@@ -491,8 +486,8 @@ impl ShardedCache {
 
     /// Picks the shard index for a key: a splitmix64-style finalizer
     /// over the origin/object pair, so consecutive node indices spread
-    /// out. Deterministic in the key — flight records across runs name
-    /// the same shard.
+    /// out. Deterministic in the key, so a run's per-shard accounting
+    /// is the same at any worker count.
     fn shard_index(&self, key: (Node, ObjectId)) -> usize {
         let mut h = (key.0.index() as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -503,19 +498,12 @@ impl ShardedCache {
         (h % self.shards.len() as u64) as usize
     }
 
-    /// The cached hit, if any, with the probe classification and the
-    /// shard probed (the latter two for per-query flight records).
-    fn get(
-        &self,
-        key: (Node, ObjectId),
-        epoch: u64,
-    ) -> (Option<CachedHit>, ron_obs::CacheOutcome, u32) {
-        let shard = self.shard_index(key);
-        let (value, outcome) = self.shards[shard]
+    /// The cached hit, if any.
+    fn get(&self, key: (Node, ObjectId), epoch: u64) -> Option<CachedHit> {
+        self.shards[self.shard_index(key)]
             .lock()
             .expect("cache lock")
-            .get(key, epoch);
-        (value, outcome, shard as u32)
+            .get(key, epoch)
     }
 
     fn insert(&self, key: (Node, ObjectId), value: CachedHit, epoch: u64) {
@@ -629,17 +617,13 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                 .chunks(chunk.max(1))
                 .enumerate()
                 .map(|(w, slice)| {
-                    // Flight-record ids are positions in the full batch
-                    // (base + i), independent of the worker split, so
-                    // sampling picks the same queries at any RON_THREADS.
-                    let base = w * chunk.max(1);
                     scope.spawn(move || {
                         // Cache on or off is decided here, once per batch:
                         // the per-query loop carries no branch for it.
                         let out = if config.cache_capacity > 0 {
-                            self.serve_chunk::<true>(w, base, slice, cache_ref)
+                            self.serve_chunk::<true>(w, slice, cache_ref)
                         } else {
-                            self.serve_chunk::<false>(w, base, slice, cache_ref)
+                            self.serve_chunk::<false>(w, slice, cache_ref)
                         };
                         // Merge this worker's observability records before
                         // the scope can consider the thread finished.
@@ -689,7 +673,6 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
     fn serve_chunk<const CACHED: bool>(
         &self,
         worker: usize,
-        base: usize,
         queries: &[(Node, ObjectId)],
         cache: &ShardedCache,
     ) -> WorkerResult {
@@ -705,9 +688,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
         // next query (which warms what changed), and the epoch tag keeps
         // cache entries from a superseded snapshot from being served.
         let mut snap = self.directory.load();
-        for (i, &(origin, obj)) in queries.iter().enumerate() {
-            let qid = (base + i) as u64;
-            let traced = ron_obs::qtrace_sampled(qid);
+        for &(origin, obj) in queries {
             // ron-lint: allow(wall-clock): per-query latency
             // measurement for the report; the lookup answer is
             // computed from the snapshot alone.
@@ -719,37 +700,18 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                 out.reloads += 1;
             }
             let epoch = snap.epoch();
-            let (probe, cache_kind, shard) = if CACHED {
-                let (probe, kind, shard) = cache.get((origin, obj), epoch);
-                (probe, kind, Some(shard))
+            let probe = if CACHED {
+                cache.get((origin, obj), epoch)
             } else {
-                (None, ron_obs::CacheOutcome::Uncached, None)
+                None
             };
-            let cache_ns = if traced {
-                t0.elapsed().as_nanos() as u64
-            } else {
-                0
-            };
-            // ron-lint: allow(wall-clock): stage timing for sampled
-            // flight records only; sampling is by batch position, so
-            // the clock never influences which work runs.
-            let walk_t = traced.then(Instant::now);
-            // (levels visited, found level, probes, hops) for the record.
-            let mut walk: (u32, Option<u32>, u64, u32) = (0, None, 0, 0);
             let result = match probe {
                 Some(cached) => {
                     out.cache_hits += 1;
-                    walk.3 = cached.hops as u32;
                     Some(cached)
                 }
                 None => match snap.lookup(self.space, origin, obj) {
                     Ok(outcome) => {
-                        walk = (
-                            outcome.found_level as u32 + 1,
-                            Some(outcome.found_level as u32),
-                            outcome.probes,
-                            outcome.hops() as u32,
-                        );
                         let cached = CachedHit {
                             home: outcome.home,
                             length: outcome.length,
@@ -760,30 +722,10 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                         }
                         Some(cached)
                     }
-                    Err(_) => {
-                        // The climb exhausted the ladder (or failed
-                        // earlier); the walk saw every level.
-                        walk.0 = snap.levels as u32;
-                        None
-                    }
+                    Err(_) => None,
                 },
             };
             let elapsed = t0.elapsed().as_nanos() as u64;
-            if traced {
-                let walk_ns = walk_t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                ron_obs::record_query_trace(ron_obs::QueryTrace {
-                    kind: "lookup",
-                    id: qid,
-                    epoch,
-                    cache_shard: shard,
-                    cache: cache_kind,
-                    levels_visited: walk.0,
-                    found_level: walk.1,
-                    probes: walk.2,
-                    hops: walk.3,
-                    stages: vec![("cache", cache_ns), ("walk", walk_ns)],
-                });
-            }
             if let Some(w) = wlabel {
                 // Reuses the latency measurement the report already
                 // takes — no extra clock reads on the hot path.
@@ -837,11 +779,11 @@ mod tests {
         let mut lru = LruCache::new(2);
         lru.insert(key(1), hit(1), 0);
         lru.insert(key(2), hit(2), 0);
-        assert_eq!(lru.get(key(1), 0).0, Some(hit(1))); // 1 is now MRU
+        assert_eq!(lru.get(key(1), 0), Some(hit(1))); // 1 is now MRU
         lru.insert(key(3), hit(3), 0); // evicts 2
-        assert_eq!(lru.get(key(2), 0).0, None);
-        assert_eq!(lru.get(key(1), 0).0, Some(hit(1)));
-        assert_eq!(lru.get(key(3), 0).0, Some(hit(3)));
+        assert_eq!(lru.get(key(2), 0), None);
+        assert_eq!(lru.get(key(1), 0), Some(hit(1)));
+        assert_eq!(lru.get(key(3), 0), Some(hit(3)));
         assert_eq!(lru.len(), 2);
     }
 
@@ -852,15 +794,15 @@ mod tests {
         lru.insert(key(2), hit(2), 0);
         lru.insert(key(1), hit(9), 0); // update, 1 becomes MRU
         lru.insert(key(3), hit(3), 0); // evicts 2
-        assert_eq!(lru.get(key(1), 0).0, Some(hit(9)));
-        assert_eq!(lru.get(key(2), 0).0, None);
+        assert_eq!(lru.get(key(1), 0), Some(hit(9)));
+        assert_eq!(lru.get(key(2), 0), None);
     }
 
     #[test]
     fn lru_accounts_hits_and_misses_exactly() {
         let mut lru = LruCache::new(4);
         let (mut hits, mut misses) = (0usize, 0usize);
-        let mut probe = |lru: &mut LruCache, k: u64| match lru.get(key(k), 0).0 {
+        let mut probe = |lru: &mut LruCache, k: u64| match lru.get(key(k), 0) {
             Some(_) => hits += 1,
             None => misses += 1,
         };
@@ -877,13 +819,13 @@ mod tests {
     fn lru_rejects_entries_from_a_superseded_epoch() {
         let mut lru = LruCache::new(4);
         lru.insert(key(1), hit(1), 0);
-        assert_eq!(lru.get(key(1), 0).0, Some(hit(1)));
+        assert_eq!(lru.get(key(1), 0), Some(hit(1)));
         // After a publish the same key under the new epoch is a miss...
-        assert_eq!(lru.get(key(1), 1).0, None);
+        assert_eq!(lru.get(key(1), 1), None);
         // ...and re-inserting retags it, making the *old* epoch stale.
         lru.insert(key(1), hit(2), 1);
-        assert_eq!(lru.get(key(1), 1).0, Some(hit(2)));
-        assert_eq!(lru.get(key(1), 0).0, None);
+        assert_eq!(lru.get(key(1), 1), Some(hit(2)));
+        assert_eq!(lru.get(key(1), 0), None);
         assert_eq!(lru.len(), 1, "retagging must not duplicate the entry");
     }
 
@@ -891,7 +833,7 @@ mod tests {
     fn zero_capacity_cache_is_inert() {
         let mut lru = LruCache::new(0);
         lru.insert(key(1), hit(1), 0);
-        assert_eq!(lru.get(key(1), 0).0, None);
+        assert_eq!(lru.get(key(1), 0), None);
         assert_eq!(lru.len(), 0);
     }
 
@@ -902,8 +844,8 @@ mod tests {
             cache.insert(key(i), hit(i as usize), 0);
         }
         for i in 0..32u64 {
-            assert_eq!(cache.get(key(i), 0).0, Some(hit(i as usize)), "key {i}");
-            assert_eq!(cache.get(key(i), 1).0, None, "epoch tag applies per shard");
+            assert_eq!(cache.get(key(i), 0), Some(hit(i as usize)), "key {i}");
+            assert_eq!(cache.get(key(i), 1), None, "epoch tag applies per shard");
         }
     }
 
@@ -913,10 +855,10 @@ mod tests {
         let cache = ShardedCache::new(16, 0);
         assert_eq!(cache.shards.len(), 1);
         cache.insert(key(1), hit(1), 0);
-        assert_eq!(cache.get(key(1), 0).0, Some(hit(1)));
+        assert_eq!(cache.get(key(1), 0), Some(hit(1)));
         let inert = ShardedCache::new(0, 4);
         inert.insert(key(1), hit(1), 0);
-        assert_eq!(inert.get(key(1), 0).0, None);
+        assert_eq!(inert.get(key(1), 0), None);
     }
 
     #[test]

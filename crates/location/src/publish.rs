@@ -52,49 +52,12 @@ impl DirectoryOverlay {
     ) -> usize {
         let _stage = ron_obs::stage("publish");
         let _span = ron_obs::span("directory.publish_batch");
-        // Flight-record sampling is by batch position, so the same
-        // items are traced no matter how par splits the planning; the
-        // clock reads happen only for sampled items and never influence
-        // the plan itself.
-        let plans = par::map(items.len(), |k| {
-            if ron_obs::qtrace_sampled(k as u64) {
-                // ron-lint: allow(wall-clock): plan timing for sampled
-                // flight records; the plan itself is clock-free.
-                let t = std::time::Instant::now();
-                let plan = self.plan_publish(space, items[k].1);
-                (plan, t.elapsed().as_nanos() as u64)
-            } else {
-                (self.plan_publish(space, items[k].1), 0)
-            }
-        });
-        let mut writes = 0usize;
-        for (k, ((obj, home), (plan, plan_ns))) in items.iter().zip(plans).enumerate() {
-            let traced = ron_obs::qtrace_sampled(k as u64);
-            // ron-lint: allow(wall-clock): install timing for sampled
-            // flight records only.
-            let t = traced.then(std::time::Instant::now);
-            let wrote = self.install(*obj, *home, plan);
-            writes += wrote;
-            if traced {
-                ron_obs::record_query_trace(ron_obs::QueryTrace {
-                    kind: "publish",
-                    id: k as u64,
-                    epoch: self.epoch(),
-                    cache_shard: None,
-                    cache: ron_obs::CacheOutcome::Uncached,
-                    levels_visited: self.levels() as u32,
-                    found_level: None,
-                    // The publish "probe count" is its pointer fan-out.
-                    probes: wrote as u64,
-                    hops: 0,
-                    stages: vec![
-                        ("plan", plan_ns),
-                        ("install", t.map_or(0, |t| t.elapsed().as_nanos() as u64)),
-                    ],
-                });
-            }
-        }
-        writes
+        let plans = par::map(items.len(), |k| self.plan_publish(space, items[k].1));
+        items
+            .iter()
+            .zip(plans)
+            .map(|(&(obj, home), plan)| self.install(obj, home, plan))
+            .sum()
     }
 
     /// Read-only half of a publish: the home's zoom chain and the publish

@@ -11,12 +11,6 @@
 //!   [`start`]/[`finish`] are the hot-path variant. [`stage`]
 //!   attributes everything recorded inside a scope — across `par`
 //!   worker threads — to a named stage.
-//! * **Flight recorder** — per-query trace records
-//!   ([`QueryTrace`], sampled deterministically by batch index via
-//!   `RON_QTRACE`/[`set_qtrace`]) aggregated into the
-//!   [`LatencyAttribution`] table. The global buffer keeps the newest
-//!   65 536 records; older ones are dropped and counted in
-//!   `obs.qtrace.dropped`.
 //! * **Exporters** — [`Registry::render`] (aligned text), an opt-in
 //!   Chrome-trace dump ([`write_chrome_trace`], enabled by
 //!   `RON_TRACE=chrome`), and the Prometheus text form
@@ -47,7 +41,6 @@
 mod chrome;
 mod expo;
 mod hist;
-mod querytrace;
 mod registry;
 mod serve;
 mod span;
@@ -55,10 +48,6 @@ mod span;
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use expo::prometheus_text;
 pub use hist::Pow2Histogram;
-pub use querytrace::{
-    drain_query_traces, qtrace_rate, qtrace_sampled, record_query_trace, set_qtrace, CacheOutcome,
-    LatencyAttribution, QueryTrace,
-};
 pub use registry::{
     chrome_enabled, count, count_labeled, drain, enabled, flush, gauge_max, init_from_env, label,
     observe, observe_labeled, peek, reset, set_chrome, set_enabled, Label, Registry,
@@ -242,54 +231,6 @@ mod tests {
         done(guard);
     }
 
-    fn lookup_trace(id: u64) -> QueryTrace {
-        QueryTrace {
-            kind: "lookup",
-            id,
-            epoch: 1,
-            cache_shard: Some(0),
-            cache: CacheOutcome::Miss,
-            levels_visited: 3,
-            found_level: Some(2),
-            probes: 5,
-            hops: 2,
-            stages: vec![("cache", 10), ("walk", 100)],
-        }
-    }
-
-    #[test]
-    fn query_traces_round_trip_through_worker_flushes() {
-        let guard = exclusive();
-        set_qtrace(2);
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                s.spawn(move || {
-                    for id in (0..8).filter(|i| i % 2 == t) {
-                        if qtrace_sampled(id) {
-                            record_query_trace(lookup_trace(id));
-                        }
-                    }
-                    flush();
-                });
-            }
-        });
-        set_qtrace(0);
-        let traces = drain_query_traces();
-        // Rate 2 samples ids 0,2,4,6 — drained in id order no matter
-        // which thread recorded them.
-        assert_eq!(
-            traces.iter().map(|t| t.id).collect::<Vec<_>>(),
-            [0, 2, 4, 6]
-        );
-        let lat = LatencyAttribution::from_traces(&traces);
-        assert_eq!(lat.owner("lookup", 0.99), Some("walk"));
-        assert!(
-            drain_query_traces().is_empty(),
-            "drain consumed the records"
-        );
-        done(guard);
-    }
-
     #[test]
     fn peek_snapshots_without_consuming() {
         let guard = exclusive();
@@ -303,33 +244,6 @@ mod tests {
             3,
             "peek must not steal records"
         );
-        done(guard);
-    }
-
-    #[test]
-    fn global_flight_record_buffer_is_bounded() {
-        let guard = exclusive();
-        let extra = 37usize;
-        let total = registry::QTRACE_CAPACITY + extra;
-        // Two threads, each flushing in several rounds, so the cap is
-        // applied across merges and not only inside one.
-        std::thread::scope(|s| {
-            for t in 0..2 {
-                s.spawn(move || {
-                    for id in (0..total).filter(|i| i % 2 == t) {
-                        record_query_trace(lookup_trace(id as u64));
-                        if id % 4096 < 2 {
-                            flush();
-                        }
-                    }
-                    flush();
-                });
-            }
-        });
-        // The live view `/metrics` serves shows the truncation.
-        assert_eq!(peek().counter("obs.qtrace.dropped"), extra as u64);
-        assert_eq!(drain_query_traces().len(), registry::QTRACE_CAPACITY);
-        assert_eq!(drain().counter("obs.qtrace.dropped"), extra as u64);
         done(guard);
     }
 
@@ -358,6 +272,10 @@ mod tests {
         let metrics = fetch("/metrics");
         assert!(metrics.contains("ron_counter{key=\"wire.requests\"} 3\n"));
         assert!(metrics.contains("ron_latency_count{key=\"wire.latency_ns\"} 1\n"));
+        // A query string (a Prometheus scrape config's `params`) does
+        // not change the route.
+        assert_eq!(fetch("/metrics?name=x"), metrics);
+        assert_eq!(fetch("/health?probe"), health);
 
         server.shutdown();
         server.shutdown(); // idempotent

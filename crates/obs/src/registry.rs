@@ -20,13 +20,12 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::chrome::ChromeEvent;
 use crate::hist::Pow2Histogram;
-use crate::querytrace::QueryTrace;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static CHROME: AtomicBool = AtomicBool::new(false);
@@ -71,23 +70,14 @@ pub fn set_chrome(on: bool) {
 }
 
 /// Applies the observability environment knobs: `RON_TRACE=chrome`
-/// enables Chrome-trace capture (and with it metric recording),
-/// `RON_OBS=1`/`RON_OBS=on` enables metric recording alone, and
-/// `RON_QTRACE=k` turns on per-query flight records at a 1-in-`k`
-/// deterministic sampling rate (see [`crate::set_qtrace`]; `k = 1`
-/// traces every query, unparsable values warn and leave tracing off).
+/// enables Chrome-trace capture (and with it metric recording), and
+/// `RON_OBS=1`/`RON_OBS=on` enables metric recording alone.
 pub fn init_from_env() {
     if std::env::var("RON_TRACE").is_ok_and(|v| v == "chrome") {
         set_chrome(true);
     }
     if std::env::var("RON_OBS").is_ok_and(|v| v == "1" || v == "on") {
         set_enabled(true);
-    }
-    if let Ok(v) = std::env::var("RON_QTRACE") {
-        match v.parse::<u64>() {
-            Ok(rate) => crate::querytrace::set_qtrace(rate),
-            Err(_) => eprintln!("RON_QTRACE={v} is not an integer sampling rate; ignored"),
-        }
     }
 }
 
@@ -223,7 +213,6 @@ pub(crate) struct Collector {
     pending_gauges: HashMap<Key, u64>,
     pending_hists: HashMap<Key, Pow2Histogram>,
     pub(crate) chrome: Vec<ChromeEvent>,
-    pub(crate) qtraces: Vec<QueryTrace>,
     pub(crate) tid: u32,
 }
 
@@ -234,7 +223,6 @@ impl Collector {
             pending_gauges: HashMap::new(),
             pending_hists: HashMap::new(),
             chrome: Vec::new(),
-            qtraces: Vec::new(),
             // Lazily replaced with a process-unique id on the first
             // Chrome event (see chrome::push_event).
             tid: u32::MAX,
@@ -246,7 +234,6 @@ impl Collector {
             && self.pending_gauges.is_empty()
             && self.pending_hists.is_empty()
             && self.chrome.is_empty()
-            && self.qtraces.is_empty()
         {
             return;
         }
@@ -264,21 +251,6 @@ impl Collector {
             self.pending_hists.drain(),
         );
         global.chrome.append(&mut self.chrome);
-        global.qtraces.extend(self.qtraces.drain(..));
-        // A process that records flight records but never drains them
-        // (a long `obs_serve`) must not grow without bound: keep the
-        // newest QTRACE_CAPACITY and count what fell off, so a
-        // truncated drain shows on `/metrics`.
-        let excess = global.qtraces.len().saturating_sub(QTRACE_CAPACITY);
-        if excess > 0 {
-            global.qtraces.drain(..excess);
-            let dropped = Key {
-                name: "obs.qtrace.dropped",
-                stage: 0,
-                label: Label::None,
-            };
-            *global.counters.entry(dropped).or_insert(0) += excess as u64;
-        }
     }
 }
 
@@ -304,13 +276,7 @@ struct GlobalStore {
     gauges: BTreeMap<Key, u64>,
     hists: BTreeMap<Key, Pow2Histogram>,
     chrome: Vec<ChromeEvent>,
-    /// Flight records, oldest first, at most [`QTRACE_CAPACITY`].
-    qtraces: VecDeque<QueryTrace>,
 }
-
-/// Bound on the global flight-record buffer: merges past it drop the
-/// oldest records and count them in `obs.qtrace.dropped`.
-pub(crate) const QTRACE_CAPACITY: usize = 65_536;
 
 impl GlobalStore {
     /// The store's metrics under composed `name[/stage][/label]` keys.
@@ -359,7 +325,6 @@ static GLOBAL: Mutex<GlobalStore> = Mutex::new(GlobalStore {
     gauges: BTreeMap::new(),
     hists: BTreeMap::new(),
     chrome: Vec::new(),
-    qtraces: VecDeque::new(),
 });
 
 /// Adds `by` to the counter `name` (attributed to the current stage).
@@ -455,36 +420,21 @@ pub fn peek() -> Registry {
     GLOBAL.lock().unwrap().compose()
 }
 
-/// Buffers a flight record on the calling thread's collector.
-pub(crate) fn push_query_trace(trace: QueryTrace) {
-    with_collector(|c| c.qtraces.push(trace));
-}
-
-/// Flushes the calling thread and takes every buffered flight record
-/// (unsorted; `drain_query_traces` orders them).
-pub(crate) fn take_query_traces() -> Vec<QueryTrace> {
-    flush();
-    std::mem::take(&mut GLOBAL.lock().unwrap().qtraces).into()
-}
-
 /// Discards everything collected so far: the calling thread's pending
-/// records, the global store, buffered Chrome events and flight
-/// records. Other threads' un-flushed records are not reachable and
-/// are not cleared.
+/// records, the global store and buffered Chrome events. Other
+/// threads' un-flushed records are not reachable and are not cleared.
 pub fn reset() {
     with_collector(|c| {
         c.pending_counters.clear();
         c.pending_gauges.clear();
         c.pending_hists.clear();
         c.chrome.clear();
-        c.qtraces.clear();
     });
     let mut global = GLOBAL.lock().unwrap();
     global.counters.clear();
     global.gauges.clear();
     global.hists.clear();
     global.chrome.clear();
-    global.qtraces.clear();
 }
 
 /// Takes the buffered Chrome events (calling thread flushed first),

@@ -129,7 +129,10 @@ fn handle(mut stream: TcpStream) {
         return;
     };
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    // A scrape config's `params` arrive as a query string; the path
+    // alone picks the answer.
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
     let (status, content_type, body): (&str, &str, String) = if !head.ends_with("\r\n\r\n") {
         (
             "431 Request Header Fields Too Large",

@@ -1,20 +1,19 @@
-//! The flight recorder and the metrics registry, end to end.
+//! What a build + serve + repair + simulate pass counts, end to end.
 //!
-//! Exact assertions on what a traced build + serve + repair + simulate
-//! pass leaves behind: flight records that do not depend on the worker
-//! split, deterministic sampling and cache outcomes, every layer's keys
-//! in the drained registry, latency attribution, and when a churned
-//! sparse stack asks its oracle. The counts are exact, so every test here takes
-//! [`Recording::start`]'s lock and nothing else in this binary records:
-//! a test that ran a simulator beside these would land in the same
-//! process-global registry.
+//! Exact assertions on the engine's batch reports and on the drained
+//! registry: cache accounting that does not depend on the worker split,
+//! warm hits that skip the walk, counted reloads and failures, every
+//! layer's keys, and when a churned sparse stack asks its oracle. The
+//! counts are exact, so every test here takes [`Recording::start`]'s
+//! lock and nothing else in this binary records: a test that ran a
+//! simulator beside these would land in the same process-global
+//! registry.
 
 use ron_location::{
     DirectoryOverlay, EngineConfig, EpochCell, LocateError, ObjectId, QueryEngine, Snapshot,
 };
 use ron_metric::{gen, BallOracle, EuclideanMetric, Node, Space};
 use ron_nets::NestedNets;
-use ron_obs::{CacheOutcome, LatencyAttribution, QueryTrace};
 use ron_sim::directory::{DirectoryMsg, DirectoryNode};
 use ron_sim::{MetricLatency, SimConfig, Simulator};
 
@@ -31,22 +30,20 @@ struct Recording {
 }
 
 impl Recording {
-    fn start(qtrace: u64) -> Self {
+    fn start() -> Self {
         static OBS_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let exclusive = OBS_STATE
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         ron_obs::set_enabled(true);
         ron_obs::reset();
-        ron_obs::set_qtrace(qtrace);
         Recording {
             _exclusive: exclusive,
         }
     }
 
-    /// Restores the off/0 defaults, still holding the lock.
+    /// Turns recording back off, still holding the lock.
     fn stop(&self) {
-        ron_obs::set_qtrace(0);
         ron_obs::reset();
         ron_obs::set_enabled(false);
     }
@@ -107,46 +104,31 @@ fn simulate_lookups(space: &Space<EuclideanMetric>, overlay: &DirectoryOverlay) 
 
 fn assert_recording_is_off() {
     assert!(!ron_obs::enabled(), "recording must be back off");
-    assert_eq!(ron_obs::qtrace_rate(), 0, "query tracing must be back off");
 }
 
-/// Sampling is by batch index and the shard is a pure key hash, so the
-/// same batch leaves the same flight records — ids, epochs, shards,
-/// cache outcomes, levels, probes, hops; everything but wall time —
-/// whether one worker served it or four.
+/// The shard is a pure key hash, so a cold batch of distinct queries
+/// leaves the same per-shard accounting whether one worker served it or
+/// four: every probe misses, none hits, and nothing reloads.
 #[test]
-fn flight_records_do_not_depend_on_the_worker_split() {
-    let recording = Recording::start(2);
+fn cache_accounting_does_not_depend_on_the_worker_split() {
+    let recording = Recording::start();
     let space = cube();
     let overlay = published(&space);
     let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
     let engine = QueryEngine::new(&space, &cell);
     let queries = distinct_queries();
-    let _ = ron_obs::drain_query_traces();
 
-    let _ = engine.serve(&queries, &config(1));
-    let serial = ron_obs::drain_query_traces();
-    let _ = engine.serve(&queries, &config(4));
-    let split = ron_obs::drain_query_traces();
+    let serial = engine.serve(&queries, &config(1));
+    let split = engine.serve(&queries, &config(4));
     recording.stop();
 
-    let structural = |traces: &[QueryTrace]| -> Vec<QueryTrace> {
-        traces.iter().map(QueryTrace::structural).collect()
-    };
-    assert_eq!(structural(&serial), structural(&split));
-    assert_eq!(
-        serial.len(),
-        QUERIES / 2,
-        "rate-2 sampling traces half the batch"
-    );
-    assert!(
-        serial.iter().all(|tr| tr.cache == CacheOutcome::Miss),
-        "unique cold queries all miss"
-    );
-    assert!(
-        serial.iter().all(|tr| tr.epoch == serial[0].epoch),
-        "one pinned snapshot serves the whole batch"
-    );
+    assert_eq!(serial.cache_shards, split.cache_shards);
+    let misses: u64 = serial.cache_shards.iter().map(|s| s.misses).sum();
+    assert_eq!(misses, QUERIES as u64, "unique cold queries all miss");
+    for report in [&serial, &split] {
+        assert_eq!(report.cache_hits, 0);
+        assert_eq!(report.reloads, 0, "one snapshot serves the whole batch");
+    }
     assert_recording_is_off();
 }
 
@@ -156,7 +138,7 @@ fn flight_records_do_not_depend_on_the_worker_split() {
 #[test]
 fn mid_batch_reloads_are_counted() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let recording = Recording::start(0);
+    let recording = Recording::start();
     let space = cube();
     let overlay = published(&space);
     let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
@@ -189,42 +171,39 @@ fn mid_batch_reloads_are_counted() {
     assert_recording_is_off();
 }
 
-/// The same batch twice on one worker: the second half probes warm, so
-/// its flight records are cache hits that never walked. The records of
-/// the run attribute latency to a stage per kind.
+/// The same batch twice on one worker: the second half probes warm and
+/// never walks. The engine's per-shard counters and the walk's hop
+/// histogram agree with the batch report.
 #[test]
-fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
-    let recording = Recording::start(2);
+fn doubled_batch_hits_warm_and_walks_once_per_query() {
+    let recording = Recording::start();
     let space = cube();
     let overlay = published(&space);
-    let mut traces = ron_obs::drain_query_traces();
-    assert!(
-        !traces.is_empty() && traces.iter().all(|tr| tr.kind == "publish"),
-        "sampled publishes must leave flight records"
-    );
     let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
     let engine = QueryEngine::new(&space, &cell);
     let queries = distinct_queries();
     let doubled: Vec<(Node, ObjectId)> = queries.iter().chain(&queries).copied().collect();
-    let _ = engine.serve(&doubled, &config(1));
-    let lookups = ron_obs::drain_query_traces();
+    ron_obs::reset();
+    let report = engine.serve(&doubled, &config(1));
+    let registry = ron_obs::drain();
     recording.stop();
 
-    assert_eq!(lookups.len(), QUERIES, "rate-2 sampling of 2 x QUERIES");
-    let (cold, warm) = lookups.split_at(QUERIES / 2);
-    assert!(cold.iter().all(|tr| tr.cache == CacheOutcome::Miss));
-    assert!(
-        warm.iter().all(|tr| tr.id >= QUERIES as u64
-            && tr.cache == CacheOutcome::Hit
-            && tr.found_level.is_none()
-            && tr.probes == 0),
-        "the second half must hit the warm cache and skip the walk"
+    assert_eq!(report.cache_hits, QUERIES);
+    assert_eq!(
+        registry.counter_prefix_sum("engine.cache.hit"),
+        QUERIES as u64
     );
-
-    traces.extend(lookups);
-    let lat = LatencyAttribution::from_traces(&traces);
-    assert!(lat.owner("lookup", 0.5).is_some());
-    assert!(lat.owner("publish", 0.99).is_some());
+    assert_eq!(
+        registry.counter_prefix_sum("engine.cache.miss"),
+        QUERIES as u64
+    );
+    let walks: u64 = registry
+        .histograms
+        .iter()
+        .filter(|(k, _)| k.starts_with("lookup.hops"))
+        .map(|(_, h)| h.count())
+        .sum();
+    assert_eq!(walks, QUERIES as u64, "one walk per distinct query");
     assert_recording_is_off();
 }
 
@@ -236,7 +215,7 @@ fn doubled_batch_hits_warm_and_the_run_attributes_its_latency() {
 /// homes pass).
 #[test]
 fn churned_sparse_stack_asks_the_oracle_only_to_rehome() {
-    let recording = Recording::start(0);
+    let recording = Recording::start();
     let space = Space::new_sparse(gen::uniform_cube(N, 2, 1));
     let mut overlay = published(&space);
     // Summed over the stages the searches are attributed to.
@@ -295,7 +274,7 @@ fn churned_sparse_stack_asks_the_oracle_only_to_rehome() {
 /// fingers it recomputed.
 #[test]
 fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
-    let recording = Recording::start(0);
+    let recording = Recording::start();
     let space = cube();
     let mut overlay = published(&space);
     let levels = overlay.levels();
@@ -411,7 +390,7 @@ fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
 /// tally of the errors the calls returned.
 #[test]
 fn failed_lookups_are_counted_by_kind_and_broken_level() {
-    let recording = Recording::start(0);
+    let recording = Recording::start();
     let space = cube();
     let mut overlay = published(&space);
     let victim = overlay.home_of(ObjectId(0)).expect("published");
@@ -475,7 +454,7 @@ fn failed_lookups_are_counted_by_kind_and_broken_level() {
 /// drained registry.
 #[test]
 fn every_layer_lands_in_the_drained_registry() {
-    let recording = Recording::start(0);
+    let recording = Recording::start();
     let space = cube();
     let sparse = Space::new_sparse(gen::uniform_cube(N, 2, 1));
     let _ = NestedNets::build(&sparse);

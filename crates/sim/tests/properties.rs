@@ -275,7 +275,7 @@ fn trace_fingerprint_is_identical_across_thread_counts_and_reruns() {
 }
 
 /// The tests below toggle the process-global obs state (enabled flag,
-/// registry, qtrace rate) and drain it; the harness runs
+/// registry) and drain it; the harness runs
 /// tests concurrently, so they serialize here.
 fn obs_state_lock() -> std::sync::MutexGuard<'static, ()> {
     static OBS_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -285,9 +285,9 @@ fn obs_state_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// One build + publish + engine-serve + simulate pass on an arbitrary
-/// space — the flight-recorder surface end to end (construction stage
-/// ticks, publish and lookup flight records, engine batch ticks, sim
-/// phase ticks) — returning the sim's trace fingerprint.
+/// space — every instrumented layer end to end (construction stages,
+/// the publish batch, engine lookups and cache counters, sim grams and
+/// phases) — returning the sim's trace fingerprint.
 fn fingerprint_run_on<M: Metric>(space: &Space<M>, seed: u64) -> u64 {
     let n = space.len();
     let mut overlay = DirectoryOverlay::build(space);
@@ -324,53 +324,55 @@ fn fingerprint_run_on<M: Metric>(space: &Space<M>, seed: u64) -> u64 {
     sim.run().trace_fingerprint
 }
 
-/// Acceptance: the flight recorder is provably non-perturbing on one
+/// Acceptance: observability is provably non-perturbing on one
 /// instance family. The sim trace fingerprint is byte-identical with
-/// query tracing off, sampled (rate 2), tracing everything (rate 1,
-/// including across thread counts), and back off again — and the traced
-/// passes actually left flight records.
-fn assert_flight_recorder_non_perturbing<M: Metric>(space: &Space<M>, seed: u64) {
+/// obs off, on, on across thread counts, and back off again — and the
+/// observed passes actually recorded the sim's and the walk's metrics.
+fn assert_obs_non_perturbing<M: Metric>(space: &Space<M>, seed: u64) {
     let baseline = fingerprint_run_on(space, seed);
     ron_obs::set_enabled(true);
     ron_obs::reset();
-    ron_obs::set_qtrace(2);
-    let sampled = fingerprint_run_on(space, seed);
-    ron_obs::set_qtrace(1);
-    let full = fingerprint_run_on(space, seed);
-    let full_parallel = par::with_threads(4, || fingerprint_run_on(space, seed));
-    let traces = ron_obs::drain_query_traces();
-    ron_obs::set_qtrace(0);
-    ron_obs::reset();
+    let observed = fingerprint_run_on(space, seed);
+    let observed_parallel = par::with_threads(4, || fingerprint_run_on(space, seed));
+    let registry = ron_obs::drain();
     ron_obs::set_enabled(false);
+    ron_obs::reset();
     let after = fingerprint_run_on(space, seed);
     assert_eq!(
-        baseline, sampled,
-        "sampled query tracing must not change the event schedule"
+        baseline, observed,
+        "enabling obs must not change the event schedule"
     );
     assert_eq!(
-        baseline, full,
-        "tracing every query must not change the event schedule"
+        observed, observed_parallel,
+        "obs + RON_THREADS must not change the trace"
     );
-    assert_eq!(
-        full, full_parallel,
-        "query tracing + RON_THREADS must not change the trace"
-    );
-    assert_eq!(baseline, after, "disabling tracing must restore silence");
+    assert_eq!(baseline, after, "disabling obs must restore silence");
     assert!(
-        traces.iter().any(|t| t.kind == "lookup") && traces.iter().any(|t| t.kind == "publish"),
-        "the traced passes must leave lookup and publish flight records"
+        registry.counter_prefix_sum("sim.gram") > 0,
+        "the observed runs must have recorded gram counts"
+    );
+    assert!(
+        registry.counter_prefix_sum("sim.deliveries") > 0,
+        "per-phase delivery counters must have recorded"
+    );
+    assert!(
+        registry
+            .histograms
+            .keys()
+            .any(|k| k.starts_with("lookup.hops")),
+        "engine lookups must have recorded hop histograms"
     );
 }
 
-/// Acceptance: query tracing and sampling rates leave the sim's trace
-/// fingerprint byte-identical on all four generator families.
+/// Acceptance: recording metrics leaves the sim's trace fingerprint
+/// byte-identical on all four generator families.
 #[test]
-fn query_tracing_does_not_perturb_the_trace_on_any_family() {
+fn obs_does_not_perturb_the_trace_on_any_family() {
     let _lock = obs_state_lock();
-    assert_flight_recorder_non_perturbing(&Space::new(gen::uniform_cube(48, 2, 9)), 101);
-    assert_flight_recorder_non_perturbing(&Space::new(gen::clustered(40, 2, 3, 0.01, 7)), 102);
-    assert_flight_recorder_non_perturbing(&Space::new(gen::perturbed_grid(6, 2, 0.2, 5)), 103);
-    assert_flight_recorder_non_perturbing(&Space::new(gen::exponential_line(16)), 104);
+    assert_obs_non_perturbing(&Space::new(gen::uniform_cube(48, 2, 9)), 101);
+    assert_obs_non_perturbing(&Space::new(gen::clustered(40, 2, 3, 0.01, 7)), 102);
+    assert_obs_non_perturbing(&Space::new(gen::perturbed_grid(6, 2, 0.2, 5)), 103);
+    assert_obs_non_perturbing(&Space::new(gen::exponential_line(16)), 104);
 }
 
 /// Acceptance: observability is provably non-perturbing. With metrics

@@ -10,10 +10,7 @@
 //!   address (default: a self-test on an ephemeral `127.0.0.1` port
 //!   that scrapes itself once and exits);
 //! - `RON_SERVE_MS=20000` keeps the load loop (and the wire) up that
-//!   long (default 250 ms, so the example terminates quickly);
-//! - `RON_QTRACE=16` additionally samples every 16th query into
-//!   flight records (`obs::QueryTrace`; `obs::drain_query_traces`
-//!   reads them back).
+//!   long (default 250 ms, so the example terminates quickly).
 //!
 //! [`MetricsServer`]: rings_of_neighbors::obs::MetricsServer
 
@@ -28,7 +25,7 @@ use rings_of_neighbors::metric::{gen, Node, Space};
 use rings_of_neighbors::obs;
 
 fn main() {
-    // RON_QTRACE / RON_TRACE are honored as usual; recording itself is
+    // RON_TRACE is honored as usual; recording itself is
     // forced on — a metrics wire over a silent registry serves nothing.
     obs::init_from_env();
     obs::set_enabled(true);
