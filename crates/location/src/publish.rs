@@ -52,7 +52,11 @@ impl DirectoryOverlay {
     ) -> usize {
         let _stage = ron_obs::stage("publish");
         let _span = ron_obs::span("directory.publish_batch");
+        // The workers allocate each placement whole; the sequential
+        // install below only moves it in and writes the table entries.
         let plans = par::map(items.len(), |k| self.plan_publish(space, items[k].1));
+        self.control.homes.reserve(items.len());
+        self.control.placements.reserve(items.len());
         items
             .iter()
             .zip(plans)
@@ -60,43 +64,32 @@ impl DirectoryOverlay {
             .sum()
     }
 
-    /// Read-only half of a publish: the home's zoom chain and the publish
-    /// ring of every ladder level.
-    fn plan_publish<M: Metric, I: BallOracle>(
-        &self,
-        space: &Space<M, I>,
-        home: Node,
-    ) -> (Vec<Node>, Vec<Vec<Node>>) {
-        let chain = self.control.chain(space, home);
-        let rings = (0..self.levels())
-            .map(|j| self.control.ring(home, j))
+    /// Read-only half of a publish: the home's zoom chain and the
+    /// `(level, node)` pairs of every ladder level's publish ring.
+    fn plan_publish<M: Metric, I: BallOracle>(&self, space: &Space<M, I>, home: Node) -> Placement {
+        let entries = (0..self.levels())
+            .flat_map(|j| self.control.ring(home, j).into_iter().map(move |w| (j, w)))
             .collect();
-        (chain, rings)
+        Placement {
+            chain: self.control.chain(space, home),
+            entries,
+        }
     }
 
     /// Mutating half of a publish: registers the object and writes the
     /// planned entries.
-    fn install(&mut self, obj: ObjectId, home: Node, plan: (Vec<Node>, Vec<Vec<Node>>)) -> usize {
+    fn install(&mut self, obj: ObjectId, home: Node, placement: Placement) -> usize {
         assert!(self.is_alive(home), "cannot publish {obj} on dead {home}");
         assert!(
             !self.control.homes.contains_key(&obj),
             "{obj} is already published"
         );
         self.epoch += 1;
-        let (chain, rings) = plan;
-        let mut placement = Placement {
-            chain: chain.clone(),
-            entries: Vec::new(),
-        };
-        let mut writes = 0usize;
-        for (j, ring) in rings.into_iter().enumerate() {
-            let target = if j == 0 { home } else { chain[j - 1] };
-            for w in ring {
-                self.tables.node_mut(w).insert(j, obj, target);
-                placement.entries.push((j, w));
-                writes += 1;
-            }
+        for &(j, w) in &placement.entries {
+            let target = if j == 0 { home } else { placement.chain[j - 1] };
+            self.tables.node_mut(w).insert(j, obj, target);
         }
+        let writes = placement.entries.len();
         self.control.objects.push(obj);
         self.control.homes.insert(obj, home);
         self.control.placements.insert(obj, placement);
