@@ -1,11 +1,11 @@
 //! E-CHURN: distributed churn, repair and recovery.
 
 use ron_location::ObjectId;
-use ron_metric::{Node, DENSE_NODE_CAP};
+use ron_metric::Node;
 use ron_sim::directory::{DirectoryMsg, DirectoryNode};
 use ron_sim::{ChurnSchedule, MetricLatency, SimConfig, Simulator};
 
-use crate::sim::clustered_directory;
+use crate::sim::{clustered_directory, DENSE_NODE_CAP};
 use crate::{f, rate_cell, Table};
 
 /// E-CHURN: the full churn→repair→recovery lifecycle as a distributed

@@ -1,13 +1,16 @@
 //! E-SIM: the protocols as message-passing systems.
 
 use ron_location::{DirectoryOverlay, ObjectId};
-use ron_metric::{gen, EuclideanMetric, Node, Space, DENSE_NODE_CAP};
+use ron_metric::{gen, EuclideanMetric, Node, Space};
 use ron_sim::directory::{DirectoryMsg, DirectoryNode};
 use ron_sim::greedy::{GreedyNode, GreedyPacket};
 use ron_sim::{MetricLatency, SimConfig, SimReport, Simulator};
 use ron_smallworld::GreedyModel;
 
 use crate::{f, rate_cell, Table};
+
+/// The largest instance E-SIM and E-CHURN build: both clamp `n` to it.
+pub const DENSE_NODE_CAP: usize = 8192;
 
 /// The instance both message-passing tables run on: a clustered
 /// Internet-latency metric of `n` nodes and a directory with `n / 8`

@@ -4,7 +4,7 @@
 //! uniformly at random from the ball `B_ui`" (X-type) or "from the ball
 //! `B = B_u(2^j)` according to the probability distribution
 //! `mu(.)/mu(B)`" (Y-type). These helpers implement both against the
-//! sorted-ball slices of a [`MetricIndex`](ron_metric::MetricIndex), using
+//! sorted-ball rows of a [`MetricIndex`](ron_metric::MetricIndex), using
 //! a caller-supplied RNG so experiments are reproducible.
 
 use rand::{Rng, RngExt};
@@ -26,7 +26,7 @@ pub fn uniform_in_ball<M: Metric, R: Rng + ?Sized>(
         return None;
     }
     let k = rng.random_range(0..ball.len());
-    Some(ball[k].1)
+    Some(ball.nodes()[k])
 }
 
 /// Draws `count` nodes independently and uniformly from `B_u(r)`,
@@ -61,16 +61,16 @@ pub fn weighted_in_ball<M: Metric, R: Rng + ?Sized>(
     if ball.is_empty() {
         return None;
     }
-    let total: f64 = ball.iter().map(|&(_, v)| measure.mass(v)).sum();
+    let total: f64 = ball.nodes().iter().map(|&v| measure.mass(v)).sum();
     let mut roll = rng.random_range(0.0..total);
-    for &(_, v) in ball {
+    for &v in ball.nodes() {
         roll -= measure.mass(v);
         if roll <= 0.0 {
             return Some(v);
         }
     }
     // Floating-point slack: the roll exhausted the mass; return the last.
-    ball.last().map(|&(_, v)| v)
+    ball.nodes().last().copied()
 }
 
 /// Draws `count` nodes independently from `B_u(r)` proportionally to `mu`,
@@ -93,7 +93,7 @@ pub fn weighted_set_in_ball<M: Metric, R: Rng + ?Sized>(
     }
     let mut cum = Vec::with_capacity(ball.len());
     let mut total = 0.0f64;
-    for &(_, v) in ball {
+    for &v in ball.nodes() {
         total += measure.mass(v);
         cum.push(total);
     }
@@ -101,7 +101,7 @@ pub fn weighted_set_in_ball<M: Metric, R: Rng + ?Sized>(
         .map(|_| {
             let roll = rng.random_range(0.0..total);
             let k = cum.partition_point(|&c| c <= roll).min(ball.len() - 1);
-            ball[k].1
+            ball.nodes()[k]
         })
         .collect();
     picks.sort_unstable();
@@ -123,11 +123,11 @@ pub fn uniform_in_annulus_or_next<M: Metric, R: Rng + ?Sized>(
     let ring = space.index().annulus(u, inner, outer);
     if !ring.is_empty() {
         let k = rng.random_range(0..ring.len());
-        return Some(ring[k].1);
+        return Some(ring.nodes()[k]);
     }
     let row = space.index().sorted_from(u);
-    let start = row.partition_point(|&(d, _)| d <= inner);
-    row.get(start).map(|&(_, v)| v)
+    let start = row.dists().partition_point(|&d| d <= inner);
+    row.nodes().get(start).copied()
 }
 
 #[cfg(test)]

@@ -48,9 +48,9 @@ pub fn doubling_dimension<M: Metric + ?Sized>(metric: &M, index: &MetricIndex) -
     while r <= index.diameter() * 2.0 {
         for i in 0..n {
             let u = Node::new(i);
-            let ball: Vec<Node> = index.ball(u, r).iter().map(|&(_, v)| v).collect();
+            let ball = index.ball(u, r).nodes();
             if ball.len() > worst {
-                let cover = greedy_cover_size(metric, &ball, r / 2.0);
+                let cover = greedy_cover_size(metric, ball, r / 2.0);
                 worst = worst.max(cover);
             }
         }

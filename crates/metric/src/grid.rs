@@ -116,23 +116,23 @@ impl Metric for GridMetric {
     }
 
     fn dist(&self, u: Node, v: Node) -> f64 {
-        let (a, b) = (self.coords(u), self.coords(v));
+        // Decodes both nodes one coordinate at a time, least significant
+        // first. Every term is an integer-valued f64 and every partial sum
+        // is exact, so the order the terms meet in does not change a bit.
+        let (mut i, mut j) = (u.index(), v.index());
+        let mut acc = 0.0f64;
+        for _ in 0..self.dim {
+            let d = (i % self.side).abs_diff(j % self.side) as f64;
+            (i, j) = (i / self.side, j / self.side);
+            acc = match self.norm {
+                GridNorm::L1 => acc + d,
+                GridNorm::L2 => acc + d * d,
+                GridNorm::LInf => acc.max(d),
+            };
+        }
         match self.norm {
-            GridNorm::L1 => a.iter().zip(&b).map(|(&x, &y)| x.abs_diff(y) as f64).sum(),
-            GridNorm::L2 => a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| {
-                    let d = x.abs_diff(y) as f64;
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt(),
-            GridNorm::LInf => a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| x.abs_diff(y) as f64)
-                .fold(0.0, f64::max),
+            GridNorm::L2 => acc.sqrt(),
+            GridNorm::L1 | GridNorm::LInf => acc,
         }
     }
 }
@@ -173,6 +173,26 @@ mod tests {
         let u = g.node_at(&[0, 0]);
         let v = g.node_at(&[3, 4]);
         assert_eq!(g.dist(u, v), 4.0);
+    }
+
+    #[test]
+    fn dist_matches_decoded_coordinates() {
+        for norm in [GridNorm::L1, GridNorm::L2, GridNorm::LInf] {
+            let g = GridMetric::with_norm(5, 3, norm).unwrap();
+            for i in 0..g.len() {
+                for j in 0..g.len() {
+                    let (u, v) = (Node::new(i), Node::new(j));
+                    let terms = g.coords(u).into_iter().zip(g.coords(v));
+                    let terms = terms.map(|(x, y)| x.abs_diff(y) as f64);
+                    let want = match norm {
+                        GridNorm::L1 => terms.sum(),
+                        GridNorm::L2 => terms.map(|d| d * d).sum::<f64>().sqrt(),
+                        GridNorm::LInf => terms.fold(0.0, f64::max),
+                    };
+                    assert_eq!(g.dist(u, v).to_bits(), want.to_bits(), "{norm:?} {u} {v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,5 @@
 use crate::{HeapBytes, Metric, Node};
 
-/// The largest instance E-SIM and E-CHURN build: both clamp `n` to it.
-pub const DENSE_NODE_CAP: usize = 8192;
-
 /// Per-node sorted-by-distance index over a finite metric.
 ///
 /// The paper's constructions repeatedly ask for the closed ball `B_u(r)`,
@@ -14,6 +11,12 @@ pub const DENSE_NODE_CAP: usize = 8192;
 ///
 /// Ties are broken by node id, which implements the paper's
 /// "all distances are distinct" convention (Section 5.1) deterministically.
+///
+/// Each row stores its distances and its ids in two separate slices, 12
+/// bytes per ordered pair. A row is built by sorting one packed `u128` key
+/// per entry, the distance's [`f64::total_cmp`] rank above the node id,
+/// with an unstable integer sort: the keys are unique, so the order is the
+/// `(distance, id)` order whatever the sort.
 ///
 /// # Example
 ///
@@ -30,9 +33,112 @@ pub const DENSE_NODE_CAP: usize = 8192;
 #[derive(Clone, Debug)]
 pub struct MetricIndex {
     n: usize,
-    by_dist: Vec<Vec<(f64, Node)>>,
+    rows: Vec<Row>,
     diameter: f64,
     min_dist: f64,
+}
+
+/// One node's row: distances and ids, both in `(distance, id)` order.
+#[derive(Clone, Debug)]
+struct Row {
+    dists: Box<[f64]>,
+    nodes: Box<[Node]>,
+}
+
+impl Row {
+    /// Every node of `metric`, sorted by `(distance from u, id)`.
+    fn build<M: Metric + ?Sized>(metric: &M, u: Node) -> Self {
+        let mut keys: Vec<u128> = Node::all(metric.len())
+            .map(|v| (u128::from(total_key(metric.dist(u, v))) << 32) | v.index() as u128)
+            .collect();
+        keys.sort_unstable();
+        Row {
+            dists: keys
+                .iter()
+                .map(|&k| from_total_key((k >> 32) as u64))
+                .collect(),
+            nodes: keys.iter().map(|&k| Node::new(k as u32 as usize)).collect(),
+        }
+    }
+}
+
+/// Maps `d` to a `u64` whose integer order is `f64::total_cmp`'s order:
+/// negative values have every bit flipped, the rest only the sign bit.
+fn total_key(d: f64) -> u64 {
+    let bits = d.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The inverse of [`total_key`], bit for bit.
+fn from_total_key(key: u64) -> f64 {
+    let bits = if key >> 63 == 1 {
+        key ^ (1 << 63)
+    } else {
+        !key
+    };
+    f64::from_bits(bits)
+}
+
+/// A borrowed run of one [`MetricIndex`] row: nodes in ascending
+/// `(distance, id)` order, distances and ids as parallel slices.
+#[derive(Clone, Copy, Debug)]
+pub struct SortedRow<'a> {
+    dists: &'a [f64],
+    nodes: &'a [Node],
+}
+
+impl<'a> SortedRow<'a> {
+    /// Number of entries.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the run holds no entry.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The distances, ascending.
+    #[must_use]
+    pub fn dists(self) -> &'a [f64] {
+        self.dists
+    }
+
+    /// The nodes, in the same order as [`dists`](SortedRow::dists).
+    #[must_use]
+    pub fn nodes(self) -> &'a [Node] {
+        self.nodes
+    }
+
+    /// The entries as `(distance, node)` pairs.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = (f64, Node)> + 'a {
+        self.dists.iter().copied().zip(self.nodes.iter().copied())
+    }
+
+    /// The entries as an owned vector of `(distance, node)` pairs.
+    #[must_use]
+    pub fn to_vec(self) -> Vec<(f64, Node)> {
+        self.iter().collect()
+    }
+
+    /// The entries at positions `start..end`.
+    fn range(self, start: usize, end: usize) -> Self {
+        SortedRow {
+            dists: &self.dists[start..end],
+            nodes: &self.nodes[start..end],
+        }
+    }
+
+    /// The number of leading entries within distance `r`.
+    fn count_within(self, r: f64) -> usize {
+        self.dists.partition_point(|&d| d <= r)
+    }
 }
 
 impl MetricIndex {
@@ -48,22 +154,14 @@ impl MetricIndex {
     pub fn build<M: Metric + ?Sized>(metric: &M) -> Self {
         let n = metric.len();
         assert!(n > 0, "cannot index an empty metric");
-        let by_dist: Vec<Vec<(f64, Node)>> = crate::par::map(n, |i| {
-            let u = Node::new(i);
-            let mut row: Vec<(f64, Node)> = (0..n)
-                .map(|j| (metric.dist(u, Node::new(j)), Node::new(j)))
-                .collect();
-            row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            row
-        });
+        let rows = crate::par::map(n, |i| Row::build(metric, Node::new(i)));
         let mut diameter = 0.0f64;
         let mut min_dist = f64::INFINITY;
-        for row in &by_dist {
-            let far = row.last().expect("nonempty row").0;
-            diameter = diameter.max(far);
+        for row in &rows {
+            diameter = diameter.max(row.dists[n - 1]);
             if n > 1 {
-                // row[0] is u itself at distance 0; row[1] is the closest other node.
-                min_dist = min_dist.min(row[1].0);
+                // dists[0] is u itself at distance 0; dists[1] is the closest other node.
+                min_dist = min_dist.min(row.dists[1]);
             }
         }
         if n == 1 {
@@ -71,7 +169,7 @@ impl MetricIndex {
         }
         MetricIndex {
             n,
-            by_dist,
+            rows,
             diameter,
             min_dist,
         }
@@ -113,17 +211,20 @@ impl MetricIndex {
 
     /// All nodes sorted by distance from `u`; the first entry is `(0.0, u)`.
     #[must_use]
-    pub fn sorted_from(&self, u: Node) -> &[(f64, Node)] {
-        &self.by_dist[u.index()]
+    pub fn sorted_from(&self, u: Node) -> SortedRow<'_> {
+        let row = &self.rows[u.index()];
+        SortedRow {
+            dists: &row.dists,
+            nodes: &row.nodes,
+        }
     }
 
     /// The closed ball `B_u(r)`: all nodes within distance `r` of `u`,
     /// sorted by distance. Includes `u` itself for `r >= 0`.
     #[must_use]
-    pub fn ball(&self, u: Node, r: f64) -> &[(f64, Node)] {
+    pub fn ball(&self, u: Node, r: f64) -> SortedRow<'_> {
         let row = self.sorted_from(u);
-        let end = row.partition_point(|&(d, _)| d <= r);
-        &row[..end]
+        row.range(0, row.count_within(r))
     }
 
     /// Cardinality of the closed ball `B_u(r)`.
@@ -137,11 +238,9 @@ impl MetricIndex {
     /// The half-open convention matches Section 5.1's annuli
     /// `B_u(rho_j) \ B_u(rho_{j-1})`.
     #[must_use]
-    pub fn annulus(&self, u: Node, inner: f64, outer: f64) -> &[(f64, Node)] {
+    pub fn annulus(&self, u: Node, inner: f64, outer: f64) -> SortedRow<'_> {
         let row = self.sorted_from(u);
-        let start = row.partition_point(|&(d, _)| d <= inner);
-        let end = row.partition_point(|&(d, _)| d <= outer);
-        &row[start..end]
+        row.range(row.count_within(inner), row.count_within(outer))
     }
 
     /// Radius of the smallest closed ball around `u` containing at least
@@ -157,7 +256,7 @@ impl MetricIndex {
             "count {k} out of range 1..={}",
             self.n
         );
-        self.sorted_from(u)[k - 1].0
+        self.sorted_from(u).dists[k - 1]
     }
 
     /// `r_u(eps)` under the counting measure: radius of the smallest closed
@@ -195,13 +294,20 @@ impl MetricIndex {
         u: Node,
         mut pred: impl FnMut(Node) -> bool,
     ) -> Option<(f64, Node)> {
-        self.sorted_from(u).iter().copied().find(|&(_, v)| pred(v))
+        let row = self.sorted_from(u);
+        let k = row.nodes.iter().position(|&v| pred(v))?;
+        Some((row.dists[k], row.nodes[k]))
     }
 }
 
 impl HeapBytes for MetricIndex {
     fn heap_bytes(&self) -> usize {
-        crate::mem::nested_vec_bytes(&self.by_dist)
+        crate::mem::vec_capacity_bytes(&self.rows)
+            + self
+                .rows
+                .iter()
+                .map(|row| std::mem::size_of_val(&*row.dists) + std::mem::size_of_val(&*row.nodes))
+                .sum::<usize>()
     }
 }
 
@@ -219,7 +325,8 @@ mod tests {
         let idx = idx();
         for i in 0..10 {
             let u = Node::new(i);
-            assert_eq!(idx.sorted_from(u)[0], (0.0, u));
+            let row = idx.sorted_from(u);
+            assert_eq!((row.dists()[0], row.nodes()[0]), (0.0, u));
         }
     }
 
@@ -237,8 +344,9 @@ mod tests {
         let u = Node::new(0);
         let ring: Vec<usize> = idx
             .annulus(u, 2.0, 5.0)
+            .nodes()
             .iter()
-            .map(|&(_, v)| v.index())
+            .map(|v| v.index())
             .collect();
         assert_eq!(ring, vec![3, 4, 5]);
     }
@@ -297,8 +405,7 @@ mod tests {
         // Node 1 is equidistant from 0 and 2.
         let idx = MetricIndex::build(&LineMetric::uniform(3).unwrap());
         let row = idx.sorted_from(Node::new(1));
-        assert_eq!(row[1].1, Node::new(0));
-        assert_eq!(row[2].1, Node::new(2));
+        assert_eq!(row.nodes(), [Node::new(1), Node::new(0), Node::new(2)]);
     }
 
     #[test]
@@ -313,6 +420,36 @@ mod tests {
     fn heap_bytes_counts_every_row() {
         let idx = MetricIndex::build(&LineMetric::uniform(16).unwrap());
         assert_eq!(idx.len(), 16);
-        assert!(idx.heap_bytes() >= 16 * 16 * std::mem::size_of::<(f64, Node)>());
+        assert!(idx.heap_bytes() >= 16 * 16 * 12);
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            assert_eq!(from_total_key(total_key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 }

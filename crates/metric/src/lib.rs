@@ -60,7 +60,7 @@ pub use error::MetricError;
 pub use euclidean::EuclideanMetric;
 pub use explicit::ExplicitMetric;
 pub use grid::GridMetric;
-pub use index::{MetricIndex, DENSE_NODE_CAP};
+pub use index::{MetricIndex, SortedRow};
 pub use line::LineMetric;
 pub use mem::HeapBytes;
 pub use nettree::NetTreeIndex;

@@ -141,7 +141,7 @@ impl BallOracle for crate::MetricIndex {
 
     fn for_each_in_ball(&self, u: Node, r: f64, visit: &mut dyn FnMut(f64, Node)) {
         let t = ron_obs::start();
-        for &(d, v) in crate::MetricIndex::ball(self, u, r) {
+        for (d, v) in crate::MetricIndex::ball(self, u, r).iter() {
             visit(d, v);
         }
         ron_obs::finish("oracle.ball.dense", t);

@@ -1,4 +1,4 @@
-use crate::{Metric, MetricIndex, NetTreeIndex, Node};
+use crate::{HeapBytes, Metric, MetricIndex, NetTreeIndex, Node};
 
 /// A metric bundled with a ball-query backend.
 ///
@@ -46,6 +46,7 @@ impl<M: Metric> Space<M> {
         let _stage = ron_obs::stage("index");
         let _span = ron_obs::span("construct.index.dense");
         let index = MetricIndex::build(&metric);
+        record_index_bytes(&index);
         Space { metric, index }
     }
 }
@@ -62,7 +63,15 @@ impl<M: Metric + Clone> Space<M, NetTreeIndex<M>> {
         let _stage = ron_obs::stage("index");
         let _span = ron_obs::span("construct.index.sparse");
         let index = NetTreeIndex::build(metric.clone());
+        record_index_bytes(&index);
         Space { metric, index }
+    }
+}
+
+/// Raises the `metric.index.bytes` gauge to what `index` holds on the heap.
+fn record_index_bytes(index: &impl HeapBytes) {
+    if ron_obs::enabled() {
+        ron_obs::gauge_max("metric.index.bytes", index.heap_bytes() as u64);
     }
 }
 

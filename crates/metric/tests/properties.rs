@@ -1,7 +1,9 @@
 //! Property-based tests for the metric substrate.
 
 use proptest::prelude::*;
-use ron_metric::{cover, gen, EuclideanMetric, LineMetric, Metric, MetricExt, MetricIndex, Node};
+use ron_metric::{
+    cover, gen, par, EuclideanMetric, GridMetric, LineMetric, Metric, MetricExt, MetricIndex, Node,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -237,17 +239,55 @@ proptest! {
         }
     }
 
-    /// The dense index build is bit-identical for every worker count.
+    /// The dense index build is bit-identical for every worker count, and
+    /// every row is the brute-force `(distance, id)` sort, on the four
+    /// generator families and on the tie-heavy uniform line and L1 grid.
     #[test]
     fn parallel_index_build_is_deterministic(n in 2usize..40, seed in 0u64..300) {
-        use ron_metric::par;
-        let metric = gen::uniform_cube(n, 2, seed);
-        let one = par::with_threads(1, || MetricIndex::build(&metric));
-        let many = par::with_threads(5, || MetricIndex::build(&metric));
-        prop_assert_eq!(one.diameter(), many.diameter());
-        prop_assert_eq!(one.min_distance(), many.min_distance());
-        for i in 0..n {
-            prop_assert_eq!(one.sorted_from(Node::new(i)), many.sorted_from(Node::new(i)));
-        }
+        let side = 2 + n / 8;
+        let clusters = 1 + seed as usize % 4;
+        assert_rows_match_reference(&gen::uniform_cube(n, 2, seed));
+        assert_rows_match_reference(&gen::clustered(n, 2, clusters, 0.05, seed));
+        assert_rows_match_reference(&gen::perturbed_grid(side, 2, 0.25, seed));
+        assert_rows_match_reference(&gen::exponential_line(n));
+        assert_rows_match_reference(&LineMetric::uniform(n).unwrap());
+        assert_rows_match_reference(&GridMetric::new(side, 2).unwrap());
     }
+}
+
+/// Builds the dense index of `metric` on 1 and on 5 workers and checks
+/// both against a stable sort of every row's `(distance, id)` pairs,
+/// distances compared bit for bit.
+fn assert_rows_match_reference<M: Metric>(metric: &M) {
+    let n = metric.len();
+    let one = par::with_threads(1, || MetricIndex::build(metric));
+    let many = par::with_threads(5, || MetricIndex::build(metric));
+    for idx in [&one, &many] {
+        let mut diameter = 0.0f64;
+        for u in Node::all(n) {
+            let mut want: Vec<(f64, Node)> = Node::all(n).map(|v| (metric.dist(u, v), v)).collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let row = idx.sorted_from(u);
+            let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            let want_dists: Vec<f64> = want.iter().map(|&(d, _)| d).collect();
+            let want_nodes: Vec<Node> = want.iter().map(|&(_, v)| v).collect();
+            assert_eq!(bits(row.dists()), bits(&want_dists), "distances from {u}");
+            assert_eq!(row.nodes(), want_nodes, "order from {u}");
+            diameter = diameter.max(want_dists[n - 1]);
+        }
+        assert_eq!(idx.diameter(), diameter);
+    }
+    assert_eq!(one.min_distance(), many.min_distance());
+}
+
+/// Bit-identity at the benchmark's own size: the 64 x 64 jittered grid
+/// the serve workloads build, a 4096-point uniform line (rows of two
+/// monotone runs) and a 64 x 64 L1 grid (heavy ties). Release-only:
+/// `cargo test --release -p ron-metric -- --ignored`.
+#[test]
+#[ignore = "n = 4096, three dense builds: run in release with --ignored"]
+fn dense_rows_match_reference_at_4096() {
+    assert_rows_match_reference(&gen::perturbed_grid(64, 2, 0.25, 1));
+    assert_rows_match_reference(&LineMetric::uniform(4096).unwrap());
+    assert_rows_match_reference(&GridMetric::new(64, 2).unwrap());
 }

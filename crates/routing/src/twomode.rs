@@ -444,8 +444,9 @@ impl TwoModeScheme {
                         let targets: Vec<u32> = space
                             .index()
                             .ball(rep, system.radius(rep, i - 1))
+                            .nodes()
                             .iter()
-                            .map(|&(_, v)| v.index() as u32)
+                            .map(|v| v.index() as u32)
                             .collect();
                         let tree = IdRangeTree::new(members.clone(), parent, targets);
                         let child_routes: Vec<Vec<(Node, Vec<u32>)>> = (0..members.len())

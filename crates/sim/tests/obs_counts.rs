@@ -12,7 +12,7 @@
 use ron_location::{
     DirectoryOverlay, EngineConfig, EpochCell, LocateError, ObjectId, QueryEngine, Snapshot,
 };
-use ron_metric::{gen, BallOracle, EuclideanMetric, Node, Space};
+use ron_metric::{gen, BallOracle, EuclideanMetric, HeapBytes, Node, Space};
 use ron_nets::NestedNets;
 use ron_sim::directory::{DirectoryMsg, DirectoryNode};
 use ron_sim::{MetricLatency, SimConfig, Simulator};
@@ -332,7 +332,7 @@ fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
             .nodes()
             .filter(|v| before[j][v.index()] != after[j][v.index()])
         {
-            for (_, u) in space.index().ball(v, reach) {
+            for &u in space.index().ball(v, reach).nodes() {
                 near_a_change[u.index()] = true;
             }
         }
@@ -477,6 +477,12 @@ fn every_layer_lands_in_the_drained_registry() {
             .any(|k| k.starts_with("oracle.") && k.contains(backend))
     };
     assert!(oracle(".dense"), "dense oracle calls must record");
+    let index_bytes = space.index().heap_bytes().max(sparse.index().heap_bytes());
+    assert_eq!(
+        registry.gauges.get("metric.index.bytes/index").copied(),
+        Some(index_bytes as u64),
+        "both index builds must raise the index-bytes gauge"
+    );
     assert!(oracle(".sparse"), "sparse oracle calls must record");
     assert!(
         registry.histogram("lookup.hops").is_some(),

@@ -50,7 +50,7 @@ impl KleinbergGrid {
             .map(|u| {
                 let mut list = Vec::new();
                 // Local contacts: lattice neighbors (distance 1).
-                for &(d, v) in space.index().sorted_from(u) {
+                for (d, v) in space.index().sorted_from(u).iter() {
                     if d == 1.0 {
                         list.push(v);
                     }

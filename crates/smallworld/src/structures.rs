@@ -55,21 +55,22 @@ impl Structures {
         let mut x = vec![u32::MAX; n * n];
         for w in space.nodes() {
             let row = space.index().sorted_from(w);
+            let (dists, nodes) = (row.dists(), row.nodes());
             // Tie-aware closed-ball cardinality at each position.
             let mut ball_size = vec![0u32; n];
             let mut pos = 0usize;
             while pos < n {
                 let mut end = pos;
-                while end + 1 < n && row[end + 1].0 == row[pos].0 {
+                while end + 1 < n && dists[end + 1] == dists[pos] {
                     end += 1;
                 }
                 ball_size[pos..=end].fill((end + 1) as u32);
                 pos = end + 1;
             }
             for pos_b in 0..n {
-                let b = row[pos_b].1;
+                let b = nodes[pos_b];
                 let size = ball_size[pos_b];
-                for &(_, a) in &row[..pos_b] {
+                for &a in &nodes[..pos_b] {
                     let idx = a.index() * n + b.index();
                     if x[idx] > size {
                         x[idx] = size;
