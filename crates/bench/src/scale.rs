@@ -139,8 +139,9 @@ fn build(n: usize) -> Build {
 /// again under a forced two-worker split (so the check runs even on a
 /// one-core box), asserts the two fingerprints are bit-identical, and
 /// asserts the resident structures fit [`BYTES_PER_NODE_BUDGET`]. The
-/// row reports the serial per-stage times and the measured bytes per
-/// node.
+/// row reports the serial per-stage times, the measured bytes per node
+/// and, last, the two-worker build's total. The worker counts are forced,
+/// so `RON_THREADS` does not change the table.
 ///
 /// # Panics
 ///
@@ -163,6 +164,7 @@ pub fn table(ns: &[usize]) -> Table {
             "bytes/node",
             "fingerprint",
             "2-worker check",
+            "2-worker ms",
         ],
     );
     for &n in ns {
@@ -185,6 +187,7 @@ pub fn table(ns: &[usize]) -> Table {
             bytes_per_node.to_string(),
             format!("{:016x}", serial.fingerprint),
             "bit-identical".into(),
+            f(dual.stage_ms.iter().sum()),
         ]);
         t.rows.push(row);
     }
@@ -209,6 +212,8 @@ mod tests {
             let bytes: usize = row[9].parse().expect("bytes/node is an integer");
             assert!(bytes > 0);
             assert_eq!(row[11], "bit-identical");
+            let dual_ms: f64 = row[12].parse().expect("2-worker ms is a number");
+            assert!(dual_ms > 0.0);
         }
         assert_eq!(t.rows[0][0], "96");
         assert_eq!(t.rows[1][0], "160");

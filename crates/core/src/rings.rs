@@ -109,7 +109,8 @@ impl RingFamily {
     /// single query `B_m(r)` and is scattered into the rings of every node
     /// it reaches — `O(sum over members of |B_m(r)|)` work per level,
     /// which the packing bound keeps near-linear, and the only orientation
-    /// that scales on the sparse backend. The member queries run in
+    /// that scales on the sparse backend. The member queries are unordered
+    /// balls (each ring is ordered by member, not by visit) and run in
     /// parallel on [`par`]; the scatter is sequential in member order, so
     /// the result is bit-identical for every thread count.
     #[must_use]
@@ -132,7 +133,7 @@ impl RingFamily {
             let members = net.members();
             let reached: Vec<Vec<Node>> = par::map(members.len(), |i| {
                 let mut hit = Vec::new();
-                oracle.for_each_in_ball(members[i], r, &mut |_, v| hit.push(v));
+                oracle.for_each_in_ball_unordered(members[i], r, &mut |_, v| hit.push(v));
                 hit
             });
             // Counting-sort scatter into this level's CSR block. Members

@@ -16,6 +16,10 @@
 //!   *marking* the open ball of every accepted member, with candidate
 //!   nodes located through the already-built coarser levels — no
 //!   all-pairs pass anywhere);
+//! * the exact `min_distance`: one parallel pass after the ladder, an
+//!   unordered descent per node at twice the last radius (the closest
+//!   pair always lies within it), so `n` balls of packing-bounded size
+//!   and `O(n log Delta)` distance evaluations — no heaps, no sort;
 //! * memory: `O(n log Delta)` **words of 4 bytes** — members, parents and
 //!   child links are all [`CompactId`]/`u32` arenas in struct-of-arrays
 //!   CSR layout, accounted exactly by
@@ -237,15 +241,31 @@ impl<M: Metric> NetTreeIndex<M> {
             levels,
         };
         if n >= 2 {
-            let nearest = crate::par::map(n, |i| {
-                let u = Node::new(i);
-                tree.nearest_where(u, &mut |v| v != u)
-                    .expect("n >= 2 has a nearest other node")
-                    .0
-            });
-            tree.min_dist = nearest.into_iter().fold(f64::INFINITY, f64::min);
+            tree.min_dist = tree.closest_pair_distance();
         }
         tree
+    }
+
+    /// The exact smallest distance between two distinct nodes, by one
+    /// unordered descent per node at `2 r_last`. The ladder stops at the
+    /// first level holding every node, so the level above left some node
+    /// out: a member lay strictly within `r_{last-1} = 2 r_last` of it,
+    /// and the closest pair is inside that ball around either end. With a
+    /// single level, `2 r_last` is `diameter_ub` and covers everything.
+    fn closest_pair_distance(&self) -> f64 {
+        let r = 2.0 * self.levels[self.levels.len() - 1].radius;
+        // The last level holds every node in id order: position is id.
+        let nearest = crate::par::map(self.metric.len(), |i| {
+            let mut best = f64::INFINITY;
+            let mut others = |pos: u32, d: f64| {
+                if pos as usize != i {
+                    best = best.min(d);
+                }
+            };
+            descend(&self.metric, &self.levels, Node::new(i), r, &mut others);
+            best
+        });
+        nearest.into_iter().fold(f64::INFINITY, f64::min)
     }
 
     /// The metric the index answers queries about.
@@ -559,6 +579,15 @@ impl<M: Metric> BallOracle for NetTreeIndex<M> {
         for (d, v) in self.sorted_ball(u, r) {
             visit(d, v);
         }
+        ron_obs::finish("oracle.ball.sparse", t);
+    }
+
+    fn for_each_in_ball_unordered(&self, u: Node, r: f64, visit: &mut dyn FnMut(f64, Node)) {
+        let t = ron_obs::start();
+        let leaves = &self.levels[self.levels.len() - 1].members;
+        descend(&self.metric, &self.levels, u, r, &mut |pos, d| {
+            visit(d, leaves[pos as usize].node());
+        });
         ron_obs::finish("oracle.ball.sparse", t);
     }
 

@@ -33,6 +33,9 @@ use crate::Node;
 /// * [`for_each_in_ball`](BallOracle::for_each_in_ball) visits the closed
 ///   ball `B_u(r)` in ascending `(distance, node id)` order, starting at
 ///   `(0.0, u)` for `r >= 0`;
+/// * [`for_each_in_ball_unordered`](BallOracle::for_each_in_ball_unordered)
+///   visits the same nodes with the same distance bits, each exactly
+///   once, in no stated order;
 /// * [`nearest_where`](BallOracle::nearest_where) calls the predicate on
 ///   nodes in that same global order, each node at most once, and returns
 ///   the first match;
@@ -79,6 +82,15 @@ pub trait BallOracle: Sync {
     /// in ascending `(distance, id)` order. Includes `u` itself for
     /// `r >= 0`.
     fn for_each_in_ball(&self, u: Node, r: f64, visit: &mut dyn FnMut(f64, Node));
+
+    /// Visits every node of the closed ball `B_u(r)` once, with the
+    /// distance [`for_each_in_ball`](BallOracle::for_each_in_ball) reports
+    /// for it, in no stated order. For callers whose result does not
+    /// depend on visit order (marks, counts, scatters keyed by node); a
+    /// backend that finds the ball unordered skips the sort.
+    fn for_each_in_ball_unordered(&self, u: Node, r: f64, visit: &mut dyn FnMut(f64, Node)) {
+        self.for_each_in_ball(u, r, visit);
+    }
 
     /// The closed ball `B_u(r)` as an owned, `(distance, id)`-sorted
     /// vector.

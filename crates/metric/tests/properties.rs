@@ -291,3 +291,81 @@ fn dense_rows_match_reference_at_4096() {
     assert_rows_match_reference(&LineMetric::uniform(4096).unwrap());
     assert_rows_match_reference(&GridMetric::new(64, 2).unwrap());
 }
+
+/// The visits of `for_each_in_ball_unordered`, sorted into the ordered
+/// visit's `(distance, id)` order, with distances as bits.
+fn unordered_sorted<O: ron_metric::BallOracle>(o: &O, u: Node, r: f64) -> Vec<(u64, Node)> {
+    let mut out = Vec::new();
+    o.for_each_in_ball_unordered(u, r, &mut |d, v| out.push((d.to_bits(), v)));
+    let mut ids: Vec<Node> = out.iter().map(|&(_, v)| v).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), out.len(), "a node visited twice in B({u}, {r})");
+    out.sort_unstable_by(|a, b| {
+        f64::from_bits(a.0)
+            .total_cmp(&f64::from_bits(b.0))
+            .then(a.1.cmp(&b.1))
+    });
+    out
+}
+
+/// On both backends the unordered visit is the ordered ball as a set:
+/// each node once, with the same distance bits, at radius 0, the minimum
+/// distance, mid-range and beyond the diameter bound.
+fn assert_unordered_visit_is_the_ball<M: Metric + Clone>(metric: M) {
+    use ron_metric::{BallOracle, NetTreeIndex};
+    let dense = MetricIndex::build(&metric);
+    let tree = NetTreeIndex::build(metric);
+    let top = BallOracle::diameter_ub(&tree);
+    let radii = [
+        0.0,
+        dense.min_distance(),
+        dense.diameter() / 2.0,
+        top,
+        2.0 * top,
+    ];
+    for i in 0..dense.len() {
+        let u = Node::new(i);
+        for r in radii {
+            let mut ordered = Vec::new();
+            dense.for_each_in_ball(u, r, &mut |d, v| ordered.push((d.to_bits(), v)));
+            assert_eq!(unordered_sorted(&dense, u, r), ordered, "dense B({u}, {r})");
+            assert_eq!(unordered_sorted(&tree, u, r), ordered, "sparse B({u}, {r})");
+        }
+    }
+}
+
+#[test]
+fn unordered_ball_visit_is_the_ordered_ball() {
+    assert_unordered_visit_is_the_ball(gen::uniform_cube(64, 2, 5));
+    assert_unordered_visit_is_the_ball(gen::clustered(48, 2, 4, 0.02, 3));
+    assert_unordered_visit_is_the_ball(gen::perturbed_grid(7, 2, 0.2, 6));
+    assert_unordered_visit_is_the_ball(gen::exponential_line(24));
+    assert_unordered_visit_is_the_ball(LineMetric::uniform(33).unwrap());
+    // Zero jitter: an exact grid, every ring of the ball a tie.
+    assert_unordered_visit_is_the_ball(gen::perturbed_grid(7, 2, 0.0, 1));
+}
+
+/// The net tree's closest-pair pass finds the dense index's exact
+/// minimum distance bit for bit, ties, two- and three-point spaces and
+/// the singleton convention included.
+#[test]
+fn net_tree_min_distance_is_exact() {
+    use ron_metric::{BallOracle, NetTreeIndex};
+    fn check<M: Metric + Clone>(metric: M) {
+        let dense = MetricIndex::build(&metric);
+        let tree = NetTreeIndex::build(metric);
+        assert_eq!(
+            tree.min_distance().to_bits(),
+            BallOracle::min_distance(&dense).to_bits(),
+            "n = {}",
+            dense.len()
+        );
+    }
+    check(gen::uniform_cube(96, 2, 17));
+    check(gen::clustered(64, 2, 5, 0.01, 4));
+    check(gen::perturbed_grid(9, 2, 0.0, 1));
+    check(LineMetric::new(vec![0.0, 2.5]).unwrap());
+    check(LineMetric::new(vec![0.0, 2.5, 2.75]).unwrap());
+    check(LineMetric::new(vec![5.0]).unwrap());
+}

@@ -2,7 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 use ron_metric::mem::vec_capacity_bytes;
-use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
+use ron_metric::{par, BallOracle, HeapBytes, Metric, Node, Space};
 
 /// Errors raised when validating an [`Net`].
 #[derive(Debug, Clone, PartialEq)]
@@ -83,11 +83,15 @@ impl Net {
     ///
     /// The construction is the *marking* formulation of the greedy scan:
     /// each accepted member marks the open ball `B_m(r)` through one
-    /// oracle ball query, and a node joins exactly when no earlier member
-    /// has marked it — the same net as the nearest-member scan, in
+    /// unordered oracle ball query (a mark is an OR, so visit order is
+    /// irrelevant), and a node joins exactly when no earlier member has
+    /// marked it — the same net as the nearest-member scan, in
     /// `O(sum over members of |B_m(r)|)` work, which the packing bound
-    /// keeps near-linear per level on doubling metrics. It runs unchanged
-    /// on the dense and the sparse backend.
+    /// keeps near-linear per level on doubling metrics. Seeds join
+    /// unconditionally, so their balls are queried in parallel on
+    /// [`par`] and merged in seed order. At a radius no larger than the
+    /// minimum distance nothing can be marked, so every node joins without
+    /// a query. It runs unchanged on the dense and the sparse backend.
     ///
     /// # Panics
     ///
@@ -104,37 +108,52 @@ impl Net {
         );
         let n = space.len();
         let oracle = space.index();
+        if radius <= oracle.min_distance() {
+            return Net {
+                radius,
+                members: space.nodes().collect(),
+                is_member: vec![true; n],
+            };
+        }
         let mut is_member = vec![false; n];
         let mut covered = vec![false; n];
         let mut members = Vec::new();
-        let add = |m: Node, is_member: &mut Vec<bool>, covered: &mut Vec<bool>| {
-            is_member[m.index()] = true;
-            oracle.for_each_in_ball(m, radius, &mut |d, v| {
+        let seed_marks: Vec<Vec<u32>> = par::map(seeds.len(), |i| {
+            let mut marks = Vec::new();
+            oracle.for_each_in_ball_unordered(seeds[i], radius, &mut |d, v| {
                 if d < radius {
-                    covered[v.index()] = true;
+                    marks.push(v.index() as u32);
                 }
             });
-        };
-        for &s in seeds {
+            marks
+        });
+        for (&s, marks) in seeds.iter().zip(&seed_marks) {
             // A seed already covered by an earlier seed's open ball means
             // the seed set is not r-separated: an O(1) check per seed
-            // derived from the oracle's ball marks (previously an
-            // O(|seeds|^2) pairwise-distance pass).
+            // derived from the oracle's ball marks.
             debug_assert!(
                 is_member[s.index()] || !covered[s.index()],
                 "seed set is not {radius}-separated"
             );
             if !is_member[s.index()] {
+                is_member[s.index()] = true;
                 members.push(s);
-                add(s, &mut is_member, &mut covered);
+                for &v in marks {
+                    covered[v as usize] = true;
+                }
             }
         }
         for u in space.nodes() {
             // `u` joins unless an existing member is strictly within
             // radius, i.e. unless some earlier member marked it.
             if !is_member[u.index()] && !covered[u.index()] {
+                is_member[u.index()] = true;
                 members.push(u);
-                add(u, &mut is_member, &mut covered);
+                oracle.for_each_in_ball_unordered(u, radius, &mut |d, v| {
+                    if d < radius {
+                        covered[v.index()] = true;
+                    }
+                });
             }
         }
         members.sort_unstable();

@@ -1,8 +1,9 @@
 //! Cross-backend and cross-thread-count guarantees for the net layer:
 //! the same greedy net falls out of the dense and the sparse oracle, and
-//! ladder construction is deterministic under any worker count.
+//! ladder and ring construction are deterministic under any worker count.
 
-use ron_metric::{gen, par, BallOracle, LineMetric, Node, Space};
+use ron_core::RingFamily;
+use ron_metric::{gen, par, BallOracle, LineMetric, Metric, Node, Space};
 use ron_nets::{NestedNets, Net};
 
 /// `Net::build` at a fixed radius is a pure function of the oracle's
@@ -71,5 +72,49 @@ fn parallel_ladders_are_identical() {
     }
     for j in 0..s1.levels() {
         assert_eq!(s1.net(j).members(), s4.net(j).members(), "sparse level {j}");
+    }
+}
+
+/// At the minimum distance no node is strictly within the radius of
+/// another, so the net is every node, seeded or not, on both backends.
+#[test]
+fn min_distance_net_is_every_node() {
+    fn check<M: Metric, I: BallOracle>(space: &Space<M, I>) {
+        let all: Vec<Node> = space.nodes().collect();
+        let r = space.index().min_distance();
+        let seeds = [Node::new(space.len() - 1), Node::new(0)];
+        for seeds in [&[][..], &seeds[..]] {
+            let net = Net::build(space, r, seeds);
+            assert_eq!(net.members(), &all[..], "seeds {seeds:?}");
+            assert!(all.iter().all(|&v| net.contains(v)));
+        }
+    }
+    check(&Space::new(gen::uniform_cube(48, 2, 7)));
+    check(&Space::new_sparse(gen::uniform_cube(48, 2, 7)));
+    check(&Space::new(gen::perturbed_grid(6, 2, 0.0, 1)));
+    check(&Space::new_sparse(gen::perturbed_grid(6, 2, 0.0, 1)));
+    check(&Space::new_sparse(LineMetric::new(vec![0.0, 2.5]).unwrap()));
+    check(&Space::new_sparse(LineMetric::new(vec![4.0]).unwrap()));
+}
+
+/// The sparse ladder and the rings scattered from it are identical on 1
+/// and on 5 workers: the seed marks and the ring balls are gathered in
+/// parallel but merged in a fixed order.
+#[test]
+fn sparse_ladder_and_rings_identical_across_threads() {
+    fn build<M: Metric>(space: &Space<M, ron_metric::NetTreeIndex<M>>) -> (NestedNets, RingFamily) {
+        let nets = NestedNets::build(space);
+        let rings = RingFamily::from_nets(space, &nets, |_, r| Some(4.0 * r));
+        (nets, rings)
+    }
+    for seed in [3u64, 11] {
+        let space = Space::new_sparse(gen::perturbed_grid(20, 2, 0.3, seed));
+        let (n1, r1) = par::with_threads(1, || build(&space));
+        let (n5, r5) = par::with_threads(5, || build(&space));
+        assert_eq!(n1.levels(), n5.levels());
+        for j in 0..n1.levels() {
+            assert_eq!(n1.net(j).members(), n5.net(j).members(), "level {j}");
+        }
+        assert_eq!(r1, r5, "rings, seed {seed}");
     }
 }

@@ -384,6 +384,52 @@ fn an_epoch_counts_its_covering_candidates_and_its_chunks() {
     assert_recording_is_off();
 }
 
+/// A repaired epoch asks the oracle for what changed, not for n: on a
+/// 1024-node sparse stack, one leave from the middle of the ladder and
+/// its published repair recompute at most the fingers the stale-finger
+/// rule can reach, the sum over the epoch's membership changes `(j, a)`
+/// of `|B_a(c·r_j)|`.
+#[test]
+fn a_sparse_epoch_recomputes_only_the_fingers_near_its_changes() {
+    let recording = Recording::start();
+    let space = Space::new_sparse(gen::uniform_cube(1024, 2, 1));
+    let mut overlay = published(&space);
+    let levels = overlay.levels();
+    let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+    let membership = |overlay: &DirectoryOverlay| -> Vec<Vec<bool>> {
+        (0..levels)
+            .map(|j| space.nodes().map(|v| overlay.is_net_member(j, v)).collect())
+            .collect()
+    };
+    let before = membership(&overlay);
+    let leaver = space
+        .nodes()
+        .find(|&v| overlay.top_level_of(v) == Some(levels / 2))
+        .expect("the middle level has members of its own");
+    ron_obs::reset();
+    overlay.leave(leaver);
+    overlay.repair_published(&space, &cell);
+    let recomputed = ron_obs::drain().counter_prefix_sum("snapshot.fingers_recomputed");
+    recording.stop();
+    let after = membership(&overlay);
+    let mut bound = 0usize;
+    for j in 0..levels {
+        let reach = overlay.ring_factor() * overlay.nets().radius(j);
+        for a in space
+            .nodes()
+            .filter(|a| before[j][a.index()] != after[j][a.index()])
+        {
+            bound += space.index().ball_size(a, reach);
+        }
+    }
+    assert!(
+        recomputed > 0 && recomputed <= bound as u64,
+        "{recomputed} fingers recomputed, stale-finger bound {bound}"
+    );
+    assert!(bound < 1024 * levels, "bound {bound} covers every finger");
+    assert_recording_is_off();
+}
+
 /// Every way a lookup fails is counted where it returns, a broken chain
 /// under the level it broke at: on a stack whose one leave (the home of
 /// object 0) was never repaired, the drained counters are exactly the
