@@ -7,26 +7,32 @@
 //! (a handful of members), each level halves the radius, and the last
 //! level contains every node. Each member of level `k+1` is linked to a
 //! level-`k` parent within the level-`k` radius, so the nodes reachable
-//! below a level-`k` member all lie within `2 r_k` of it — the pruning
-//! bound of every query.
+//! below a level-`k` member all lie within `2 r_k` of it. Each internal
+//! member stores its measured *reach*, the largest of those distances
+//! (on a 128 × 128 jittered grid, 0.1–1 `r_k` on average and at most
+//! 1.63 `r_k`), and every query prunes by it: a member at distance `d`
+//! is dropped when `d` exceeds `r + reach` by more than a `1e-9`
+//! relative rounding margin of `d` (cover-tree style: Beygelzimer,
+//! Kakade and Langford, ICML 2006).
 //!
 //! Costs on a doubling metric of aspect ratio `Delta`:
 //!
 //! * build: `O(n log Delta)` distance evaluations (each level is built by
 //!   *marking* the open ball of every accepted member, with candidate
 //!   nodes located through the already-built coarser levels — no
-//!   all-pairs pass anywhere);
+//!   all-pairs pass anywhere), plus one distance per (new member,
+//!   ancestor) to keep the reaches exact;
 //! * the exact `min_distance`: one parallel pass after the ladder, an
 //!   unordered descent per node at twice the last radius (the closest
 //!   pair always lies within it), so `n` balls of packing-bounded size
 //!   and `O(n log Delta)` distance evaluations — no heaps, no sort;
-//! * memory: `O(n log Delta)` **words of 4 bytes** — members, parents and
-//!   child links are all [`CompactId`]/`u32` arenas in struct-of-arrays
-//!   CSR layout, accounted exactly by
+//! * memory: `O(n log Delta)` **words of 4 bytes** — members, child links
+//!   and the internal members' `f32` reaches are struct-of-arrays CSR
+//!   arenas, accounted exactly by
 //!   [`HeapBytes`](crate::HeapBytes)::`heap_bytes`;
-//! * queries: `O(|B_u(r)| + log Delta)`-ish, by descent with the `2 r_k`
-//!   slack. Descent reuses thread-local scratch frontiers (no per-query
-//!   allocation), and the doubling searches behind
+//! * queries: `O(|B_u(r)| + log Delta)`-ish, by descent pruned by each
+//!   member's reach. Descent reuses thread-local scratch frontiers (no
+//!   per-query allocation), and the doubling searches behind
 //!   [`nearest_where`](crate::BallOracle::nearest_where) and
 //!   [`radius_for_count`](crate::BallOracle::radius_for_count) keep
 //!   per-level heaps across rounds so each `(level, member)` distance is
@@ -67,10 +73,11 @@ struct TreeLevel {
     radius: f64,
     /// Net members, sorted by node id.
     members: Vec<CompactId>,
-    /// Parent **node id** in the previous level for each member; empty at
-    /// level 0. The covering invariant `d(parent, member) <= r_{k-1}`
-    /// always holds.
-    parent: Vec<CompactId>,
+    /// Each member's reach: its largest distance to a descendant on the
+    /// last level, rounded up to `f32`; empty on the last level. At most
+    /// `2 r_k` before rounding, since every child lies within `r_k` of
+    /// its parent and the radii halve.
+    reach: Vec<f32>,
     /// CSR offsets into `children`; empty for the last (all-nodes) level.
     child_start: Vec<u32>,
     /// Positions into the **next** level's `members`: the members
@@ -79,12 +86,37 @@ struct TreeLevel {
     children: Vec<u32>,
 }
 
-/// Min-heap entry of the expanding query frontier: a member of some level
-/// at distance `d` from the query point, identified by its position in
-/// that level's member array.
+/// Relative margin for the rounding error of computed distances in the
+/// reach test: a distance is exact to a few ulps of itself, so the
+/// margin must scale with `d`, not with the (possibly far smaller) reach.
+const ROUNDING: f64 = 1e-9;
+
+/// A lower bound on the distance from the query to any last-level
+/// descendant of a member at computed distance `d` with reach `reach`
+/// (the triangle inequality, shrunk by [`ROUNDING`]). A member whose
+/// bound exceeds `r` has no descendant in `B_q(r)`.
+fn lower_bound(d: f64, reach: f32) -> f64 {
+    d * (1.0 - ROUNDING) - f64::from(reach)
+}
+
+/// `x` rounded up to the nearest `f32`, so a stored reach never
+/// understates the exact one.
+fn round_up(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) < x {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// Min-heap entry of the expanding query frontier: a member of some level,
+/// identified by its position in that level's member array and keyed by
+/// its distance from the query on the last level, by its
+/// [`lower_bound`] on the levels above.
 #[derive(Copy, Clone, PartialEq)]
 struct Cand {
-    d: f64,
+    key: f64,
     pos: u32,
 }
 
@@ -96,8 +128,8 @@ impl Ord for Cand {
         // first. Position order equals id order (members are id-sorted),
         // so ties break exactly like the dense index.
         other
-            .d
-            .total_cmp(&self.d)
+            .key
+            .total_cmp(&self.key)
             .then_with(|| other.pos.cmp(&self.pos))
     }
 }
@@ -185,7 +217,7 @@ impl<M: Metric> NetTreeIndex<M> {
         let mut levels = vec![TreeLevel {
             radius: top_radius,
             members,
-            parent: Vec::new(),
+            reach: Vec::new(),
             child_start: Vec::new(),
             children: Vec::new(),
         }];
@@ -211,24 +243,23 @@ impl<M: Metric> NetTreeIndex<M> {
                 .collect();
             let next_assign: Vec<u32> = assign_acc.iter().map(|&a| inv[a as usize]).collect();
 
-            let prev = levels.last_mut().expect("nonempty");
-            // Parent of each new member: the previous-level member that
-            // covers it (within the previous radius).
+            // Parent of each new member: the position of the
+            // previous-level member that covers it (within the previous
+            // radius).
             let parent_pos: Vec<u32> = next_members.iter().map(|&m| assign[m.index()]).collect();
-            let parent: Vec<CompactId> = parent_pos
-                .iter()
-                .map(|&p| prev.members[p as usize])
-                .collect();
-            debug_assert!(next_members.iter().zip(&parent).all(|(&m, &p)| {
+            let prev = levels.last_mut().expect("nonempty");
+            debug_assert!(next_members.iter().zip(&parent_pos).all(|(&m, &p)| {
+                let p = prev.members[p as usize];
                 metric.dist(p.node(), m.node()) <= prev.radius * (1.0 + 1e-12)
             }));
-            fill_csr(prev, &parent_pos);
+            (prev.child_start, prev.children) = counting_csr(&parent_pos, prev.members.len());
             let radius = prev.radius / 2.0;
+            extend_reach(&metric, &mut levels, &next_members, &parent_pos);
             assign = next_assign;
             levels.push(TreeLevel {
                 radius,
                 members: next_members,
-                parent,
+                reach: Vec::new(),
                 child_start: Vec::new(),
                 children: Vec::new(),
             });
@@ -304,23 +335,33 @@ impl<M: Metric> NetTreeIndex<M> {
         out
     }
 
+    /// The heap key of the member at `pos` on level `k`, at distance `d`
+    /// from the query: `d` itself on the last level, the
+    /// [`lower_bound`] of its descendants' distances above it.
+    fn key(&self, k: usize, pos: u32, d: f64) -> f64 {
+        if k + 1 == self.levels.len() {
+            d
+        } else {
+            lower_bound(d, self.levels[k].reach[pos as usize])
+        }
+    }
+
     /// Fresh per-level frontier heaps for an expanding query from `q`,
     /// seeded with the top level.
     fn new_frontier(&self, q: Node) -> Vec<BinaryHeap<Cand>> {
         let mut heaps: Vec<BinaryHeap<Cand>> =
             (0..self.levels.len()).map(|_| BinaryHeap::new()).collect();
         for (pos, &m) in self.levels[0].members.iter().enumerate() {
-            heaps[0].push(Cand {
-                d: self.metric.dist(q, m.node()),
-                pos: pos as u32,
-            });
+            let pos = pos as u32;
+            let key = self.key(0, pos, self.metric.dist(q, m.node()));
+            heaps[0].push(Cand { key, pos });
         }
         heaps
     }
 
-    /// Expands the frontier to radius `r`: internal-level entries within
-    /// the descent threshold are popped and their children's distances
-    /// evaluated (once, ever — entries beyond the threshold stay queued
+    /// Expands the frontier to radius `r`: internal-level entries whose
+    /// lower bound is within `r` are popped and their children's
+    /// distances evaluated (once, ever — the other entries stay queued
     /// for a later, larger `r`), then leaf entries with `d <= r` are
     /// popped in ascending `(distance, id)` order and offered to `emit`.
     /// Returns the first leaf for which `emit` returns `true`.
@@ -333,10 +374,10 @@ impl<M: Metric> NetTreeIndex<M> {
     ) -> Option<(f64, Node)> {
         let last = self.levels.len() - 1;
         for k in 0..last {
-            let slack = 2.0 * self.levels[k].radius;
-            while let Some(&Cand { d, pos }) = heaps[k].peek() {
-                // Every node below this member lies within 2 r_k of it.
-                if d > r + slack {
+            // A member whose lower bound exceeds `r` has no descendant in
+            // the ball, and neither has any member queued behind it.
+            while let Some(&Cand { key, pos }) = heaps[k].peek() {
+                if key > r {
                     break;
                 }
                 heaps[k].pop();
@@ -345,15 +386,13 @@ impl<M: Metric> NetTreeIndex<M> {
                 let lo = level.child_start[pos as usize] as usize;
                 let hi = level.child_start[pos as usize + 1] as usize;
                 for &cpos in &level.children[lo..hi] {
-                    let m = next.members[cpos as usize].node();
-                    heaps[k + 1].push(Cand {
-                        d: self.metric.dist(q, m),
-                        pos: cpos,
-                    });
+                    let d = self.metric.dist(q, next.members[cpos as usize].node());
+                    let key = self.key(k + 1, cpos, d);
+                    heaps[k + 1].push(Cand { key, pos: cpos });
                 }
             }
         }
-        while let Some(&Cand { d, pos }) = heaps[last].peek() {
+        while let Some(&Cand { key: d, pos }) = heaps[last].peek() {
             if d > r {
                 break;
             }
@@ -398,25 +437,30 @@ fn build_level<M: Metric>(
     let prev = levels.last().expect("at least the top level exists");
     let radius = prev.radius / 2.0;
     // Coverage buckets of the previous level: the nodes each previous
-    // member is responsible for (every node, exactly once).
-    let mut buckets: Vec<Vec<Node>> = vec![Vec::new(); prev.members.len()];
-    for (j, &p) in assign.iter().enumerate() {
-        buckets[p as usize].push(Node::new(j));
-    }
+    // member is responsible for (every node, exactly once), ascending by
+    // id within each bucket.
+    let (bucket_start, bucket_nodes) = counting_csr(assign, prev.members.len());
+    let bucket = |p: u32| {
+        let lo = bucket_start[p as usize] as usize;
+        let hi = bucket_start[p as usize + 1] as usize;
+        bucket_nodes[lo..hi].iter().map(|&v| Node::new(v as usize))
+    };
 
     let mut members: Vec<Node> = Vec::new();
     let mut is_member = vec![false; n];
     let mut covered = vec![false; n];
     let mut next_assign: Vec<u32> = vec![u32::MAX; n];
-    let reach = radius + prev.radius;
+    // A node within `radius` of a new member lies in the bucket of a
+    // previous member within `radius + prev.radius` of it.
+    let span = radius + prev.radius;
 
     // Seed phase, parallel: each previous member's hits (candidate nodes
     // within the new radius) are gathered independently...
     let seed_hits: Vec<Vec<(u32, f64)>> = crate::par::map(prev.members.len(), |i| {
         let m = prev.members[i].node();
         let mut hits = Vec::new();
-        descend(metric, levels, m, reach, &mut |p, _| {
-            for &v in &buckets[p as usize] {
+        descend(metric, levels, m, span, &mut |p, _| {
+            for v in bucket(p) {
                 let d = metric.dist(m, v);
                 if d <= radius {
                     hits.push((v.index() as u32, d));
@@ -449,8 +493,8 @@ fn build_level<M: Metric>(
             let pos = members.len() as u32;
             is_member[j] = true;
             members.push(u);
-            descend(metric, levels, u, reach, &mut |p, _| {
-                for &v in &buckets[p as usize] {
+            descend(metric, levels, u, span, &mut |p, _| {
+                for v in bucket(p) {
                     let d = metric.dist(u, v);
                     if d <= radius {
                         if d < radius {
@@ -471,11 +515,80 @@ fn build_level<M: Metric>(
     (members, next_assign)
 }
 
+/// Joiners per parallel task in [`extend_reach`].
+const REACH_CHUNK: usize = 16384;
+
+/// Re-targets every reach of the completed prefix `levels` at `next`, the
+/// level about to be appended below it (`parent_pos`: each next member's
+/// parent position on the prefix's last level). That level gets a fresh
+/// reach; an ancestor's reach grows to its distance to each new
+/// descendant. Only joiners are new: a seed is its own parent, already
+/// covered by the reaches it replaces. One distance per (joiner, level),
+/// in parallel per level in chunks of [`REACH_CHUNK`] joiners; the
+/// transients are `O(|next|)` 4-byte arrays.
+fn extend_reach<M: Metric>(
+    metric: &M,
+    levels: &mut [TreeLevel],
+    next: &[CompactId],
+    parent_pos: &[u32],
+) {
+    let last = levels.len() - 1;
+    // The joiners, and each one's ancestor position on level `k` as `k`
+    // walks up from the prefix's last level.
+    let (mut anc, joiners): (Vec<u32>, Vec<CompactId>) = parent_pos
+        .iter()
+        .zip(next)
+        .filter(|&(&p, &m)| levels[last].members[p as usize] != m)
+        .map(|(&p, &m)| (p, m))
+        .unzip();
+    levels[last].reach = vec![0.0; levels[last].members.len()];
+    for k in (0..=last).rev() {
+        if k < last {
+            let up = parents_from_csr(&levels[k]);
+            for a in &mut anc {
+                *a = up[*a as usize];
+            }
+        }
+        // In chunks: below a chunk's worth of joiners, spawning workers
+        // costs more than the distances.
+        let level = &levels[k];
+        let dist = crate::par::map(joiners.len().div_ceil(REACH_CHUNK), |c| {
+            let lo = c * REACH_CHUNK;
+            let hi = (lo + REACH_CHUNK).min(joiners.len());
+            (lo..hi)
+                .map(|i| {
+                    let a = level.members[anc[i] as usize].node();
+                    round_up(metric.dist(a, joiners[i].node()))
+                })
+                .collect::<Vec<f32>>()
+        });
+        let reach = &mut levels[k].reach;
+        for (&a, &d) in anc.iter().zip(dist.iter().flatten()) {
+            reach[a as usize] = reach[a as usize].max(d);
+        }
+    }
+}
+
+/// The parent position on `level` of each next-level member, read off
+/// `level`'s child CSR.
+fn parents_from_csr(level: &TreeLevel) -> Vec<u32> {
+    let mut up = vec![0u32; level.children.len()];
+    for (pos, range) in level.child_start.windows(2).enumerate() {
+        for &c in &level.children[range[0] as usize..range[1] as usize] {
+            up[c as usize] = pos as u32;
+        }
+    }
+    up
+}
+
 /// Descends `levels` from the top and emits `(position, distance)` for
 /// every member of the last level within `r` of `q`, in unsorted order.
-/// Everything below a level-`k` member lies within `2 r_k` of it, so a
-/// member farther than `r + 2 r_k` is pruned. Queries descend the whole
-/// tree; a level under construction descends the completed prefix. The
+/// Every descendant of an internal member lies within its reach, so a
+/// member whose [`lower_bound`] exceeds `r` is pruned; the lower bound
+/// gives up a relative [`ROUNDING`] of `d` so that rounding in computed
+/// distances never drops a member with a descendant in the ball. Queries
+/// descend the whole tree; a level under construction descends the
+/// completed prefix, whose reaches point at its own last level. The
 /// frontiers are the thread-local `SCRATCH`, so nothing is allocated.
 fn descend<M: Metric>(
     metric: &M,
@@ -494,7 +607,7 @@ fn descend<M: Metric>(
             if d <= r {
                 emit(pos as u32, d);
             }
-        } else if d <= r + 2.0 * top.radius {
+        } else if lower_bound(d, top.reach[pos]) <= r {
             cands.push(pos as u32);
         }
     }
@@ -502,7 +615,6 @@ fn descend<M: Metric>(
         let level = &levels[k];
         let next = &levels[k + 1];
         let at_leaf = k + 1 == last;
-        let slack = 2.0 * next.radius;
         next_cands.clear();
         for &pos in &cands {
             let lo = level.child_start[pos as usize] as usize;
@@ -513,7 +625,7 @@ fn descend<M: Metric>(
                     if d <= r {
                         emit(cpos, d);
                     }
-                } else if d <= r + slack {
+                } else if lower_bound(d, next.reach[cpos as usize]) <= r {
                     next_cands.push(cpos);
                 }
             }
@@ -523,26 +635,24 @@ fn descend<M: Metric>(
     SCRATCH.with(|s| *s.borrow_mut() = (cands, next_cands));
 }
 
-/// Rebuilds `prev`'s child CSR from `parent_pos` (the position in
-/// `prev.members` of each next-level member's parent, indexed by
-/// next-level position). Counting sort keeps each parent's child range
-/// ascending by position, hence by node id.
-fn fill_csr(prev: &mut TreeLevel, parent_pos: &[u32]) {
-    let mut counts = vec![0u32; prev.members.len() + 1];
-    for &p in parent_pos {
-        counts[p as usize + 1] += 1;
+/// Groups the indices `0..keys.len()` by key, for keys in `0..buckets`:
+/// returns CSR offsets and the grouped indices. Counting sort keeps each
+/// group ascending by index.
+fn counting_csr(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; buckets + 1];
+    for &p in keys {
+        start[p as usize + 1] += 1;
     }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
     }
-    prev.child_start = counts.clone();
-    let mut cursor = counts;
-    let mut children = vec![0u32; parent_pos.len()];
-    for (newpos, &p) in parent_pos.iter().enumerate() {
-        children[cursor[p as usize] as usize] = newpos as u32;
+    let mut cursor = start.clone();
+    let mut items = vec![0u32; keys.len()];
+    for (i, &p) in keys.iter().enumerate() {
+        items[cursor[p as usize] as usize] = i as u32;
         cursor[p as usize] += 1;
     }
-    prev.children = children;
+    (start, items)
 }
 
 impl<M: Metric> HeapBytes for NetTreeIndex<M> {
@@ -553,7 +663,7 @@ impl<M: Metric> HeapBytes for NetTreeIndex<M> {
                 .iter()
                 .map(|l| {
                     vec_capacity_bytes(&l.members)
-                        + vec_capacity_bytes(&l.parent)
+                        + vec_capacity_bytes(&l.reach)
                         + vec_capacity_bytes(&l.child_start)
                         + vec_capacity_bytes(&l.children)
                 })
@@ -781,7 +891,7 @@ mod tests {
             tree.stored_entries()
         );
         // And heap_bytes agrees with the 4-byte-per-slot layout, within
-        // Vec over-allocation and the parent arrays.
+        // Vec over-allocation and the reach arrays.
         assert!(tree.heap_bytes() < 512 * 512);
     }
 
@@ -794,21 +904,11 @@ mod tests {
                 level.members.windows(2).all(|w| w[0] < w[1]),
                 "level {k} members not id-sorted"
             );
-            if k > 0 {
-                assert_eq!(level.parent.len(), level.members.len());
-                let prev = &tree.levels[k - 1];
-                for (&m, &p) in level.members.iter().zip(&level.parent) {
-                    assert!(prev.members.binary_search(&p).is_ok());
-                    assert!(
-                        tree.metric.dist(p.node(), m.node()) <= prev.radius * (1.0 + 1e-12),
-                        "covering invariant violated at level {k}"
-                    );
-                }
-            }
             if k + 1 < tree.levels.len() {
                 let next = &tree.levels[k + 1];
                 assert_eq!(level.child_start.len(), level.members.len() + 1);
                 assert_eq!(level.children.len(), next.members.len());
+                assert_eq!(level.reach.len(), level.members.len());
                 // Each child range is ascending; each next-level member
                 // appears exactly once.
                 let mut seen = vec![false; next.members.len()];
@@ -822,7 +922,93 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&s| s));
+                // The covering invariant, through parents read off the CSR.
+                for (&p, &m) in parents_from_csr(level).iter().zip(&next.members) {
+                    let p = level.members[p as usize];
+                    assert!(
+                        tree.metric.dist(p.node(), m.node()) <= level.radius * (1.0 + 1e-12),
+                        "covering invariant violated below level {k}"
+                    );
+                }
+            } else {
+                assert!(level.reach.is_empty() && level.children.is_empty());
             }
+        }
+    }
+
+    /// The exact largest distance from each member of level `k` to its
+    /// last-level descendants, by walking the child CSR.
+    fn exact_reach<M: Metric>(tree: &NetTreeIndex<M>, k: usize) -> Vec<f64> {
+        let levels = &tree.levels;
+        let last = levels.len() - 1;
+        (0..levels[k].members.len())
+            .map(|pos| {
+                let a = levels[k].members[pos].node();
+                let mut frontier = vec![pos as u32];
+                for level in &levels[k..last] {
+                    frontier = frontier
+                        .iter()
+                        .flat_map(|&p| {
+                            let lo = level.child_start[p as usize] as usize;
+                            let hi = level.child_start[p as usize + 1] as usize;
+                            level.children[lo..hi].iter().copied()
+                        })
+                        .collect();
+                }
+                frontier
+                    .iter()
+                    .map(|&p| tree.metric.dist(a, levels[last].members[p as usize].node()))
+                    .fold(0.0, f64::max)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reach_is_a_sound_and_tight_bound() {
+        fn check<M: Metric>(metric: M) {
+            let tree = NetTreeIndex::build(metric);
+            for k in 0..tree.levels.len() - 1 {
+                let level = &tree.levels[k];
+                let cap = round_up(2.0 * level.radius);
+                for (pos, exact) in exact_reach(&tree, k).into_iter().enumerate() {
+                    let reach = level.reach[pos];
+                    assert!(
+                        f64::from(reach) >= exact,
+                        "level {k} pos {pos}: {reach} < {exact}"
+                    );
+                    assert!(reach <= cap, "level {k} pos {pos}: {reach} > 2 r_k");
+                }
+            }
+        }
+        check(gen::uniform_cube(200, 2, 3));
+        check(gen::clustered(160, 2, 6, 0.02, 5));
+        check(gen::perturbed_grid(12, 2, 0.25, 7));
+        // Zero jitter: an exact grid, ties at every radius.
+        check(gen::perturbed_grid(12, 2, 0.0, 1));
+        check(LineMetric::uniform(100).unwrap());
+        // Aspect 2^63: a reach of 1 beside distances of 2^62.
+        check(LineMetric::exponential(64).unwrap());
+    }
+
+    #[test]
+    fn lower_bound_absorbs_rounding() {
+        // Three points on a line whose computed distances break the
+        // triangle inequality by an ulp: without the margin, `a` would be
+        // pruned although `v`, one of its possible descendants, is in
+        // `B_q(r)`.
+        let (q, a, v) = (
+            -485_593_045_749_512.0f64,
+            45.969_590_390_402_665,
+            45.966_731_218_509_28,
+        );
+        let (d, r) = ((q - a).abs(), (q - v).abs());
+        let reach = round_up((a - v).abs());
+        assert!(d - f64::from(reach) > r, "the rounding the margin is for");
+        assert!(lower_bound(d, reach) <= r);
+        // The stored reach is the least `f32` not below the exact one.
+        for x in [0.1, 0.7, 1.0 / 3.0, 0.5, f64::from(u32::MAX)] {
+            let f = round_up(x);
+            assert!(f64::from(f) >= x && f64::from(f.next_down()) < x, "{x}");
         }
     }
 

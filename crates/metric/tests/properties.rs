@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use ron_metric::{
-    cover, gen, par, EuclideanMetric, GridMetric, LineMetric, Metric, MetricExt, MetricIndex, Node,
+    cover, gen, par, BallOracle, EuclideanMetric, GridMetric, LineMetric, Metric, MetricExt,
+    MetricIndex, NetTreeIndex, Node,
 };
 
 proptest! {
@@ -126,66 +127,87 @@ fn euclidean_triangle_inequality_dense_check() {
 /// exact minimum distance — on every generator family the experiments
 /// use. The diameter is allowed its documented factor-2 upper bound.
 fn assert_oracle_equivalence<M: Metric + Clone>(metric: M) {
-    use ron_metric::{BallOracle, NetTreeIndex};
-    let n = metric.len();
     let dense = MetricIndex::build(&metric);
     let tree = NetTreeIndex::build(metric);
-    assert_eq!(BallOracle::len(&tree), n);
+    let counts: Vec<usize> = (1..=dense.len()).collect();
+    assert_tree_matches_dense(&dense, &tree, &counts);
+}
+
+/// [`assert_oracle_equivalence`] for an already-built tree: every node,
+/// the given counts, seven radii from 0 to twice the diameter.
+fn assert_tree_matches_dense<M: Metric>(
+    dense: &MetricIndex,
+    tree: &NetTreeIndex<M>,
+    counts: &[usize],
+) {
+    let n = dense.len();
+    assert_eq!(BallOracle::len(tree), n);
     assert_eq!(tree.min_distance(), dense.min_distance(), "min distance");
-    assert!(BallOracle::diameter_ub(&tree) >= dense.diameter());
-    assert!(BallOracle::diameter_ub(&tree) <= 2.0 * dense.diameter() + 1e-12);
-    for i in 0..n {
-        let u = Node::new(i);
-        for k in 1..=n {
-            assert_eq!(
-                tree.radius_for_count(u, k),
-                dense.radius_for_count(u, k),
-                "radius_for_count({u}, {k})"
-            );
-        }
-        let radii = [
-            0.0,
-            dense.min_distance(),
-            dense.min_distance() * 1.5,
-            dense.diameter() / 3.0,
-            dense.diameter() / 2.0,
-            dense.diameter(),
-            dense.diameter() * 2.0,
-        ];
-        for r in radii {
-            assert_eq!(
-                BallOracle::ball(&tree, u, r),
-                BallOracle::ball(&dense, u, r),
-                "ball({u}, {r})"
-            );
-            assert_eq!(
-                BallOracle::ball_size(&tree, u, r),
-                dense.ball_size(u, r),
-                "ball_size({u}, {r})"
-            );
-        }
+    assert!(BallOracle::diameter_ub(tree) >= dense.diameter());
+    assert!(BallOracle::diameter_ub(tree) <= 2.0 * dense.diameter() + 1e-12);
+    let radii = [
+        0.0,
+        dense.min_distance(),
+        dense.min_distance() * 1.5,
+        dense.diameter() / 3.0,
+        dense.diameter() / 2.0,
+        dense.diameter(),
+        dense.diameter() * 2.0,
+    ];
+    for u in Node::all(n) {
+        assert_queries_match(dense, tree, u, counts.iter().copied(), &radii);
         for eps in [0.1, 0.5, 1.0] {
             assert_eq!(
-                BallOracle::r_fraction(&tree, u, eps),
+                BallOracle::r_fraction(tree, u, eps),
                 dense.r_fraction(u, eps)
             );
         }
-        // nearest_where: same answer AND the same predicate call sequence
-        // (each candidate offered once, in (distance, id) order).
-        let mut dense_calls = Vec::new();
-        let dense_hit = dense.nearest_where(u, |v| {
-            dense_calls.push(v);
-            v.index() % 7 == 3
-        });
-        let mut tree_calls = Vec::new();
-        let tree_hit = BallOracle::nearest_where(&tree, u, &mut |v| {
-            tree_calls.push(v);
-            v.index() % 7 == 3
-        });
-        assert_eq!(tree_hit, dense_hit, "nearest_where({u})");
-        assert_eq!(tree_calls, dense_calls, "predicate call order at {u}");
-        assert_eq!(BallOracle::nearest_where(&tree, u, &mut |_| false), None);
     }
+}
+
+/// The queries from `u` on both backends: `radius_for_count` at each
+/// count; the ordered ball, its size and the unordered visit (as a set,
+/// distance bits included) at each radius; `nearest_where`'s answer and
+/// predicate call sequence (each candidate offered once, in
+/// `(distance, id)` order).
+fn assert_queries_match<M: Metric>(
+    dense: &MetricIndex,
+    tree: &NetTreeIndex<M>,
+    u: Node,
+    counts: impl IntoIterator<Item = usize>,
+    radii: &[f64],
+) {
+    for k in counts {
+        assert_eq!(
+            tree.radius_for_count(u, k),
+            dense.radius_for_count(u, k),
+            "radius_for_count({u}, {k})"
+        );
+    }
+    for &r in radii {
+        let ball = BallOracle::ball(dense, u, r);
+        assert_eq!(BallOracle::ball(tree, u, r), ball, "ball({u}, {r})");
+        assert_eq!(
+            BallOracle::ball_size(tree, u, r),
+            dense.ball_size(u, r),
+            "ball_size({u}, {r})"
+        );
+        let bits: Vec<(u64, Node)> = ball.iter().map(|&(d, v)| (d.to_bits(), v)).collect();
+        assert_eq!(unordered_sorted(tree, u, r), bits, "unordered B({u}, {r})");
+    }
+    let mut dense_calls = Vec::new();
+    let dense_hit = dense.nearest_where(u, |v| {
+        dense_calls.push(v);
+        v.index() % 7 == 3
+    });
+    let mut tree_calls = Vec::new();
+    let tree_hit = BallOracle::nearest_where(tree, u, &mut |v| {
+        tree_calls.push(v);
+        v.index() % 7 == 3
+    });
+    assert_eq!(tree_hit, dense_hit, "nearest_where({u})");
+    assert_eq!(tree_calls, dense_calls, "predicate call order at {u}");
+    assert_eq!(BallOracle::nearest_where(tree, u, &mut |_| false), None);
 }
 
 #[test]
@@ -218,13 +240,33 @@ fn net_tree_matches_dense_on_exponential_line() {
     assert_oracle_equivalence(LineMetric::uniform(33).unwrap());
 }
 
+/// The edges of the reach test's rounding margin: aspect 2^63 (a reach
+/// of 1 beside distances of 2^62), the tie-heavy L1 grid and an exact
+/// Euclidean grid. Every query equals the dense index's on trees built
+/// with 1 and with 5 workers (on the grids, every 13th count and `n`).
+#[test]
+fn net_tree_matches_dense_at_float_edges() {
+    fn check<M: Metric + Clone>(metric: M) {
+        let dense = MetricIndex::build(&metric);
+        let n = dense.len();
+        let step = if n > 64 { 13 } else { 1 };
+        let counts: Vec<usize> = (1..=n).step_by(step).chain([n]).collect();
+        for threads in [1, 5] {
+            let tree = par::with_threads(threads, || NetTreeIndex::build(metric.clone()));
+            assert_tree_matches_dense(&dense, &tree, &counts);
+        }
+    }
+    check(LineMetric::exponential(64).unwrap());
+    check(GridMetric::new(16, 2).unwrap());
+    check(gen::perturbed_grid(12, 2, 0.0, 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized cross-check of the two backends on random cubes.
     #[test]
     fn net_tree_matches_dense_randomized(n in 2usize..28, seed in 0u64..400) {
-        use ron_metric::{BallOracle, NetTreeIndex};
         let metric = gen::uniform_cube(n, 2, seed);
         let dense = MetricIndex::build(&metric);
         let tree = NetTreeIndex::build(metric);
@@ -292,9 +334,32 @@ fn dense_rows_match_reference_at_4096() {
     assert_rows_match_reference(&GridMetric::new(64, 2).unwrap());
 }
 
+/// The sparse backend against the dense index at the benchmark's size,
+/// on the three metrics of [`dense_rows_match_reference_at_4096`]: from
+/// every 61st node, seven counts, six radii and `nearest_where`.
+/// Release-only: `cargo test --release -p ron-metric -- --ignored`.
+#[test]
+#[ignore = "n = 4096, dense and sparse builds: run in release with --ignored"]
+fn sparse_queries_match_dense_at_4096() {
+    fn check<M: Metric + Clone>(metric: M) {
+        let dense = MetricIndex::build(&metric);
+        let tree = NetTreeIndex::build(metric);
+        let n = dense.len();
+        assert_eq!(tree.min_distance(), dense.min_distance());
+        let (min, diam) = (dense.min_distance(), dense.diameter());
+        let radii = [0.0, min, 3.0 * min, diam / 16.0, diam / 4.0, diam];
+        for u in Node::all(n).step_by(61) {
+            assert_queries_match(&dense, &tree, u, [1, 2, 7, 64, 500, n / 2, n], &radii);
+        }
+    }
+    check(gen::perturbed_grid(64, 2, 0.25, 1));
+    check(LineMetric::uniform(4096).unwrap());
+    check(GridMetric::new(64, 2).unwrap());
+}
+
 /// The visits of `for_each_in_ball_unordered`, sorted into the ordered
 /// visit's `(distance, id)` order, with distances as bits.
-fn unordered_sorted<O: ron_metric::BallOracle>(o: &O, u: Node, r: f64) -> Vec<(u64, Node)> {
+fn unordered_sorted<O: BallOracle>(o: &O, u: Node, r: f64) -> Vec<(u64, Node)> {
     let mut out = Vec::new();
     o.for_each_in_ball_unordered(u, r, &mut |d, v| out.push((d.to_bits(), v)));
     let mut ids: Vec<Node> = out.iter().map(|&(_, v)| v).collect();
@@ -313,7 +378,6 @@ fn unordered_sorted<O: ron_metric::BallOracle>(o: &O, u: Node, r: f64) -> Vec<(u
 /// each node once, with the same distance bits, at radius 0, the minimum
 /// distance, mid-range and beyond the diameter bound.
 fn assert_unordered_visit_is_the_ball<M: Metric + Clone>(metric: M) {
-    use ron_metric::{BallOracle, NetTreeIndex};
     let dense = MetricIndex::build(&metric);
     let tree = NetTreeIndex::build(metric);
     let top = BallOracle::diameter_ub(&tree);
@@ -351,7 +415,6 @@ fn unordered_ball_visit_is_the_ordered_ball() {
 /// the singleton convention included.
 #[test]
 fn net_tree_min_distance_is_exact() {
-    use ron_metric::{BallOracle, NetTreeIndex};
     fn check<M: Metric + Clone>(metric: M) {
         let dense = MetricIndex::build(&metric);
         let tree = NetTreeIndex::build(metric);
