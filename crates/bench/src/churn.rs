@@ -14,8 +14,9 @@ use crate::{f, rate_cell, Table};
 /// runs the repair epoch as message rounds (promotion announcements,
 /// pointer-reconciliation grams, re-homing adoptions), half the leavers
 /// rejoin fresh and a second epoch backfills them. One row per phase
-/// (success rate and per-node message load) plus one row per repair
-/// epoch (the repair bill) and the run's trace fingerprint.
+/// (success rate, per-node message load, failures by kind and by the
+/// message type a crashed node lost) plus one row per repair epoch (the
+/// grams it sent and the repair bill) and the run's trace fingerprint.
 ///
 /// The steady phase must serve 100% and the post-repair phases must
 /// *recover* to 100% — asserted, not just printed (zero-latency
@@ -111,6 +112,7 @@ pub fn table(n: usize) -> Table {
     }
     let report = sim.run();
     let history = sim.node(coordinator).repair_history().to_vec();
+    let grams = sim.node(coordinator).repair_grams().to_vec();
 
     for phase in report.phase_breakdown() {
         let success = phase.success_rate();
@@ -124,6 +126,11 @@ pub fn table(n: usize) -> Table {
             ),
             _ => {}
         }
+        let mut detail = format!("[{:.0}, {:.0})", phase.start, phase.end);
+        for (&(kind, lost), count) in &phase.failures {
+            let lost = lost.map_or(String::new(), |gram| format!(" at {gram}"));
+            detail.push_str(&format!(", {count} {kind:?}{lost}"));
+        }
         t.rows.push(vec![
             phase.name.clone(),
             phase.queries.to_string(),
@@ -131,16 +138,16 @@ pub fn table(n: usize) -> Table {
             "-".into(),
             f(phase.load.p99),
             f(phase.load.max),
-            format!("[{:.0}, {:.0})", phase.start, phase.end),
+            detail,
         ]);
     }
     assert_eq!(history.len(), 2, "both repair epochs must complete");
-    for (i, repair) in history.iter().enumerate() {
+    for (i, (repair, grams)) in history.iter().zip(&grams).enumerate() {
         t.rows.push(vec![
             format!("repair {}", i + 1),
             "-".into(),
             "-".into(),
-            "-".into(),
+            grams.to_string(),
             "-".into(),
             "-".into(),
             format!(

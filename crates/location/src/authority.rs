@@ -5,30 +5,22 @@
 //!
 //! The state and its rules are written once, in [`RepairAuthority`].
 //! A [`DirectoryOverlay`] owns one next to its pointer tables (the data
-//! plane) and every overlay mutation goes through it;
-//! [`DirectoryOverlay::repair`] plans on it in place. The
-//! message-passing repair protocol of `ron-sim` carries a copy
-//! ([`DirectoryOverlay::control_plane`]) at its coordinator node and
-//! fans the same [`RepairPlan`] — per-node promotions, pointer
-//! writes/deletes, adoptions and finger refreshes — out as messages, so
-//! "simulated repair equals in-process repair" is a statement about one
-//! planner.
+//! plane) and [`DirectoryOverlay::repair`] plans on it in place. The
+//! simulator's coordinator plans on a copy
+//! ([`DirectoryOverlay::control_plane`]), completes each [`NodeRepair`]
+//! into everything the epoch does to that node's slice
+//! ([`RepairAuthority::plan_slices`]) and only ships them.
 //!
 //! [`DirectoryOverlay`]: crate::DirectoryOverlay
 //! [`DirectoryOverlay::repair`]: crate::DirectoryOverlay::repair
 //! [`DirectoryOverlay::control_plane`]: crate::DirectoryOverlay::control_plane
 //!
-//! The planner never touches a [`Space`] directly: it asks a
-//! [`RepairOracle`] for distances, nearest-member and ball queries.
-//! [`Space`] implements the oracle through its
-//! [`BallOracle`] backend (the in-process path), and [`ScanOracle`]
-//! implements it over a bare distance function (the simulator's
-//! coordinator, whose only geometric capability is the engine's
-//! distance oracle). Both visit candidates in the same ascending
-//! `(distance, node id)` order, so the two paths produce byte-identical
-//! plans — property-tested in `ron-sim` on all four instance families.
+//! The planner asks a [`RepairOracle`] for distances, nearest members
+//! and balls: [`Space`] through its [`BallOracle`] in process,
+//! [`ScanOracle`] over a bare distance function in the simulator. Both
+//! visit in `(distance, node id)` order, so both plan byte-identically.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ron_core::RingFamily;
@@ -135,16 +127,23 @@ pub struct PointerOp {
     pub target: Option<Node>,
 }
 
-/// Everything one node must do to execute a repair plan: promotions
-/// into net levels, objects to adopt (re-homings), and pointer-table
-/// operations. The simulator ships one of these per node as a message;
-/// the in-process path applies them directly.
+/// What one repair epoch does to one node's slice: reset it (a fresh
+/// joiner), the net levels it enters, the fingers and publish rings it
+/// replaces, the objects it adopts and its pointer-table operations.
+/// [`RepairAuthority::plan_repair`] fills in the promotions, adoptions
+/// and operations, which is all the in-process path applies (it reads
+/// fingers and rings on demand); [`RepairAuthority::plan_slices`] adds
+/// the rest for the simulator, which ships one per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeRepair {
     /// The node this slice of the plan belongs to.
     pub node: Node,
-    /// Net levels the node is promoted into (covering restoration).
+    /// Start from an empty slice: no memberships, entries or objects.
+    pub reset: bool,
+    /// Net levels the node enters.
     pub promote: Vec<usize>,
+    /// `(level, finger, ring)` replacements, ascending by level.
+    pub levels: Vec<(usize, Option<Node>, Vec<Node>)>,
     /// Objects newly homed at this node.
     pub adopt: Vec<ObjectId>,
     /// Pointer-table writes and deletes.
@@ -155,16 +154,12 @@ impl NodeRepair {
     fn new(node: Node) -> Self {
         NodeRepair {
             node,
+            reset: false,
             promote: Vec::new(),
+            levels: Vec::new(),
             adopt: Vec::new(),
             ops: Vec::new(),
         }
-    }
-
-    /// Whether the plan asks nothing of this node.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.promote.is_empty() && self.adopt.is_empty() && self.ops.is_empty()
     }
 }
 
@@ -179,10 +174,11 @@ pub struct RepairPlan {
     pub rehomed: Vec<(ObjectId, Node)>,
     /// Objects whose placement was reconciled.
     pub objects_touched: usize,
-    /// Levels whose membership changed since the last repair (leaves,
-    /// joins or promotions) — the levels whose fingers need refreshing.
-    pub touched_levels: Vec<bool>,
-    /// Per-node work, in first-touch order (deterministic).
+    /// Per level, the nodes whose membership there changed in the epoch
+    /// (leaves, joins, promotions), in the order they changed.
+    pub touched: Vec<Vec<Node>>,
+    /// Per-node work, in first-touch order (node order after
+    /// [`RepairAuthority::plan_slices`]).
     pub node_repairs: Vec<NodeRepair>,
     /// Updated placements, applied to the overlay's bookkeeping.
     pub(crate) placements: Vec<(ObjectId, Placement)>,
@@ -299,14 +295,6 @@ impl RepairAuthority {
     #[must_use]
     pub fn alive_count(&self) -> usize {
         self.alive_count
-    }
-
-    /// The net levels `v` is currently a member of, ascending.
-    #[must_use]
-    pub fn member_levels_of(&self, v: Node) -> Vec<usize> {
-        (0..self.levels())
-            .filter(|&j| self.member[j][v.index()])
-            .collect()
     }
 
     /// The current home of `obj`, if registered.
@@ -480,9 +468,9 @@ impl RepairAuthority {
 
     /// Plans one repair epoch over the accumulated touched sets:
     /// covering promotions, re-homings and pointer reconciliation; then
-    /// clears the touched sets and updates the control plane's registry
-    /// and placements. The caller applies the plan's pointer operations
-    /// (directly, or by fanning them out as messages).
+    /// moves the touched sets into the plan and updates the control
+    /// plane's registry and placements. The caller applies the plan's
+    /// pointer operations (directly, or by fanning them out as messages).
     ///
     /// Both passes cost what changed since the last repair.
     ///
@@ -550,10 +538,7 @@ impl RepairAuthority {
     ) -> RepairPlan {
         let _stage = ron_obs::stage("repair");
         let levels = self.levels();
-        let mut plan = RepairPlan {
-            touched_levels: vec![false; levels],
-            ..RepairPlan::default()
-        };
+        let mut plan = RepairPlan::default();
         let mut index: HashMap<Node, usize> = HashMap::new();
         let mut bucket = |plan: &mut RepairPlan, w: Node| -> usize {
             *index.entry(w).or_insert_with(|| {
@@ -704,10 +689,7 @@ impl RepairAuthority {
 
         ron_obs::finish("repair.plan.pointers", t_pointers);
 
-        for (j, touched) in self.touched.iter_mut().enumerate() {
-            plan.touched_levels[j] = !touched.is_empty();
-            touched.clear();
-        }
+        plan.touched = std::mem::replace(&mut self.touched, vec![Vec::new(); levels]);
         plan
     }
 
@@ -738,34 +720,99 @@ impl RepairAuthority {
         }
     }
 
-    /// `v`'s view of the levels `at` marks, `(level, finger, ring)`: what
-    /// a node holding its own fingers and publish rings is sent after a
-    /// repair (a survivor at a plan's `touched_levels`, whose other
-    /// levels did not change; a joiner at every level). In process, both
-    /// are read on demand instead.
-    #[must_use]
-    pub fn refresh(
+    /// Completes an epoch's plan, made by [`plan_repair`](Self::plan_repair)
+    /// on this control plane, into everything the epoch does to each
+    /// slice, one [`NodeRepair`] per node in node order:
+    ///
+    /// * an alive `v` replaces its finger and ring at `j` iff its row at
+    ///   `j` holds a node touched at `j`: the pointer pass's ring test
+    ///   from the other side (after a repair every ring is nonempty, so
+    ///   a finger is its ring's nearest member and moves only with it);
+    /// * a joiner's slice may predate several epochs, so it resets and
+    ///   receives the whole slice [`partition`] would give it.
+    ///
+    /// [`partition`]: crate::DirectoryOverlay::partition
+    pub fn plan_slices(&self, oracle: &dyn RepairOracle, plan: &mut RepairPlan) {
+        let mut repairs: BTreeMap<Node, NodeRepair> = plan
+            .node_repairs
+            .drain(..)
+            .map(|nr| (nr.node, nr))
+            .collect();
+        let joiners = plan.touched[0].iter().filter(|v| self.alive[v.index()]);
+        for &v in joiners {
+            let nr = repairs.entry(v).or_insert_with(|| NodeRepair::new(v));
+            let homed = self
+                .objects
+                .iter()
+                .copied()
+                .filter(|obj| self.homes[obj] == v);
+            let ops = std::mem::take(&mut nr.ops);
+            *nr = NodeRepair {
+                reset: true,
+                ops,
+                ..self.slice(oracle, v, homed.collect())
+            };
+        }
+        for (j, marked) in self.ring_marks(oracle, &plan.touched).iter().enumerate() {
+            for &v in marked {
+                let nr = repairs.entry(v).or_insert_with(|| NodeRepair::new(v));
+                if !nr.reset {
+                    nr.levels.push(self.level_view(oracle, v, j));
+                }
+            }
+        }
+        plan.node_repairs = repairs.into_values().collect();
+    }
+
+    /// Per level `j`, the alive nodes whose row at `j` holds a node of
+    /// `touched[j]`, ascending: a row is the ball at `c·r_j`, so one
+    /// ball per touched node finds them.
+    fn ring_marks(&self, oracle: &dyn RepairOracle, touched: &[Vec<Node>]) -> Vec<Vec<Node>> {
+        let marks = touched.iter().enumerate().map(|(j, nodes)| {
+            let mut marked = Vec::new();
+            for &t in nodes {
+                oracle.ball(t, self.ring_factor * self.radii[j], &mut |v| {
+                    if self.alive[v.index()] {
+                        marked.push(v);
+                    }
+                });
+            }
+            marked.sort_unstable();
+            marked.dedup();
+            marked
+        });
+        marks.collect()
+    }
+
+    /// `v`'s finger and publish ring at `level`, as a slice holds them.
+    fn level_view(
         &self,
         oracle: &dyn RepairOracle,
         v: Node,
-        at: &[bool],
-    ) -> Vec<(usize, Option<Node>, Vec<Node>)> {
-        (0..self.levels())
-            .filter(|&j| at[j])
-            .map(|j| {
-                let finger = self.finger(oracle, v, j).map(|(_, f)| f);
-                (j, finger, self.ring(v, j))
-            })
-            .collect()
+        level: usize,
+    ) -> (usize, Option<Node>, Vec<Node>) {
+        let finger = self.finger(oracle, v, level).map(|(_, f)| f);
+        (level, finger, self.ring(v, level))
     }
 
-    /// The objects the registry homes at `v`, in publish order: what a
-    /// joiner adopts, since it may be a home that left and came back
-    /// within one epoch.
-    #[must_use]
-    pub fn homed_at(&self, v: Node) -> Vec<ObjectId> {
-        let homed = self.objects.iter().copied();
-        homed.filter(|obj| self.homes[obj] == v).collect()
+    /// `v`'s whole slice as a delta from an empty one: the net levels it
+    /// is a member of, every level's finger and ring, and `homed`.
+    pub(crate) fn slice(
+        &self,
+        oracle: &dyn RepairOracle,
+        v: Node,
+        homed: Vec<ObjectId>,
+    ) -> NodeRepair {
+        let levels = 0..self.levels();
+        NodeRepair {
+            promote: levels
+                .clone()
+                .filter(|&j| self.member[j][v.index()])
+                .collect(),
+            levels: levels.map(|j| self.level_view(oracle, v, j)).collect(),
+            adopt: homed,
+            ..NodeRepair::new(v)
+        }
     }
 }
 
@@ -830,10 +877,12 @@ mod tests {
     /// reading the rows for touched nodes plans exactly what the full
     /// scan with per-object distance probes plans: the same per-node work
     /// (promotions and pointer operations in order included), placements,
-    /// re-homings, touched objects and levels, and the same membership
-    /// after; and that a detached plan replayed through `apply_plan`
-    /// leaves the same rows. After every step each finger and ring read
-    /// from the rows equals its oracle definition.
+    /// re-homings, touched nodes, and the same membership after; that
+    /// the ball-side marks of `plan_slices` are exactly the alive
+    /// `(v, j)` whose row holds a node touched at `j`; and that a
+    /// detached plan replayed through `apply_plan` leaves the same rows.
+    /// After every step each finger and ring read from the rows equals
+    /// its oracle definition.
     fn assert_covering_matches_full_scan<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         seed: u64,
@@ -857,8 +906,16 @@ mod tests {
             assert_eq!(planned.objects_touched, expected.objects_touched, "{when}");
             assert_eq!(planned.promotions, expected.promotions, "{when}");
             assert_eq!(planned.rehomed, expected.rehomed, "{when}");
-            assert_eq!(planned.touched_levels, expected.touched_levels, "{when}");
+            assert_eq!(planned.touched, expected.touched, "{when}");
             assert_eq!(skipping.member, reference.member, "{when}");
+            let marks = skipping.ring_marks(space, &planned.touched);
+            for (j, (marked, touched)) in marks.iter().zip(&planned.touched).enumerate() {
+                for v in Node::all(n).filter(|v| skipping.alive[v.index()]) {
+                    let holds = skipping.row(v, j).iter().any(|t| touched.contains(t));
+                    let marked = marked.binary_search(&v).is_ok();
+                    assert_eq!(marked, holds, "{when}: mark ({v}, {j})");
+                }
+            }
             let mut detached = ov.clone();
             let plan = detached.control_plane().plan_repair(space);
             detached.apply_plan(&plan);

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use ron_metric::{BallOracle, Metric, Node, Space};
 
-use crate::authority::PointerOp;
+use crate::authority::NodeRepair;
 use crate::directory::{DirectoryOverlay, ObjectId};
 use crate::lookup::{Finger, NodeView, WalkStep};
 use crate::tables::PointerTable;
@@ -120,39 +120,27 @@ impl DirectoryNodeState {
         self.table.insert(level, obj, next);
     }
 
-    /// Executes a repair gram's pointer operations, returning how many
-    /// writes and deletes actually changed the table — the counts a
-    /// repair ack carries back to the coordinator, matched against the
-    /// in-process `pointer_writes` / `pointer_deletes`.
-    pub fn apply_ops(&mut self, ops: &[PointerOp]) -> (usize, usize) {
-        self.table.apply(ops)
-    }
-
-    /// Marks this node a member of the level-`level` net (a repair
-    /// covering-promotion announcement, or a join's ladder insertion).
-    pub fn promote(&mut self, level: usize) {
-        self.member[level] = true;
-    }
-
-    /// Replaces the finger and the publish ring at `level` (a repair
-    /// refresh: the coordinator recomputed both under the new
-    /// membership).
-    pub fn set_level(&mut self, level: usize, finger: Option<Node>, ring: Vec<Node>) {
-        self.fingers[level] = Finger::new(finger);
-        self.rings[level] = ring;
-    }
-
-    /// Resets the slice to a fresh joiner: alive, no memberships, no
-    /// entries, homing nothing. A node that *left* lost its state; when
-    /// it rejoins, the repair protocol rebuilds what it should hold
-    /// (join backfill). Fingers and rings are kept: the same repair gram
-    /// refreshes them at every level, and re-adopts every object the
-    /// registry homes here.
-    pub fn reset(&mut self) {
-        self.alive = true;
-        self.member.iter_mut().for_each(|m| *m = false);
-        self.table = PointerTable::default();
-        self.homed.clear();
+    /// Applies one repair epoch's delta to this slice, returning how many
+    /// pointer writes and deletes actually changed the table: the counts
+    /// a repair ack carries back, matched against the in-process
+    /// `pointer_writes` / `pointer_deletes`.
+    pub fn apply(&mut self, repair: &NodeRepair) -> (usize, usize) {
+        debug_assert_eq!(repair.node, self.node, "a delta for another node");
+        if repair.reset {
+            self.alive = true;
+            self.member.fill(false);
+            self.table = PointerTable::default();
+            self.homed.clear();
+        }
+        for &level in &repair.promote {
+            self.member[level] = true;
+        }
+        for (level, finger, ring) in &repair.levels {
+            self.fingers[*level] = Finger::new(*finger);
+            self.rings[*level].clone_from(ring);
+        }
+        self.homed.extend(&repair.adopt);
+        self.table.apply(&repair.ops)
     }
 
     /// Whether `obj` is homed at this node.
@@ -198,17 +186,18 @@ impl DirectoryOverlay {
         (0..self.len())
             .map(|i| {
                 let v = Node::new(i);
-                DirectoryNodeState {
+                let mut slice = DirectoryNodeState {
                     node: v,
                     alive: self.is_alive(v),
-                    member: (0..levels).map(|j| self.is_net_member(j, v)).collect(),
-                    fingers: (0..levels)
-                        .map(|j| Finger::new(self.finger(space, v, j).map(|(_, f)| f)))
-                        .collect(),
-                    rings: (0..levels).map(|j| self.control.ring(v, j)).collect(),
+                    member: vec![false; levels],
+                    fingers: vec![Finger::new(None); levels],
+                    rings: vec![Vec::new(); levels],
                     table: self.tables.node(v).clone(),
-                    homed: std::mem::take(&mut homed[i]),
-                }
+                    homed: BTreeSet::new(),
+                };
+                let homed = std::mem::take(&mut homed[i]).into_iter().collect();
+                slice.apply(&self.control.slice(space, v, homed));
+                slice
             })
             .collect()
     }

@@ -1,24 +1,22 @@
 //! The object-location directory as a message protocol: publishes
 //! install pointer entries by fan-out, lookups climb the origin's
-//! fingers and descend the home's zoom chain as real message rounds.
+//! fingers and descend the home's zoom chain, and a coordinator ships
+//! each repair epoch as one gram per changed slice.
 //!
-//! Each node holds one [`DirectoryNodeState`]: its finger table, its
-//! publish rings, its pointer-table rows and the objects it homes. The
-//! lookup packet carries the *origin's* climb itinerary in its header —
-//! the origin's own zooming sequence, local knowledge, exactly like the
-//! labels of the routing schemes — and every check happens at the node
-//! holding the entry. What a node does with a packet is decided by the
-//! same walk rule the in-process `DirectoryOverlay::lookup` loop applies
-//! ([`DirectoryNodeState::probe`] / [`DirectoryNodeState::descend`],
-//! returning a [`WalkStep`]); the handlers here only turn the decision
-//! into a send, a completion or a failure, so the simulated answer, hop
-//! count, found level and failure kind match the in-process walk
-//! (property-tested on all four instance families).
-
-use std::collections::BTreeMap;
+//! Each node holds one [`DirectoryNodeState`]: its fingers, publish
+//! rings, pointer-table rows and homed objects. The lookup packet
+//! carries the origin's climb itinerary (its own zooming sequence,
+//! local knowledge). What a node does with a packet is the in-process
+//! walk rule ([`DirectoryNodeState::probe`] / [`descend`], a
+//! [`WalkStep`]), and with a gram the planner's [`NodeRepair`]
+//! ([`DirectoryNodeState::apply`]); the handlers only turn these into
+//! sends, completions or failures (property-tested against the
+//! in-process overlay on all four instance families).
+//!
+//! [`descend`]: DirectoryNodeState::descend
 
 use ron_location::{
-    DirectoryNodeState, DirectoryOverlay, ObjectId, PointerOp, RepairAuthority, RepairReport,
+    DirectoryNodeState, DirectoryOverlay, NodeRepair, ObjectId, RepairAuthority, RepairReport,
     ScanOracle, WalkStep,
 };
 use ron_metric::{BallOracle, Metric, Node, Space};
@@ -42,19 +40,11 @@ struct Coordinator {
     /// coordinator's own).
     writes: usize,
     deletes: usize,
-    /// Reports of completed epochs, in order.
+    /// Grams the current epoch sent.
+    sent: usize,
+    /// Reports of completed epochs, in order, and the grams each sent.
     history: Vec<RepairReport>,
-}
-
-/// One node's share of a repair plan while the coordinator assembles
-/// the fan-out (the wire form is [`DirectoryMsg::RepairGram`]).
-#[derive(Clone, Debug, Default)]
-struct GramParts {
-    reset: bool,
-    promote: Vec<usize>,
-    levels: Vec<(usize, Option<Node>, Vec<Node>)>,
-    adopt: Vec<ObjectId>,
-    ops: Vec<PointerOp>,
+    grams: Vec<usize>,
 }
 
 /// One node of the directory protocol.
@@ -108,7 +98,9 @@ impl DirectoryNode {
             epoch_base: RepairReport::default(),
             writes: 0,
             deletes: 0,
+            sent: 0,
             history: Vec::new(),
+            grams: Vec::new(),
         }));
         fleet
     }
@@ -124,6 +116,13 @@ impl DirectoryNode {
     #[must_use]
     pub fn repair_history(&self) -> &[RepairReport] {
         self.coordinator.as_ref().map_or(&[], |co| &co.history)
+    }
+
+    /// The repair grams each of those epochs sent over the network, one
+    /// count per entry of [`repair_history`](Self::repair_history).
+    #[must_use]
+    pub fn repair_grams(&self) -> &[usize] {
+        self.coordinator.as_ref().map_or(&[], |co| &co.grams)
     }
 
     /// Walks as much of the climb as is local to this node, then either
@@ -179,12 +178,12 @@ impl DirectoryNode {
     /// Runs one repair epoch at the coordinator: apply the membership
     /// delta to the control plane, plan the epoch with the *same*
     /// planner the in-process `DirectoryOverlay::repair` uses (over the
-    /// engine's distance oracle instead of a ball index), and fan the
-    /// plan out as one gram per affected node. The epoch's query
-    /// completes when every gram is acked. Starting a new epoch while a
-    /// previous one still awaits acks abandons the old one (its query
-    /// stays unresolved; stale acks are recognized by epoch id and
-    /// dropped).
+    /// engine's distance oracle instead of a ball index), complete it
+    /// into one [`NodeRepair`] per changed slice and ship each as a
+    /// gram. The epoch's query completes when every gram is acked.
+    /// Starting a new epoch while a previous one still awaits acks
+    /// abandons the old one (its query stays unresolved; stale acks are
+    /// recognized by epoch id and dropped).
     fn coordinate_repair(
         &mut self,
         ctx: &mut Ctx<'_, DirectoryMsg>,
@@ -196,122 +195,41 @@ impl DirectoryNode {
             !leaves.contains(&me) && !joins.contains(&me),
             "the coordinator cannot churn itself"
         );
-        let dist = ctx.dist_fn();
-        // Plan with the control plane borrowed; collect the grams, then
-        // release the borrow to apply the coordinator's own share.
-        let mut grams: BTreeMap<Node, GramParts> = BTreeMap::new();
-        let epoch_base;
-        {
-            let co = self
-                .coordinator
-                .as_mut()
-                .expect("repair injected at a non-coordinator");
-            let oracle = ScanOracle::new(co.authority.len(), dist);
-            for &v in leaves {
-                co.authority.note_leave(v);
-            }
-            for &v in joins {
-                co.authority.note_join(&oracle, v);
-            }
-            let plan = co.authority.plan_repair(&oracle);
-            epoch_base = plan.report_base();
-            // Every survivor refreshes its fingers and rings at the
-            // touched levels (the untouched levels are still valid).
-            if plan.touched_levels.contains(&true) {
-                let alive = Node::all(co.authority.len()).filter(|&u| co.authority.is_alive(u));
-                for u in alive {
-                    grams.entry(u).or_default().levels =
-                        co.authority.refresh(&oracle, u, &plan.touched_levels);
-                }
-            }
-            for nr in plan.node_repairs {
-                let gram = grams.entry(nr.node).or_default();
-                gram.promote.extend(nr.promote);
-                gram.adopt = nr.adopt;
-                gram.ops = nr.ops;
-            }
-            // Join backfill: a fresh joiner resets its slice and learns
-            // its full ladder membership, every level's finger and ring
-            // — its slice may predate several epochs, so the "untouched
-            // levels are still valid" shortcut that serves the survivors
-            // does not hold for it — and every object homed at it.
-            let every_level = vec![true; co.authority.levels()];
-            for &v in joins {
-                let gram = grams.entry(v).or_default();
-                gram.reset = true;
-                gram.promote.extend(co.authority.member_levels_of(v));
-                gram.promote.sort_unstable();
-                gram.promote.dedup();
-                gram.levels = co.authority.refresh(&oracle, v, &every_level);
-                gram.adopt = co.authority.homed_at(v);
-            }
+        let co = self
+            .coordinator
+            .as_mut()
+            .expect("repair injected at a non-coordinator");
+        let oracle = ScanOracle::new(co.authority.len(), ctx.dist_fn());
+        for &v in leaves {
+            co.authority.note_leave(v);
         }
-        let epoch = {
-            let co = self.coordinator.as_mut().expect("checked above");
-            co.current_epoch += 1;
-            co.current_epoch
-        };
-        let mut own = None;
-        let mut pending = 0usize;
-        for (v, parts) in grams {
-            if v == me {
-                own = Some(self.apply_gram(
-                    parts.reset,
-                    &parts.promote,
-                    parts.levels,
-                    &parts.adopt,
-                    &parts.ops,
-                ));
+        for &v in joins {
+            co.authority.note_join(&oracle, v);
+        }
+        let mut plan = co.authority.plan_repair(&oracle);
+        co.authority.plan_slices(&oracle, &mut plan);
+        co.current_epoch += 1;
+        co.epoch_base = plan.report_base();
+        (co.writes, co.deletes, co.sent) = (0, 0, 0);
+        for repair in plan.node_repairs {
+            if repair.node == me {
+                (co.writes, co.deletes) = self.state.apply(&repair);
             } else {
-                pending += 1;
+                co.sent += 1;
                 ctx.send(
-                    v,
+                    repair.node,
                     DirectoryMsg::RepairGram {
                         coordinator: me,
-                        epoch,
-                        reset: parts.reset,
-                        promote: parts.promote,
-                        levels: parts.levels,
-                        adopt: parts.adopt,
-                        ops: parts.ops,
+                        epoch: co.current_epoch,
+                        repair,
                     },
                 );
             }
         }
-        let co = self.coordinator.as_mut().expect("checked above");
-        co.epoch_base = epoch_base;
-        let (writes, deletes) = own.unwrap_or((0, 0));
-        co.writes = writes;
-        co.deletes = deletes;
-        co.pending = pending;
-        if pending == 0 {
+        co.pending = co.sent;
+        if co.pending == 0 {
             self.finish_epoch(ctx);
         }
-    }
-
-    /// Applies one gram to the local slice, returning the effective
-    /// (write, delete) counts for the ack.
-    fn apply_gram(
-        &mut self,
-        reset: bool,
-        promote: &[usize],
-        levels: Vec<(usize, Option<Node>, Vec<Node>)>,
-        adopt: &[ObjectId],
-        ops: &[PointerOp],
-    ) -> (usize, usize) {
-        if reset {
-            self.state.reset();
-        }
-        for &level in promote {
-            self.state.promote(level);
-        }
-        for (level, finger, ring) in levels {
-            self.state.set_level(level, finger, ring);
-        }
-        for &obj in adopt {
-            self.state.adopt(obj);
-        }
-        self.state.apply_ops(ops)
     }
 
     /// Seals the in-flight epoch: record its report and resolve the
@@ -326,6 +244,7 @@ impl DirectoryNode {
         report.pointer_writes = co.writes;
         report.pointer_deletes = co.deletes;
         co.history.push(report);
+        co.grams.push(co.sent);
         ctx.complete(me, (co.history.len() - 1) as u64);
     }
 }
@@ -382,27 +301,15 @@ pub enum DirectoryMsg {
         /// Nodes that (re)joined fresh since the last epoch.
         joins: Vec<Node>,
     },
-    /// One node's slice of a repair plan, fanned out by the coordinator:
-    /// promotion announcements, finger and ring refreshes, re-homing
-    /// adoptions and pointer reconciliation ops (join backfill is the
-    /// same gram with `reset` set).
+    /// What the repair epoch does to the receiver's slice, shipped by
+    /// the coordinator.
     RepairGram {
         /// Where to send the ack.
         coordinator: Node,
         /// The coordinator's epoch id, echoed in the ack.
         epoch: usize,
-        /// Reset the local slice first (the receiver is a fresh joiner).
-        reset: bool,
-        /// Net levels this node is promoted into.
-        promote: Vec<usize>,
-        /// `(level, finger, ring)` refreshes for the levels whose
-        /// membership changed.
-        levels: Vec<(usize, Option<Node>, Vec<Node>)>,
-        /// Objects this node now homes (re-homed from dead homes; for a
-        /// joiner, every object homed at it).
-        adopt: Vec<ObjectId>,
-        /// Pointer-table writes and deletes.
-        ops: Vec<PointerOp>,
+        /// The receiver's delta.
+        repair: NodeRepair,
     },
     /// A gram receiver's reply: how many table operations actually
     /// changed state (summed by the coordinator into the epoch's
@@ -494,13 +401,9 @@ impl SimNode for DirectoryNode {
             DirectoryMsg::RepairGram {
                 coordinator,
                 epoch,
-                reset,
-                promote,
-                levels,
-                adopt,
-                ops,
+                repair,
             } => {
-                let (writes, deletes) = self.apply_gram(reset, &promote, levels, &adopt, &ops);
+                let (writes, deletes) = self.state.apply(&repair);
                 ctx.send(
                     coordinator,
                     DirectoryMsg::RepairAck {

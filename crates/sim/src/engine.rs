@@ -71,8 +71,9 @@ pub trait SimNode {
     /// query the distance oracle.
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, msg: Self::Msg);
 
-    /// A short static name for the gram (message) variant, used only by
-    /// the observability layer to count traffic by type. The default
+    /// A short static name for the gram (message) variant: the
+    /// observability layer counts traffic by it, and a query's record
+    /// names the first of its grams a crashed node lost. The default
     /// lumps everything under `"gram"`; drivers override it per variant.
     fn gram_type(_msg: &Self::Msg) -> &'static str {
         "gram"
@@ -219,6 +220,7 @@ struct QueryState {
     origin: Node,
     injected_at: f64,
     hops: u32,
+    lost: Option<&'static str>,
     resolution: Option<(f64, Resolution)>,
 }
 
@@ -367,6 +369,7 @@ impl<'a, N: SimNode> Simulator<'a, N> {
             origin,
             injected_at: time,
             hops: 0,
+            lost: None,
             resolution: None,
         });
         self.post(time, EventKind::Inject { origin, qid, msg });
@@ -490,6 +493,8 @@ impl<'a, N: SimNode> Simulator<'a, N> {
                     fnv(&mut self.trace, u64::from(qid));
                     if !self.alive[dst.index()] {
                         self.counts.lost_to_crash += 1;
+                        let lost = &mut self.queries[qid as usize].lost;
+                        lost.get_or_insert(N::gram_type(&msg));
                         continue;
                     }
                     if self.queries[qid as usize].resolution.is_some() {
@@ -532,6 +537,7 @@ impl<'a, N: SimNode> Simulator<'a, N> {
                     resolved_at,
                     resolution,
                     hops: q.hops,
+                    lost: q.lost,
                 }
             })
             .collect();
@@ -649,6 +655,7 @@ mod tests {
             report.records[0].resolution,
             Resolution::Failed(FailKind::TimedOut)
         );
+        assert_eq!(report.records[0].lost, Some("gram"));
     }
 
     #[test]
@@ -786,6 +793,8 @@ mod tests {
         assert_eq!(phases[0].success_rate(), Some(1.0));
         assert_eq!(phases[1].name, "steady");
         assert_eq!((phases[1].queries, phases[1].completed), (2, 1));
+        let stalled = std::collections::BTreeMap::from([((FailKind::Stalled, None), 1)]);
+        assert_eq!(phases[1].failures, stalled);
         // Loads are per-phase deltas: 4 deliveries before t = 10, the
         // other 6 after.
         let total = |p: &crate::report::PhaseSummary| p.load.mean * p.load.count as f64;

@@ -85,6 +85,11 @@ pub struct QueryRecord {
     pub resolution: Resolution,
     /// Messages delivered on behalf of this query — its hop count.
     pub hops: u32,
+    /// The type ([`SimNode::gram_type`]) of the first of this query's
+    /// messages that arrived at a crashed node, if one did.
+    ///
+    /// [`SimNode::gram_type`]: crate::SimNode::gram_type
+    pub lost: Option<&'static str>,
 }
 
 /// One phase boundary recorded by `Simulator::mark_phase`: the phase
@@ -119,6 +124,9 @@ pub struct PhaseSummary {
     /// Per-node messages received *during* the phase (delta between the
     /// boundary snapshots).
     pub load: Percentiles,
+    /// Of the phase's queries that failed, how many by kind and by the
+    /// type of the message a crashed node lost ([`QueryRecord::lost`]).
+    pub failures: BTreeMap<(FailKind, Option<&'static str>), usize>,
 }
 
 impl PhaseSummary {
@@ -242,12 +250,13 @@ impl SimReport {
                 .map_or(f64::INFINITY, |next| next.start);
             let in_phase = |r: &&QueryRecord| r.injected_at >= mark.start && r.injected_at < end;
             let queries = self.records.iter().filter(in_phase).count();
-            let completed = self
-                .records
-                .iter()
-                .filter(in_phase)
-                .filter(|r| matches!(r.resolution, Resolution::Delivered { .. }))
-                .count();
+            let mut failures = BTreeMap::new();
+            for r in self.records.iter().filter(in_phase) {
+                if let Resolution::Failed(kind) = r.resolution {
+                    *failures.entry((kind, r.lost)).or_insert(0) += 1;
+                }
+            }
+            let completed = queries - failures.values().sum::<usize>();
             let after = self
                 .phases
                 .get(k + 1)
@@ -266,6 +275,7 @@ impl SimReport {
                 queries,
                 completed,
                 load,
+                failures,
             });
         }
         out
@@ -547,6 +557,7 @@ mod tests {
                 Resolution::Failed(FailKind::TimedOut)
             },
             hops: 1,
+            lost: None,
         };
         // 2.5 lands in bucket 0 of 4 ([0, 2.5) is half-open, [2.5, 5)
         // takes it); 10.0 (the last injection) lands in the final,
@@ -599,6 +610,7 @@ mod tests {
                 detail: 0,
             },
             hops: 1,
+            lost: None,
         };
         r.records = vec![mk(0.5), mk(1.5), mk(3.0)];
         r.queries = 3;

@@ -11,6 +11,8 @@
 //! (leaves, joins, repair rounds, lookups under jitter and drops) is
 //! byte-identical across reruns and `RON_THREADS` settings.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use ron_core::par;
 use ron_location::{DirectoryOverlay, ObjectId};
@@ -760,4 +762,64 @@ fn damaged_walk_fails_the_same_way_in_process_and_simulated() {
     }
     // The damage must actually exercise every outcome of the walk rule.
     assert!(totals.0 > 0 && totals.1 > 0 && totals.2 > 0, "{totals:?}");
+}
+
+/// A repair epoch ships grams only where slices change: after one leave
+/// from the middle of the ladder at n = 1024 (clustered), the nodes sent
+/// a gram are exactly the alive nodes within `c·r_j` (by `space.dist`)
+/// of a node touched at `j`, plus the nodes with plan work, less the
+/// coordinator (which applies its own delta in place) — fewer than an
+/// eighth of the alive nodes.
+#[test]
+fn a_leave_sends_grams_only_near_its_changes() {
+    let n = 1024;
+    let space = Space::new(gen::clustered(n, 2, 16, 0.01, 42));
+    let mut overlay = DirectoryOverlay::build(&space);
+    let items: Vec<(ObjectId, Node)> = (0..128)
+        .map(|i| (ObjectId(i as u64), Node::new((i * 31 + 1) % n)))
+        .collect();
+    overlay.publish_batch(&space, &items);
+    let leaver = space
+        .nodes()
+        .find(|&v| overlay.top_level_of(v) == Some(overlay.levels() / 2))
+        .expect("the middle level has members of its own");
+    let coordinator = space.nodes().find(|&v| v != leaver).expect("n > 1");
+
+    // The epoch's touched nodes and plan work, planned on a copy.
+    let mut control = overlay.control_plane();
+    control.note_leave(leaver);
+    let plan = control.plan_repair(&space);
+    let mut expected: BTreeSet<Node> = plan.node_repairs.iter().map(|nr| nr.node).collect();
+    for (j, touched) in plan.touched.iter().enumerate() {
+        let reach = overlay.ring_factor() * overlay.nets().radius(j);
+        for &t in touched {
+            let near = space.nodes().filter(|&v| space.dist(t, v) <= reach);
+            expected.extend(near.filter(|&v| control.is_alive(v)));
+        }
+    }
+    expected.remove(&coordinator);
+
+    let mut sim = Simulator::new(
+        DirectoryNode::fleet_with_coordinator(&space, &overlay, coordinator),
+        |u, v| space.dist(u, v),
+        ConstantLatency(0.0),
+        SimConfig::default(),
+    );
+    let mut schedule = ChurnSchedule::new();
+    schedule.leave_at(0.0, leaver);
+    schedule.repair_at(1.0);
+    schedule.apply(&mut sim, coordinator);
+    let report = sim.run();
+    let received: BTreeSet<Node> = space
+        .nodes()
+        .filter(|&v| v != coordinator && report.node_received[v.index()] > 0)
+        .collect();
+    assert_eq!(received, expected, "the nodes sent a gram");
+    assert_eq!(sim.node(coordinator).repair_grams(), &[expected.len()]);
+    assert!(
+        expected.len() < control.alive_count() / 8,
+        "{} grams for {} alive nodes",
+        expected.len(),
+        control.alive_count()
+    );
 }

@@ -9,6 +9,7 @@
 //! simulator beside these would land in the same process-global
 //! registry.
 
+use proptest::prelude::*;
 use ron_location::{
     DirectoryOverlay, EngineConfig, EpochCell, LocateError, ObjectId, QueryEngine, Snapshot,
 };
@@ -428,6 +429,88 @@ fn a_sparse_epoch_recomputes_only_the_fingers_near_its_changes() {
     );
     assert!(bound < 1024 * levels, "bound {bound} covers every finger");
     assert_recording_is_off();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same over a seeded random schedule of leaves, joins, repairs
+    /// and snapshot publishes: every publish recomputes at most the
+    /// fingers the stale-finger rule can reach, the sum over the
+    /// membership changes `(j, a)` since the last publish of
+    /// `|B_a(c·r_j)|`, plus the fingers at a changed level the oracle
+    /// answered because their ring was empty (a dead node's, or any
+    /// node's on a level a leave emptied around it before the repair).
+    #[test]
+    fn random_sparse_schedules_recompute_only_the_fingers_near_their_changes(
+        seed in 0u64..1000,
+        steps in 1usize..16,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let recording = Recording::start();
+        let space = Space::new_sparse(gen::uniform_cube(1024, 2, 1));
+        let mut overlay = published(&space);
+        let levels = overlay.levels();
+        let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+        let membership = |overlay: &DirectoryOverlay| -> Vec<Vec<bool>> {
+            (0..levels)
+                .map(|j| space.nodes().map(|v| overlay.is_net_member(j, v)).collect())
+                .collect()
+        };
+        let mut published_membership = membership(&overlay);
+        for step in 0..=steps {
+            // Leaves outweigh joins; the last step publishes.
+            let kind = if step == steps { 5 } else { rng.random_range(0..6u8) };
+            let v = Node::new(rng.random_range(0..space.len()));
+            match kind {
+                0..=2 if overlay.is_alive(v) => overlay.leave(v),
+                0..=3 if !overlay.is_alive(v) => overlay.join(&space, v),
+                4 => {
+                    overlay.repair(&space);
+                }
+                5 => {
+                    ron_obs::reset();
+                    overlay.publish_snapshot(&space, &cell);
+                    let recomputed =
+                        ron_obs::drain().counter_prefix_sum("snapshot.fingers_recomputed");
+                    let now = membership(&overlay);
+                    let (mut near, mut fell_back) = (0usize, 0usize);
+                    for j in 0..levels {
+                        // The rule's own radius, a hair past c·r_j.
+                        let reach = overlay.ring_factor() * overlay.nets().radius(j) * (1.0 + 1e-9);
+                        let was = &published_membership[j];
+                        let changed = |a: &Node| was[a.index()] != now[j][a.index()];
+                        let mut changes = space.nodes().filter(changed).peekable();
+                        if changes.peek().is_none() {
+                            continue;
+                        }
+                        for a in changes {
+                            near += space.index().ball_size(a, reach);
+                        }
+                        fell_back += space
+                            .nodes()
+                            .filter(|&v| {
+                                space
+                                    .index()
+                                    .nearest_where(v, &mut |u| was[u.index()])
+                                    .is_none_or(|(d, _)| d >= reach * (1.0 - 2e-9))
+                            })
+                            .count();
+                    }
+                    prop_assert!(
+                        recomputed <= (near + fell_back) as u64,
+                        "{recomputed} fingers recomputed: {near} near a change, {fell_back} fell back"
+                    );
+                    published_membership = now;
+                }
+                _ => {}
+            }
+        }
+        recording.stop();
+        assert_recording_is_off();
+    }
 }
 
 /// Every way a lookup fails is counted where it returns, a broken chain
