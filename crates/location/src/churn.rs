@@ -137,7 +137,7 @@ impl DirectoryOverlay {
         self.epoch += 1;
         let mut report = plan.report_base();
         for nr in &plan.node_repairs {
-            let (writes, deletes) = self.tables.node_mut(nr.node).apply(&nr.ops);
+            let (writes, deletes) = self.tables.apply(nr.node, &nr.ops);
             report.pointer_writes += writes;
             report.pointer_deletes += deletes;
         }

@@ -18,7 +18,7 @@ use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
 use ron_nets::NestedNets;
 
 use crate::authority::RepairAuthority;
-use crate::tables::PointerTables;
+use crate::tables::{Bits, PointerTables};
 
 /// Identifier of a published object.
 ///
@@ -251,7 +251,7 @@ impl DirectoryOverlay {
     /// Whether `v` is an alive member of the level-`j` net.
     #[must_use]
     pub fn is_net_member(&self, level: usize, v: Node) -> bool {
-        self.control.member[level][v.index()]
+        self.control.member[level].get(v.index())
     }
 
     /// The finger of `s` at level `j`: the nearest alive member of the
@@ -314,20 +314,23 @@ impl DirectoryOverlay {
 impl HeapBytes for DirectoryOverlay {
     /// The overlay's structural heap footprint: ladder radii, dynamic
     /// membership, touched sets, the ring arena and the rows copied out of
-    /// it (none at build), and the pointer tables. The per-object registry
-    /// (`homes`, `placements`) scales with the published object count, not
-    /// with `n`, and `HashMap` capacity is not observable — it is
-    /// deliberately left out, so the accounted value is the bytes-per-*node*
-    /// quantity the scaling benchmark budgets.
+    /// it (none at build), the per-home object lists, and the pointer
+    /// tables with their chunk stamps. The per-object maps (`homes`,
+    /// `placements`) scale with the published object count, not with `n`,
+    /// and `HashMap` capacity is not observable — they are deliberately
+    /// left out, so the accounted value is the bytes-per-*node* quantity
+    /// the scaling benchmark budgets.
     fn heap_bytes(&self) -> usize {
         let control = &self.control;
         // ron-lint: allow(map-order): a sum, the same in any order.
         let grown: usize = control.grown.values().map(vec_capacity_bytes).sum();
         vec_capacity_bytes(&control.radii)
-            + nested_vec_bytes(&control.member)
+            + vec_capacity_bytes(&control.member)
+            + control.member.iter().map(Bits::heap_bytes).sum::<usize>()
             + nested_vec_bytes(&control.touched)
             + vec_capacity_bytes(&control.alive)
             + vec_capacity_bytes(&control.objects)
+            + control.index_bytes()
             + self.nets.heap_bytes()
             + control.rings.heap_bytes()
             + grown

@@ -10,15 +10,15 @@
 //! `Arc`-shared chunks of eight nodes (`tables::FrozenRows`), plus
 //! liveness and an `Arc`-shared homes map. [`publish_snapshot`]
 //! recomputes only the fingers a membership change since the current
-//! publication can have moved, compares each chunk it builds with the
-//! publication's and keeps the old one where they are equal, so a swap
-//! hands readers new memory only where the epoch changed something. A
-//! lookup over a snapshot allocates nothing. Snapshots live in an
-//! [`EpochCell`], whose writer frees what it supersedes; a repair can
-//! build and publish a successor *while a batch is in flight*: lookups
-//! proceed at full rate through churn and repair, each answer valid
-//! against exactly one published state, never a torn mixture
-//! (property-tested across all four generator families).
+//! publication can have moved, builds only the chunks holding one or a
+//! table written since, and keeps the old chunk where a built one comes
+//! out equal, so a swap hands readers new memory only where the epoch
+//! changed something. A lookup over a snapshot allocates nothing.
+//! Snapshots live in an [`EpochCell`], whose writer frees what it
+//! supersedes; a repair can build and publish a successor *while a batch
+//! is in flight*: lookups proceed at full rate through churn and repair,
+//! each answer valid against exactly one published state, never a torn
+//! mixture (property-tested across all four generator families).
 //!
 //! Worker threads (`std::thread::scope`; no external dependencies, per
 //! the vendored-shim discipline) split the batch. Each pins the current
@@ -36,7 +36,7 @@
 //!
 //! [`publish_snapshot`]: DirectoryOverlay::publish_snapshot
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use ron_core::publish::EpochCell;
@@ -45,7 +45,7 @@ use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
 use ron_routing::PathStats;
 
-use crate::authority::RepairAuthority;
+use crate::authority::{by_node, RepairAuthority};
 use crate::directory::{DirectoryOverlay, IdMap, ObjectId};
 use crate::lookup::{locate_view, Finger, LocateError, LookupOutcome, LookupView};
 use crate::stats::{BatchReport, CacheShardStats, LatencySummary};
@@ -100,10 +100,14 @@ impl Snapshot {
 
     /// [`capture`](Self::capture), sharing with `prev` every chunk of
     /// fingers or entries (and the homes map) that is unchanged since
-    /// `prev` — the one capture path. Only the fingers `prev` cannot
-    /// vouch for are recomputed: all of them on a first capture or over
-    /// another ring arena, else the stale ones (see
-    /// [`stale_fingers`](Self::stale_fingers)).
+    /// `prev` — the one capture path, costing what changed. Only the
+    /// fingers `prev` cannot vouch for are recomputed: all of them on a
+    /// first capture or over another ring arena, else the stale ones
+    /// (see [`stale_fingers`](Self::stale_fingers)). A chunk of entries
+    /// is built only if its tables were written since `prev` was frozen
+    /// from them (every chunk when `prev` came from other tables, a
+    /// clone's included); either way a built chunk equal to `prev`'s is
+    /// shared.
     fn capture_sharing<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
         overlay: &DirectoryOverlay,
@@ -112,18 +116,18 @@ impl Snapshot {
         let _span = ron_obs::span("directory.capture");
         let control = &overlay.control;
         let (n, levels) = (overlay.len(), overlay.levels());
-        let member: Vec<Bits> = control.member.iter().map(|m| Bits::from_bools(m)).collect();
+        let member = control.member.clone();
         let same = prev.filter(|p| Arc::ptr_eq(&p.rings, &control.rings));
         let (stale, mut fallback) = match same {
             Some(p) => (p.stale_fingers(space, control, &member), p.fallback.clone()),
             None => (Bits::ones(n * levels), Bits::zeros(n * levels)),
         };
-        let mut tally = ChunkTally::default();
+        let mut finger_tally = ChunkTally::default();
         let mut recomputed = 0u64;
         let fingers = FrozenRows::freeze(
             n,
             prev.map(|p| &p.fingers),
-            &mut tally,
+            &mut finger_tally,
             |nodes| stale.any_in(nodes.start * levels..nodes.end * levels),
             |v, row| {
                 let old = same.map(|p| p.fingers.row(v));
@@ -140,15 +144,19 @@ impl Snapshot {
                 }
             },
         );
+        let mut table_tally = ChunkTally::default();
         let tables =
-            FrozenTables::freeze_tables(&overlay.tables, prev.map(|p| &p.tables), &mut tally);
+            FrozenTables::freeze_tables(&overlay.tables, prev.map(|p| &p.tables), &mut table_tally);
         let homes = match prev {
             Some(p) if *p.homes == control.homes => Arc::clone(&p.homes),
             _ => Arc::new(control.homes.clone()),
         };
         if ron_obs::enabled() {
-            ron_obs::count("snapshot.chunks_shared", tally.shared);
-            ron_obs::count("snapshot.chunks_written", tally.written);
+            let (f, t) = (finger_tally, table_tally);
+            ron_obs::count("snapshot.chunks_shared", f.shared + t.shared);
+            ron_obs::count("snapshot.chunks_written", f.written + t.written);
+            ron_obs::count("snapshot.finger_chunks_written", f.written);
+            ron_obs::count("snapshot.table_chunks_written", t.written);
             ron_obs::count("snapshot.fingers_recomputed", recomputed);
         }
         Snapshot {
@@ -168,16 +176,15 @@ impl Snapshot {
     /// whose level membership is `member`, cannot copy from this
     /// snapshot, taken over the same ring arena. A finger is the nearest
     /// member of its level, so on a level whose membership is unchanged
-    /// none moves; on one that changed, `(v, j)` is stale if
-    ///
-    /// * the oracle answered it (the ring was empty, so the nearest
-    ///   member may lie anywhere);
-    /// * its member left the level; or
-    /// * an added member is at least as near to `v` as the finger — then
-    ///   within `c·r_j` of `v`, as a finger found in the ring is, so one
-    ///   ball query per added member finds every such `v`.
-    ///
-    /// Any other finger is still the nearest member, ties included.
+    /// none moves; on one that changed, `(v, j)` is stale if its member
+    /// left or an added member is at least as near to `v` (then it may be
+    /// the nearest, ties included). A finger found in the ring is within
+    /// `c·r_j` of `v`, so one ball around each departed and each added
+    /// member, at `c·r_j` for the coarsest `j` it changed at, finds
+    /// those; a finger the oracle answered (the
+    /// ring was empty) may lie farther, so those are tested one by one,
+    /// and also when an added member enters the ring. Any other finger is
+    /// still the nearest member.
     fn stale_fingers<M: Metric, I: BallOracle>(
         &self,
         space: &Space<M, I>,
@@ -186,33 +193,54 @@ impl Snapshot {
     ) -> Bits {
         let (n, levels) = (control.len(), self.levels);
         let mut stale = Bits::zeros(n * levels);
-        let changed: Vec<usize> = (0..levels)
-            .filter(|&j| self.member[j] != member[j])
-            .collect();
-        if changed.is_empty() {
-            return stale;
-        }
-        for v in Node::all(n) {
-            let row = self.fingers.row(v);
-            for &j in &changed {
-                let i = v.index() * levels + j;
-                let left = row[j].get().is_none_or(|f| !member[j].get(f.index()));
-                if left || self.fallback.get(i) {
-                    stale.set(i, true);
-                }
-            }
-        }
-        for &j in &changed {
-            // A hair past c·r_j, so that a ball distance rounded apart
-            // from `space.dist` cannot drop a node the test below needs.
-            let reach = control.ring_factor * control.radii[j] * (1.0 + 1e-9);
-            for a in member[j].minus(&self.member[j]).map(Node::new) {
-                space.index().for_each_in_ball(a, reach, &mut |_, v| {
-                    let finger = self.fingers.row(v)[j].get();
-                    if finger.is_none_or(|f| space.dist(v, a) <= space.dist(v, f)) {
-                        stale.set(v.index() * levels + j, true);
+        let changed: Vec<bool> = (0..levels).map(|j| self.member[j] != member[j]).collect();
+        let diff = |a: &[Bits], b: &[Bits]| -> Vec<Vec<Node>> {
+            let minus = |j: usize| a[j].minus(&b[j]).map(Node::new).collect();
+            (0..levels)
+                .map(|j| if changed[j] { minus(j) } else { Vec::new() })
+                .collect()
+        };
+        let (departed, added) = (diff(&self.member, member), diff(member, &self.member));
+        // A hair past c·r_j, so that a ball distance rounded apart from
+        // `space.dist` cannot drop a node the tests below need.
+        let reach = |j: usize| control.ring_factor * control.radii[j] * (1.0 + 1e-9);
+        // One ball per changed node, at the coarsest level it changed at.
+        let mut around = |u: Node, levels_of_u: &[usize], test: &dyn Fn(Node, usize) -> bool| {
+            let coarsest = levels_of_u[levels_of_u.len() - 1];
+            space
+                .index()
+                .for_each_in_ball_unordered(u, reach(coarsest), &mut |d, v| {
+                    for &j in levels_of_u.iter().rev().take_while(|&&j| d <= reach(j)) {
+                        if test(v, j) {
+                            stale.set(v.index() * levels + j, true);
+                        }
                     }
                 });
+        };
+        for (d, at) in by_node(&departed) {
+            around(d, &at, &|v, j| self.fingers.row(v)[j].get() == Some(d));
+        }
+        for (a, at) in by_node(&added) {
+            around(a, &at, &|v, j| {
+                let finger = self.fingers.row(v)[j].get();
+                finger.is_none_or(|f| space.dist(v, a) <= space.dist(v, f))
+            });
+        }
+        for i in self.fallback.iter_ones() {
+            let (v, j) = (Node::new(i / levels), i % levels);
+            if !changed[j] {
+                continue;
+            }
+            let stale_now = match self.fingers.row(v)[j].get() {
+                None => true,
+                Some(f) => {
+                    let near = space.dist(v, f).max(reach(j));
+                    let nearer = |&a: &Node| space.dist(v, a) <= near;
+                    !member[j].get(f.index()) || added[j].iter().any(nearer)
+                }
+            };
+            if stale_now {
+                stale.set(i, true);
             }
         }
         stale
@@ -288,6 +316,26 @@ impl Snapshot {
         let mut path = Vec::new();
         let outcome = self.walk(space, origin, obj, |v| path.push(v))?;
         Ok((outcome, path))
+    }
+}
+
+#[cfg(test)]
+impl Snapshot {
+    /// Panics unless this snapshot serves exactly what `fresh` serves:
+    /// every finger and its provenance, membership, liveness, homes and
+    /// every node's pointer entries.
+    pub(crate) fn assert_same_as(&self, fresh: &Snapshot, when: &str) {
+        assert_eq!(self.levels, fresh.levels, "{when}: levels");
+        assert_eq!(self.fallback, fresh.fallback, "{when}: fallback bits");
+        assert_eq!(self.member, fresh.member, "{when}: membership");
+        assert_eq!(self.alive, fresh.alive, "{when}: liveness");
+        assert_eq!(self.homes, fresh.homes, "{when}: homes");
+        for v in Node::all(fresh.alive.len()) {
+            let fingers = (self.fingers.row(v), fresh.fingers.row(v));
+            assert_eq!(fingers.0, fingers.1, "{when}: fingers of {v}");
+            let entries = (self.tables.entries(v), fresh.tables.entries(v));
+            assert_eq!(entries.0, entries.1, "{when}: entries of {v}");
+        }
     }
 }
 
@@ -498,27 +546,26 @@ impl ShardedCache {
         (h % self.shards.len() as u64) as usize
     }
 
+    /// `shard`'s guard, also when a thread panicked holding it, since
+    /// the serving path must not panic on another thread's panic. The
+    /// shard is still whole: a guard lives for one `LruCache` call, and
+    /// those index only linked slots and never panic on a whole shard.
+    fn lock(shard: &Mutex<LruCache>) -> MutexGuard<'_, LruCache> {
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cached hit, if any.
     fn get(&self, key: (Node, ObjectId), epoch: u64) -> Option<CachedHit> {
-        self.shards[self.shard_index(key)]
-            .lock()
-            .expect("cache lock")
-            .get(key, epoch)
+        Self::lock(&self.shards[self.shard_index(key)]).get(key, epoch)
     }
 
     fn insert(&self, key: (Node, ObjectId), value: CachedHit, epoch: u64) {
-        self.shards[self.shard_index(key)]
-            .lock()
-            .expect("cache lock")
-            .insert(key, value, epoch);
+        Self::lock(&self.shards[self.shard_index(key)]).insert(key, value, epoch);
     }
 
     /// The per-shard hit/miss/stale accounting, in shard order.
     fn stats(&self) -> Vec<CacheShardStats> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache lock").stats)
-            .collect()
+        self.shards.iter().map(|s| Self::lock(s).stats).collect()
     }
 }
 
@@ -859,6 +906,27 @@ mod tests {
         let inert = ShardedCache::new(0, 4);
         inert.insert(key(1), hit(1), 0);
         assert_eq!(inert.get(key(1), 0), None);
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_answers() {
+        let cache = ShardedCache::new(16, 1);
+        cache.insert(key(1), hit(1), 0);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = cache.shards[0].lock().unwrap();
+                    panic!("a worker dies holding the shard");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert_eq!(cache.get(key(1), 0), Some(hit(1)));
+        cache.insert(key(2), hit(2), 0);
+        assert_eq!(cache.get(key(2), 0), Some(hit(2)));
+        let stats = cache.stats();
+        assert_eq!((stats[0].hits, stats[0].misses), (2, 0));
     }
 
     #[test]

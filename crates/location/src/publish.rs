@@ -90,9 +90,7 @@ impl DirectoryOverlay {
             self.tables.node_mut(w).insert(j, obj, target);
         }
         let writes = placement.entries.len();
-        self.control.objects.push(obj);
-        self.control.homes.insert(obj, home);
-        self.control.placements.insert(obj, placement);
+        self.control.register(obj, home, placement);
         // The publish fan-out: how many ring members one object's
         // pointers reach across all levels.
         ron_obs::observe("publish.fanout", writes as u64);
@@ -118,6 +116,7 @@ impl DirectoryOverlay {
         }
         control.homes.remove(&obj);
         control.objects.retain(|&o| o != obj);
+        control.reindex();
         deletes
     }
 }

@@ -11,24 +11,26 @@
 //!
 //! * [`PointerTable`] is the mutable one — a `Vec` per node, empty
 //!   tables allocating nothing. The overlay holds `n` of them
-//!   ([`PointerTables`]), a partitioned [`DirectoryNodeState`] its
-//!   node's one; publish, unpublish and repair insert and remove in
-//!   place.
+//!   ([`PointerTables`], which stamps each chunk of nodes it writes),
+//!   a partitioned [`DirectoryNodeState`] its node's one; publish,
+//!   unpublish and repair insert and remove in place.
 //! * [`FrozenTables`] is what a [`Snapshot`] serves from: the rows
 //!   copied in node order into [`FrozenRows`] — chunks of [`CHUNK`]
 //!   nodes, each behind an `Arc`, so a successor snapshot shares every
-//!   chunk an epoch did not change with the snapshot it supersedes (the
-//!   snapshot's fingers are frozen the same way).
+//!   chunk an epoch did not write with the snapshot it supersedes,
+//!   without building it (the snapshot's fingers are frozen the same
+//!   way).
 //! * [`TableRow`] is the borrowed sorted slice both hand out, with the
 //!   one `get(level, object)`; the lookup walk reads nothing else.
 //!
-//! [`Bits`], the bitset a snapshot keeps beside its frozen fingers and
-//! the planner marks touched nodes in, lives here too.
+//! [`Bits`], the bitset the control plane keeps net membership in and a
+//! snapshot keeps beside its frozen fingers, lives here too.
 //!
 //! [`Snapshot`]: crate::engine::Snapshot
 //! [`DirectoryNodeState`]: crate::partition::DirectoryNodeState
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ron_metric::mem::vec_capacity_bytes;
@@ -153,10 +155,38 @@ impl PointerTable {
     }
 }
 
-/// All nodes' directory pointer tables, indexed by node.
-#[derive(Clone, Debug, Default)]
+/// All nodes' directory pointer tables, indexed by node, with a write
+/// stamp per [`CHUNK`] of nodes: what a freeze needs to share the chunks
+/// nobody wrote since the freeze it succeeds.
+#[derive(Debug)]
 pub(crate) struct PointerTables {
     nodes: Vec<PointerTable>,
+    /// Which tables these are: fresh for every `new` and every clone, so
+    /// a stamp is read only against a freeze of the same tables.
+    lineage: u64,
+    /// Writes so far; `stamps[c]` is the clock of chunk `c`'s last one.
+    clock: u64,
+    stamps: Vec<u64>,
+}
+
+/// The next [`PointerTables::lineage`].
+fn fresh_lineage() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // ordering: Relaxed -- only uniqueness matters, no data is published.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Clone for PointerTables {
+    /// A copy that diverges from here on: a new lineage, so neither
+    /// side's freezes vouch for the other's chunks.
+    fn clone(&self) -> Self {
+        PointerTables {
+            nodes: self.nodes.clone(),
+            lineage: fresh_lineage(),
+            clock: self.clock,
+            stamps: self.stamps.clone(),
+        }
+    }
 }
 
 impl PointerTables {
@@ -164,6 +194,9 @@ impl PointerTables {
     pub(crate) fn new(n: usize) -> Self {
         PointerTables {
             nodes: vec![PointerTable::default(); n],
+            lineage: fresh_lineage(),
+            clock: 0,
+            stamps: vec![0; n.div_ceil(CHUNK)],
         }
     }
 
@@ -172,15 +205,33 @@ impl PointerTables {
         &self.nodes[v.index()]
     }
 
-    /// Node `v`'s table, for installing and deleting entries.
+    /// Node `v`'s table, for installing and deleting entries; stamps its
+    /// chunk written.
     pub(crate) fn node_mut(&mut self, v: Node) -> &mut PointerTable {
+        self.stamp(v);
         &mut self.nodes[v.index()]
+    }
+
+    fn stamp(&mut self, v: Node) {
+        self.clock += 1;
+        self.stamps[v.index() / CHUNK] = self.clock;
     }
 
     /// Drops every entry stored at `v` (the node left; its state is
     /// lost), releasing the memory.
     pub(crate) fn clear_node(&mut self, v: Node) {
-        self.nodes[v.index()] = PointerTable::default();
+        *self.node_mut(v) = PointerTable::default();
+    }
+
+    /// Executes a repair plan's operations on `v`'s table (see
+    /// [`PointerTable::apply`]), stamping its chunk only if they changed
+    /// it.
+    pub(crate) fn apply(&mut self, v: Node, ops: &[PointerOp]) -> (usize, usize) {
+        let (writes, deletes) = self.nodes[v.index()].apply(ops);
+        if writes + deletes > 0 {
+            self.stamp(v);
+        }
+        (writes, deletes)
     }
 
     /// Total entries across all nodes.
@@ -192,6 +243,7 @@ impl PointerTables {
 impl HeapBytes for PointerTables {
     fn heap_bytes(&self) -> usize {
         vec_capacity_bytes(&self.nodes)
+            + vec_capacity_bytes(&self.stamps)
             + self
                 .nodes
                 .iter()
@@ -336,8 +388,8 @@ impl<T> HeapBytes for FrozenRows<T> {
     }
 }
 
-/// A fixed-length bitset: a snapshot's level membership and finger
-/// provenance, a capture's stale fingers, the planner's touched marks.
+/// A fixed-length bitset: level membership, a snapshot's finger
+/// provenance, a capture's stale fingers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Bits {
     words: Vec<u64>,
@@ -404,17 +456,26 @@ impl Bits {
 
     /// The bits set here and clear in `other`, ascending.
     pub(crate) fn minus<'a>(&'a self, other: &'a Bits) -> impl Iterator<Item = usize> + 'a {
-        let words = self.words.iter().zip(&other.words).map(|(a, b)| a & !b);
-        words.enumerate().flat_map(|(w, mut word)| {
-            std::iter::from_fn(move || {
-                (word != 0).then(|| {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    w * 64 + bit
-                })
+        set_bits(self.words.iter().zip(&other.words).map(|(a, b)| a & !b))
+    }
+
+    /// The set bits, ascending.
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.words.iter().copied())
+    }
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
             })
         })
-    }
+    })
 }
 
 impl HeapBytes for Bits {
@@ -423,30 +484,73 @@ impl HeapBytes for Bits {
     }
 }
 
-/// Every node's pointer entries, frozen.
-pub(crate) type FrozenTables = FrozenRows<PointerEntry>;
+/// Every node's pointer entries, frozen, and the lineage and clock of
+/// the tables they were frozen from.
+#[derive(Clone, Debug)]
+pub(crate) struct FrozenTables {
+    rows: FrozenRows<PointerEntry>,
+    lineage: u64,
+    clock: u64,
+}
 
 impl FrozenTables {
-    /// Copies `tables` row by row, sharing what `prev` already holds.
+    /// Copies `tables` row by row, sharing what `prev` already holds: a
+    /// chunk not written since `prev` was frozen from the same tables
+    /// without building it, any other one when it comes out equal.
     pub(crate) fn freeze_tables(
         tables: &PointerTables,
         prev: Option<&Self>,
         tally: &mut ChunkTally,
     ) -> Self {
-        Self::freeze(
+        let since = prev
+            .filter(|p| p.lineage == tables.lineage)
+            .map(|p| p.clock);
+        let rows = FrozenRows::freeze(
             tables.nodes.len(),
-            prev,
+            prev.map(|p| &p.rows),
             tally,
-            |_| true,
+            |nodes| since.is_none_or(|clock| tables.stamps[nodes.start / CHUNK] > clock),
             |v, out| out.extend_from_slice(&tables.node(v).entries),
-        )
+        );
+        FrozenTables {
+            rows,
+            lineage: tables.lineage,
+            clock: tables.clock,
+        }
     }
 
     /// Node `v`'s entries as the lookup walk reads them.
     pub(crate) fn table(&self, v: Node) -> TableRow<'_> {
         TableRow {
-            entries: self.row(v),
+            entries: self.rows.row(v),
         }
+    }
+
+    /// See [`FrozenRows::warm_since`].
+    pub(crate) fn warm_since(&self, prev: &Self) {
+        self.rows.warm_since(&prev.rows);
+    }
+
+    /// Node `v`'s entries, for comparing freezes.
+    #[cfg(test)]
+    pub(crate) fn entries(&self, v: Node) -> &[PointerEntry] {
+        self.rows.row(v)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn chunks_shared_with(&self, other: &Self) -> usize {
+        self.rows.chunks_shared_with(&other.rows)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.rows.chunk_count()
+    }
+}
+
+impl HeapBytes for FrozenTables {
+    fn heap_bytes(&self) -> usize {
+        self.rows.heap_bytes()
     }
 }
 
@@ -551,7 +655,7 @@ mod tests {
             }
         );
         assert_eq!(after.chunks_shared_with(&before), 2);
-        assert!(!Arc::ptr_eq(&after.chunks[1], &before.chunks[1]));
+        assert!(!Arc::ptr_eq(&after.rows.chunks[1], &before.rows.chunks[1]));
         assert_eq!(
             after
                 .table(Node::new(CHUNK + 2))
@@ -583,6 +687,7 @@ mod tests {
         assert_eq!(bits.minus(&other).collect::<Vec<_>>(), [63]);
         assert_eq!(other.minus(&bits).collect::<Vec<_>>(), [100]);
         assert_eq!(ones.minus(&bits).count(), 126);
+        assert_eq!(bits.iter_ones().collect::<Vec<_>>(), [0, 63, 64, 129]);
     }
 
     #[test]

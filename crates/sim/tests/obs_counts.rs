@@ -440,7 +440,9 @@ proptest! {
     /// membership changes `(j, a)` since the last publish of
     /// `|B_a(c·r_j)|`, plus the fingers at a changed level the oracle
     /// answered because their ring was empty (a dead node's, or any
-    /// node's on a level a leave emptied around it before the repair).
+    /// node's on a level a leave emptied around it before the repair)
+    /// and whose member left or an added member is as near or in the
+    /// ring.
     #[test]
     fn random_sparse_schedules_recompute_only_the_fingers_near_their_changes(
         seed in 0u64..1000,
@@ -489,13 +491,24 @@ proptest! {
                         for a in changes {
                             near += space.index().ball_size(a, reach);
                         }
+                        let added: Vec<Node> = space
+                            .nodes()
+                            .filter(|a| now[j][a.index()] && !was[a.index()])
+                            .collect();
                         fell_back += space
                             .nodes()
                             .filter(|&v| {
-                                space
-                                    .index()
-                                    .nearest_where(v, &mut |u| was[u.index()])
-                                    .is_none_or(|(d, _)| d >= reach * (1.0 - 2e-9))
+                                match space.index().nearest_where(v, &mut |u| was[u.index()]) {
+                                    None => true,
+                                    Some((d, _)) if d < reach * (1.0 - 2e-9) => false,
+                                    // Its member left, or an added one is
+                                    // at least as near or in the ring.
+                                    Some((_, f)) => {
+                                        let near = space.dist(v, f).max(reach);
+                                        !now[j][f.index()]
+                                            || added.iter().any(|&a| space.dist(v, a) <= near)
+                                    }
+                                }
                             })
                             .count();
                     }
@@ -506,6 +519,83 @@ proptest! {
                     published_membership = now;
                 }
                 _ => {}
+            }
+        }
+        recording.stop();
+        assert_recording_is_off();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The pointer pass visits what changed: over a seeded random
+    /// schedule of leaves, joins and repairs, each repair's
+    /// `repair.plan.objects_visited` is at most the objects homed at a
+    /// marked node (an alive node within `c·r_j` of a node touched at
+    /// `j`, for some `j`) plus the re-homed ones (every object is placed
+    /// at publish, so none is unplaced), and `repair.plan.marked` at
+    /// most the balls' sizes; each capture
+    /// splits the chunks it wrote into fingers and tables.
+    #[test]
+    fn random_schedules_visit_only_the_objects_at_marked_homes(
+        seed in 0u64..1000,
+        steps in 1usize..24,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let recording = Recording::start();
+        let n = 256;
+        let space = Space::new(gen::uniform_cube(n, 2, seed));
+        let mut overlay = DirectoryOverlay::build(&space);
+        let items: Vec<(ObjectId, Node)> = (0..n)
+            .map(|i| (ObjectId(i as u64), Node::new((i * 37 + 5) % n)))
+            .collect();
+        overlay.publish_batch(&space, &items);
+        let cell = EpochCell::new(Snapshot::capture(&space, &overlay));
+        for _ in 0..steps {
+            let v = Node::new(rng.random_range(0..n));
+            match rng.random_range(0..5u8) {
+                0..=2 if overlay.is_alive(v) && overlay.alive_count() > 2 => overlay.leave(v),
+                0..=2 if !overlay.is_alive(v) => overlay.join(&space, v),
+                _ => {
+                    ron_obs::reset();
+                    let plan = overlay.control_plane().plan_repair(&space);
+                    overlay.apply_plan(&plan);
+                    overlay.publish_snapshot(&space, &cell);
+                    let registry = ron_obs::drain();
+                    let mut marked = vec![false; n];
+                    let mut balls = 0usize;
+                    for (j, touched) in plan.touched.iter().enumerate() {
+                        let reach = overlay.ring_factor() * overlay.nets().radius(j) * (1.0 + 1e-9);
+                        for &t in touched {
+                            let ball = space.index().ball(t, reach);
+                            balls += ball.nodes().len();
+                            for &u in ball.nodes() {
+                                marked[u.index()] |= overlay.is_alive(u);
+                            }
+                        }
+                    }
+                    let rehomed: Vec<ObjectId> = plan.rehomed.iter().map(|&(obj, _)| obj).collect();
+                    let bound = overlay
+                        .objects()
+                        .iter()
+                        .filter(|&&obj| {
+                            let home = overlay.home_of(obj).expect("published");
+                            marked[home.index()] || rehomed.contains(&obj)
+                        })
+                        .count();
+                    let visited = registry.counter_prefix_sum("repair.plan.objects_visited");
+                    prop_assert!(visited <= bound as u64, "visited {visited}, bound {bound}");
+                    let marks = registry.counter_prefix_sum("repair.plan.marked");
+                    prop_assert!(marks <= balls as u64, "marked {marks}, balls {balls}");
+                    prop_assert_eq!(
+                        registry.counter_prefix_sum("snapshot.finger_chunks_written")
+                            + registry.counter_prefix_sum("snapshot.table_chunks_written"),
+                        registry.counter_prefix_sum("snapshot.chunks_written")
+                    );
+                }
             }
         }
         recording.stop();
