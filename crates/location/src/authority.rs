@@ -268,7 +268,9 @@ pub struct RepairAuthority {
     pub(crate) alive_count: usize,
     /// Published objects in publish order (deterministic iteration).
     pub(crate) objects: Vec<ObjectId>,
-    pub(crate) homes: IdMap<ObjectId, Node>,
+    /// Each object's home, shared with every snapshot captured since
+    /// the last write (writes go through `Arc::make_mut`).
+    pub(crate) homes: Arc<IdMap<ObjectId, Node>>,
     /// The objects homed at each node, as lists of positions in
     /// `objects`, in no order: `homed[v]` heads `v`'s list and
     /// `next_homed[p]` follows position `p` ([`NO_OBJECT`] ends a list).
@@ -301,7 +303,7 @@ impl RepairAuthority {
             alive: vec![true; n],
             alive_count: n,
             objects: Vec::new(),
-            homes: IdMap::default(),
+            homes: Arc::default(),
             homed: vec![NO_OBJECT; n],
             next_homed: Vec::new(),
             placements: HashMap::new(),
@@ -315,7 +317,7 @@ impl RepairAuthority {
         self.objects.push(obj);
         self.next_homed.push(NO_OBJECT);
         self.link_home(p, home);
-        self.homes.insert(obj, home);
+        Arc::make_mut(&mut self.homes).insert(obj, home);
         self.placements.insert(obj, placement);
     }
 
@@ -702,7 +704,7 @@ impl RepairAuthority {
             let (_, new_home) = oracle
                 .nearest_where(home, &mut |v| self.alive[v.index()])
                 .expect("at least one node stays alive");
-            self.homes.insert(obj, new_home);
+            Arc::make_mut(&mut self.homes).insert(obj, new_home);
             self.link_home(p, new_home);
             plan.rehomed.push((obj, new_home));
             let b = bucket(&mut plan, new_home);
@@ -855,7 +857,7 @@ impl RepairAuthority {
         orphans.sort_unstable();
         for (&p, &(obj, new_home)) in orphans.iter().zip(&plan.rehomed) {
             debug_assert_eq!(self.objects[p as usize], obj);
-            self.homes.insert(obj, new_home);
+            Arc::make_mut(&mut self.homes).insert(obj, new_home);
             self.link_home(p, new_home);
         }
         // ron-lint: allow(map-order): `RepairPlan::placements` is a
@@ -918,16 +920,11 @@ impl RepairAuthority {
     fn ring_marks(&self, oracle: &dyn RepairOracle, touched: &[Vec<Node>]) -> Vec<Vec<Node>> {
         let radius = |j: usize| self.ring_factor * self.radii[j];
         let mut marks = vec![Vec::new(); touched.len()];
-        for (t, levels) in by_node(touched) {
-            let coarsest = levels[levels.len() - 1];
-            oracle.ball_unordered(t, radius(coarsest), &mut |d, v| {
-                if self.alive[v.index()] {
-                    for &j in levels.iter().rev().take_while(|&&j| d <= radius(j)) {
-                        marks[j].push(v);
-                    }
-                }
-            });
-        }
+        near_changes(oracle, touched, radius, |_, v, j| {
+            if self.alive[v.index()] {
+                marks[j].push(v);
+            }
+        });
         for marked in &mut marks {
             marked.sort_unstable();
             marked.dedup();
@@ -967,9 +964,30 @@ impl RepairAuthority {
     }
 }
 
+/// Visits `(u, v, j)` for each node `u` of `changed[j]` and each `v`
+/// within `radius(j)` of `u`, `radius` growing with the level: one
+/// unordered ball per changed node, at the radius of the coarsest level
+/// it changed at, each hit handed to every level of `u` whose radius
+/// covers it.
+pub(crate) fn near_changes(
+    oracle: &dyn RepairOracle,
+    changed: &[Vec<Node>],
+    radius: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(Node, Node, usize),
+) {
+    for (u, levels) in by_node(changed) {
+        let coarsest = levels[levels.len() - 1];
+        oracle.ball_unordered(u, radius(coarsest), &mut |d, v| {
+            for &j in levels.iter().rev().take_while(|&&j| d <= radius(j)) {
+                visit(u, v, j);
+            }
+        });
+    }
+}
+
 /// The `(node, level)` pairs of per-level node lists, grouped by node:
 /// each node once, ascending, with its levels ascending.
-pub(crate) fn by_node(per_level: &[Vec<Node>]) -> Vec<(Node, Vec<usize>)> {
+fn by_node(per_level: &[Vec<Node>]) -> Vec<(Node, Vec<usize>)> {
     let mut pairs: Vec<(Node, usize)> = per_level
         .iter()
         .enumerate()

@@ -1,4 +1,4 @@
-//! Dynamics: join/leave, incremental repair, and churn schedules.
+//! Dynamics: join/leave and incremental repair.
 //!
 //! A `leave` deletes a node's pointer tables and net memberships; a `join`
 //! re-inserts a node greedily into the ladder. [`DirectoryOverlay::repair`]
@@ -16,17 +16,11 @@
 //! been affected by the membership changes accumulated since the last
 //! repair (`touched` sets) are reconciled, DRFE-R-style, and the report
 //! counts the work (promotions, pointer writes/deletes, re-homings).
-//!
-//! [`drive_churn`] replays random or targeted (hub-first) removal
-//! schedules in steps, sampling lookup success and stretch before and
-//! after each repair.
+//! Removal schedules run as a protocol through `ron_sim::ChurnSchedule`
+//! (the E-CHURN table).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
 use ron_core::publish::EpochCell;
 use ron_metric::{BallOracle, Metric, Node, Space};
-use ron_routing::PathStats;
 
 use crate::authority::RepairPlan;
 use crate::directory::DirectoryOverlay;
@@ -45,17 +39,6 @@ pub struct RepairReport {
     pub rehomed: usize,
     /// Objects whose placement was reconciled (the incremental subset).
     pub objects_touched: usize,
-}
-
-impl RepairReport {
-    /// Accumulates another report (for totals over churn steps).
-    pub fn absorb(&mut self, other: &RepairReport) {
-        self.promotions += other.promotions;
-        self.pointer_writes += other.pointer_writes;
-        self.pointer_deletes += other.pointer_deletes;
-        self.rehomed += other.rehomed;
-        self.objects_touched += other.objects_touched;
-    }
 }
 
 impl DirectoryOverlay {
@@ -165,237 +148,11 @@ impl DirectoryOverlay {
     }
 }
 
-/// A removal schedule for [`drive_churn`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ChurnSchedule {
-    /// Remove uniformly random alive nodes (seeded, reproducible).
-    Random {
-        /// Fraction of the initially alive nodes to remove, in `(0, 1)`.
-        fraction: f64,
-        /// Seed for the victim shuffle.
-        seed: u64,
-    },
-    /// Remove the highest-degree nodes first: coarsest net membership,
-    /// then directory load — the adversarial hub attack.
-    Targeted {
-        /// Fraction of the initially alive nodes to remove, in `(0, 1)`.
-        fraction: f64,
-    },
-}
-
-/// Driver configuration: how many steps to split the schedule into and
-/// how many sample queries to measure per step.
-#[derive(Clone, Copy, Debug)]
-pub struct ChurnConfig {
-    /// Number of removal steps (each followed by one repair).
-    pub steps: usize,
-    /// Sampled `(origin, object)` queries measured before and after each
-    /// repair.
-    pub queries_per_step: usize,
-    /// Seed for query sampling.
-    pub seed: u64,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            steps: 4,
-            queries_per_step: 256,
-            seed: 0x0b1ec7,
-        }
-    }
-}
-
-/// Success and stretch over a sample of lookups.
-#[derive(Clone, Debug, Default)]
-pub struct QuerySample {
-    /// Queries attempted.
-    pub queries: usize,
-    /// Queries that located the current home.
-    pub successes: usize,
-    /// Path statistics over the successful lookups.
-    pub paths: PathStats,
-}
-
-impl QuerySample {
-    /// Fraction of sampled lookups that succeeded (`1.0` when empty).
-    #[must_use]
-    pub fn success_rate(&self) -> f64 {
-        if self.queries == 0 {
-            1.0
-        } else {
-            self.successes as f64 / self.queries as f64
-        }
-    }
-}
-
-/// One churn step: removals, degradation, repair, recovery.
-#[derive(Clone, Debug)]
-pub struct ChurnStep {
-    /// Nodes removed this step.
-    pub removed: usize,
-    /// Alive nodes after the removals.
-    pub alive_after: usize,
-    /// Sampled lookups after the removals, before repair.
-    pub before_repair: QuerySample,
-    /// Repair work performed.
-    pub repair: RepairReport,
-    /// Sampled lookups after repair.
-    pub after_repair: QuerySample,
-}
-
-/// The full replay of a schedule.
-#[derive(Clone, Debug, Default)]
-pub struct ChurnReport {
-    /// Per-step measurements.
-    pub steps: Vec<ChurnStep>,
-}
-
-impl ChurnReport {
-    /// Total nodes removed across all steps.
-    #[must_use]
-    pub fn total_removed(&self) -> usize {
-        self.steps.iter().map(|s| s.removed).sum()
-    }
-
-    /// Total repair work across all steps.
-    #[must_use]
-    pub fn total_repair(&self) -> RepairReport {
-        let mut total = RepairReport::default();
-        for s in &self.steps {
-            total.absorb(&s.repair);
-        }
-        total
-    }
-
-    /// Success rate of the last post-repair sample (`1.0` if no steps).
-    #[must_use]
-    pub fn final_success_rate(&self) -> f64 {
-        self.steps
-            .last()
-            .map_or(1.0, |s| s.after_repair.success_rate())
-    }
-}
-
-/// Replays `schedule` against the overlay in `config.steps` batches,
-/// measuring sampled lookup success/stretch before and after each repair.
-///
-/// # Panics
-///
-/// Panics if the schedule fraction is not in `(0, 1)`, or if nothing is
-/// published (there would be nothing to measure).
-pub fn drive_churn<M: Metric, I: BallOracle>(
-    space: &Space<M, I>,
-    overlay: &mut DirectoryOverlay,
-    schedule: ChurnSchedule,
-    config: &ChurnConfig,
-) -> ChurnReport {
-    let fraction = match schedule {
-        ChurnSchedule::Random { fraction, .. } | ChurnSchedule::Targeted { fraction } => fraction,
-    };
-    assert!(
-        fraction > 0.0 && fraction < 1.0,
-        "churn fraction {fraction} out of (0, 1)"
-    );
-    assert!(
-        !overlay.objects().is_empty(),
-        "publish something before driving churn"
-    );
-    let total = ((overlay.alive_count() as f64) * fraction).floor() as usize;
-    let steps = config.steps.max(1);
-    let mut sampler = StdRng::seed_from_u64(config.seed);
-    let mut report = ChurnReport::default();
-    let mut removed_so_far = 0usize;
-    for step in 0..steps {
-        let quota = (total * (step + 1)) / steps - removed_so_far;
-        if quota == 0 {
-            continue;
-        }
-        let victims = pick_victims(overlay, schedule, step, quota);
-        for &v in &victims {
-            overlay.leave(v);
-        }
-        removed_so_far += victims.len();
-        let before_repair = sample_queries(space, overlay, &mut sampler, config.queries_per_step);
-        let repair = overlay.repair(space);
-        let after_repair = sample_queries(space, overlay, &mut sampler, config.queries_per_step);
-        report.steps.push(ChurnStep {
-            removed: victims.len(),
-            alive_after: overlay.alive_count(),
-            before_repair,
-            repair,
-            after_repair,
-        });
-    }
-    report
-}
-
-/// Picks this step's victims: a seeded shuffle of the alive nodes for
-/// `Random`, the current hubs (coarsest membership, then directory load)
-/// for `Targeted`.
-fn pick_victims(
-    overlay: &DirectoryOverlay,
-    schedule: ChurnSchedule,
-    step: usize,
-    quota: usize,
-) -> Vec<Node> {
-    let mut alive: Vec<Node> = (0..overlay.len())
-        .map(Node::new)
-        .filter(|&v| overlay.is_alive(v))
-        .collect();
-    let quota = quota.min(alive.len().saturating_sub(1));
-    match schedule {
-        ChurnSchedule::Random { seed, .. } => {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(step as u64));
-            alive.shuffle(&mut rng);
-        }
-        ChurnSchedule::Targeted { .. } => {
-            alive.sort_by_key(|&v| {
-                let level = overlay.top_level_of(v).unwrap_or(0);
-                let load = overlay.entries_at(v);
-                // Highest level first, then most loaded, then lowest id.
-                (std::cmp::Reverse(level), std::cmp::Reverse(load), v)
-            });
-        }
-    }
-    alive.truncate(quota);
-    alive
-}
-
-/// Samples `count` lookups of published objects from alive origins.
-fn sample_queries<M: Metric, I: BallOracle>(
-    space: &Space<M, I>,
-    overlay: &DirectoryOverlay,
-    rng: &mut StdRng,
-    count: usize,
-) -> QuerySample {
-    let alive: Vec<Node> = (0..overlay.len())
-        .map(Node::new)
-        .filter(|&v| overlay.is_alive(v))
-        .collect();
-    let mut sample = QuerySample::default();
-    for _ in 0..count {
-        let origin = alive[rng.random_range(0..alive.len())];
-        let obj = overlay.objects()[rng.random_range(0..overlay.objects().len())];
-        sample.queries += 1;
-        match overlay.lookup(space, origin, obj) {
-            Ok(out) if Some(out.home) == overlay.home_of(obj) => {
-                sample.successes += 1;
-                sample
-                    .paths
-                    .record(out.length, space.dist(origin, out.home), out.hops());
-            }
-            _ => {}
-        }
-    }
-    sample
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::directory::ObjectId;
-    use ron_metric::{gen, LineMetric};
+    use ron_metric::LineMetric;
 
     fn seeded(n: usize, objects: usize) -> (Space<LineMetric>, DirectoryOverlay) {
         let space = Space::new(LineMetric::uniform(n).unwrap());
@@ -495,48 +252,5 @@ mod tests {
         // A second repair with nothing new to do is free.
         let idle = ov.repair(&space);
         assert_eq!(idle, RepairReport::default());
-    }
-
-    #[test]
-    fn targeted_schedule_hits_hubs_first() {
-        let (space, mut ov) = seeded(64, 6);
-        let top = ov.levels() - 1;
-        let hub = space.nodes().find(|&v| ov.is_net_member(top, v)).unwrap();
-        let report = drive_churn(
-            &space,
-            &mut ov,
-            ChurnSchedule::Targeted { fraction: 0.1 },
-            &ChurnConfig {
-                steps: 1,
-                queries_per_step: 64,
-                seed: 5,
-            },
-        );
-        assert!(!ov.is_alive(hub), "targeted churn must take the hub");
-        assert_eq!(report.total_removed(), 6);
-        assert_eq!(report.final_success_rate(), 1.0);
-        assert_all_found(&space, &ov);
-    }
-
-    #[test]
-    fn random_schedule_is_reproducible_and_recovers() {
-        let space = Space::new(gen::uniform_cube(48, 2, 3));
-        let schedule = ChurnSchedule::Random {
-            fraction: 0.25,
-            seed: 9,
-        };
-        let run = |mut ov: DirectoryOverlay| {
-            drive_churn(&space, &mut ov, schedule, &ChurnConfig::default())
-        };
-        let mut ov = DirectoryOverlay::build(&space);
-        for i in 0..6u64 {
-            ov.publish(&space, ObjectId(i), Node::new((i as usize * 5) % 48));
-        }
-        let a = run(ov.clone());
-        let b = run(ov);
-        assert_eq!(a.total_removed(), b.total_removed());
-        assert_eq!(a.total_repair(), b.total_repair());
-        assert_eq!(a.final_success_rate(), 1.0);
-        assert!(a.steps.iter().all(|s| s.after_repair.success_rate() == 1.0));
     }
 }

@@ -45,7 +45,7 @@ use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
 use ron_routing::PathStats;
 
-use crate::authority::{by_node, RepairAuthority};
+use crate::authority::{near_changes, RepairAuthority};
 use crate::directory::{DirectoryOverlay, IdMap, ObjectId};
 use crate::lookup::{locate_view, Finger, LocateError, LookupOutcome, LookupView};
 use crate::stats::{BatchReport, CacheShardStats, LatencySummary};
@@ -99,14 +99,15 @@ impl Snapshot {
     }
 
     /// [`capture`](Self::capture), sharing with `prev` every chunk of
-    /// fingers or entries (and the homes map) that is unchanged since
-    /// `prev` — the one capture path, costing what changed. Only the
-    /// fingers `prev` cannot vouch for are recomputed: all of them on a
-    /// first capture or over another ring arena, else the stale ones
-    /// (see [`stale_fingers`](Self::stale_fingers)). A chunk of entries
-    /// is built only if its tables were written since `prev` was frozen
-    /// from them (every chunk when `prev` came from other tables, a
-    /// clone's included); either way a built chunk equal to `prev`'s is
+    /// fingers or entries that is unchanged since `prev` — the one
+    /// capture path, costing what changed. The homes map is the control
+    /// plane's own `Arc`, which a later write copies before changing.
+    /// Only the fingers `prev` cannot vouch for are recomputed: all of
+    /// them on a first capture or over another ring arena, else the stale
+    /// ones (see [`stale_fingers`](Self::stale_fingers)). A chunk of
+    /// entries is built only if its tables were written since `prev` was
+    /// frozen from them (every chunk when `prev` came from other tables,
+    /// a clone's included); either way a built chunk equal to `prev`'s is
     /// shared.
     fn capture_sharing<M: Metric, I: BallOracle>(
         space: &Space<M, I>,
@@ -147,10 +148,6 @@ impl Snapshot {
         let mut table_tally = ChunkTally::default();
         let tables =
             FrozenTables::freeze_tables(&overlay.tables, prev.map(|p| &p.tables), &mut table_tally);
-        let homes = match prev {
-            Some(p) if *p.homes == control.homes => Arc::clone(&p.homes),
-            _ => Arc::new(control.homes.clone()),
-        };
         if ron_obs::enabled() {
             let (f, t) = (finger_tally, table_tally);
             ron_obs::count("snapshot.chunks_shared", f.shared + t.shared);
@@ -167,7 +164,7 @@ impl Snapshot {
             rings: Arc::clone(&control.rings),
             member,
             alive: control.alive.clone(),
-            homes,
+            homes: Arc::clone(&control.homes),
             tables,
         }
     }
@@ -204,28 +201,17 @@ impl Snapshot {
         // A hair past c·r_j, so that a ball distance rounded apart from
         // `space.dist` cannot drop a node the tests below need.
         let reach = |j: usize| control.ring_factor * control.radii[j] * (1.0 + 1e-9);
-        // One ball per changed node, at the coarsest level it changed at.
-        let mut around = |u: Node, levels_of_u: &[usize], test: &dyn Fn(Node, usize) -> bool| {
-            let coarsest = levels_of_u[levels_of_u.len() - 1];
-            space
-                .index()
-                .for_each_in_ball_unordered(u, reach(coarsest), &mut |d, v| {
-                    for &j in levels_of_u.iter().rev().take_while(|&&j| d <= reach(j)) {
-                        if test(v, j) {
-                            stale.set(v.index() * levels + j, true);
-                        }
-                    }
-                });
-        };
-        for (d, at) in by_node(&departed) {
-            around(d, &at, &|v, j| self.fingers.row(v)[j].get() == Some(d));
-        }
-        for (a, at) in by_node(&added) {
-            around(a, &at, &|v, j| {
-                let finger = self.fingers.row(v)[j].get();
-                finger.is_none_or(|f| space.dist(v, a) <= space.dist(v, f))
-            });
-        }
+        near_changes(space, &departed, reach, |d, v, j| {
+            if self.fingers.row(v)[j].get() == Some(d) {
+                stale.set(v.index() * levels + j, true);
+            }
+        });
+        near_changes(space, &added, reach, |a, v, j| {
+            let finger = self.fingers.row(v)[j].get();
+            if finger.is_none_or(|f| space.dist(v, a) <= space.dist(v, f)) {
+                stale.set(v.index() * levels + j, true);
+            }
+        });
         for i in self.fallback.iter_ones() {
             let (v, j) = (Node::new(i / levels), i % levels);
             if !changed[j] {
@@ -664,7 +650,7 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                 .chunks(chunk.max(1))
                 .enumerate()
                 .map(|(w, slice)| {
-                    scope.spawn(move || {
+                    let handle = scope.spawn(move || {
                         // Cache on or off is decided here, once per batch:
                         // the per-query loop carries no branch for it.
                         let out = if config.cache_capacity > 0 {
@@ -676,12 +662,24 @@ impl<'a, M: Metric + Sync, I: Sync> QueryEngine<'a, M, I> {
                         // the scope can consider the thread finished.
                         ron_obs::flush();
                         out
-                    })
+                    });
+                    (slice.len(), handle)
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
+                .map(|(len, h)| {
+                    // A worker that panicked vouches for none of its
+                    // chunk: all of it counts as served and failed.
+                    h.join().unwrap_or_else(|_| {
+                        ron_obs::count("engine.worker.panics", 1);
+                        WorkerResult {
+                            served: len,
+                            failures: len,
+                            ..WorkerResult::default()
+                        }
+                    })
+                })
                 .collect()
         });
         let elapsed = start.elapsed();
@@ -808,6 +806,7 @@ struct WorkerResult {
 mod tests {
     use super::*;
     use ron_metric::{gen, LineMetric};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn key(i: u64) -> (Node, ObjectId) {
         (Node::new(i as usize % 4), ObjectId(i))
@@ -1025,6 +1024,82 @@ mod tests {
         let report = engine.serve(&queries, &EngineConfig::default());
         assert_eq!(report.failures, 16);
         assert_eq!(report.successes, 0);
+    }
+
+    /// A line metric whose `dist(bad, bad)` panics once armed: only a
+    /// query from `bad` for an object homed at `bad` asks it.
+    struct Tripwire {
+        line: LineMetric,
+        bad: Node,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl Metric for Tripwire {
+        fn len(&self) -> usize {
+            self.line.len()
+        }
+
+        fn dist(&self, u: Node, v: Node) -> f64 {
+            // ordering: Relaxed -- the flag guards no other data; the
+            // workers are spawned after it is set.
+            let armed = self.armed.load(Ordering::Relaxed);
+            let bad = self.bad;
+            assert!(!(armed && u == bad && v == bad), "tripwire at {bad}");
+            self.line.dist(u, v)
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_its_chunk_and_spares_the_others() {
+        let bad = Node::new(5);
+        let armed = Arc::new(AtomicBool::new(false));
+        let space = Space::new(Tripwire {
+            line: LineMetric::uniform(32).unwrap(),
+            bad,
+            armed: Arc::clone(&armed),
+        });
+        let mut ov = DirectoryOverlay::build(&space);
+        ov.publish(&space, ObjectId(0), bad);
+        ov.publish(&space, ObjectId(1), Node::new(20));
+        let cell = EpochCell::new(Snapshot::capture(&space, &ov));
+        let engine = QueryEngine::new(&space, &cell);
+        // The first worker's chunk trips the wire; the second's never
+        // asks for `bad`.
+        let mut queries = vec![(bad, ObjectId(0)); 8];
+        queries.extend((0..8).map(|i| (Node::new(24 + i), ObjectId(1))));
+        // ordering: Relaxed -- spawning the workers orders this store
+        // before their loads.
+        armed.store(true, Ordering::Relaxed);
+        let config = EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        };
+        let report = engine.serve(&queries, &config);
+        assert_eq!(report.served, 16);
+        assert_eq!(report.failures, 8);
+        assert_eq!(report.successes, 8);
+    }
+
+    /// A publish after an epoch that re-homed nothing hands the next
+    /// snapshot its predecessor's homes map; one after a re-homing does
+    /// not.
+    #[test]
+    fn homes_map_is_shared_until_a_rehoming() {
+        let space = Space::new(LineMetric::uniform(32).unwrap());
+        let mut ov = DirectoryOverlay::build(&space);
+        ov.publish(&space, ObjectId(0), Node::new(5));
+        ov.publish(&space, ObjectId(1), Node::new(20));
+        let cell = EpochCell::new(Snapshot::capture(&space, &ov));
+        let first = cell.load();
+        ov.leave(Node::new(11));
+        assert_eq!(ov.repair_published(&space, &cell).rehomed, 0);
+        let second = cell.load();
+        assert!(Arc::ptr_eq(&first.homes, &second.homes));
+        ov.leave(Node::new(5));
+        assert_eq!(ov.repair_published(&space, &cell).rehomed, 1);
+        let third = cell.load();
+        assert!(!Arc::ptr_eq(&second.homes, &third.homes));
+        assert_eq!(third.homes.get(&ObjectId(1)), Some(&Node::new(20)));
     }
 
     #[test]

@@ -14,11 +14,7 @@
 //!   and descends the chain, with constant worst-case stretch on static
 //!   instances (tests pin 18);
 //! * **dynamics** ([`churn`]): `join` / `leave` with incremental
-//!   net-membership and directory-pointer [`DirectoryOverlay::repair`],
-//!   plus a churn driver
-//!   replaying random and targeted (hub-first) removal schedules and
-//!   reporting success/stretch degradation and repair cost — the DRFE-R
-//!   evaluation shape;
+//!   net-membership and directory-pointer [`DirectoryOverlay::repair`];
 //! * **serving** ([`engine`]): a `std::thread` worker pool over owned,
 //!   epoch-stamped [`Snapshot`]s published through an [`EpochCell`] —
 //!   repairs build successor state off to the side and swap it in
@@ -26,26 +22,6 @@
 //!   repair — with a sharded, epoch-tagged LRU result cache, reporting
 //!   throughput, p50/p99 latency and hops/stretch (through
 //!   [`ron_routing::PathStats`]).
-//!
-//! # Example
-//!
-//! ```
-//! use ron_location::{ChurnConfig, ChurnSchedule, DirectoryOverlay, ObjectId};
-//! use ron_metric::{gen, Node, Space};
-//!
-//! let space = Space::new(gen::uniform_cube(64, 2, 7));
-//! let mut overlay = DirectoryOverlay::build(&space);
-//! for i in 0..4u64 {
-//!     overlay.publish(&space, ObjectId(i), Node::new((i as usize * 11) % 64));
-//! }
-//! let report = ron_location::drive_churn(
-//!     &space,
-//!     &mut overlay,
-//!     ChurnSchedule::Targeted { fraction: 0.2 },
-//!     &ChurnConfig { steps: 2, queries_per_step: 64, seed: 1 },
-//! );
-//! assert_eq!(report.final_success_rate(), 1.0);
-//! ```
 
 pub mod authority;
 pub mod churn;
@@ -58,9 +34,7 @@ pub mod stats;
 mod tables;
 
 pub use authority::{NodeRepair, PointerOp, RepairAuthority, RepairOracle, RepairPlan, ScanOracle};
-pub use churn::{
-    drive_churn, ChurnConfig, ChurnReport, ChurnSchedule, ChurnStep, QuerySample, RepairReport,
-};
+pub use churn::RepairReport;
 pub use directory::{DirectoryOverlay, ObjectId, DEFAULT_RING_FACTOR};
 pub use engine::{EngineConfig, QueryEngine, Snapshot};
 pub use lookup::{LocateError, LookupOutcome, WalkStep};

@@ -180,7 +180,7 @@ impl DirectoryOverlay {
         // ron-lint: allow(map-order): each (obj, home) entry lands in
         // its home node's BTreeSet; visit order is unobservable in the
         // returned per-node slices.
-        for (&obj, &home) in &self.control.homes {
+        for (&obj, &home) in self.control.homes.iter() {
             homed[home.index()].insert(obj);
         }
         (0..self.len())

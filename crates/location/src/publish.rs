@@ -7,6 +7,8 @@
 //! forward to the home itself. Lookups therefore descend the home's zoom
 //! chain exactly as routing descends a target's chain in Theorem 2.1.
 
+use std::sync::Arc;
+
 use ron_core::par;
 use ron_metric::{BallOracle, Metric, Node, Space};
 
@@ -55,7 +57,7 @@ impl DirectoryOverlay {
         // The workers allocate each placement whole; the sequential
         // install below only moves it in and writes the table entries.
         let plans = par::map(items.len(), |k| self.plan_publish(space, items[k].1));
-        self.control.homes.reserve(items.len());
+        Arc::make_mut(&mut self.control.homes).reserve(items.len());
         self.control.placements.reserve(items.len());
         items
             .iter()
@@ -114,7 +116,7 @@ impl DirectoryOverlay {
                 deletes += 1;
             }
         }
-        control.homes.remove(&obj);
+        Arc::make_mut(&mut control.homes).remove(&obj);
         control.objects.retain(|&o| o != obj);
         control.reindex();
         deletes

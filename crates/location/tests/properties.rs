@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use ron_location::{
-    ChurnConfig, ChurnSchedule, DirectoryNodeState, DirectoryOverlay, EngineConfig, EpochCell,
-    ObjectId, QueryEngine, RepairOracle, Snapshot,
+    DirectoryNodeState, DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine,
+    RepairOracle, Snapshot,
 };
 use ron_metric::{gen, BallOracle, LineMetric, Metric, Node, Space};
 
@@ -28,7 +28,10 @@ fn publish_some<M: Metric, I: BallOracle>(
 
 /// Every lookup succeeds and stays within the stretch bound; returns the
 /// worst stretch observed.
-fn check_all_pairs<M: Metric>(space: &Space<M>, overlay: &DirectoryOverlay) -> f64 {
+fn check_all_pairs<M: Metric, I: BallOracle>(
+    space: &Space<M, I>,
+    overlay: &DirectoryOverlay,
+) -> f64 {
     let mut worst = 1.0f64;
     for s in space.nodes().filter(|&s| overlay.is_alive(s)) {
         for &obj in overlay.objects() {
@@ -41,6 +44,41 @@ fn check_all_pairs<M: Metric>(space: &Space<M>, overlay: &DirectoryOverlay) -> f
         }
     }
     worst
+}
+
+/// Removes a fifth of the alive nodes in two `leave` waves, each
+/// followed by a `repair` and a check of every (alive origin, object)
+/// pair: seeded random waves, or hub-first ones that take the current
+/// hubs (coarsest net membership, then directory load, then id).
+fn leave_waves_then_repair<M: Metric, I: BallOracle>(
+    space: &Space<M, I>,
+    overlay: &mut DirectoryOverlay,
+    hubs_first: bool,
+    seed: u64,
+) {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::cmp::Reverse;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = overlay.alive_count() / 5;
+    for wave in 0..2 {
+        let mut victims: Vec<Node> = space.nodes().filter(|&v| overlay.is_alive(v)).collect();
+        if hubs_first {
+            victims.sort_by_key(|&v| {
+                let level = overlay.top_level_of(v).unwrap_or(0);
+                (Reverse(level), Reverse(overlay.entries_at(v)), v)
+            });
+        } else {
+            victims.shuffle(&mut rng);
+        }
+        victims.truncate(total * (wave + 1) / 2 - total * wave / 2);
+        for v in victims {
+            overlay.leave(v);
+        }
+        overlay.repair(space);
+        check_all_pairs(space, overlay);
+    }
 }
 
 proptest! {
@@ -141,25 +179,28 @@ proptest! {
         prop_assert_eq!(idle.rehomed, 0);
     }
 
-    /// The churn driver restores full success under both schedules.
+    /// Random and hub-first leave waves, each repaired, keep every
+    /// lookup succeeding, on the dense and the sparse backend.
     #[test]
-    fn driver_restores_success(n in 32usize..56, seed in 0u64..100, flavor in 0u64..2) {
-        let space = Space::new(gen::uniform_cube(n, 2, seed));
-        let mut overlay = DirectoryOverlay::build(&space);
-        publish_some(&space, &mut overlay, 6, 7);
-        let schedule = if flavor == 1 {
-            ChurnSchedule::Targeted { fraction: 0.2 }
+    fn leave_waves_restore_success(
+        n in 32usize..56,
+        seed in 0u64..100,
+        hubs_first in 0u64..2,
+        sparse in 0u64..2,
+    ) {
+        let points = gen::uniform_cube(n, 2, seed);
+        let hubs_first = hubs_first == 1;
+        if sparse == 1 {
+            let space = Space::new_sparse(points);
+            let mut overlay = DirectoryOverlay::build(&space);
+            publish_some(&space, &mut overlay, 6, 7);
+            leave_waves_then_repair(&space, &mut overlay, hubs_first, seed);
         } else {
-            ChurnSchedule::Random { fraction: 0.2, seed }
-        };
-        let report = ron_location::drive_churn(
-            &space,
-            &mut overlay,
-            schedule,
-            &ChurnConfig { steps: 2, queries_per_step: 64, seed },
-        );
-        prop_assert_eq!(report.final_success_rate(), 1.0);
-        check_all_pairs(&space, &overlay);
+            let space = Space::new(points);
+            let mut overlay = DirectoryOverlay::build(&space);
+            publish_some(&space, &mut overlay, 6, 7);
+            leave_waves_then_repair(&space, &mut overlay, hubs_first, seed);
+        }
     }
 }
 
@@ -583,17 +624,8 @@ fn directory_on_sparse_backend_serves_and_recovers() {
         }
     }
     assert!(worst <= STRETCH_BOUND, "sparse-backend stretch {worst}");
-    let report = ron_location::drive_churn(
-        &space,
-        &mut overlay,
-        ChurnSchedule::Targeted { fraction: 0.2 },
-        &ChurnConfig {
-            steps: 2,
-            queries_per_step: 128,
-            seed: 7,
-        },
-    );
-    assert_eq!(report.final_success_rate(), 1.0);
+    leave_waves_then_repair(&space, &mut overlay, true, 7);
+    leave_waves_then_repair(&space, &mut overlay, false, 7);
 }
 
 /// The in-place planner against the detached one, epoch after epoch: two

@@ -1,9 +1,9 @@
 //! Churn schedules for the directory driver: leaves, joins,
 //! crash-with-rejoin and repair epochs injected at simulated times.
 //!
-//! A [`ChurnSchedule`] is the simulation-level counterpart of
-//! `ron_location`'s in-process churn driver: it maps membership events
-//! onto engine primitives (a *leave* is a crash whose state is
+//! A [`ChurnSchedule`] drives `ron_location`'s `leave` / `join` /
+//! `repair` as a protocol: it maps membership events onto engine
+//! primitives (a *leave* is a crash whose state is
 //! conceded, a *join* a revive whose slice the next repair resets and
 //! backfills, a *crash/rejoin* pair a transient outage invisible to the
 //! repair protocol) and injects a [`DirectoryMsg::Repair`] epoch at the

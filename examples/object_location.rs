@@ -1,18 +1,19 @@
 //! Object location at serving scale: publish 1000 objects on a
 //! 4096-node instance, serve 10k batched lookups through the concurrent
-//! query engine, then survive a 20% targeted (hub-first) churn attack.
+//! query engine, then survive a 20% targeted (hub-first) churn attack,
+//! repaired and republished wave by wave under the same engine.
 //!
 //! Run with: `cargo run --release --example object_location`
 //!
 //! Everything is seeded, so the printed numbers reproduce exactly.
 
+use std::cmp::Reverse;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rings_of_neighbors::location::{
-    drive_churn, ChurnConfig, ChurnSchedule, DirectoryOverlay, EngineConfig, EpochCell, ObjectId,
-    QueryEngine, Snapshot,
+    DirectoryOverlay, EngineConfig, EpochCell, ObjectId, QueryEngine, Snapshot,
 };
 use rings_of_neighbors::metric::{gen, Node, Space};
 
@@ -105,85 +106,55 @@ fn main() {
         report.successes, LOOKUPS,
         "static snapshot must serve every lookup"
     );
-    // 4. Adversarial churn: remove the 20% highest-degree nodes (coarse
-    //    net hubs first), in 4 steps, repairing after each. The driver
-    //    samples lookups before and after every repair.
-    println!("\ntargeted churn (hub-first, 20% of {N} nodes, 4 steps):");
+    // 4. Adversarial churn: remove the 20% highest-degree nodes in 4
+    //    waves, each taking the current hubs (coarsest net membership,
+    //    then directory load). A wave's leaves are published first, so
+    //    the batch shows the dip; `repair_published` then swaps the
+    //    repaired state in under the same engine, and the batch (dead
+    //    origins remapped to a survivor) is served in full again.
+    const WAVES: usize = 4;
+    let total = N / 5;
+    println!("\ntargeted churn (hub-first, 20% of {N} nodes, {WAVES} waves):");
     let t0 = Instant::now();
-    let churn = drive_churn(
-        &space,
-        &mut overlay,
-        ChurnSchedule::Targeted { fraction: 0.2 },
-        &ChurnConfig {
-            steps: 4,
-            queries_per_step: 500,
-            seed: SEED,
-        },
-    );
-    for (i, step) in churn.steps.iter().enumerate() {
+    for wave in 0..WAVES {
+        let mut hubs: Vec<Node> = (0..N)
+            .map(Node::new)
+            .filter(|&v| overlay.is_alive(v))
+            .collect();
+        hubs.sort_by_key(|&v| {
+            let level = overlay.top_level_of(v).unwrap_or(0);
+            (Reverse(level), Reverse(overlay.entries_at(v)), v)
+        });
+        hubs.truncate(total * (wave + 1) / WAVES - total * wave / WAVES);
+        for &v in &hubs {
+            overlay.leave(v);
+        }
+        let batch = survivors(&overlay, &queries);
+        overlay.publish_snapshot(&space, &directory);
+        let before = engine.serve(&batch, &config);
+        let repair = overlay.repair_published(&space, &directory);
+        let after = engine.serve(&batch, &config);
         println!(
-            "  step {}: -{} nodes ({} alive) | success {:>5.1}% -> repair \
-             ({} writes, {} promotions, {} rehomed) -> {:>5.1}%",
-            i + 1,
-            step.removed,
-            step.alive_after,
-            step.before_repair.success_rate() * 100.0,
-            step.repair.pointer_writes,
-            step.repair.promotions,
-            step.repair.rehomed,
-            step.after_repair.success_rate() * 100.0,
+            "  wave {}: -{} nodes ({} alive) | success {:>5.1}% -> repair \
+             ({} writes, {} promotions, {} rehomed) -> {:>5.1}%, p99 = {:.1} us",
+            wave + 1,
+            hubs.len(),
+            overlay.alive_count(),
+            before.success_rate() * 100.0,
+            repair.pointer_writes,
+            repair.promotions,
+            repair.rehomed,
+            after.success_rate() * 100.0,
+            after.latency.p99_us,
+        );
+        assert_eq!(
+            after.successes, after.served,
+            "repair must restore 100% lookup success"
         );
     }
-    let totals = churn.total_repair();
-    println!(
-        "churn done ({:.1?}): removed {} nodes, repair bill = {} writes + {} deletes, \
-         {} promotions, {} objects rehomed",
-        t0.elapsed(),
-        churn.total_removed(),
-        totals.pointer_writes,
-        totals.pointer_deletes,
-        totals.promotions,
-        totals.rehomed,
-    );
-    assert_eq!(
-        churn.final_success_rate(),
-        1.0,
-        "repair must restore 100% lookup success"
-    );
+    println!("churn done ({:.1?}): removed {total} nodes", t0.elapsed());
 
-    // 5. Re-verify through a fresh snapshot: the repaired overlay serves
-    //    the full batch again (dead origins remapped to a survivor).
-    let alive_origin = (0..N)
-        .map(Node::new)
-        .find(|&v| overlay.is_alive(v))
-        .expect("survivors exist");
-    let survivors: Vec<(Node, ObjectId)> = queries
-        .iter()
-        .map(|&(origin, obj)| {
-            if overlay.is_alive(origin) {
-                (origin, obj)
-            } else {
-                (alive_origin, obj)
-            }
-        })
-        .collect();
-    // Publishing the repaired snapshot swaps the serving state under the
-    // same engine — no rebuild, readers just see the new epoch.
-    overlay.publish_snapshot(&space, &directory);
-    let report = engine.serve(&survivors, &config);
-    println!(
-        "\npost-repair serve: success = {:.1}%, {:.0} lookups/s, p50 = {:.1} us, p99 = {:.1} us",
-        report.success_rate() * 100.0,
-        report.throughput(),
-        report.latency.p50_us,
-        report.latency.p99_us,
-    );
-    assert_eq!(
-        report.successes, report.served,
-        "repaired overlay must serve every lookup"
-    );
-
-    // 6. Export what observability collected, if it was on.
+    // 5. Export what observability collected, if it was on.
     if rings_of_neighbors::obs::enabled() {
         println!("\nobservability registry:");
         print!("{}", rings_of_neighbors::obs::drain().render());
@@ -196,6 +167,24 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
+}
+
+/// The batch with every dead origin replaced by the first alive node.
+fn survivors(overlay: &DirectoryOverlay, queries: &[(Node, ObjectId)]) -> Vec<(Node, ObjectId)> {
+    let alive_origin = (0..N)
+        .map(Node::new)
+        .find(|&v| overlay.is_alive(v))
+        .expect("survivors exist");
+    queries
+        .iter()
+        .map(|&(origin, obj)| {
+            if overlay.is_alive(origin) {
+                (origin, obj)
+            } else {
+                (alive_origin, obj)
+            }
+        })
+        .collect()
 }
 
 /// Median out-degree from a degree histogram.
