@@ -1,6 +1,6 @@
 //! F1: measured stretch of every routing scheme as delta varies.
 
-use ron_routing::{BasicScheme, SimpleScheme, StretchStats, TwoModeScheme};
+use ron_routing::{over_all_pairs, BasicScheme, SimpleScheme, TwoModeScheme};
 
 use crate::{f, graph_instance, Table};
 
@@ -17,16 +17,16 @@ pub fn table() -> Table {
         let basic = BasicScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
         let simple = SimpleScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
         let twomode = TwoModeScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let sb = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let sb = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             basic.route(&inst.graph, u, v)
         })
         .expect("basic");
-        let ss = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let ss = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             simple.route(&inst.graph, u, v)
         })
         .expect("simple");
         let mut modes = Default::default();
-        let st = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let st = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             twomode.route(&inst.graph, u, v, &mut modes)
         })
         .expect("twomode");

@@ -1,6 +1,6 @@
 //! Table 1: `(1+delta)`-stretch routing on doubling graphs.
 
-use ron_routing::{BasicScheme, FullTableBaseline, SimpleScheme, StretchStats};
+use ron_routing::{over_all_pairs, BasicScheme, FullTableBaseline, SimpleScheme};
 
 use crate::{f, graph_instance, Table};
 
@@ -29,7 +29,7 @@ pub fn table(delta: f64) -> Table {
         let dout = inst.graph.max_out_degree() as f64;
 
         let baseline = FullTableBaseline::build(&inst.graph, &inst.apsp);
-        let b_stats = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let b_stats = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             baseline.route(&inst.graph, u, v)
         })
         .expect("baseline");
@@ -44,7 +44,7 @@ pub fn table(delta: f64) -> Table {
         ]);
 
         let basic = BasicScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let s = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let s = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             basic.route(&inst.graph, u, v)
         })
         .expect("thm 2.1");
@@ -59,7 +59,7 @@ pub fn table(delta: f64) -> Table {
         ]);
 
         let simple = SimpleScheme::build(&inst.space, &inst.graph, &inst.apsp, delta);
-        let s = StretchStats::over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
+        let s = over_all_pairs(&inst.graph, &inst.apsp, |u, v| {
             simple.route(&inst.graph, u, v)
         })
         .expect("thm 4.1");

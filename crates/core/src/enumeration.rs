@@ -181,14 +181,6 @@ impl TranslationFn {
     pub fn is_empty(&self) -> bool {
         self.triples.is_empty()
     }
-
-    /// Storage in bits: each triple costs `x_bits + y_bits + z_bits`, the
-    /// index widths of the three coordinate spaces.
-    #[must_use]
-    pub fn storage_bits(&self, x_space: usize, y_space: usize, z_space: usize) -> u64 {
-        self.triples.len() as u64
-            * (index_bits(x_space) + index_bits(y_space) + index_bits(z_space))
-    }
 }
 
 #[cfg(test)]
@@ -239,13 +231,6 @@ mod tests {
         let zeta = TranslationFn::from_triples(vec![(1, 1, 9), (0, 0, 4), (1, 0, 2), (2, 5, 1)]);
         assert_eq!(zeta.entries_for(1), &[(1, 0, 2), (1, 1, 9)]);
         assert_eq!(zeta.entries_for(3), &[]);
-    }
-
-    #[test]
-    fn translation_storage_bits() {
-        let zeta = TranslationFn::from_triples(vec![(0, 0, 0), (1, 1, 1)]);
-        // 2 triples, each 2+3+4 bits.
-        assert_eq!(zeta.storage_bits(4, 8, 16), 2 * (2 + 3 + 4));
     }
 
     #[test]

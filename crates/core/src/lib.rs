@@ -22,12 +22,11 @@
 //!   `log K`-bit local indices (proofs of Theorems 2.1 and 3.4);
 //! * [`zoom`]: zooming sequences — per-target chains of net points whose
 //!   distance to the target shrinks geometrically;
-//! * [`sample`]: deterministic weighted/uniform ball sampling used by the
-//!   small-world models;
 //! * [`bits`]: bit-size accounting for tables, labels and headers, so the
 //!   benchmarks report the storage the paper's encodings would use;
 //! * [`stats`]: the shared nearest-rank quantile every report summarizes
-//!   with (one convention for the simulator and the serving engine);
+//!   with, and the [`stats::PathStats`] hops/stretch accounting of routes
+//!   and lookups;
 //! * [`publish`]: the epoch-stamped publication cell ([`publish::EpochCell`])
 //!   behind serve-during-repair — writers build successor state off to the
 //!   side and swap it in atomically, readers clone an `Arc` and keep
@@ -41,7 +40,6 @@ pub mod bits;
 mod enumeration;
 pub mod publish;
 pub mod rings;
-pub mod sample;
 pub mod stats;
 pub mod zoom;
 

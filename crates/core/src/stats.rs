@@ -1,5 +1,6 @@
 //! Shared sample statistics: the nearest-rank quantile every report in
-//! the workspace summarizes with.
+//! the workspace summarizes with, and the hops/stretch accounting of
+//! routed packets and directory lookups ([`PathStats`]).
 //!
 //! The simulator's `Percentiles` and the location engine's
 //! `LatencySummary` both rank through this module, so every pinned table
@@ -45,9 +46,96 @@ pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[nearest_rank_index(sorted.len(), q)]
 }
 
+/// Stretch of a path of weighted `length` against the true distance
+/// `shortest`: `length / shortest`, and `1.0` when `shortest <= 0` (a
+/// path from a node to itself). Every stretch in the workspace is this
+/// one.
+#[inline]
+#[must_use]
+pub fn stretch(length: f64, shortest: f64) -> f64 {
+    if shortest <= 0.0 {
+        1.0
+    } else {
+        length / shortest
+    }
+}
+
+/// Incremental hops/stretch accounting over a set of traversed paths.
+///
+/// One `record` call per path; the same arithmetic serves the routing
+/// schemes of `ron-routing` and the object-location lookups of
+/// `ron-location`, with the [`stretch`] convention. Accumulators from
+/// different workers can be [`merge`](PathStats::merge)d.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PathStats {
+    /// Number of paths recorded.
+    pub count: usize,
+    /// Worst stretch observed (`0.0` until the first record).
+    pub max_stretch: f64,
+    /// Worst hop count observed.
+    pub max_hops: usize,
+    /// Sum of traversed path lengths.
+    pub total_length: f64,
+    sum_stretch: f64,
+}
+
+impl PathStats {
+    /// Records one traversed path of weighted `length` and `hops` edges
+    /// against the true shortest-path distance `shortest`.
+    pub fn record(&mut self, length: f64, shortest: f64, hops: usize) {
+        let stretch = stretch(length, shortest);
+        self.count += 1;
+        self.max_stretch = self.max_stretch.max(stretch);
+        self.max_hops = self.max_hops.max(hops);
+        self.total_length += length;
+        self.sum_stretch += stretch;
+    }
+
+    /// Folds another accumulator into this one (for per-worker stats).
+    pub fn merge(&mut self, other: &PathStats) {
+        self.count += other.count;
+        self.max_stretch = self.max_stretch.max(other.max_stretch);
+        self.max_hops = self.max_hops.max(other.max_hops);
+        self.total_length += other.total_length;
+        self.sum_stretch += other.sum_stretch;
+    }
+
+    /// Mean stretch over the recorded paths (`1.0` when empty).
+    #[must_use]
+    pub fn mean_stretch(&self) -> f64 {
+        if self.count == 0 {
+            1.0
+        } else {
+            self.sum_stretch / self.count as f64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn path_stats_accumulate_and_merge() {
+        let mut a = PathStats::default();
+        a.record(3.0, 2.0, 2);
+        a.record(2.0, 2.0, 1);
+        assert_eq!(a.count, 2);
+        assert_eq!(a.max_stretch, 1.5);
+        assert_eq!(a.max_hops, 2);
+        assert_eq!(a.total_length, 5.0);
+        assert!((a.mean_stretch() - 1.25).abs() < 1e-12);
+        // Zero true distance is neutral stretch 1.0.
+        a.record(0.5, 0.0, 1);
+        assert_eq!(a.max_stretch, 1.5);
+        let mut b = PathStats::default();
+        assert_eq!(b.mean_stretch(), 1.0);
+        b.record(8.0, 2.0, 7);
+        b.merge(&a);
+        assert_eq!(b.count, 4);
+        assert_eq!(b.max_stretch, 4.0);
+        assert_eq!(b.max_hops, 7);
+    }
 
     #[test]
     fn quantiles_of_one_to_hundred() {

@@ -269,17 +269,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn ring_chords_reduce_hop_counts() {
-        use crate::hopbound::HopProfile;
-        let plain = ring_with_chords(32, 0, 0);
-        let chorded = ring_with_chords(32, 24, 0);
-        let plain_profile = HopProfile::compute(&plain, Node::new(0), 32);
-        let chorded_profile = HopProfile::compute(&chorded, Node::new(0), 32);
-        let far = Node::new(16);
-        let plain_hops = plain_profile.hops_for_length(far, 16.0).unwrap();
-        let chorded_hops = chorded_profile.hops_for_length(far, 16.0).unwrap();
-        assert!(chorded_hops <= plain_hops);
-    }
 }

@@ -13,9 +13,6 @@
 //!   the routing schemes use as their only interface to the graph, and a
 //!   conversion of the shortest-path metric into an
 //!   [`ExplicitMetric`](ron_metric::ExplicitMetric);
-//! * [`hopbound`]: hop-bounded near-shortest paths — the quantity `N_delta`
-//!   in Theorem B.1 (smallest `h` such that every pair has a
-//!   `(1+delta)`-stretch path of at most `h` hops) and path extraction;
 //! * [`IdRangeTree`]: the ID-range labeled shortest-path tree used in
 //!   routing mode M2 of Theorem B.1;
 //! * [`gen`]: graph generators (grids, k-NN geometric graphs, exponential
@@ -36,7 +33,6 @@ mod apsp;
 mod csr;
 pub mod dijkstra;
 pub mod gen;
-pub mod hopbound;
 mod sptree;
 
 pub use apsp::Apsp;

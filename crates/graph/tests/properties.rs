@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
-use ron_graph::{dijkstra, gen, hopbound::HopProfile, Apsp};
+use ron_graph::{gen, Apsp};
 use ron_metric::{Metric, MetricExt, Node};
 
 proptest! {
@@ -34,40 +34,6 @@ proptest! {
                 let path = apsp.walk_first_hops(&g, u, v).unwrap();
                 let len = g.path_length(&path).unwrap();
                 prop_assert!((len - apsp.dist(u, v)).abs() < 1e-9);
-            }
-        }
-    }
-
-    /// Hop-profile distances are non-increasing in the hop budget and agree
-    /// with Dijkstra once the budget covers the whole graph.
-    #[test]
-    fn hop_profile_consistency(n in 4usize..16, seed in 0u64..200) {
-        let (g, _) = gen::knn_geometric(n, 2, 2, seed);
-        let sp = dijkstra::shortest_paths(&g, Node::new(0));
-        let profile = HopProfile::compute(&g, Node::new(0), n);
-        for j in 0..n {
-            let v = Node::new(j);
-            let mut prev = f64::INFINITY;
-            for h in 0..=n {
-                let d = profile.dist_within(v, h);
-                prop_assert!(d <= prev + 1e-12);
-                prev = d;
-            }
-            prop_assert!((profile.dist_within(v, n) - sp.dist(v)).abs() < 1e-9);
-        }
-    }
-
-    /// Hop-bounded path extraction respects both the budget and the length.
-    #[test]
-    fn hop_paths_respect_budget(n in 4usize..16, seed in 0u64..100, h in 1usize..8) {
-        let (g, _) = gen::knn_geometric(n, 2, 2, seed);
-        let profile = HopProfile::compute(&g, Node::new(0), h);
-        for j in 1..n {
-            let v = Node::new(j);
-            if let Some(path) = profile.path_within(v, h) {
-                prop_assert!(path.len() <= h + 1);
-                let len = g.path_length(&path).unwrap();
-                prop_assert!((len - profile.dist_within(v, h)).abs() < 1e-9);
             }
         }
     }

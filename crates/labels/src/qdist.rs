@@ -24,8 +24,7 @@ impl EncodedDistance {
     };
 
     /// Whether this encodes the distance 0.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
+    fn is_zero(self) -> bool {
         self.exp == i32::MIN
     }
 }

@@ -48,8 +48,6 @@ pub struct NeighborSystem {
     x: Vec<Vec<Vec<u32>>>,
     /// `y[u][i]`: nodes, sorted by id.
     y: Vec<Vec<Vec<Node>>>,
-    /// Net-ladder level backing `Y_ui`.
-    y_level: Vec<Vec<usize>>,
 }
 
 impl NeighborSystem {
@@ -87,12 +85,11 @@ impl NeighborSystem {
             .map(|i| Packing::build(space, &counting, (0.5f64).powi(i as i32)))
             .collect();
 
-        type NodeLevels = (Vec<Vec<u32>>, Vec<Vec<Node>>, Vec<usize>);
+        type NodeLevels = (Vec<Vec<u32>>, Vec<Vec<Node>>);
         let per_node: Vec<NodeLevels> = par::map(n, |ui| {
             let u = Node::new(ui);
             let mut xs_all = Vec::with_capacity(levels);
             let mut ys_all = Vec::with_capacity(levels);
-            let mut y_levels = Vec::with_capacity(levels);
             for i in 0..levels {
                 // X_ui: packing balls with d(u, h_B) + r_B below the
                 // previous-level radius (infinite for i = 0).
@@ -115,17 +112,14 @@ impl NeighborSystem {
                     .members_in_ball(space, u, 12.0 * rui / delta);
                 members.sort_unstable();
                 ys_all.push(members);
-                y_levels.push(level);
             }
-            (xs_all, ys_all, y_levels)
+            (xs_all, ys_all)
         });
         let mut x: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
         let mut y: Vec<Vec<Vec<Node>>> = Vec::with_capacity(n);
-        let mut y_level: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for (xs_all, ys_all, y_levels) in per_node {
+        for (xs_all, ys_all) in per_node {
             x.push(xs_all);
             y.push(ys_all);
-            y_level.push(y_levels);
         }
         NeighborSystem {
             delta,
@@ -135,7 +129,6 @@ impl NeighborSystem {
             packings,
             x,
             y,
-            y_level,
         }
     }
 
@@ -200,10 +193,11 @@ impl NeighborSystem {
         &self.y[u.index()][i]
     }
 
-    /// Net-ladder level backing `Y_ui`.
-    #[must_use]
-    pub fn y_net_level(&self, u: Node, i: usize) -> usize {
-        self.y_level[u.index()][i]
+    /// Net-ladder level backing `Y_ui` (the level the build chose).
+    #[cfg(test)]
+    fn y_net_level(&self, u: Node, i: usize) -> usize {
+        self.nets
+            .level_for_scale(self.delta * self.r[u.index()][i] / 4.0)
     }
 
     /// The nearest X-neighbor `x_ui` of `u` at level `i` (by distance, ties

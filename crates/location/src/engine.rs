@@ -31,8 +31,7 @@
 //! locks so workers don't funnel through a single mutex, and tagged with
 //! the publication epoch so hits cached against a superseded snapshot
 //! are rejected. The [`BatchReport`] carries throughput, p50/p99 latency
-//! and hops/stretch statistics (through the shared [`PathStats`]
-//! accounting of `ron-routing`).
+//! and hops/stretch statistics ([`PathStats`]).
 //!
 //! [`publish_snapshot`]: DirectoryOverlay::publish_snapshot
 
@@ -40,10 +39,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use ron_core::publish::EpochCell;
+use ron_core::stats::PathStats;
 use ron_core::RingFamily;
 use ron_metric::mem::vec_capacity_bytes;
 use ron_metric::{BallOracle, HeapBytes, Metric, Node, Space};
-use ron_routing::PathStats;
 
 use crate::authority::{near_changes, RepairAuthority};
 use crate::directory::{DirectoryOverlay, IdMap, ObjectId};

@@ -20,8 +20,8 @@
 //!   repairs build successor state off to the side and swap it in
 //!   atomically, so lookups proceed at full rate *through* churn and
 //!   repair — with a sharded, epoch-tagged LRU result cache, reporting
-//!   throughput, p50/p99 latency and hops/stretch (through
-//!   [`ron_routing::PathStats`]).
+//!   throughput, p50/p99 latency and hops/stretch
+//!   ([`ron_core::stats::PathStats`]).
 
 pub mod authority;
 pub mod churn;

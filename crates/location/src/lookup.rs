@@ -46,11 +46,7 @@ impl LookupOutcome {
     /// origin and home coincide).
     #[must_use]
     pub fn stretch(&self, true_dist: f64) -> f64 {
-        if true_dist <= 0.0 {
-            1.0
-        } else {
-            self.length / true_dist
-        }
+        ron_core::stats::stretch(self.length, true_dist)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use ron_routing::PathStats;
+use ron_core::stats::PathStats;
 
 /// Latency percentiles over a set of served queries, in microseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -1,18 +1,6 @@
 use crate::{Metric, MetricError, Node};
 
-/// Which norm a [`GridMetric`] uses between lattice points.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum GridNorm {
-    /// Manhattan / lattice distance (Kleinberg's small-world grid [30]).
-    #[default]
-    L1,
-    /// Euclidean distance.
-    L2,
-    /// Chebyshev distance.
-    LInf,
-}
-
-/// The `k`-dimensional integer lattice `{0..side}^k` as a metric space.
+/// The `k`-dimensional integer lattice `{0..side}^k` under the L1 norm.
 ///
 /// Grids are the canonical bounded-grid-dimension (hence doubling) metrics
 /// and the substrate of Kleinberg's original small-world model, which
@@ -34,25 +22,15 @@ pub enum GridNorm {
 pub struct GridMetric {
     side: usize,
     dim: usize,
-    norm: GridNorm,
 }
 
 impl GridMetric {
-    /// Creates a `side^dim` grid under the default `GridNorm::L1` norm.
+    /// Creates a `side^dim` grid.
     ///
     /// # Errors
     ///
     /// Returns [`MetricError::Empty`] if `side == 0` or `dim == 0`.
     pub fn new(side: usize, dim: usize) -> Result<Self, MetricError> {
-        Self::with_norm(side, dim, GridNorm::L1)
-    }
-
-    /// Creates a `side^dim` grid under the given norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::Empty`] if `side == 0` or `dim == 0`.
-    pub fn with_norm(side: usize, dim: usize, norm: GridNorm) -> Result<Self, MetricError> {
         if side == 0 || dim == 0 {
             return Err(MetricError::Empty);
         }
@@ -61,7 +39,7 @@ impl GridMetric {
         for _ in 0..dim {
             n = n.checked_mul(side).ok_or(MetricError::Empty)?;
         }
-        Ok(GridMetric { side, dim, norm })
+        Ok(GridMetric { side, dim })
     }
 
     /// Side length of the grid.
@@ -124,16 +102,9 @@ impl Metric for GridMetric {
         for _ in 0..self.dim {
             let d = (i % self.side).abs_diff(j % self.side) as f64;
             (i, j) = (i / self.side, j / self.side);
-            acc = match self.norm {
-                GridNorm::L1 => acc + d,
-                GridNorm::L2 => acc + d * d,
-                GridNorm::LInf => acc.max(d),
-            };
+            acc += d;
         }
-        match self.norm {
-            GridNorm::L2 => acc.sqrt(),
-            GridNorm::L1 | GridNorm::LInf => acc,
-        }
+        acc
     }
 }
 
@@ -160,37 +131,14 @@ mod tests {
     }
 
     #[test]
-    fn l2_distance() {
-        let g = GridMetric::with_norm(5, 2, GridNorm::L2).unwrap();
-        let u = g.node_at(&[0, 0]);
-        let v = g.node_at(&[3, 4]);
-        assert_eq!(g.dist(u, v), 5.0);
-    }
-
-    #[test]
-    fn linf_distance() {
-        let g = GridMetric::with_norm(5, 2, GridNorm::LInf).unwrap();
-        let u = g.node_at(&[0, 0]);
-        let v = g.node_at(&[3, 4]);
-        assert_eq!(g.dist(u, v), 4.0);
-    }
-
-    #[test]
     fn dist_matches_decoded_coordinates() {
-        for norm in [GridNorm::L1, GridNorm::L2, GridNorm::LInf] {
-            let g = GridMetric::with_norm(5, 3, norm).unwrap();
-            for i in 0..g.len() {
-                for j in 0..g.len() {
-                    let (u, v) = (Node::new(i), Node::new(j));
-                    let terms = g.coords(u).into_iter().zip(g.coords(v));
-                    let terms = terms.map(|(x, y)| x.abs_diff(y) as f64);
-                    let want = match norm {
-                        GridNorm::L1 => terms.sum(),
-                        GridNorm::L2 => terms.map(|d| d * d).sum::<f64>().sqrt(),
-                        GridNorm::LInf => terms.fold(0.0, f64::max),
-                    };
-                    assert_eq!(g.dist(u, v).to_bits(), want.to_bits(), "{norm:?} {u} {v}");
-                }
+        let g = GridMetric::new(5, 3).unwrap();
+        for i in 0..g.len() {
+            for j in 0..g.len() {
+                let (u, v) = (Node::new(i), Node::new(j));
+                let terms = g.coords(u).into_iter().zip(g.coords(v));
+                let want: f64 = terms.map(|(x, y)| x.abs_diff(y) as f64).sum();
+                assert_eq!(g.dist(u, v).to_bits(), want.to_bits(), "{u} {v}");
             }
         }
     }

@@ -315,8 +315,8 @@ impl<M: Metric> NetTreeIndex<M> {
     /// footprint in (4-byte) words, `O(n log Delta)` (versus the dense
     /// backend's `n^2`). See [`HeapBytes::heap_bytes`] for the exact
     /// byte accounting.
-    #[must_use]
-    pub fn stored_entries(&self) -> usize {
+    #[cfg(test)]
+    fn stored_entries(&self) -> usize {
         self.levels
             .iter()
             .map(|l| l.members.len() + l.children.len())

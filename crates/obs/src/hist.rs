@@ -152,8 +152,7 @@ impl Pow2Histogram {
 
     /// Compact `range:count` rendering of the non-empty buckets, in the
     /// same format as the simulator's load histogram: `0:12 1:30 2-3:51`.
-    #[must_use]
-    pub fn render_compact(&self) -> String {
+    fn render_compact(&self) -> String {
         self.buckets
             .iter()
             .enumerate()

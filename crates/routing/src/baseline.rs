@@ -112,7 +112,7 @@ impl FullTableBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::StretchStats;
+    use crate::scheme::over_all_pairs;
     use ron_graph::gen;
 
     #[test]
@@ -120,9 +120,7 @@ mod tests {
         let graph = gen::grid_graph(4, 2);
         let apsp = Apsp::compute(&graph);
         let baseline = FullTableBaseline::build(&graph, &apsp);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| baseline.route(&graph, u, v))
-                .unwrap();
+        let stats = over_all_pairs(&graph, &apsp, |u, v| baseline.route(&graph, u, v)).unwrap();
         assert!((stats.max_stretch - 1.0).abs() < 1e-12);
     }
 

@@ -474,7 +474,7 @@ impl BasicNodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::StretchStats;
+    use crate::scheme::over_all_pairs;
     use ron_graph::gen;
     use ron_metric::LineMetric;
 
@@ -489,9 +489,8 @@ mod tests {
     #[test]
     fn delivers_all_pairs_on_grid() {
         let (graph, apsp, _, scheme) = grid_setup(0.25);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
-        assert_eq!(stats.pairs, 25 * 24);
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        assert_eq!(stats.count, 25 * 24);
         assert!(
             stats.max_stretch <= 1.0 + 8.0 * 0.25,
             "stretch {} too large",
@@ -506,9 +505,8 @@ mod tests {
             let space = Space::new(apsp.to_metric().unwrap());
             BasicScheme::build(&space, &graph, &apsp, 0.05)
         };
-        let stats = |s: &BasicScheme| {
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| s.route(&graph, u, v)).unwrap()
-        };
+        let stats =
+            |s: &BasicScheme| over_all_pairs(&graph, &apsp, |u, v| s.route(&graph, u, v)).unwrap();
         let tight_stats = stats(&scheme_tight);
         let loose_stats = stats(&loose);
         assert!(tight_stats.max_stretch <= loose_stats.max_stretch + 1e-12);
@@ -521,8 +519,7 @@ mod tests {
         let apsp = Apsp::compute(&graph);
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = BasicScheme::build(&space, &graph, &apsp, 0.25);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
         assert!(
             stats.max_stretch <= 3.0,
             "stretch {} too large",
@@ -539,8 +536,7 @@ mod tests {
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = BasicScheme::build(&space, &graph, &apsp, 0.25);
         assert!(scheme.num_scales() >= 15);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
         assert!(
             (stats.max_stretch - 1.0).abs() < 1e-9,
             "paths are unique on a path graph"

@@ -16,7 +16,7 @@
 //!   scheme; mode M1 zooms in via *landmarks* and *good nodes*, and when
 //!   M1 runs out of resolution, mode M2 routes through a dense packing
 //!   ball whose members collectively store routes to everything nearby
-//!   (ID-range trees plus hop-bounded source routes).
+//!   (ID-range trees plus source routes along APSP first hops).
 //!
 //! Each scheme exposes [`route`](BasicScheme::route)-style simulation that
 //! uses only the current node's table and the packet header (locality is
@@ -35,6 +35,6 @@ mod twomode;
 
 pub use baseline::FullTableBaseline;
 pub use basic::{BasicLabel, BasicScheme};
-pub use scheme::{PathStats, RouteError, RouteTrace, StretchStats};
+pub use scheme::{over_all_pairs, RouteError, RouteTrace};
 pub use simple::SimpleScheme;
 pub use twomode::{TwoModeScheme, TwoModeStats};

@@ -1,8 +1,10 @@
-//! Shared routing-simulation types: traces, errors and stretch statistics.
+//! Shared routing-simulation types: traces, errors and the all-pairs
+//! stretch run.
 
 use std::error::Error;
 use std::fmt;
 
+use ron_core::stats::{stretch, PathStats};
 use ron_graph::{Apsp, Graph};
 use ron_metric::Node;
 
@@ -26,11 +28,7 @@ impl RouteTrace {
     /// source == target).
     #[must_use]
     pub fn stretch(&self, shortest: f64) -> f64 {
-        if shortest <= 0.0 {
-            1.0
-        } else {
-            self.length / shortest
-        }
+        stretch(self.length, shortest)
     }
 }
 
@@ -69,114 +67,30 @@ impl fmt::Display for RouteError {
 
 impl Error for RouteError {}
 
-/// Incremental hops/stretch accounting over a set of traversed paths.
+/// Routes every ordered pair of distinct nodes with `route` and
+/// accumulates hops and stretch against the true distances `apsp`.
 ///
-/// One `record` call per path; the same arithmetic serves the routing
-/// schemes (via [`StretchStats`]) and the object-location lookups of
-/// `ron-location`, so the stretch convention (`1.0` when the true distance
-/// is zero) is defined in exactly one place. Accumulators from different
-/// workers can be [`merge`](PathStats::merge)d.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PathStats {
-    /// Number of paths recorded.
-    pub count: usize,
-    /// Worst stretch observed (`0.0` until the first record).
-    pub max_stretch: f64,
-    /// Worst hop count observed.
-    pub max_hops: usize,
-    /// Sum of traversed path lengths.
-    pub total_length: f64,
-    sum_stretch: f64,
-}
-
-impl PathStats {
-    /// Records one traversed path of weighted `length` and `hops` edges
-    /// against the true shortest-path distance `shortest`.
-    pub fn record(&mut self, length: f64, shortest: f64, hops: usize) {
-        let stretch = if shortest <= 0.0 {
-            1.0
-        } else {
-            length / shortest
-        };
-        self.count += 1;
-        self.max_stretch = self.max_stretch.max(stretch);
-        self.max_hops = self.max_hops.max(hops);
-        self.total_length += length;
-        self.sum_stretch += stretch;
-    }
-
-    /// Records a [`RouteTrace`] against the true distance `shortest`.
-    pub fn record_trace(&mut self, trace: &RouteTrace, shortest: f64) {
-        self.record(trace.length, shortest, trace.hops());
-    }
-
-    /// Folds another accumulator into this one (for per-worker stats).
-    pub fn merge(&mut self, other: &PathStats) {
-        self.count += other.count;
-        self.max_stretch = self.max_stretch.max(other.max_stretch);
-        self.max_hops = self.max_hops.max(other.max_hops);
-        self.total_length += other.total_length;
-        self.sum_stretch += other.sum_stretch;
-    }
-
-    /// Mean stretch over the recorded paths (`1.0` when empty).
-    #[must_use]
-    pub fn mean_stretch(&self) -> f64 {
-        if self.count == 0 {
-            1.0
-        } else {
-            self.sum_stretch / self.count as f64
-        }
-    }
-}
-
-/// Aggregate stretch statistics over a set of routed pairs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StretchStats {
-    /// Number of pairs routed.
-    pub pairs: usize,
-    /// Worst stretch observed.
-    pub max_stretch: f64,
-    /// Mean stretch.
-    pub mean_stretch: f64,
-    /// Worst hop count observed.
-    pub max_hops: usize,
-}
-
-impl StretchStats {
-    /// Routes every ordered pair with `route` and accumulates statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first routing failure.
-    pub fn over_all_pairs(
-        graph: &Graph,
-        apsp: &Apsp,
-        mut route: impl FnMut(Node, Node) -> Result<RouteTrace, RouteError>,
-    ) -> Result<StretchStats, RouteError> {
-        let n = graph.len();
-        let mut paths = PathStats::default();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (u, v) = (Node::new(i), Node::new(j));
-                let trace = route(u, v)?;
-                paths.record_trace(&trace, apsp.dist(u, v));
+/// # Errors
+///
+/// Propagates the first routing failure.
+pub fn over_all_pairs(
+    graph: &Graph,
+    apsp: &Apsp,
+    mut route: impl FnMut(Node, Node) -> Result<RouteTrace, RouteError>,
+) -> Result<PathStats, RouteError> {
+    let n = graph.len();
+    let mut paths = PathStats::default();
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                continue;
             }
+            let (u, v) = (Node::new(i), Node::new(j));
+            let trace = route(u, v)?;
+            paths.record(trace.length, apsp.dist(u, v), trace.hops());
         }
-        Ok(StretchStats {
-            pairs: paths.count,
-            max_stretch: paths.max_stretch.max(1.0),
-            mean_stretch: if paths.count == 0 {
-                0.0
-            } else {
-                paths.mean_stretch()
-            },
-            max_hops: paths.max_hops,
-        })
     }
+    Ok(paths)
 }
 
 #[cfg(test)]
@@ -209,42 +123,20 @@ mod tests {
     }
 
     #[test]
-    fn path_stats_accumulate_and_merge() {
-        let mut a = PathStats::default();
-        a.record(3.0, 2.0, 2);
-        a.record(2.0, 2.0, 1);
-        assert_eq!(a.count, 2);
-        assert_eq!(a.max_stretch, 1.5);
-        assert_eq!(a.max_hops, 2);
-        assert_eq!(a.total_length, 5.0);
-        assert!((a.mean_stretch() - 1.25).abs() < 1e-12);
-        // Zero true distance is neutral stretch 1.0, same as RouteTrace.
-        a.record(0.5, 0.0, 1);
-        assert_eq!(a.max_stretch, 1.5);
-        let mut b = PathStats::default();
-        assert_eq!(b.mean_stretch(), 1.0);
-        b.record(8.0, 2.0, 7);
-        b.merge(&a);
-        assert_eq!(b.count, 4);
-        assert_eq!(b.max_stretch, 4.0);
-        assert_eq!(b.max_hops, 7);
-    }
-
-    #[test]
     fn stats_over_pairs() {
         use ron_graph::gen;
         let graph = gen::grid_graph(3, 2);
         let apsp = Apsp::compute(&graph);
         // "Routing" that just walks true first hops: stretch exactly 1.
-        let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+        let stats = over_all_pairs(&graph, &apsp, |u, v| {
             let path = apsp.walk_first_hops(&graph, u, v).unwrap();
             let length = graph.path_length(&path).unwrap();
             Ok(RouteTrace { path, length })
         })
         .unwrap();
-        assert_eq!(stats.pairs, 72);
+        assert_eq!(stats.count, 72);
         assert!((stats.max_stretch - 1.0).abs() < 1e-12);
-        assert!((stats.mean_stretch - 1.0).abs() < 1e-12);
+        assert!((stats.mean_stretch() - 1.0).abs() < 1e-12);
         assert_eq!(stats.max_hops, 4);
     }
 }

@@ -308,7 +308,7 @@ impl SimpleScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::StretchStats;
+    use crate::scheme::over_all_pairs;
     use ron_graph::gen;
     use ron_metric::LineMetric;
 
@@ -318,9 +318,8 @@ mod tests {
         let apsp = Apsp::compute(&graph);
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = SimpleScheme::build(&space, &graph, &apsp, 0.25);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
-        assert_eq!(stats.pairs, 16 * 15);
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        assert_eq!(stats.count, 16 * 15);
         // Each intermediate leg may add (3/2) delta; allow generous slack.
         assert!(
             stats.max_stretch <= 1.0 + 8.0 * 0.25,
@@ -335,8 +334,7 @@ mod tests {
         let apsp = Apsp::compute(&graph);
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = SimpleScheme::build(&space, &graph, &apsp, 0.25);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
         assert!(stats.max_stretch <= 3.0, "stretch {}", stats.max_stretch);
     }
 
@@ -376,8 +374,7 @@ mod tests {
         let apsp = Apsp::compute(&graph);
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = SimpleScheme::build(&space, &graph, &apsp, 0.25);
-        let stats =
-            StretchStats::over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
+        let stats = over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v)).unwrap();
         assert!((stats.max_stretch - 1.0).abs() < 1e-9);
     }
 

@@ -976,7 +976,7 @@ fn slot_route(graph: &Graph, apsp: &Apsp, from: Node, to: Node) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::StretchStats;
+    use crate::scheme::over_all_pairs;
     use ron_graph::gen;
 
     fn setup(graph: Graph, delta: f64) -> (Graph, Apsp, TwoModeScheme) {
@@ -990,11 +990,9 @@ mod tests {
     fn delivers_all_pairs_on_grid() {
         let (graph, apsp, scheme) = setup(gen::grid_graph(4, 2), 0.25);
         let mut stats = TwoModeStats::default();
-        let s = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
-            scheme.route(&graph, u, v, &mut stats)
-        })
-        .unwrap();
-        assert_eq!(s.pairs, 16 * 15);
+        let s =
+            over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v, &mut stats)).unwrap();
+        assert_eq!(s.count, 16 * 15);
         assert!(s.max_stretch <= 3.0, "stretch {}", s.max_stretch);
     }
 
@@ -1003,11 +1001,9 @@ mod tests {
         // The large-aspect-ratio regime this scheme exists for.
         let (graph, apsp, scheme) = setup(gen::exponential_path(14), 0.25);
         let mut stats = TwoModeStats::default();
-        let s = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
-            scheme.route(&graph, u, v, &mut stats)
-        })
-        .unwrap();
-        assert_eq!(s.pairs, 14 * 13);
+        let s =
+            over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v, &mut stats)).unwrap();
+        assert_eq!(s.count, 14 * 13);
         assert!(s.max_stretch <= 3.0, "stretch {}", s.max_stretch);
     }
 
@@ -1015,10 +1011,8 @@ mod tests {
     fn delivers_on_knn_graph() {
         let (graph, apsp, scheme) = setup(gen::knn_geometric(36, 2, 3, 3).0, 0.25);
         let mut stats = TwoModeStats::default();
-        let s = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
-            scheme.route(&graph, u, v, &mut stats)
-        })
-        .unwrap();
+        let s =
+            over_all_pairs(&graph, &apsp, |u, v| scheme.route(&graph, u, v, &mut stats)).unwrap();
         assert!(s.max_stretch <= 3.0, "stretch {}", s.max_stretch);
     }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use ron_graph::{gen, Apsp};
 use ron_metric::Space;
-use ron_routing::{BasicScheme, SimpleScheme, StretchStats, TwoModeScheme};
+use ron_routing::{over_all_pairs, BasicScheme, SimpleScheme, TwoModeScheme};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -18,7 +18,7 @@ proptest! {
         let space = Space::new(apsp.to_metric().unwrap());
         let delta = 0.25;
         let scheme = BasicScheme::build(&space, &graph, &apsp, delta);
-        let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+        let stats = over_all_pairs(&graph, &apsp, |u, v| {
             scheme.route(&graph, u, v)
         });
         let stats = stats.unwrap();
@@ -33,7 +33,7 @@ proptest! {
         let space = Space::new(apsp.to_metric().unwrap());
         let delta = 0.25;
         let scheme = SimpleScheme::build(&space, &graph, &apsp, delta);
-        let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+        let stats = over_all_pairs(&graph, &apsp, |u, v| {
             scheme.route(&graph, u, v)
         });
         let stats = stats.unwrap();
@@ -49,7 +49,7 @@ proptest! {
         let space = Space::new(apsp.to_metric().unwrap());
         let scheme = TwoModeScheme::build(&space, &graph, &apsp, 0.25);
         let mut modes = Default::default();
-        let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+        let stats = over_all_pairs(&graph, &apsp, |u, v| {
             scheme.route(&graph, u, v, &mut modes)
         });
         let stats = stats.unwrap();

@@ -16,12 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ron_core::sample;
 use ron_measure::doubling_measure;
 use ron_metric::{cardinality_levels, distance_levels, Metric, Node, Space};
 use ron_nets::NestedNets;
 
 use crate::model::{greedy_rule, route_with, ContactGraph, QueryOutcome};
+use crate::sample;
 
 /// The Theorem 5.2(a) model: sampled contacts plus greedy routing.
 ///

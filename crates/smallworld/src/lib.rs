@@ -35,6 +35,7 @@ mod greedy_model;
 mod kleinberg;
 pub mod model;
 mod pruned_model;
+mod sample;
 mod single_link;
 mod structures;
 

@@ -21,12 +21,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ron_core::sample;
 use ron_measure::doubling_measure;
 use ron_metric::{cardinality_levels, Metric, Node, Space};
 use ron_nets::NestedNets;
 
 use crate::model::{route_with, ContactGraph, QueryOutcome};
+use crate::sample;
 
 /// The Theorem 5.2(b) model: pruned contacts plus the non-greedy rule.
 ///
@@ -46,9 +46,6 @@ use crate::model::{route_with, ContactGraph, QueryOutcome};
 pub struct PrunedModel {
     contacts: ContactGraph,
     levels_card: usize,
-    /// Count of non-greedy steps taken by the queries run so far is
-    /// returned per query; the model itself is stateless.
-    x_param: f64,
 }
 
 impl PrunedModel {
@@ -129,7 +126,6 @@ impl PrunedModel {
         PrunedModel {
             contacts: ContactGraph::new(contacts),
             levels_card,
-            x_param: x,
         }
     }
 
@@ -145,12 +141,6 @@ impl PrunedModel {
         self.levels_card
     }
 
-    /// The window parameter `x = sqrt(log2 Delta)`.
-    #[must_use]
-    pub fn x_param(&self) -> f64 {
-        self.x_param
-    }
-
     /// Hop budget (generous multiple of the `O(log n)` guarantee; the
     /// theorem needs up to 3 hops per cardinality level).
     #[must_use]
@@ -161,7 +151,7 @@ impl PrunedModel {
     /// Runs one query with the strongly local rule of Theorem 5.2(b);
     /// also reports how many non-greedy steps (**) were taken.
     #[must_use]
-    pub fn query_counting<M: Metric>(
+    fn query_counting<M: Metric>(
         &self,
         space: &Space<M>,
         src: Node,

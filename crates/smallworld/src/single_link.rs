@@ -11,13 +11,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use ron_core::sample;
 use ron_graph::Graph;
 use ron_measure::doubling_measure;
 use ron_metric::{distance_levels, Metric, Node, Space};
 use ron_nets::NestedNets;
 
 use crate::model::QueryOutcome;
+use crate::sample;
 
 /// The Theorem 5.5 model: a local-contact graph plus exactly one
 /// long-range contact per node.
@@ -71,8 +71,8 @@ impl SingleLinkModel {
 
     /// The long-range contact of `u` (possibly `u` itself when the drawn
     /// ball contained only `u`).
-    #[must_use]
-    pub fn long_contact(&self, u: Node) -> Node {
+    #[cfg(test)]
+    fn long_contact(&self, u: Node) -> Node {
         self.long[u.index()]
     }
 

@@ -32,6 +32,7 @@ use crate::model::{greedy_rule, route_with, ContactGraph, QueryOutcome};
 pub struct Structures {
     contacts: ContactGraph,
     /// `x_uv` for all pairs (row-major), the pair-cardinality matrix.
+    #[cfg(test)]
     x: Vec<u32>,
     n: usize,
 }
@@ -121,6 +122,7 @@ impl Structures {
             .collect();
         Structures {
             contacts: ContactGraph::new(contacts),
+            #[cfg(test)]
             x,
             n,
         }
@@ -133,8 +135,8 @@ impl Structures {
     }
 
     /// The pair cardinality `x_uv` (1 on the diagonal).
-    #[must_use]
-    pub fn pair_cardinality(&self, u: Node, v: Node) -> u32 {
+    #[cfg(test)]
+    fn pair_cardinality(&self, u: Node, v: Node) -> u32 {
         self.x[u.index() * self.n + v.index()]
     }
 

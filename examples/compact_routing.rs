@@ -7,7 +7,7 @@
 use rings_of_neighbors::graph::{gen, Apsp};
 use rings_of_neighbors::metric::{Node, Space};
 use rings_of_neighbors::routing::{
-    BasicScheme, FullTableBaseline, SimpleScheme, StretchStats, TwoModeScheme,
+    over_all_pairs, BasicScheme, FullTableBaseline, SimpleScheme, TwoModeScheme,
 };
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let simple = SimpleScheme::build(&space, &graph, &apsp, delta);
     let twomode = TwoModeScheme::build(&space, &graph, &apsp, delta);
 
-    let b_stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| baseline.route(&graph, u, v))
+    let b_stats = over_all_pairs(&graph, &apsp, |u, v| baseline.route(&graph, u, v))
         .expect("baseline routes");
     println!(
         "full table : stretch max {:.3}, table {} bits, header {} bits",
@@ -37,8 +37,8 @@ fn main() {
         baseline.header_bits()
     );
 
-    let s_stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| basic.route(&graph, u, v))
-        .expect("Thm 2.1 routes");
+    let s_stats =
+        over_all_pairs(&graph, &apsp, |u, v| basic.route(&graph, u, v)).expect("Thm 2.1 routes");
     println!(
         "Thm 2.1    : stretch max {:.3}, table {} bits, header {} bits",
         s_stats.max_stretch,
@@ -46,8 +46,8 @@ fn main() {
         basic.header_bits()
     );
 
-    let p_stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| simple.route(&graph, u, v))
-        .expect("Thm 4.1 routes");
+    let p_stats =
+        over_all_pairs(&graph, &apsp, |u, v| simple.route(&graph, u, v)).expect("Thm 4.1 routes");
     println!(
         "Thm 4.1    : stretch max {:.3}, table {} bits, header {} bits",
         p_stats.max_stretch,
@@ -56,7 +56,7 @@ fn main() {
     );
 
     let mut mode_stats = Default::default();
-    let t_stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+    let t_stats = over_all_pairs(&graph, &apsp, |u, v| {
         twomode.route(&graph, u, v, &mut mode_stats)
     })
     .expect("Thm B.1 routes");

@@ -13,7 +13,7 @@
 use rings_of_neighbors::graph::{gen as ggen, Apsp};
 use rings_of_neighbors::labels::CompactScheme;
 use rings_of_neighbors::metric::{doubling, gen, Space};
-use rings_of_neighbors::routing::{StretchStats, TwoModeScheme};
+use rings_of_neighbors::routing::{over_all_pairs, TwoModeScheme};
 use rings_of_neighbors::smallworld::{GreedyModel, QueryStats};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
     let gspace = Space::new(apsp.to_metric().expect("path is connected"));
     let twomode = TwoModeScheme::build(&gspace, &graph, &apsp, 0.25);
     let mut modes = Default::default();
-    let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+    let stats = over_all_pairs(&graph, &apsp, |u, v| {
         twomode.route(&graph, u, v, &mut modes)
     })
     .expect("delivery");

@@ -8,7 +8,7 @@ use rings_of_neighbors::labels::{CompactScheme, Triangulation};
 use rings_of_neighbors::measure::{doubling_measure, NodeMeasure, Packing};
 use rings_of_neighbors::metric::{gen, Metric, MetricExt, Node, Space};
 use rings_of_neighbors::nets::NestedNets;
-use rings_of_neighbors::routing::{BasicScheme, SimpleScheme, StretchStats, TwoModeScheme};
+use rings_of_neighbors::routing::{over_all_pairs, BasicScheme, SimpleScheme, TwoModeScheme};
 use rings_of_neighbors::smallworld::{GreedyModel, QueryStats};
 
 /// Graph -> APSP -> metric -> all three routing schemes, checked against
@@ -28,12 +28,12 @@ fn full_routing_pipeline_on_knn_graph() {
     let basic = BasicScheme::build(&space, &graph, &apsp, delta);
     let simple = SimpleScheme::build(&space, &graph, &apsp, delta);
     let twomode = TwoModeScheme::build(&space, &graph, &apsp, delta);
-    let b = StretchStats::over_all_pairs(&graph, &apsp, |u, v| basic.route(&graph, u, v))
-        .expect("basic delivers");
-    let s = StretchStats::over_all_pairs(&graph, &apsp, |u, v| simple.route(&graph, u, v))
-        .expect("simple delivers");
+    let b =
+        over_all_pairs(&graph, &apsp, |u, v| basic.route(&graph, u, v)).expect("basic delivers");
+    let s =
+        over_all_pairs(&graph, &apsp, |u, v| simple.route(&graph, u, v)).expect("simple delivers");
     let mut modes = Default::default();
-    let t = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+    let t = over_all_pairs(&graph, &apsp, |u, v| {
         twomode.route(&graph, u, v, &mut modes)
     })
     .expect("two-mode delivers");
@@ -137,7 +137,7 @@ fn exponential_regime_end_to_end() {
 
     let twomode = TwoModeScheme::build(&space, &graph, &apsp, 0.25);
     let mut modes = Default::default();
-    let stats = StretchStats::over_all_pairs(&graph, &apsp, |u, v| {
+    let stats = over_all_pairs(&graph, &apsp, |u, v| {
         twomode.route(&graph, u, v, &mut modes)
     })
     .expect("delivery");
